@@ -488,8 +488,9 @@ func BenchmarkGradientFiniteDifference(b *testing.B) {
 	}
 }
 
-// BenchmarkChainSolve measures the Markov substrate: π, Z, Z², R for one
-// 9-state chain.
+// BenchmarkChainSolve measures the Markov substrate through the allocating
+// Chain.Solve: the ergodicity check, then π, Z, R and the Z² that
+// Chain.Solve forms eagerly, for one 9-state chain.
 func BenchmarkChainSolve(b *testing.B) {
 	p := descent.RandomInit(rng.New(2), 9, 1e-7)
 	chain, err := markov.New(p)

@@ -300,7 +300,7 @@ func (m *Model) evaluateInto(ev *Evaluation, coverNum []float64, sol *markov.Sol
 	// The dense path streams the i-contiguous rows of the coverage tables
 	// (same per-(j,k) visit order and per-slot fold as the historic
 	// accessor-based loop, so the sums carry identical bits). The sparse
-	// path (solutions whose Z² was elided) never touches the M³ at table:
+	// path (solutions from a sparse solve) never touches the M³ at table:
 	// it uses the identity G_i = coverNum_i − Φ_i·Σ π_j p_jk T_jk, which
 	// is the same sum reassociated — exact in exact arithmetic, within
 	// markov.SparseTol in floating point.
@@ -311,7 +311,7 @@ func (m *Model) evaluateInto(ev *Evaluation, coverNum []float64, sol *markov.Sol
 	// identical bits to the fused loop they replace.
 	var totalTime float64 // Σ π_j p_jk T_jk
 	pd := p.Data()
-	if sol.Z2 == nil {
+	if sol.Method() == markov.MethodSparse {
 		// Sparse mode: never touch the M³ at table.
 		for j := 0; j < n; j++ {
 			pij := sol.Pi[j]

@@ -28,13 +28,6 @@ func (m *Model) Gradient(p *mat.Matrix) (*Evaluation, *mat.Matrix, error) {
 	return m.GradientIn(m.NewWorkspace(), p)
 }
 
-// minParallelRows is the matrix order below which the gradient assembly
-// and its contractions stay on the direct single-span path even when the
-// workspace has a multi-worker pool: the fork/join handshake costs more
-// than the whole pass for tiny systems. The cutover does not affect
-// results — both paths produce identical bits.
-const minParallelRows = 8
-
 // gradTask adapts the fused per-row gradient pass to the par.Task
 // interface. It lives inside the Workspace so dispatching it converts a
 // long-lived pointer to an interface without allocating.
@@ -88,9 +81,6 @@ func (m *Model) gradientIntoWith(ws *Workspace, ev *Evaluation, coverCoef []floa
 
 	ws.ensureGradient()
 	width := ws.pool.Workers()
-	if n < minParallelRows {
-		width = 1
-	}
 	ws.ensureWorkerScratch(width)
 
 	dUdPi := ws.dUdPi
@@ -126,12 +116,12 @@ func (m *Model) gradientIntoWith(ws *Workspace, ev *Evaluation, coverCoef []floa
 		beta = m.w.Beta
 	}
 	ws.beta = beta
-	// Sparse solutions (Z² elided) flip the coverage partials to the
-	// cover-list form and the Eq. 10 contractions to factor solves. A
-	// caller-supplied coverCoef always uses the cover-list form: the lists
-	// are target-independent, which is what lets the override carry its own
+	// Sparse solutions flip the coverage partials to the cover-list form
+	// and the Eq. 10 contractions to factor solves. A caller-supplied
+	// coverCoef always uses the cover-list form: the lists are
+	// target-independent, which is what lets the override carry its own
 	// Φ̃ through coverPhi.
-	sparseMode := sol.Z2 == nil
+	sparseMode := sol.Method() == markov.MethodSparse
 	ws.sparseCover = sparseMode || coverCoef != nil
 	if ws.sparseCover && ws.anyCover {
 		if coverCoef == nil {
@@ -217,15 +207,15 @@ func (m *Model) gradientIntoWith(ws *Workspace, ev *Evaluation, coverCoef []floa
 			colsum[j] += v
 		}
 	}
-	if sol.Z2 == nil {
-		// Z² was elided: fold the vector through Z twice instead.
+	if sparseMode {
+		// Fold the vector through Z twice instead of forming Z².
 		if err := mat.MulVecTo(ws.r2, sol.Z, colsum); err != nil {
 			return nil, err
 		}
 		if err := mat.MulVecTo(ws.r, sol.Z, ws.r2); err != nil {
 			return nil, err
 		}
-	} else if err := mat.MulVecTo(ws.r, sol.Z2, colsum); err != nil {
+	} else if err := mat.MulVecTo(ws.r, sol.Z2(), colsum); err != nil {
 		return nil, err
 	}
 

@@ -180,7 +180,7 @@ func TestSparseGradientAbsorbingRowGuard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EvaluateIn: %v", err)
 	}
-	if ev.Sol.Z2 != nil {
+	if ev.Sol.Method() != markov.MethodSparse {
 		t.Fatal("test setup: workspace did not take the sparse path")
 	}
 	if ev.EBarI[0] == 0 {
@@ -235,5 +235,61 @@ func TestSparseEvaluateExtensions(t *testing.T) {
 		if d := relDiff(q.d, q.s, scale); d > sparseAgreeTol {
 			t.Errorf("%s: dense %g vs sparse %g (rel %g)", q.name, q.d, q.s, d)
 		}
+	}
+}
+
+// TestSparseWorkspaceZeroAllocSteadyState extends the Workspace's
+// zero-allocation contract to the sparse backend: once warm, evaluations
+// and gradients at matrices that keep one support pattern — line-search
+// probes and successive iterates — allocate nothing.
+func TestSparseWorkspaceZeroAllocSteadyState(t *testing.T) {
+	const n = 64
+	top, err := topology.Random(rng.New(64), topology.RandomConfig{
+		M: n, Width: 40 * n, Height: 40 * n,
+	})
+	if err != nil {
+		t.Fatalf("random topology: %v", err)
+	}
+	m, err := NewModel(top, Uniform(n, 1, 0.01))
+	if err != nil {
+		t.Fatalf("NewModel: %v", err)
+	}
+	ws := m.NewWorkspace()
+	ws.SetSolver(markov.MethodSparse)
+	p := knnSupportP(top, 3)
+	// A second matrix on the same support, as a line-search probe is.
+	q := p.Clone()
+	qd := q.Data()
+	for i := 0; i < n; i++ {
+		row := qd[i*n : (i+1)*n]
+		row[i] += 0.01
+		row[(i+1)%n] -= 0.01
+	}
+	ev, _, err := m.GradientIn(ws, p)
+	if err != nil {
+		t.Fatalf("GradientIn warmup: %v", err)
+	}
+	if ev.Sol.Method() != markov.MethodSparse {
+		t.Fatal("test setup: workspace did not take the sparse path")
+	}
+	flip := false
+	if allocs := testing.AllocsPerRun(20, func() {
+		flip = !flip
+		x := p
+		if flip {
+			x = q
+		}
+		if _, err := m.EvaluateIn(ws, x); err != nil {
+			t.Error(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("sparse EvaluateIn allocates %v times per call in steady state, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := m.GradientIn(ws, p); err != nil {
+			t.Error(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("sparse GradientIn allocates %v times per call in steady state, want 0", allocs)
 	}
 }

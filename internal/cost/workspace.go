@@ -7,7 +7,7 @@ import (
 )
 
 // Workspace owns every buffer one evaluation/gradient pass needs: the
-// Markov solver's π/Z/Z²/R storage, the Evaluation result slices, and the
+// Markov solver's π/Z/R storage (and Z², formed only for gradients), the Evaluation result slices, and the
 // scratch matrices of the Eq. 10 contractions. With a Workspace, a model's
 // EvaluateIn and GradientIn perform zero allocations in steady state —
 // the property the descent hot loop (dozens of evaluations per line
@@ -35,7 +35,7 @@ type Workspace struct {
 	colsum []float64
 	q      []float64
 	r      []float64
-	r2     []float64 // Z·colsum staging when Z² is elided (sparse path)
+	r2     []float64 // Z·colsum staging for the sparse path's Z·(Z·colsum)
 	carr   []float64 // coverage coefficients c_i = α_i G_i
 	// Sparse-path coverage state for the current gradient pass.
 	sparseCover bool

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/mat"
 	"repro/internal/rng"
 	"repro/internal/topology"
 )
@@ -157,5 +158,41 @@ func TestWorkspaceZeroAllocSteadyState(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("GradientIn allocates %v times per call in steady state, want 0", allocs)
+	}
+}
+
+// TestEvaluateInLeavesZ2Unformed checks that an evaluation alone never
+// forms Z²: U needs π, Z and R only, and the O(M³) product belongs to the
+// gradient. Z2 forms its product from Z as it stands at the first
+// request, so doctoring Z after EvaluateIn tells the two apart — a
+// product formed inside EvaluateIn would still reflect the original Z.
+// The gradient then must form it.
+func TestEvaluateInLeavesZ2Unformed(t *testing.T) {
+	top := topology.Topology3()
+	m, err := NewModel(top, Uniform(top.M(), 1, 1))
+	if err != nil {
+		t.Fatalf("NewModel: %v", err)
+	}
+	ws := m.NewWorkspace()
+	p := randomErgodicP(rng.New(709), top.M())
+	// A gradient first, so the solver's Z² buffer exists and has been
+	// formed once: EvaluateIn must re-arm it, not keep or refresh it.
+	if _, _, err := m.GradientIn(ws, p); err != nil {
+		t.Fatalf("GradientIn: %v", err)
+	}
+	ev, err := m.EvaluateIn(ws, p)
+	if err != nil {
+		t.Fatalf("EvaluateIn: %v", err)
+	}
+	mat.ScaleInPlace(2, ev.Sol.Z)
+	want, err := mat.Mul(ev.Sol.Z, ev.Sol.Z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := ev.Sol.Z2().Data()
+	for i, v := range want.Data() {
+		if math.Float64bits(got[i]) != math.Float64bits(v) {
+			t.Fatalf("Z2[%d] = %v, want %v from the doctored Z: EvaluateIn formed Z²", i, got[i], v)
+		}
 	}
 }

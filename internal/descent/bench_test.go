@@ -10,10 +10,11 @@ import (
 	"repro/internal/topology"
 )
 
-// benchOptimizer builds an M-PoI model and an optimizer positioned at a
-// random iterate, with its projected steepest-descent direction, ready for
-// line-search probing.
-func benchOptimizer(b *testing.B, m int) (*Optimizer, *mat.Matrix, *mat.Matrix, float64) {
+// benchOptimizer builds an M-PoI model and a workers-wide optimizer
+// positioned at a random iterate, with its projected steepest-descent
+// direction, ready for line-search probing. The caller decides whether
+// the fan-out threshold applies.
+func benchOptimizer(b *testing.B, m, workers int) (*Optimizer, *mat.Matrix, *mat.Matrix, float64) {
 	b.Helper()
 	top, err := topology.Random(rng.New(uint64(m)), topology.RandomConfig{
 		M: m, Width: 40 * float64(m), Height: 40 * float64(m),
@@ -25,7 +26,7 @@ func benchOptimizer(b *testing.B, m int) (*Optimizer, *mat.Matrix, *mat.Matrix, 
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt, err := New(model, Options{Variant: Adaptive, MaxIters: 1, Seed: 1})
+	opt, err := New(model, Options{Variant: Adaptive, MaxIters: 1, Seed: 1, Workers: workers})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -43,20 +44,27 @@ func benchOptimizer(b *testing.B, m int) (*Optimizer, *mat.Matrix, *mat.Matrix, 
 
 // BenchmarkLineSearchStep measures one full V3 line search (geometric
 // bracketing plus conservative trisection, a few dozen cost evaluations)
-// at the sizes the evaluation-pipeline benches sweep. This is the descent
-// hot loop's dominant cost, and with the shared Workspace it runs
-// allocation-free.
+// serially (W1) and fanned out across a two-worker pool (W2) at every
+// size, with the fan-out threshold lifted so W2 always forks. This is the
+// descent hot loop's dominant cost, it runs allocation-free, and the
+// W2/W1 ratio per size is the crossover minFanOutOrder is set from.
 func BenchmarkLineSearchStep(b *testing.B) {
-	for _, m := range []int{8, 16, 32, 64} {
-		opt, p, dir, curU := benchOptimizer(b, m)
-		b.Run(fmt.Sprintf("M%d", m), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				step, _, ok := opt.lineSearch(p, dir, curU)
-				if !ok && step != 0 {
-					b.Fatal("inconsistent line search result")
+	prev := minFanOutOrder
+	minFanOutOrder = 0
+	defer func() { minFanOutOrder = prev }()
+	for _, m := range []int{4, 8, 16, 24, 32, 64} {
+		for _, workers := range []int{1, 2} {
+			opt, p, dir, curU := benchOptimizer(b, m, workers)
+			b.Run(fmt.Sprintf("M%d/W%d", m, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					step, _, ok := opt.lineSearch(p, dir, curU)
+					if !ok && step != 0 {
+						b.Fatal("inconsistent line search result")
+					}
 				}
-			}
-		})
+			})
+			opt.pool.Stop()
+		}
 	}
 }

@@ -127,6 +127,9 @@ type Options struct {
 	// bit-for-bit identical for every value — parallelism here changes
 	// scheduling, never arithmetic order. Zero selects GOMAXPROCS; one
 	// forces the exact serial code path (no pool, no extra goroutines).
+	// Below the fork/join crossover (M < 24 PoIs, see NewIterationPool)
+	// every iteration runs on the calling goroutine whatever Workers
+	// says, with identical results.
 	Workers int
 	// Solver selects the markov linear-algebra backend for every chain
 	// solve the run performs (iterate evaluations, gradients, and all
@@ -264,7 +267,8 @@ type Optimizer struct {
 	noisy *mat.Matrix // V4 perturbed gradient
 	cand  *mat.Matrix // line-search / acceptance candidate iterate
 
-	// Parallel machinery, nil/empty when Workers <= 1. Each pool worker
+	// Parallel machinery, nil/empty when NewIterationPool gives no pool
+	// (Workers <= 1, or M below the fan-out crossover). Each pool worker
 	// owns a private evaluation workspace and candidate buffer so probe
 	// batches share nothing mutable; probeDelta/probeU are the batched
 	// line search's step grid and results.
@@ -278,6 +282,28 @@ type Optimizer struct {
 	// probes counts φ evaluations of the current iteration's line search;
 	// reset on lineSearch entry, reported via IterRecord.Probes.
 	probes int
+}
+
+// minFanOutOrder is the chain order M from which one optimizer iteration
+// fans out across a worker pool. Below it the fork/join handshake of
+// every probe batch and gradient phase costs more than the parallel work
+// saves. It sits at the measured crossover of BenchmarkLineSearchStep,
+// Workers=2 against Workers=1 on a 2-vCPU Xeon VM (Go 1.24): M4 +45%
+// time, M8 +7%, M16 about even, M24 −10%, M32 −32%. Tests lower it to
+// exercise the pooled paths on small models.
+var minFanOutOrder = 24
+
+// NewIterationPool returns the pool one optimizer iteration over M-state
+// chains fans out across, or nil when the iteration should stay on the
+// calling goroutine: workers ≤ 1, or m below the measured fork/join
+// crossover. Both the single-sensor and the fleet optimizers size their
+// in-iteration fan-out here. A nil pool changes no results — every
+// fan-out they perform is bit-identical to its serial path.
+func NewIterationPool(workers, m int) *par.Pool {
+	if workers <= 1 || m < minFanOutOrder {
+		return nil
+	}
+	return par.New(workers)
 }
 
 // New validates the options and builds an Optimizer.
@@ -297,8 +323,8 @@ func New(model *cost.Model, opts Options) (*Optimizer, error) {
 		cand:  mat.New(n, n),
 	}
 	o.ws.SetSolver(opts.Solver)
-	if w := opts.Workers; w > 1 {
-		o.pool = par.New(w)
+	if o.pool = NewIterationPool(opts.Workers, n); o.pool != nil {
+		w := o.pool.Workers()
 		o.ws.SetPool(o.pool)
 		o.probeWS = make([]*cost.Workspace, w)
 		o.probeCand = make([]*mat.Matrix, w)

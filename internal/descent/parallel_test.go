@@ -11,9 +11,27 @@ import (
 	"repro/internal/topology"
 )
 
-// testModel16 builds a 16-PoI model large enough that the parallel
-// gradient row-partitioning (gated below minParallelRows) and the batched
-// line search both actually engage.
+// forceFanOut drops the fan-out threshold for the rest of the test, so
+// multi-worker optimizers over the small test models take the pooled
+// gradient and batched line-search paths that minFanOutOrder would
+// otherwise skip. Tests in this package do not run in parallel.
+func forceFanOut(t *testing.T) {
+	t.Helper()
+	prev := minFanOutOrder
+	minFanOutOrder = 0
+	t.Cleanup(func() { minFanOutOrder = prev })
+}
+
+// requireForked fails the test unless opt's pool actually fanned out.
+func requireForked(t *testing.T, opt *Optimizer) {
+	t.Helper()
+	if opt.pool.Forks() == 0 {
+		t.Fatalf("Workers=%d optimizer never fanned out across its pool", opt.opts.Workers)
+	}
+}
+
+// testModel16 builds a 16-PoI model with all four objective families
+// active, for the Workers bit-exactness tests.
 func testModel16(t *testing.T) *cost.Model {
 	t.Helper()
 	const m = 16
@@ -57,6 +75,7 @@ func traceKey(t *testing.T, res *Result) string {
 // traces and final iterates. This is the tentpole contract: parallelism
 // changes scheduling, never arithmetic.
 func TestWorkersDeterminism(t *testing.T) {
+	forceFanOut(t)
 	model := testModel16(t)
 	for _, variant := range []Variant{Basic, Adaptive, Perturbed} {
 		t.Run(variant.String(), func(t *testing.T) {
@@ -73,6 +92,9 @@ func TestWorkersDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Run(workers=%d): %v", workers, err)
 				}
+				if workers > 1 {
+					requireForked(t, opt)
+				}
 				keys[workers] = traceKey(t, res)
 			}
 			if keys[1] != keys[4] {
@@ -86,6 +108,7 @@ func TestWorkersDeterminism(t *testing.T) {
 // with a multi-worker pool: the expected bit patterns are the same
 // constants TestGoldenTraces pins for the serial path.
 func TestGoldenTracesWithWorkers(t *testing.T) {
+	forceFanOut(t)
 	model := goldenModel(t)
 	cases := []struct {
 		variant Variant
@@ -108,6 +131,7 @@ func TestGoldenTracesWithWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
+			requireForked(t, opt)
 			if got := math.Float64bits(res.Eval.U); got != tc.bestU {
 				t.Errorf("bestU bits = %#x, want %#x (U = %v)", got, tc.bestU, res.Eval.U)
 			}
@@ -115,6 +139,38 @@ func TestGoldenTracesWithWorkers(t *testing.T) {
 				t.Errorf("P hash = %#x, want %#x", got, tc.phash)
 			}
 		})
+	}
+}
+
+// TestFanOutThreshold pins which optimizers get a pool: none with one
+// worker or below minFanOutOrder PoIs, one from the threshold up, sized
+// to Workers.
+func TestFanOutThreshold(t *testing.T) {
+	for _, tc := range []struct {
+		workers, m int
+		pooled     bool
+	}{
+		{1, 64, false},
+		{4, 3, false},
+		{4, minFanOutOrder - 1, false},
+		{4, minFanOutOrder, true},
+		{2, 64, true},
+	} {
+		pool := NewIterationPool(tc.workers, tc.m)
+		if (pool != nil) != tc.pooled {
+			t.Errorf("NewIterationPool(%d, %d) = %v, want pooled %v", tc.workers, tc.m, pool, tc.pooled)
+		}
+		if pool != nil && pool.Workers() != tc.workers {
+			t.Errorf("NewIterationPool(%d, %d) has width %d", tc.workers, tc.m, pool.Workers())
+		}
+	}
+	// The small test model runs serially whatever Workers says.
+	opt, err := New(testModel16(t), Options{Variant: Adaptive, MaxIters: 2, Seed: 1, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opt.pool != nil || opt.probeWS != nil {
+		t.Fatal("16-PoI optimizer attached a pool below the fan-out threshold")
 	}
 }
 
@@ -208,6 +264,7 @@ func lineSearchFixture(t *testing.T, workers int) (*Optimizer, *mat.Matrix, *mat
 func TestSteadyStateAllocs(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			forceFanOut(t)
 			opt, p, dir, curU := lineSearchFixture(t, workers)
 			model := opt.model
 			t.Cleanup(func() { opt.pool.Stop() })
@@ -219,6 +276,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			opt.lineSearch(p, dir, curU)
+			if workers > 1 {
+				requireForked(t, opt)
+			}
 
 			if allocs := testing.AllocsPerRun(10, func() {
 				if _, err := model.EvaluateIn(opt.ws, p); err != nil {
@@ -249,12 +309,14 @@ func TestSteadyStateAllocs(t *testing.T) {
 // searches directly on the same inputs: same step, same cost, same flag,
 // bit for bit.
 func TestBatchedLineSearchMatchesSerial(t *testing.T) {
+	forceFanOut(t)
 	serial, p, dir, curU := lineSearchFixture(t, 1)
 	batched, _, _, _ := lineSearchFixture(t, 3)
 	t.Cleanup(func() { batched.pool.Stop() })
 
 	s1, u1, ok1 := serial.lineSearch(p, dir, curU)
 	s2, u2, ok2 := batched.lineSearch(p, dir, curU)
+	requireForked(t, batched)
 	if math.Float64bits(s1) != math.Float64bits(s2) ||
 		math.Float64bits(u1) != math.Float64bits(u2) || ok1 != ok2 {
 		t.Errorf("serial (%v, %v, %v) != batched (%v, %v, %v)", s1, u1, ok1, s2, u2, ok2)

@@ -120,6 +120,7 @@ func TestProbeCounts(t *testing.T) {
 // cutoff) while the chosen steps stay bit-identical — Probes is
 // telemetry, not part of the determinism contract.
 func TestProbeCountsSerialVsBatched(t *testing.T) {
+	forceFanOut(t)
 	model := testModel16(t)
 	traces := make(map[int][]IterRecord)
 	for _, workers := range []int{1, 4} {

@@ -338,9 +338,18 @@ func TestOptimizeDeterministic(t *testing.T) {
 // TestOptimizeWorkersBitIdentical is the fleet golden-trace discipline:
 // the stacked descent must produce bit-identical traces and matrices for
 // every Workers count, because parallelism only redistributes whole
-// sensors across spans.
+// sensors across spans. The field has 24 PoIs, the smallest M at which
+// descent.NewIterationPool lets an iteration fan out, so the multi-worker
+// runs really take the pooled path.
 func TestOptimizeWorkersBitIdentical(t *testing.T) {
-	cm := newCostModel(t, topology.Topology3())
+	const m = 24
+	top, err := topology.Random(rng.New(m), topology.RandomConfig{
+		M: m, Width: 40 * m, Height: 40 * m,
+	})
+	if err != nil {
+		t.Fatalf("topology.Random: %v", err)
+	}
+	cm := newCostModel(t, top)
 	base := Options{
 		Sensors:     3,
 		Seed:        99,
@@ -356,9 +365,16 @@ func TestOptimizeWorkersBitIdentical(t *testing.T) {
 	for _, w := range []int{2, 3, 8} {
 		opts := base
 		opts.Workers = w
-		got, err := Optimize(cm, opts)
+		o, err := NewOptimizer(cm, opts)
 		if err != nil {
-			t.Fatalf("Optimize(workers=%d): %v", w, err)
+			t.Fatalf("NewOptimizer(workers=%d): %v", w, err)
+		}
+		got, err := o.Run()
+		if err != nil {
+			t.Fatalf("Run(workers=%d): %v", w, err)
+		}
+		if o.pool.Forks() == 0 {
+			t.Fatalf("workers=%d: the fleet optimizer never fanned out", w)
 		}
 		label := "workers=" + string(rune('0'+w))
 		sameTrace(t, ref.Trace, got.Trace, label)
@@ -366,6 +382,19 @@ func TestOptimizeWorkersBitIdentical(t *testing.T) {
 		if ref.Eval.U != got.Eval.U {
 			t.Fatalf("workers=%d: best U %v vs %v", w, got.Eval.U, ref.Eval.U)
 		}
+	}
+}
+
+// TestOptimizeSmallFleetStaysSerial checks the other side of the fan-out
+// threshold: on a paper-sized topology a multi-worker fleet optimizer
+// attaches no pool.
+func TestOptimizeSmallFleetStaysSerial(t *testing.T) {
+	o, err := NewOptimizer(newCostModel(t, topology.Topology3()), Options{Sensors: 3, Workers: 4})
+	if err != nil {
+		t.Fatalf("NewOptimizer: %v", err)
+	}
+	if o.pool != nil {
+		t.Fatal("4-PoI fleet optimizer attached a pool below the fan-out threshold")
 	}
 }
 

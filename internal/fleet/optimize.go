@@ -51,7 +51,10 @@ type Options struct {
 	// fleet fan-out owns one sensor per span — each sensor's chain solve,
 	// evaluation, and gradient assembly runs entirely inside one worker's
 	// span — so results are bit-for-bit identical for every value. Zero
-	// selects GOMAXPROCS; one forces the serial path.
+	// selects GOMAXPROCS; one forces the serial path. Below the fork/join
+	// crossover (M < 24 PoIs, see descent.NewIterationPool) every
+	// iteration runs on the calling goroutine whatever Workers says, with
+	// identical results.
 	Workers int
 	// Solver selects the markov backend for every per-sensor chain solve.
 	Solver markov.Method
@@ -219,8 +222,8 @@ func NewOptimizer(cm *cost.Model, opts Options) (*Optimizer, error) {
 		o.cand[s] = mat.New(n, n)
 		o.betaMask[s] = make([]float64, n)
 	}
-	if opts.Workers > 1 && k > 1 {
-		o.pool = par.New(opts.Workers)
+	if k > 1 {
+		o.pool = descent.NewIterationPool(opts.Workers, n)
 	}
 	return o, nil
 }

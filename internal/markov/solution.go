@@ -2,6 +2,7 @@ package markov
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/mat"
 )
@@ -10,8 +11,8 @@ import (
 // cost function and its gradient consume: the stationary distribution π,
 // the matrix W whose rows all equal π, the fundamental matrix
 // Z = (I - P + W)^{-1} (Eq. 7), its square, and the mean first-passage
-// matrix R (Eq. 8). Everything is computed once in Solve and treated as
-// immutable afterwards.
+// matrix R (Eq. 8). π, W, Z and R are computed in Solve and treated as
+// immutable afterwards; Z² is formed on first request (see Z2).
 type Solution struct {
 	// P is the transition matrix the solution was computed from.
 	P *mat.Matrix
@@ -21,31 +22,67 @@ type Solution struct {
 	W *mat.Matrix
 	// Z is the fundamental matrix (I - P + W)^{-1} (Eq. 7).
 	Z *mat.Matrix
-	// Z2 is Z*Z, needed by the perturbation formula for dZ/dt. Sparse
-	// solves (MethodSparse) leave it nil — consumers that only fold Z²
-	// against a vector compute Z·(Z·v) instead, and DZ rebuilds it on
-	// demand.
-	Z2 *mat.Matrix
 	// R is the mean first-passage time matrix: R_ij is the expected number
 	// of transitions to first reach j starting from i, with
 	// R_ii = 1/π_i the mean return time (Eq. 8 with the column-scaling
 	// reading of R = (I - Z + J Z_dg) D; see DESIGN.md errata).
 	R *mat.Matrix
 
+	// method is the backend that produced the solution; see Method.
+	method Method
+	// z2 holds Z·Z once z2Once has run. A Solver keeps the buffer across
+	// solves and re-arms z2Once on each one.
+	z2     *mat.Matrix
+	z2Once sync.Once
+
 	// sparse holds the factorization handle of a MethodSparse solve, nil
 	// on the dense path and after Clone. Access via Sparse().
 	sparse *SparseFactors
+}
+
+// Method reports the backend that computed the solution: MethodSparse
+// only when a sparse solve succeeded (a sparse Solver's dense fallback
+// reports MethodDense). Clone keeps it, so consumers that branch on the
+// backend treat a clone like its original.
+func (s *Solution) Method() Method { return s.method }
+
+// Z2 returns Z·Z, the square the perturbation formula for dZ/dt needs.
+// Only the Eq. 10 gradient reads it, so Solve does not form it: the
+// product is computed on the first call and kept until the owning
+// Solver's next Solve. Every call site gets the bits of one mat.MulTo of
+// Z by itself, and concurrent first calls are safe. The returned matrix
+// aliases the Solution; treat it as read-only.
+func (s *Solution) Z2() *mat.Matrix {
+	s.z2Once.Do(s.formZ2)
+	return s.z2
+}
+
+// formZ2 computes Z·Z into the Solution's z2 buffer, allocating it on
+// first use.
+func (s *Solution) formZ2() {
+	n := s.Z.Rows()
+	if s.z2 == nil {
+		s.z2 = mat.New(n, n)
+	}
+	// Both operands are n×n by construction, so MulTo cannot fail.
+	_ = mat.MulTo(s.z2, s.Z, s.Z)
 }
 
 // Solve computes the stationary distribution and the derived matrices.
 // It returns ErrNotErgodic for chains without a unique positive stationary
 // distribution (checked structurally before any linear algebra).
 //
-// Each call allocates a fresh result. Hot loops that solve many same-sized
-// chains should hold a Solver and call its Solve instead, which reuses one
-// set of buffers across calls.
+// Each call allocates a fresh result, with Z² already formed. Hot loops
+// that solve many same-sized chains should hold a Solver and call its
+// Solve instead, which reuses one set of buffers across calls and leaves
+// Z² to the first Z2 call.
 func (c *Chain) Solve() (*Solution, error) {
-	return NewSolver(c.M()).Solve(c.p)
+	sol, err := NewSolver(c.M()).Solve(c.p)
+	if err != nil {
+		return nil, err
+	}
+	sol.Z2()
+	return sol, nil
 }
 
 // StationaryPower estimates the stationary distribution by power
@@ -158,16 +195,7 @@ func (s *Solution) DZ(v *mat.Matrix) (*mat.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	z2 := s.Z2
-	if z2 == nil {
-		// Sparse solves elide Z²; rebuild it here (DZ is an off-hot-path
-		// diagnostic, so the extra product is acceptable).
-		z2, err = mat.Mul(s.Z, s.Z)
-		if err != nil {
-			return nil, err
-		}
-	}
-	wvz2, err := mat.Mul(wv, z2)
+	wvz2, err := mat.Mul(wv, s.Z2())
 	if err != nil {
 		return nil, err
 	}

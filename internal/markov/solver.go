@@ -3,6 +3,7 @@ package markov
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/mat"
 )
@@ -43,7 +44,6 @@ func NewSolver(n int) *Solver {
 			Pi: make([]float64, n),
 			W:  mat.New(n, n),
 			Z:  mat.New(n, n),
-			Z2: mat.New(n, n),
 			R:  mat.New(n, n),
 		},
 		lu:    mat.NewLU(n),
@@ -58,7 +58,8 @@ func NewSolver(n int) *Solver {
 // Solve validates p, checks ergodicity, and computes the stationary
 // distribution and derived matrices into the Solver's buffers. The
 // returned Solution aliases those buffers and is valid until the next
-// Solve call. No allocations occur on the success path.
+// Solve call. Z² is not formed here; the Solution's Z2 forms it on
+// request. No allocations occur on the success path.
 func (s *Solver) Solve(p *mat.Matrix) (*Solution, error) {
 	n := s.n
 	if p.Rows() != n || p.Cols() != n {
@@ -68,6 +69,8 @@ func (s *Solver) Solve(p *mat.Matrix) (*Solution, error) {
 	if err := CheckStochastic(p); err != nil {
 		return nil, err
 	}
+	// Re-arm the lazy Z² for this solve; its buffer is kept.
+	s.sol.z2Once = sync.Once{}
 	if !s.ergodic(p) {
 		// Error path only: rebuild the diagnostic detail with the Chain
 		// helpers (these allocate, which is fine off the hot path).
@@ -92,11 +95,8 @@ func (s *Solver) Solve(p *mat.Matrix) (*Solution, error) {
 // solveDense is the bit-exact dense reference path.
 func (s *Solver) solveDense(p *mat.Matrix) (*Solution, error) {
 	n := s.n
+	s.sol.method = MethodDense
 	s.sol.sparse = nil
-	if s.sol.Z2 == nil {
-		// A prior sparse solve elided Z²; the dense contract includes it.
-		s.sol.Z2 = mat.New(n, n)
-	}
 	if err := s.stationary(p); err != nil {
 		return nil, err
 	}
@@ -127,9 +127,6 @@ func (s *Solver) solveDense(p *mat.Matrix) (*Solution, error) {
 	}
 	if err := s.lu.InverseTo(s.sol.Z); err != nil {
 		return nil, fmt.Errorf("markov: invert I-P+W: %w", err)
-	}
-	if err := mat.MulTo(s.sol.Z2, s.sol.Z, s.sol.Z); err != nil {
-		return nil, err
 	}
 
 	// R_ij = (δ_ij - z_ij + z_jj) / π_j. The diagonal of Z is staged into
@@ -199,10 +196,27 @@ func (s *Solver) stationary(p *mat.Matrix) error {
 // and aperiodic, using the Solver's scratch buffers. It mirrors
 // Chain.IsErgodic exactly but allocates nothing.
 func (s *Solver) ergodic(p *mat.Matrix) bool {
+	if positive(p) {
+		// Every edge present, self-loops included: the graph is complete,
+		// so irreducible, and a self-loop makes it aperiodic. The descent's
+		// probability floor keeps every iterate and probe here, which
+		// skips the three graph sweeps below.
+		return true
+	}
 	if !s.reachesAll(p, false) || !s.reachesAll(p, true) {
 		return false
 	}
 	return s.period(p) == 1
+}
+
+// positive reports whether every entry of p is a graph edge (> edgeTol).
+func positive(p *mat.Matrix) bool {
+	for _, v := range p.Data() {
+		if !(v > edgeTol) {
+			return false
+		}
+	}
+	return true
 }
 
 // reachesAll runs a BFS from state 0 over the positive-probability edge
@@ -280,18 +294,17 @@ func checkPositive(pi []float64) error {
 
 // Clone returns a deep copy of the Solution, detaching it from whatever
 // Solver buffers back it. Use it to retain a Solution past the next Solve
-// call on the owning Solver. The sparse factorization handle, when
-// present, is not carried over: it aliases solver-owned factor storage.
+// call on the owning Solver. The backend marker is kept; Z² is not
+// copied or formed, the clone's Z2 forms it on request. The sparse
+// factorization handle, when present, is not carried over: it aliases
+// solver-owned factor storage.
 func (s *Solution) Clone() *Solution {
-	c := &Solution{
-		P:  s.P.Clone(),
-		Pi: append([]float64(nil), s.Pi...),
-		W:  s.W.Clone(),
-		Z:  s.Z.Clone(),
-		R:  s.R.Clone(),
+	return &Solution{
+		P:      s.P.Clone(),
+		Pi:     append([]float64(nil), s.Pi...),
+		W:      s.W.Clone(),
+		Z:      s.Z.Clone(),
+		R:      s.R.Clone(),
+		method: s.method,
 	}
-	if s.Z2 != nil {
-		c.Z2 = s.Z2.Clone()
-	}
-	return c
 }

@@ -13,18 +13,18 @@ type Method int
 
 const (
 	// MethodDense is the bit-exact reference path: dense LU with partial
-	// pivoting, full Z and Z² (the default; golden traces pin it).
+	// pivoting and a full Z (the default; golden traces pin it).
 	MethodDense Method = iota
 	// MethodSparse factors the sparse replaced-row stationary system with
 	// a fill-reducing sparse LU and absorbs the W = 1πᵀ densification of
 	// the fundamental-matrix system as a rank-2 Sherman–Morrison–Woodbury
 	// update of that one factorization, so per-solve cost scales with
 	// the factor fill instead of M³. Results agree with MethodDense to
-	// SparseTol (see below); Z² is not materialized (Solution.Z2 is nil)
-	// and consumers fall back to two Z-products. When the no-pivoting
-	// sparse factorization rejects a near-singular pivot the solver
-	// transparently falls back to the dense path, so MethodSparse never
-	// trades correctness for speed.
+	// SparseTol (see below); consumers that only fold Z² against a
+	// vector use two Z-products instead of Solution.Z2. When the
+	// no-pivoting sparse factorization rejects a near-singular pivot the
+	// solver transparently falls back to the dense path, so MethodSparse
+	// never trades correctness for speed.
 	MethodSparse
 )
 
@@ -97,8 +97,10 @@ func (s *Solution) Sparse() *SparseFactors { return s.sparse }
 // (which depends only on the support pattern) and the SparseLU's flat
 // factor storage (whose fill pattern is fixed for a fixed support and
 // ordering) are reused across solves: line-search probes and successive
-// descent iterates keep P's support, so after the first solve each
-// Refactor allocates nothing and only pays the elimination flops.
+// descent iterates keep P's support, so after the first solve a sparse
+// Solve allocates nothing and only pays the assembly and elimination
+// flops. The stationary system's CSR storage, the Woodbury solver and
+// the factors handle are reused the same way.
 // Consequence: a Solution's SparseFactors handle is backed by
 // solver-owned storage and is invalidated by the solver's next Solve,
 // exactly like the Solution itself (Clone detaches, dropping the handle).
@@ -108,12 +110,14 @@ type sparseScratch struct {
 	u     []float64
 	u2    []float64
 	e     []float64
-	x     []float64
 
 	sig     []int32      // current stationary-system pattern signature
 	pat     []int32      // pattern the cached ordering was computed for
 	patPerm []int        // cached mat.FillOrder of pat
+	sys     mat.Sparse   // the stationary system S, rebuilt per solve
 	lu      mat.SparseLU // factor storage, reused across Refactor calls
+	lr      mat.LowRankSolver
+	factors SparseFactors
 }
 
 // solveSparse is the MethodSparse implementation. One sparse LU — of the
@@ -138,47 +142,34 @@ func (s *Solver) solveSparse(p *mat.Matrix) (*Solution, error) {
 			u:     make([]float64, n),
 			u2:    make([]float64, n),
 			e:     make([]float64, n),
-			x:     make([]float64, n),
 		}
 	}
 	sp := s.sp
 	pd := p.Data()
 
-	// Column-oriented access to P for the transposed stationary system.
-	pt := mat.FromDense(p, 0).Transpose()
-
 	// Stationary system S: rows i < n−1 hold (I − P)ᵀ, the last row is
-	// all ones (the normalization Σπ = 1), right-hand side e_{n−1}.
+	// all ones (the normalization Σπ = 1), right-hand side e_{n−1}. One
+	// row-major sweep of P scatters p_jk into row k at column j; rows
+	// fill in ascending column order because j is the outer index. The
+	// diagonal entry 1 − p_kk is kept unless it is exactly zero (it is 1
+	// where p_kk = 0), and off-diagonal zeros of P are not stored.
 	for i := 0; i < n-1; i++ {
-		cols := sp.rcols[i][:0]
-		vals := sp.rvals[i][:0]
-		tc, tv := pt.Row(i)
-		diagDone := false
-		for k, c := range tc {
-			j := int(c)
-			if !diagDone && j >= i {
-				if j == i {
-					if v := 1 - tv[k]; v != 0 {
-						cols = append(cols, c)
-						vals = append(vals, v)
-					}
-					diagDone = true
-					continue
-				}
-				cols = append(cols, int32(i))
-				vals = append(vals, 1)
-				diagDone = true
+		sp.rcols[i] = sp.rcols[i][:0]
+		sp.rvals[i] = sp.rvals[i][:0]
+	}
+	for j := 0; j < n; j++ {
+		prow := pd[j*n : (j+1)*n]
+		for k, v := range prow[:n-1] {
+			if k == j {
+				v = 1 - v
+			} else {
+				v = -v
 			}
-			if v := -tv[k]; v != 0 {
-				cols = append(cols, c)
-				vals = append(vals, v)
+			if v != 0 {
+				sp.rcols[k] = append(sp.rcols[k], int32(j))
+				sp.rvals[k] = append(sp.rvals[k], v)
 			}
 		}
-		if !diagDone {
-			cols = append(cols, int32(i))
-			vals = append(vals, 1)
-		}
-		sp.rcols[i], sp.rvals[i] = cols, vals
 	}
 	{
 		cols := sp.rcols[n-1][:0]
@@ -189,8 +180,8 @@ func (s *Solver) solveSparse(p *mat.Matrix) (*Solution, error) {
 		}
 		sp.rcols[n-1], sp.rvals[n-1] = cols, vals
 	}
-	statSys, err := mat.NewSparseFromRows(n, n, sp.rcols, sp.rvals)
-	if err != nil {
+	statSys := &sp.sys
+	if err := statSys.SetRows(n, n, sp.rcols, sp.rvals); err != nil {
 		return nil, err
 	}
 	// The fill-reducing ordering depends only on the support pattern;
@@ -243,9 +234,9 @@ func (s *Solver) solveSparse(p *mat.Matrix) (*Solution, error) {
 		sp.u2[j] = g - 1
 	}
 	// sp.e still holds e_{n−1} from the π solve.
-	lr, err := mat.NewLowRankSolverTrans(statLU,
-		[][]float64{sp.u, sp.u2}, [][]float64{pi, sp.e})
-	if err != nil {
+	lr := &sp.lr
+	if err := lr.RefactorTrans(statLU,
+		[][]float64{sp.u, sp.u2}, [][]float64{pi, sp.e}); err != nil {
 		return nil, err
 	}
 
@@ -262,11 +253,6 @@ func (s *Solver) solveSparse(p *mat.Matrix) (*Solution, error) {
 	if err := lr.SolveMultiTo(zd, zd, n); err != nil {
 		return nil, err
 	}
-
-	// Z² is deliberately not materialized: its only consumer outside this
-	// package folds it against a vector, which two Z·(Z·v) products cover
-	// at O(n²) instead of the O(n³) product here.
-	s.sol.Z2 = nil
 
 	// R_ij = (δ_ij − z_ij + z_jj) / π_j, as on the dense path.
 	rd := s.sol.R.Data()
@@ -289,6 +275,8 @@ func (s *Solver) solveSparse(p *mat.Matrix) (*Solution, error) {
 	if err := s.sol.P.CopyFrom(p); err != nil {
 		return nil, err
 	}
-	s.sol.sparse = &SparseFactors{lr: lr, nnz: statLU.NNZ()}
+	sp.factors = SparseFactors{lr: lr, nnz: statLU.NNZ()}
+	s.sol.method = MethodSparse
+	s.sol.sparse = &sp.factors
 	return &s.sol, nil
 }

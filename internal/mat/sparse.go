@@ -85,19 +85,39 @@ func FromDenseMask(a, mask *Matrix) (*Sparse, error) {
 // markov solver uses this to assemble its shifted systems without a dense
 // intermediate.
 func NewSparseFromRows(rows, cols int, rowCols [][]int32, rowVals [][]float64) (*Sparse, error) {
-	if len(rowCols) != rows || len(rowVals) != rows {
-		return nil, fmt.Errorf("%w: %d row slices for %d rows", ErrDimension, len(rowCols), rows)
+	s := &Sparse{}
+	if err := s.SetRows(rows, cols, rowCols, rowVals); err != nil {
+		return nil, err
 	}
-	s := &Sparse{rows: rows, cols: cols, rowPtr: make([]int, rows+1)}
+	return s, nil
+}
+
+// SetRows rebuilds s in place from per-row (column, value) pairs under
+// the contract of NewSparseFromRows, reusing s's storage: an owner that
+// reassembles a same-sized system for every solve allocates nothing once
+// the capacities have grown to fit. It is the one exception to Sparse's
+// immutability, so s must not be shared while it is rebuilt. On error s
+// is left unusable until the next successful SetRows.
+func (s *Sparse) SetRows(rows, cols int, rowCols [][]int32, rowVals [][]float64) error {
+	if len(rowCols) != rows || len(rowVals) != rows {
+		return fmt.Errorf("%w: %d row slices for %d rows", ErrDimension, len(rowCols), rows)
+	}
+	s.rows, s.cols = rows, cols
+	if cap(s.rowPtr) < rows+1 {
+		s.rowPtr = make([]int, rows+1)
+	}
+	s.rowPtr = s.rowPtr[:rows+1]
+	s.rowPtr[0] = 0
+	s.colIdx, s.vals = s.colIdx[:0], s.vals[:0]
 	for i := 0; i < rows; i++ {
 		if len(rowCols[i]) != len(rowVals[i]) {
-			return nil, fmt.Errorf("%w: row %d has %d cols, %d vals",
+			return fmt.Errorf("%w: row %d has %d cols, %d vals",
 				ErrDimension, i, len(rowCols[i]), len(rowVals[i]))
 		}
 		prev := int32(-1)
 		for _, c := range rowCols[i] {
 			if c <= prev || int(c) >= cols {
-				return nil, fmt.Errorf("%w: row %d column %d out of order or range", ErrDimension, i, c)
+				return fmt.Errorf("%w: row %d column %d out of order or range", ErrDimension, i, c)
 			}
 			prev = c
 		}
@@ -105,7 +125,7 @@ func NewSparseFromRows(rows, cols int, rowCols [][]int32, rowVals [][]float64) (
 		s.vals = append(s.vals, rowVals[i]...)
 		s.rowPtr[i+1] = len(s.vals)
 	}
-	return s, nil
+	return nil
 }
 
 // Rows returns the number of rows.

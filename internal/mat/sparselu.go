@@ -43,6 +43,12 @@ type SparseLU struct {
 
 	y  []float64 // permuted solve scratch
 	ym []float64 // permuted multi-rhs scratch, grown on demand
+
+	// Elimination scratch of Refactor: the dense row accumulator, its
+	// occupancy flags (both all-zero between rows), and the touched list.
+	acc     []float64
+	inRow   []bool
+	touched []int32
 }
 
 // FactorSparse computes a sparse LU factorization of the square matrix a.
@@ -94,6 +100,9 @@ func (f *SparseLU) Refactor(a *Sparse, perm []int, pivotRatio float64) error {
 		f.uptr = make([]int32, n+1)
 		f.udiag = make([]float64, n)
 		f.y = make([]float64, n)
+		f.acc = make([]float64, n)
+		f.inRow = make([]bool, n)
+		f.touched = make([]int32, 0, n)
 	}
 	f.perm = f.perm[:n]
 	f.iperm = f.iperm[:n]
@@ -117,9 +126,9 @@ func (f *SparseLU) Refactor(a *Sparse, perm []int, pivotRatio float64) error {
 	// in ascending column order, then harvest the L and U entries. The
 	// ascending-order walk is a flag scan over [0, k) — O(n) per row, an
 	// O(n²) total that is noise next to the elimination flops.
-	x := make([]float64, n)
-	inRow := make([]bool, n)
-	touched := make([]int32, 0, n)
+	x := f.acc[:n]
+	inRow := f.inRow[:n]
+	touched := f.touched[:0]
 	f.lptr[0], f.uptr[0] = 0, 0
 	for k := 0; k < n; k++ {
 		orig := f.perm[k]
@@ -595,13 +604,15 @@ func RCMOrder(a *Sparse) []int {
 // factorization of the unperturbed system instead of refactoring.
 type LowRankSolver struct {
 	base  *SparseLU
-	trans bool        // base factors Aᵀ: swap the base solve directions
+	trans bool // base factors Aᵀ: swap the base solve directions
 	r     int
 	u, v  [][]float64 // the update columns, copied
 	w     [][]float64 // w_i = A⁻¹ u_i
 	wt    [][]float64 // wt_i = A⁻ᵀ v_i
-	capl  *LU         // dense LU of (I + VᵀW)
-	capt  *LU         // dense LU of its transpose, for SolveVecTransTo
+	capm  *Matrix     // the capacitance matrix I + VᵀW
+	capT  *Matrix     // its transpose
+	capl  *LU         // dense LU of capm
+	capt  *LU         // dense LU of capT, for SolveVecTransTo
 	s, t  []float64   // rank-sized scratch
 	y     []float64   // order-sized scratch
 	sm    []float64   // rank×k multi-rhs scratch, grown on demand
@@ -642,52 +653,71 @@ func (lr *LowRankSolver) bSolveMultiT(x, b []float64, k int) error {
 // capacitance matrix I + VᵀA⁻¹U is singular (the updated matrix is
 // singular even though A is not).
 func NewLowRankSolver(base *SparseLU, u, v [][]float64) (*LowRankSolver, error) {
-	return newLowRankSolver(base, false, u, v)
+	lr := &LowRankSolver{}
+	if err := lr.reset(base, false, u, v); err != nil {
+		return nil, err
+	}
+	return lr, nil
 }
 
-// NewLowRankSolverTrans is NewLowRankSolver for a base matrix that is
-// the TRANSPOSE of the factored one: it solves (Bᵀ + Σᵢ uᵢvᵢᵀ) x = b
-// over a factorization of B. The markov sparse path uses this to derive
-// the fundamental-matrix system from the already-factored stationary
-// system instead of paying for a second sparse factorization.
-func NewLowRankSolverTrans(base *SparseLU, u, v [][]float64) (*LowRankSolver, error) {
-	return newLowRankSolver(base, true, u, v)
+// RefactorTrans loads lr as a Woodbury solver for a base matrix that is
+// the TRANSPOSE of the factored one: it then solves
+// (Bᵀ + Σᵢ uᵢvᵢᵀ) x = b over the factorization base of B. The markov
+// sparse path uses this to derive the fundamental-matrix system from the
+// already-factored stationary system instead of paying for a second
+// sparse factorization. lr may be a zero LowRankSolver or one loaded
+// before; its buffers are reused while the order and rank stay the same,
+// so a solver that re-derives its update for every solve allocates
+// nothing in steady state. It returns ErrSingular as NewLowRankSolver
+// does; on error lr is left unusable until the next successful call.
+func (lr *LowRankSolver) RefactorTrans(base *SparseLU, u, v [][]float64) error {
+	return lr.reset(base, true, u, v)
 }
 
-func newLowRankSolver(base *SparseLU, trans bool, u, v [][]float64) (*LowRankSolver, error) {
+// reset loads the base factorization and update columns into lr,
+// allocating only when the order or rank changed since the last load.
+func (lr *LowRankSolver) reset(base *SparseLU, trans bool, u, v [][]float64) error {
 	r := len(u)
 	if len(v) != r || r == 0 {
-		return nil, fmt.Errorf("%w: %d update u-columns, %d v-columns", ErrDimension, len(u), len(v))
+		return fmt.Errorf("%w: %d update u-columns, %d v-columns", ErrDimension, len(u), len(v))
 	}
 	n := base.n
-	lr := &LowRankSolver{
-		base:  base,
-		trans: trans,
-		r:     r,
-		u:     make([][]float64, r),
-		v:     make([][]float64, r),
-		w:     make([][]float64, r),
-		wt:    make([][]float64, r),
-		s:     make([]float64, r),
-		t:     make([]float64, r),
-		y:     make([]float64, n),
+	if lr.r != r || len(lr.y) != n {
+		*lr = LowRankSolver{
+			r:    r,
+			u:    make([][]float64, r),
+			v:    make([][]float64, r),
+			w:    make([][]float64, r),
+			wt:   make([][]float64, r),
+			capm: New(r, r),
+			capT: New(r, r),
+			capl: NewLU(r),
+			capt: NewLU(r),
+			s:    make([]float64, r),
+			t:    make([]float64, r),
+			y:    make([]float64, n),
+		}
+		for i := 0; i < r; i++ {
+			lr.u[i] = make([]float64, n)
+			lr.v[i] = make([]float64, n)
+			lr.w[i] = make([]float64, n)
+			lr.wt[i] = make([]float64, n)
+		}
 	}
+	lr.base, lr.trans = base, trans
 	for i := 0; i < r; i++ {
 		if len(u[i]) != n || len(v[i]) != n {
-			return nil, fmt.Errorf("%w: update column of %d/%d for order %d", ErrDimension, len(u[i]), len(v[i]), n)
+			return fmt.Errorf("%w: update column of %d/%d for order %d", ErrDimension, len(u[i]), len(v[i]), n)
 		}
-		lr.u[i] = append([]float64(nil), u[i]...)
-		lr.v[i] = append([]float64(nil), v[i]...)
-		lr.w[i] = make([]float64, n)
-		lr.wt[i] = make([]float64, n)
+		copy(lr.u[i], u[i])
+		copy(lr.v[i], v[i])
 		if err := lr.bSolve(lr.w[i], lr.u[i]); err != nil {
-			return nil, err
+			return err
 		}
 		if err := lr.bSolveT(lr.wt[i], lr.v[i]); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	capm := New(r, r)
 	for i := 0; i < r; i++ {
 		for j := 0; j < r; j++ {
 			dot, _ := Dot(lr.v[i], lr.w[j])
@@ -695,19 +725,16 @@ func newLowRankSolver(base *SparseLU, trans bool, u, v [][]float64) (*LowRankSol
 			if i == j {
 				d = 1
 			}
-			capm.Set(i, j, d+dot)
+			lr.capm.Set(i, j, d+dot)
 		}
 	}
-	capl, err := Factor(capm)
-	if err != nil {
-		return nil, err
+	if err := lr.capl.Refactor(lr.capm); err != nil {
+		return err
 	}
-	capt, err := Factor(Transpose(capm))
-	if err != nil {
-		return nil, err
+	if err := TransposeTo(lr.capT, lr.capm); err != nil {
+		return err
 	}
-	lr.capl, lr.capt = capl, capt
-	return lr, nil
+	return lr.capt.Refactor(lr.capT)
 }
 
 // SolveVecTo solves (A + UVᵀ) x = b into x, which must not alias b.

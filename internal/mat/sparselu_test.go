@@ -297,3 +297,81 @@ func TestLowRankSolverRejectsBadShapes(t *testing.T) {
 		t.Fatalf("short column: err = %v, want ErrDimension", err)
 	}
 }
+
+// TestLowRankSolverRefactorTransReuse checks the in-place transposed
+// load: it solves (Bᵀ + UVᵀ) x = b over a factorization of B, a reloaded
+// solver gives exactly the bits of a freshly loaded one, and reloading at
+// an unchanged order and rank allocates nothing.
+func TestLowRankSolverRefactorTransReuse(t *testing.T) {
+	src := rng.New(12)
+	n := 30
+	a := diagDominantSparse(src, n, 0.2)
+	base, err := FactorSparse(FromDense(a, 0), 0)
+	if err != nil {
+		t.Fatalf("FactorSparse: %v", err)
+	}
+	update := func() (u, v [][]float64) {
+		u = [][]float64{make([]float64, n), make([]float64, n)}
+		v = [][]float64{make([]float64, n), make([]float64, n)}
+		for r := range u {
+			for i := 0; i < n; i++ {
+				u[r][i] = 0.1 * (src.Float64() - 0.5)
+				v[r][i] = 0.1 * (src.Float64() - 0.5)
+			}
+		}
+		return u, v
+	}
+	rhs := make([]float64, n)
+	for i := range rhs {
+		rhs[i] = src.Float64() - 0.5
+	}
+
+	var reused LowRankSolver
+	for round := 0; round < 2; round++ {
+		u, v := update()
+		if err := reused.RefactorTrans(base, u, v); err != nil {
+			t.Fatalf("round %d: RefactorTrans: %v", round, err)
+		}
+		var fresh LowRankSolver
+		if err := fresh.RefactorTrans(base, u, v); err != nil {
+			t.Fatalf("round %d: fresh RefactorTrans: %v", round, err)
+		}
+		// Dense reference: Aᵀ + Σ uᵣvᵣᵀ factored directly.
+		bm := Transpose(a)
+		bd := bm.Data()
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				bd[i*n+j] += u[0][i]*v[0][j] + u[1][i]*v[1][j]
+			}
+		}
+		dl, err := Factor(bm)
+		if err != nil {
+			t.Fatalf("dense Factor: %v", err)
+		}
+		got, again, want := make([]float64, n), make([]float64, n), make([]float64, n)
+		if err := reused.SolveVecTo(got, rhs); err != nil {
+			t.Fatalf("round %d: reused solve: %v", round, err)
+		}
+		if err := fresh.SolveVecTo(again, rhs); err != nil {
+			t.Fatalf("round %d: fresh solve: %v", round, err)
+		}
+		if err := dl.SolveVecTo(want, rhs); err != nil {
+			t.Fatalf("dense solve: %v", err)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(again[i]) {
+				t.Fatalf("round %d: x[%d] reused %v, fresh %v", round, i, got[i], again[i])
+			}
+			if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
+				t.Fatalf("round %d: x[%d] = %g, want %g", round, i, got[i], want[i])
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, func() {
+			if err := reused.RefactorTrans(base, u, v); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("round %d: RefactorTrans allocates %v per reload, want 0", round, allocs)
+		}
+	}
+}

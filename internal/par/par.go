@@ -44,6 +44,7 @@ type Pool struct {
 	cmds    chan span
 	done    chan any
 	started bool
+	forks   int
 }
 
 // New returns a pool of the given logical width. Widths below one are
@@ -61,6 +62,15 @@ func (p *Pool) Workers() int {
 		return 1
 	}
 	return p.workers
+}
+
+// Forks returns how many Run calls have fanned out across more than one
+// worker since the pool was built. A nil pool reports zero.
+func (p *Pool) Forks() int {
+	if p == nil {
+		return 0
+	}
+	return p.forks
 }
 
 // Run partitions n items into contiguous ascending spans and executes t
@@ -86,6 +96,7 @@ func (p *Pool) Run(n int, t Task) {
 	if !p.started {
 		p.start()
 	}
+	p.forks++
 	base, rem := n/w, n%w
 	end0 := base
 	if rem > 0 {
