@@ -544,6 +544,41 @@ func BenchmarkOptimizerIteration(b *testing.B) {
 	}
 }
 
+// BenchmarkOptimizeBest measures a whole best-of search through the
+// public API: three perturbed restarts on Topology 3, and a K=2 fleet
+// search with two restarts. Below 24 PoIs Workers bounds the restarts
+// in flight, so W2 against W1 is the restart fan-out's speedup on a host
+// with two or more cores.
+func BenchmarkOptimizeBest(b *testing.B) {
+	scn, err := coverage.PaperTopology(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	obj := coverage.Objectives{Alpha: 1, Beta: 1e-4}
+	searches := []struct {
+		name string
+		run  func(coverage.Options) (*coverage.Plan, error)
+	}{
+		{"", func(o coverage.Options) (*coverage.Plan, error) { return coverage.OptimizeBest(scn, obj, o, 3) }},
+		{"fleet/", func(o coverage.Options) (*coverage.Plan, error) {
+			return coverage.OptimizeFleetBest(scn, obj, o, 2, nil, 2)
+		}},
+	}
+	for _, search := range searches {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%sW%d", search.name, workers), func(b *testing.B) {
+				opts := coverage.Options{MaxIters: 400, Seed: 7, Workers: workers}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := search.run(opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkRoutePlanning measures the visibility-graph path planner on a
 // field with several obstacles.
 func BenchmarkRoutePlanning(b *testing.B) {

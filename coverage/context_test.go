@@ -3,9 +3,49 @@ package coverage
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 )
+
+// cancelBestOf cancels a long multi-start search at Workers 4 after
+// 60 ms and checks the contract: a prompt return with context.Canceled
+// and a best-so-far plan, no restart started after the cancellation, and
+// every goroutine the search started gone.
+func cancelBestOf(t *testing.T, optimize func(context.Context, Options) (*Plan, error), rows int) {
+	t.Helper()
+	fans := keepFans(t)
+	baseline := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	timer := time.AfterFunc(60*time.Millisecond, cancel)
+	defer timer.Stop()
+	start := time.Now()
+	plan, err := optimize(ctx, Options{MaxIters: 50_000_000, Seed: 9, Workers: 4})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("cancel took %v to take effect", elapsed)
+	}
+	if plan == nil {
+		t.Fatal("no best-so-far plan returned")
+	}
+	if len(plan.TransitionMatrix) != rows {
+		t.Errorf("plan has %d rows, want %d", len(plan.TransitionMatrix), rows)
+	}
+	// No restart can finish 50M iterations in 60 ms, so only restarts in
+	// flight at the cancellation ever started.
+	if f := (*fans)[0]; f.Started() < 1 || f.Started() > f.Width() {
+		t.Errorf("started %d restarts on a width-%d fan", f.Started(), f.Width())
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines after the search, %d before", n, baseline)
+	}
+}
 
 // TestOptimizeBestContextCancel: cancelling a multi-start search returns
 // promptly with the best plan found so far.
@@ -14,26 +54,21 @@ func TestOptimizeBestContextCancel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PaperTopology: %v", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(60 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	plan, err := OptimizeBestContext(ctx, scn, Objectives{Alpha: 1, Beta: 1e-4},
-		Options{MaxIters: 50_000_000, Seed: 9}, 1000)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	cancelBestOf(t, func(ctx context.Context, opts Options) (*Plan, error) {
+		return OptimizeBestContext(ctx, scn, Objectives{Alpha: 1, Beta: 1e-4}, opts, 1000)
+	}, len(scn.PoIs))
+}
+
+// TestOptimizeFleetBestContextCancel is the fleet twin of
+// TestOptimizeBestContextCancel.
+func TestOptimizeFleetBestContextCancel(t *testing.T) {
+	scn, err := PaperTopology(3)
+	if err != nil {
+		t.Fatalf("PaperTopology: %v", err)
 	}
-	if plan == nil {
-		t.Fatal("no best-so-far plan returned")
-	}
-	if len(plan.TransitionMatrix) != len(scn.PoIs) {
-		t.Errorf("plan has %d rows, want %d", len(plan.TransitionMatrix), len(scn.PoIs))
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("cancel took %v to take effect", elapsed)
-	}
+	cancelBestOf(t, func(ctx context.Context, opts Options) (*Plan, error) {
+		return OptimizeFleetBestContext(ctx, scn, Objectives{Alpha: 1, Beta: 1e-4}, opts, 2, nil, 1000)
+	}, len(scn.PoIs))
 }
 
 // TestOptimizeBestContextMatchesOptimizeBest: the context path and the

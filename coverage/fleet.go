@@ -34,11 +34,12 @@ type FleetPlan struct {
 }
 
 // fleetOptions lowers the public Options to the internal stacked-descent
-// form. The fleet search is always the perturbed variant — the stacked
+// form; the per-restart seed and iteration hook are set by the caller.
+// The fleet search is always the perturbed variant — the stacked
 // landscape has at least as many local optima as the single-sensor one —
 // so Basic/Adaptive selections are rejected rather than silently
 // reinterpreted.
-func (o Options) fleetOptions(restart, sensors int, resp [][]float64) (fleet.Options, error) {
+func (o Options) fleetOptions(sensors int, resp [][]float64) (fleet.Options, error) {
 	if o.Algorithm != PerturbedDescent {
 		return fleet.Options{}, fmt.Errorf("%w: fleet optimization supports only the perturbed variant", ErrObjectives)
 	}
@@ -62,49 +63,16 @@ func (o Options) fleetOptions(restart, sensors int, resp [][]float64) (fleet.Opt
 			initial[s] = m
 		}
 	}
-	fo := fleet.Options{
+	return fleet.Options{
 		Sensors:        sensors,
 		Responsibility: resp,
 		MaxIters:       o.MaxIters,
-		Seed:           o.Seed,
 		NoiseStdDev:    o.NoiseStdDev,
 		Workers:        o.Workers,
 		Solver:         solver,
 		InitialPs:      initial,
 		RecordTrace:    o.RecordTrace,
-	}
-	if o.OnProgress != nil || o.OnIteration != nil {
-		every := o.ProgressEvery
-		if every <= 0 {
-			every = DefaultProgressEvery
-		}
-		onProgress := o.OnProgress
-		onIteration := o.OnIteration
-		fo.OnIteration = func(rec descent.IterRecord, _ []*mat.Matrix) {
-			if onIteration != nil {
-				onIteration(IterationEvent{
-					Restart:   restart,
-					Iteration: rec.Iter,
-					Cost:      rec.U,
-					DeltaC:    rec.DeltaC,
-					EBar:      rec.EBar,
-					Step:      rec.Step,
-					Accepted:  rec.Accepted,
-					Probes:    rec.Probes,
-				})
-			}
-			if onProgress != nil && (rec.Iter == 1 || rec.Iter%every == 0) {
-				onProgress(Progress{
-					Restart:   restart,
-					Iteration: rec.Iter,
-					Cost:      rec.U,
-					DeltaC:    rec.DeltaC,
-					EBar:      rec.EBar,
-				})
-			}
-		}
-	}
-	return fo, nil
+	}, nil
 }
 
 // validateInitialFleet rejects malformed warm-start stacks.
@@ -156,6 +124,12 @@ func OptimizeFleet(scn Scenario, obj Objectives, opts Options, sensors int, resp
 // cancellation the best stack found so far is returned with an error
 // wrapping ctx.Err() (nil plan when nothing completed).
 func OptimizeFleetContext(ctx context.Context, scn Scenario, obj Objectives, opts Options, sensors int, responsibility [][]float64) (*Plan, error) {
+	return optimizeFleet(ctx, scn, obj, opts, sensors, responsibility, []uint64{opts.Seed})
+}
+
+// optimizeFleet runs one joint fleet descent per seed through bestOf and
+// converts the winner to a Plan.
+func optimizeFleet(ctx context.Context, scn Scenario, obj Objectives, opts Options, sensors int, responsibility [][]float64, seeds []uint64) (*Plan, error) {
 	eng, err := planner(scn, obj)
 	if err != nil {
 		return nil, err
@@ -163,22 +137,24 @@ func OptimizeFleetContext(ctx context.Context, scn Scenario, obj Objectives, opt
 	if err := opts.validateInitialFleet(len(scn.PoIs), sensors); err != nil {
 		return nil, err
 	}
-	fopts, err := opts.fleetOptions(0, sensors, responsibility)
+	fopts, err := opts.fleetOptions(sensors, responsibility)
 	if err != nil {
 		return nil, err
 	}
-	res, err := fleet.OptimizeContext(ctx, eng.Model(), fopts)
-	if err != nil {
-		if res != nil {
-			plan, perr := fleetPlanFromResult(eng, sensors, responsibility, res)
-			if perr != nil {
-				return nil, fmt.Errorf("coverage: %w", err)
+	return bestOf(ctx, opts, len(scn.PoIs), seeds, search[*fleet.Result]{
+		run: func(ctx context.Context, seed uint64, hook func(descent.IterRecord)) (*fleet.Result, error) {
+			f := fopts
+			f.Seed = seed
+			if hook != nil {
+				f.OnIteration = func(rec descent.IterRecord, _ []*mat.Matrix) { hook(rec) }
 			}
-			return plan, fmt.Errorf("coverage: %w", err)
-		}
-		return nil, fmt.Errorf("coverage: %w", err)
-	}
-	return fleetPlanFromResult(eng, sensors, responsibility, res)
+			return fleet.OptimizeContext(ctx, eng.Model(), f)
+		},
+		cost: func(res *fleet.Result) float64 { return res.Eval.U },
+		plan: func(res *fleet.Result) (*Plan, error) {
+			return fleetPlanFromResult(eng, sensors, responsibility, res)
+		},
+	})
 }
 
 // OptimizeFleetBest runs `restarts` independent joint optimizations with
@@ -191,46 +167,15 @@ func OptimizeFleetBest(scn Scenario, obj Objectives, opts Options, sensors int, 
 // OptimizeFleetBestContext is OptimizeFleetBest with cooperative
 // cancellation; the per-restart seeds are SplitSeeds(opts.Seed, restarts),
 // so running OptimizeFleetContext with seed SplitSeeds(seed, n)[r]
-// reproduces restart r bit-for-bit.
+// reproduces restart r bit-for-bit. Restarts run as in
+// OptimizeBestContext: concurrently below 24 PoIs, up to
+// Options.Workers at once, with the same plan and hook events for every
+// Workers value, and the same cancellation contract.
 func OptimizeFleetBestContext(ctx context.Context, scn Scenario, obj Objectives, opts Options, sensors int, responsibility [][]float64, restarts int) (*Plan, error) {
 	if restarts <= 0 {
 		return nil, fmt.Errorf("%w: %d restarts", ErrObjectives, restarts)
 	}
-	eng, err := planner(scn, obj)
-	if err != nil {
-		return nil, err
-	}
-	if err := opts.validateInitialFleet(len(scn.PoIs), sensors); err != nil {
-		return nil, err
-	}
-	seeds := SplitSeeds(opts.Seed, restarts)
-	var best *fleet.Result
-	for r := 0; r < restarts; r++ {
-		runOpts := opts
-		runOpts.Seed = seeds[r]
-		fopts, err := runOpts.fleetOptions(r, sensors, responsibility)
-		if err != nil {
-			return nil, err
-		}
-		res, err := fleet.OptimizeContext(ctx, eng.Model(), fopts)
-		if res != nil && (best == nil || res.Eval.U < best.Eval.U) {
-			best = res
-		}
-		if err != nil {
-			if ctx.Err() != nil {
-				if best == nil {
-					return nil, fmt.Errorf("coverage: %w", err)
-				}
-				plan, perr := fleetPlanFromResult(eng, sensors, responsibility, best)
-				if perr != nil {
-					return nil, fmt.Errorf("coverage: %w", err)
-				}
-				return plan, fmt.Errorf("coverage: %w", err)
-			}
-			return nil, fmt.Errorf("coverage: %w", err)
-		}
-	}
-	return fleetPlanFromResult(eng, sensors, responsibility, best)
+	return optimizeFleet(ctx, scn, obj, opts, sensors, responsibility, SplitSeeds(opts.Seed, restarts))
 }
 
 // fleetPlanFromResult converts an internal fleet result into the public

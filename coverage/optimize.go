@@ -126,15 +126,19 @@ type Options struct {
 	InitialMatrices [][][]float64 `json:"initialMatrices,omitempty"`
 	// OnProgress, when non-nil, receives a sampled Progress every
 	// ProgressEvery iterations (plus the first iteration of each restart).
-	// It is invoked synchronously from the optimizing goroutine and must
-	// not block; the job service uses it for live progress reporting. It
-	// is never serialized.
+	// It must not block; the job service uses it for live progress
+	// reporting. It is never serialized. Events arrive in restart order,
+	// exactly as a run of the restarts one after another emits them, and
+	// from one goroutine at a time, though not always the caller's: when
+	// restarts run concurrently (see Workers), the events of a restart
+	// that ran ahead are held back and may then arrive in a burst.
 	OnProgress func(Progress) `json:"-"`
 	// OnIteration, when non-nil, receives an IterationEvent for every
 	// optimizer iteration (no sampling) — the telemetry feed for logs and
-	// metrics. Same contract as OnProgress: synchronous, must not block,
-	// never serialized. Observing a run never perturbs it: uncancelled
-	// runs are bit-for-bit identical with and without the hook.
+	// metrics. Same contract as OnProgress: restart order, one goroutine
+	// at a time, possibly in bursts, must not block, never serialized.
+	// Observing a run never perturbs it: uncancelled runs are bit-for-bit
+	// identical with and without the hook.
 	OnIteration func(IterationEvent) `json:"-"`
 	// ProgressEvery is the OnProgress sampling cadence in iterations
 	// (default DefaultProgressEvery).
@@ -144,8 +148,10 @@ type Options struct {
 	// across them). Results are bit-for-bit identical for every value.
 	// Zero selects GOMAXPROCS; one forces the serial path. Scenarios with
 	// fewer than 24 PoIs, where fan-out costs more than it saves, run
-	// every iteration on the calling goroutine whatever Workers says,
-	// with identical results.
+	// every iteration on one goroutine whatever Workers says; there
+	// Workers instead bounds how many restarts of a best-of search
+	// (OptimizeBest, OptimizeFleetBest) run at once, again with
+	// identical results.
 	Workers int `json:"workers,omitempty"`
 	// Solver selects the linear-algebra backend: "" or "dense" for the
 	// bit-exact dense reference, "sparse" for the factor-fill path that
@@ -262,9 +268,9 @@ func planner(scn Scenario, obj Objectives) (*core.Planner, error) {
 	return p, nil
 }
 
-// descentOptions lowers the public Options to the internal form,
-// including the restart-tagged progress callback.
-func (o Options) descentOptions(restart int) (descent.Options, error) {
+// descentOptions lowers the public Options to the internal form; the
+// per-restart seed and iteration hook are set by the caller.
+func (o Options) descentOptions() (descent.Options, error) {
 	var initial *mat.Matrix
 	if o.InitialMatrix != nil {
 		var err error
@@ -282,49 +288,16 @@ func (o Options) descentOptions(restart int) (descent.Options, error) {
 	default:
 		return descent.Options{}, fmt.Errorf("coverage: unknown solver %q (want \"dense\" or \"sparse\")", o.Solver)
 	}
-	d := descent.Options{
+	return descent.Options{
 		Variant:     o.variant(),
 		MaxIters:    o.MaxIters,
-		Seed:        o.Seed,
 		FixedStep:   o.FixedStep,
 		NoiseStdDev: o.NoiseStdDev,
 		RecordTrace: o.RecordTrace,
 		InitialP:    initial,
 		Workers:     o.Workers,
 		Solver:      solver,
-	}
-	if o.OnProgress != nil || o.OnIteration != nil {
-		every := o.ProgressEvery
-		if every <= 0 {
-			every = DefaultProgressEvery
-		}
-		onProgress := o.OnProgress
-		onIteration := o.OnIteration
-		d.OnIteration = func(rec descent.IterRecord, _ *mat.Matrix) {
-			if onIteration != nil {
-				onIteration(IterationEvent{
-					Restart:   restart,
-					Iteration: rec.Iter,
-					Cost:      rec.U,
-					DeltaC:    rec.DeltaC,
-					EBar:      rec.EBar,
-					Step:      rec.Step,
-					Accepted:  rec.Accepted,
-					Probes:    rec.Probes,
-				})
-			}
-			if onProgress != nil && (rec.Iter == 1 || rec.Iter%every == 0) {
-				onProgress(Progress{
-					Restart:   restart,
-					Iteration: rec.Iter,
-					Cost:      rec.U,
-					DeltaC:    rec.DeltaC,
-					EBar:      rec.EBar,
-				})
-			}
-		}
-	}
-	return d, nil
+	}, nil
 }
 
 // validateInitial rejects a warm-start matrix that is not a square
@@ -365,6 +338,12 @@ func Optimize(scn Scenario, obj Objectives, opts Options) (*Plan, error) {
 // returns the best plan found so far (nil when no iteration completed)
 // together with an error wrapping ctx.Err().
 func OptimizeContext(ctx context.Context, scn Scenario, obj Objectives, opts Options) (*Plan, error) {
+	return optimize(ctx, scn, obj, opts, []uint64{opts.Seed})
+}
+
+// optimize runs one single-sensor descent per seed through bestOf and
+// converts the winner to a Plan.
+func optimize(ctx context.Context, scn Scenario, obj Objectives, opts Options, seeds []uint64) (*Plan, error) {
 	eng, err := planner(scn, obj)
 	if err != nil {
 		return nil, err
@@ -372,18 +351,22 @@ func OptimizeContext(ctx context.Context, scn Scenario, obj Objectives, opts Opt
 	if err := opts.validateInitial(len(scn.PoIs)); err != nil {
 		return nil, err
 	}
-	dopts, err := opts.descentOptions(0)
+	dopts, err := opts.descentOptions()
 	if err != nil {
 		return nil, err
 	}
-	res, err := eng.OptimizeContext(ctx, dopts)
-	if err != nil {
-		if res != nil {
-			return planFromResult(res), fmt.Errorf("coverage: %w", err)
-		}
-		return nil, fmt.Errorf("coverage: %w", err)
-	}
-	return planFromResult(res), nil
+	return bestOf(ctx, opts, len(scn.PoIs), seeds, search[*descent.Result]{
+		run: func(ctx context.Context, seed uint64, hook func(descent.IterRecord)) (*descent.Result, error) {
+			d := dopts
+			d.Seed = seed
+			if hook != nil {
+				d.OnIteration = func(rec descent.IterRecord, _ *mat.Matrix) { hook(rec) }
+			}
+			return eng.OptimizeContext(ctx, d)
+		},
+		cost: func(res *descent.Result) float64 { return res.Eval.U },
+		plan: func(res *descent.Result) (*Plan, error) { return planFromResult(res), nil },
+	})
 }
 
 // planFromResult converts an internal descent result to the public Plan.
@@ -441,48 +424,22 @@ func SplitSeeds(seed uint64, restarts int) []uint64 {
 	return seeds
 }
 
-// OptimizeBestContext is OptimizeBest with cooperative cancellation.
-// Restarts run sequentially; the context is checked between iterations
-// and between restarts. On cancellation it returns the best plan across
-// every restart that made progress — including the interrupted one's
-// best-so-far iterate — together with an error wrapping ctx.Err(); the
-// plan is nil when nothing completed. Uncancelled runs are bit-for-bit
-// identical to OptimizeBest.
+// OptimizeBestContext is OptimizeBest with cooperative cancellation;
+// the context is checked between iterations and between restarts. On
+// cancellation it starts no further restart and returns the best plan
+// across every restart that made progress — including an interrupted
+// one's best-so-far iterate — together with an error wrapping
+// ctx.Err(); the plan is nil when nothing completed. Uncancelled runs
+// are bit-for-bit identical to OptimizeBest.
+//
+// Below 24 PoIs, where an iteration runs on one goroutine, up to
+// Options.Workers restarts run at once. The plan and the sequence of
+// hook events are the same for every Workers value.
 func OptimizeBestContext(ctx context.Context, scn Scenario, obj Objectives, opts Options, restarts int) (*Plan, error) {
 	if restarts <= 0 {
 		return nil, fmt.Errorf("%w: %d restarts", ErrObjectives, restarts)
 	}
-	eng, err := planner(scn, obj)
-	if err != nil {
-		return nil, err
-	}
-	if err := opts.validateInitial(len(scn.PoIs)); err != nil {
-		return nil, err
-	}
-	seeds := SplitSeeds(opts.Seed, restarts)
-	var best *descent.Result
-	for r := 0; r < restarts; r++ {
-		runOpts := opts
-		runOpts.Seed = seeds[r]
-		dopts, err := runOpts.descentOptions(r)
-		if err != nil {
-			return nil, err
-		}
-		res, err := eng.OptimizeContext(ctx, dopts)
-		if res != nil && (best == nil || res.Eval.U < best.Eval.U) {
-			best = res
-		}
-		if err != nil {
-			if ctx.Err() != nil {
-				if best == nil {
-					return nil, fmt.Errorf("coverage: %w", err)
-				}
-				return planFromResult(best), fmt.Errorf("coverage: %w", err)
-			}
-			return nil, fmt.Errorf("coverage: %w", err)
-		}
-	}
-	return planFromResult(best), nil
+	return optimize(ctx, scn, obj, opts, SplitSeeds(opts.Seed, restarts))
 }
 
 // EvaluateMatrix computes the plan metrics for a user-supplied transition

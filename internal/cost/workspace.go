@@ -191,13 +191,28 @@ func (m *Model) GradientWeightedSolvedIn(ws *Workspace, ev *Evaluation, coverCoe
 // Clone returns a deep copy of the Evaluation, detached from any
 // workspace buffers backing it.
 func (ev *Evaluation) Clone() *Evaluation {
-	out := *ev
-	out.G = append([]float64(nil), ev.G...)
-	out.CBar = append([]float64(nil), ev.CBar...)
-	out.EBarI = append([]float64(nil), ev.EBarI...)
-	out.CoverTime = append([]float64(nil), ev.CoverTime...)
+	out := &Evaluation{}
+	ev.CopyTo(out)
+	return out
+}
+
+// CopyTo overwrites dst with a deep copy of ev, reusing dst's slices and
+// chain-solution buffers (see markov.Solution.CopyTo), so an optimizer
+// that keeps its best evaluation in one destination allocates nothing
+// per improvement. dst must not be a workspace's own evaluation.
+func (ev *Evaluation) CopyTo(dst *Evaluation) {
+	g, cbar, ebar, cover, sol := dst.G, dst.CBar, dst.EBarI, dst.CoverTime, dst.Sol
+	*dst = *ev
+	dst.G = append(g[:0], ev.G...)
+	dst.CBar = append(cbar[:0], ev.CBar...)
+	dst.EBarI = append(ebar[:0], ev.EBarI...)
+	dst.CoverTime = append(cover[:0], ev.CoverTime...)
+	dst.Sol = nil
 	if ev.Sol != nil {
-		out.Sol = ev.Sol.Clone()
+		if sol == nil {
+			sol = &markov.Solution{}
+		}
+		ev.Sol.CopyTo(sol)
+		dst.Sol = sol
 	}
-	return &out
 }

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"repro/internal/cost"
 	"repro/internal/markov"
@@ -129,7 +128,8 @@ type Options struct {
 	// forces the exact serial code path (no pool, no extra goroutines).
 	// Below the fork/join crossover (M < 24 PoIs, see NewIterationPool)
 	// every iteration runs on the calling goroutine whatever Workers
-	// says, with identical results.
+	// says, with identical results; there Workers instead bounds the
+	// restarts a multi-start search runs at once (see NewRestartFan).
 	Workers int
 	// Solver selects the markov linear-algebra backend for every chain
 	// solve the run performs (iterate evaluations, gradients, and all
@@ -300,10 +300,32 @@ var minFanOutOrder = 24
 // in-iteration fan-out here. A nil pool changes no results — every
 // fan-out they perform is bit-identical to its serial path.
 func NewIterationPool(workers, m int) *par.Pool {
-	if workers <= 1 || m < minFanOutOrder {
+	if !iterationFansOut(workers, m) {
 		return nil
 	}
 	return par.New(workers)
+}
+
+// iterationFansOut is NewIterationPool's decision: whether an iteration
+// over M-state chains gets a pool of the given width.
+func iterationFansOut(workers, m int) bool {
+	return workers > 1 && m >= minFanOutOrder
+}
+
+// NewRestartFan returns the scheduler for the n restarts of a
+// multi-start search over M-state chains. It runs min(workers, n)
+// restarts at once when an iteration gets no pool from
+// NewIterationPool, so the workers the iteration leaves idle go to the
+// restarts, and one at a time when the iteration fans out itself.
+// Workers zero means GOMAXPROCS; one keeps the restarts sequential.
+func NewRestartFan(workers, m, n int) *Fan {
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if iterationFansOut(workers, m) {
+		return newFan(1)
+	}
+	return newFan(min(workers, n))
 }
 
 // New validates the options and builds an Optimizer.
@@ -338,6 +360,31 @@ func New(model *cost.Model, opts Options) (*Optimizer, error) {
 		o.ptask.o = o
 	}
 	return o, nil
+}
+
+// keepBest records a new best iterate and its evaluation in res.
+//
+// Without an iteration pool it copies them into the Result's own
+// buffers, allocated once at the initial point, so an improvement
+// allocates nothing. That is the case the restarts of a best-of search
+// run concurrently in (see NewRestartFan), where allocations made while
+// the collector marks on a fractional worker all count as live.
+//
+// With a pool it keeps fresh clones instead: there a run that
+// allocates nothing starts every collection inside the next model
+// build, and the peak live heap of perfbench's 64-PoI field workload
+// read 5.8 MB in some runs and 10-11.7 MB in others on a 2-vCPU VM
+// (DESIGN.md §8.5); with a clone per improvement it reads 5.8-6.4 MB.
+// The results are identical either way.
+func (o *Optimizer) keepBest(res *Result, p *mat.Matrix, ev *cost.Evaluation) {
+	if o.pool != nil {
+		res.P = p.Clone()
+		res.Eval = ev.Clone()
+		return
+	}
+	// Every iterate has the model's shape, so the copy cannot fail.
+	_ = res.P.CopyFrom(p)
+	ev.CopyTo(res.Eval)
 }
 
 // UniformInit returns the V1 initialization p_ij = 1/M.
@@ -502,8 +549,7 @@ func (o *Optimizer) runBasic(ctx context.Context) (*Result, error) {
 				stall = 0
 			}
 			best = ev.U
-			res.P = p.Clone()
-			res.Eval = ev.Clone()
+			o.keepBest(res, p, ev)
 		} else {
 			stall++
 		}
@@ -574,8 +620,7 @@ func (o *Optimizer) runAdaptive(ctx context.Context) (*Result, error) {
 			Probes: o.probes,
 		}, p)
 		if ev.U < res.Eval.U {
-			res.P = p.Clone()
-			res.Eval = ev.Clone()
+			o.keepBest(res, p, ev)
 		}
 		// "Within some tolerance level" (§V): many consecutive iterations
 		// of negligible relative improvement is a practical Δt* ≈ 0.
@@ -721,8 +766,7 @@ func (o *Optimizer) runPerturbed(ctx context.Context) (*Result, error) {
 		}
 		if candEv.U < bestU {
 			bestU = candEv.U
-			res.P = cand.Clone()
-			res.Eval = candEv.Clone()
+			o.keepBest(res, cand, candEv)
 		}
 		if stall >= o.opts.StallIters {
 			res.Converged = true
@@ -990,12 +1034,6 @@ func RunManyParallelContext(ctx context.Context, model *cost.Model, opts Options
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: %d runs", ErrOptions, n)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
 	master := rng.New(opts.Seed)
 	seeds := make([]uint64, n)
 	for i := range seeds {
@@ -1003,33 +1041,16 @@ func RunManyParallelContext(ctx context.Context, model *cost.Model, opts Options
 	}
 
 	out := make([]*Result, n)
-	errs := make([]error, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			out[i], errs[i] = runOne(ctx, model, opts, seeds[i])
-		}
-	} else {
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					out[i], errs[i] = runOne(ctx, model, opts, seeds[i])
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	}
-	for i, err := range errs {
+	err := newFan(workers).Run(ctx, n, func(i int) error {
+		var err error
+		out[i], err = runOne(ctx, model, opts, seeds[i])
 		if err != nil && !errors.Is(err, ctx.Err()) {
-			return nil, fmt.Errorf("descent: run %d: %w", i, err)
+			return fmt.Errorf("descent: run %d: %w", i, err)
 		}
+		return nil
+	})
+	if err != nil && !errors.Is(err, ctx.Err()) {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return out, cancelErr(err, 0)

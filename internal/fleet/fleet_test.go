@@ -486,3 +486,27 @@ func TestOptionsValidation(t *testing.T) {
 		})
 	}
 }
+
+// TestWarmIterationAllocatesNothing pins the fleet's allocation-free hot
+// loop: a run allocates the same at 50 and at 400 iterations, so a
+// warmed iteration — evaluations, gradient blocks, line search, and
+// keeping a new best stack — allocates nothing.
+func TestWarmIterationAllocatesNothing(t *testing.T) {
+	cm := newCostModel(t, topology.Topology3())
+	allocs := func(iters int) float64 {
+		return testing.AllocsPerRun(2, func() {
+			o, err := NewOptimizer(cm, Options{
+				Sensors: 2, MaxIters: iters, Seed: 3, StallIters: 10 * iters, Workers: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := o.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(50), allocs(400); short != long {
+		t.Errorf("fleet run allocates %v at 50 iterations but %v at 400", short, long)
+	}
+}

@@ -190,14 +190,15 @@ type Evaluation struct {
 	UnionShare []float64
 }
 
-// Clone returns a deep copy detached from any optimizer buffers.
-func (ev *Evaluation) Clone() *Evaluation {
-	out := *ev
-	out.G = append([]float64(nil), ev.G...)
-	out.MinExposure = append([]float64(nil), ev.MinExposure...)
-	out.Owner = append([]int(nil), ev.Owner...)
-	out.UnionShare = append([]float64(nil), ev.UnionShare...)
-	return &out
+// CopyTo overwrites dst with a deep copy of ev, reusing dst's slices,
+// so the optimizer can keep its best evaluation without allocating.
+func (ev *Evaluation) CopyTo(dst *Evaluation) {
+	g, minExp, owner, union := dst.G, dst.MinExposure, dst.Owner, dst.UnionShare
+	*dst = *ev
+	dst.G = append(g[:0], ev.G...)
+	dst.MinExposure = append(minExp[:0], ev.MinExposure...)
+	dst.Owner = append(owner[:0], ev.Owner...)
+	dst.UnionShare = append(union[:0], ev.UnionShare...)
 }
 
 // newEvaluation allocates an Evaluation sized for the model.

@@ -142,16 +142,40 @@ type Result struct {
 	Trace []descent.IterRecord
 }
 
-// sensorTask fans a per-sensor closure across the pool, one sensor per
-// index; the pool's contiguous spans give each worker a private set of
-// sensors, and every sensor touches only its own workspace and buffers.
-type sensorTask struct {
-	fn func(s int)
+// The per-sensor phases of an iteration run as pool tasks, one sensor
+// per index: the pool's contiguous spans give each worker a private set
+// of sensors, and every sensor touches only its own workspace and
+// buffers, so results are identical for every worker count. The tasks
+// live inside the Optimizer, so dispatching them allocates nothing (a
+// closure handed to the pool would escape to the heap on every call).
+
+// evalTask evaluates sensor s of the stack ps into the workspaces.
+type evalTask struct {
+	o  *Optimizer
+	ps []*mat.Matrix
 }
 
-func (t *sensorTask) Run(_, lo, hi int) {
+func (t *evalTask) Run(_, lo, hi int) {
+	o := t.o
 	for s := lo; s < hi; s++ {
-		t.fn(s)
+		o.evs[s], o.serrs[s] = o.fm.cm.EvaluateIn(o.ws[s], t.ps[s])
+	}
+}
+
+// gradTask assembles sensor s's gradient block into o.noisy[s].
+type gradTask struct {
+	o *Optimizer
+}
+
+func (t *gradTask) Run(_, lo, hi int) {
+	o := t.o
+	for s := lo; s < hi; s++ {
+		g, err := o.fm.cm.GradientWeightedSolvedIn(o.ws[s], o.evs[s], o.coverCoef, o.cphis[s], o.betaMask[s])
+		if err != nil {
+			o.serrs[s] = err
+			continue
+		}
+		o.serrs[s] = o.noisy[s].CopyFrom(g)
 	}
 }
 
@@ -178,7 +202,8 @@ type Optimizer struct {
 	cur, candEv, probeEv *Evaluation
 
 	pool  *par.Pool
-	stask sensorTask
+	etask evalTask
+	gtask gradTask
 	serrs []error
 
 	probes int
@@ -222,26 +247,12 @@ func NewOptimizer(cm *cost.Model, opts Options) (*Optimizer, error) {
 		o.cand[s] = mat.New(n, n)
 		o.betaMask[s] = make([]float64, n)
 	}
+	o.etask.o = o
+	o.gtask.o = o
 	if k > 1 {
 		o.pool = descent.NewIterationPool(opts.Workers, n)
 	}
 	return o, nil
-}
-
-// forEachSensor runs fn(s) for every sensor, across the pool when one is
-// attached. Each sensor is owned by exactly one span, so fn may freely
-// mutate sensor-indexed state; bit-identity across worker counts follows
-// from the sensors' mutual independence.
-func (o *Optimizer) forEachSensor(fn func(s int)) {
-	if o.pool == nil {
-		for s := 0; s < o.fm.k; s++ {
-			fn(s)
-		}
-		return
-	}
-	o.stask.fn = fn
-	o.pool.Run(o.fm.k, &o.stask)
-	o.stask.fn = nil
 }
 
 // sensorErr folds the per-sensor error slots into the first (lowest
@@ -264,9 +275,9 @@ func (o *Optimizer) sensorErr() error {
 // evalInto evaluates the stack into out using the optimizer's
 // workspaces (clobbering their current evaluations).
 func (o *Optimizer) evalInto(out *Evaluation, ps []*mat.Matrix) error {
-	o.forEachSensor(func(s int) {
-		o.evs[s], o.serrs[s] = o.fm.cm.EvaluateIn(o.ws[s], ps[s])
-	})
+	// A nil pool runs the task on the calling goroutine.
+	o.etask.ps = ps
+	o.pool.Run(o.fm.k, &o.etask)
 	if err := o.sensorErr(); err != nil {
 		return err
 	}
@@ -286,14 +297,7 @@ func (o *Optimizer) gradient(cur *Evaluation) error {
 		o.cphis[s] = o.fm.coverPhi(o.coverCoef, s)
 		o.fm.maskBeta(o.betaMask[s], cur.Owner, s)
 	}
-	o.forEachSensor(func(s int) {
-		g, err := o.fm.cm.GradientWeightedSolvedIn(o.ws[s], o.evs[s], o.coverCoef, o.cphis[s], o.betaMask[s])
-		if err != nil {
-			o.serrs[s] = err
-			return
-		}
-		o.serrs[s] = o.noisy[s].CopyFrom(g)
-	})
+	o.pool.Run(o.fm.k, &o.gtask)
 	return o.sensorErr()
 }
 
@@ -380,6 +384,17 @@ func cloneStack(ps []*mat.Matrix) []*mat.Matrix {
 	return out
 }
 
+// keepBest copies a new best stack and its joint evaluation into the
+// Result's own buffers, allocated once at the initial stack, so an
+// improvement allocates nothing.
+func (r *Result) keepBest(ps []*mat.Matrix, ev *Evaluation) {
+	for s, p := range ps {
+		// Every stack has the model's shape, so the copy cannot fail.
+		_ = r.Ps[s].CopyFrom(p)
+	}
+	ev.CopyTo(r.Eval)
+}
+
 // cancelErr mirrors descent's context-error wrapping.
 func cancelErr(err error, iters int) error {
 	return fmt.Errorf("fleet: cancelled after %d iterations: %w", iters, err)
@@ -415,7 +430,8 @@ func (o *Optimizer) RunContext(ctx context.Context) (*Result, error) {
 	if err := o.evalInto(o.cur, o.ps); err != nil {
 		return nil, fmt.Errorf("fleet: evaluate initial stack: %w", err)
 	}
-	res := &Result{Ps: cloneStack(o.ps), Eval: o.cur.Clone()}
+	res := &Result{Ps: cloneStack(o.ps), Eval: o.fm.newEvaluation()}
+	o.cur.CopyTo(res.Eval)
 	bestU := o.cur.U
 	curU, curObj, curDC, curEB := o.cur.U, o.cur.Objective, o.cur.DeltaC, o.cur.EBar
 	stall := 0
@@ -532,11 +548,9 @@ func (o *Optimizer) RunContext(ctx context.Context) (*Result, error) {
 			// On accept the candidate stack was swapped into o.ps; either
 			// way the winning matrices live where the evaluation says.
 			if accepted {
-				res.Ps = cloneStack(o.ps)
-				res.Eval = o.cur.Clone()
+				res.keepBest(o.ps, o.cur)
 			} else {
-				res.Ps = cloneStack(o.cand)
-				res.Eval = o.candEv.Clone()
+				res.keepBest(o.cand, o.candEv)
 			}
 		}
 		if stall >= o.opts.StallIters {

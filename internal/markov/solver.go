@@ -299,12 +299,32 @@ func checkPositive(pi []float64) error {
 // factorization handle, when present, is not carried over: it aliases
 // solver-owned factor storage.
 func (s *Solution) Clone() *Solution {
-	return &Solution{
-		P:      s.P.Clone(),
-		Pi:     append([]float64(nil), s.Pi...),
-		W:      s.W.Clone(),
-		Z:      s.Z.Clone(),
-		R:      s.R.Clone(),
-		method: s.method,
+	out := &Solution{}
+	s.CopyTo(out)
+	return out
+}
+
+// CopyTo overwrites dst with a copy of s under Clone's rules, reusing
+// dst's buffers where their shapes match, so retaining a stream of
+// solutions in one destination allocates nothing. dst's Z² is re-armed
+// (its buffer kept) rather than copied, and dst takes no sparse handle.
+// dst must not be a Solver's own solution.
+func (s *Solution) CopyTo(dst *Solution) {
+	dst.P = copyMatrix(dst.P, s.P)
+	dst.Pi = append(dst.Pi[:0], s.Pi...)
+	dst.W = copyMatrix(dst.W, s.W)
+	dst.Z = copyMatrix(dst.Z, s.Z)
+	dst.R = copyMatrix(dst.R, s.R)
+	dst.method = s.method
+	dst.z2Once = sync.Once{}
+	dst.sparse = nil
+}
+
+// copyMatrix copies src into dst when the shapes match and returns dst,
+// or returns a fresh clone of src otherwise.
+func copyMatrix(dst, src *mat.Matrix) *mat.Matrix {
+	if dst == nil || dst.CopyFrom(src) != nil {
+		return src.Clone()
 	}
+	return dst
 }

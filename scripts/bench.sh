@@ -150,7 +150,7 @@ tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' -benchmem -benchtime 300ms \
-	-bench 'BenchmarkEvaluate$|BenchmarkEvaluateAlloc$|BenchmarkEvaluateLarge$|BenchmarkGradient$|BenchmarkGradientAlloc$|BenchmarkGradientLarge$|BenchmarkFleetGradient$|BenchmarkChainSolve$|BenchmarkOptimizerIteration$|BenchmarkShardedOptimizeBest$' \
+	-bench 'BenchmarkEvaluate$|BenchmarkEvaluateAlloc$|BenchmarkEvaluateLarge$|BenchmarkGradient$|BenchmarkGradientAlloc$|BenchmarkGradientLarge$|BenchmarkFleetGradient$|BenchmarkChainSolve$|BenchmarkOptimizerIteration$|BenchmarkOptimizeBest$|BenchmarkShardedOptimizeBest$' \
 	. >"$tmp"
 go test -run '^$' -benchmem -benchtime 300ms \
 	-bench 'BenchmarkLineSearchStep' ./internal/descent/ >>"$tmp"
