@@ -560,7 +560,7 @@ func TestEntropyObjectiveRaisesEntropy(t *testing.T) {
 
 // TestWarmStartBitIdenticalToInternal pins the public warm-start plumbing:
 // Optimize with Options.InitialMatrix performs exactly the run the internal
-// descent engine performs with Options.InitialP — same matrix, same cost,
+// descent engine performs with Options.Initial — same matrix, same cost,
 // bit for bit.
 func TestWarmStartBitIdenticalToInternal(t *testing.T) {
 	scn, err := PaperTopology(2)
@@ -589,7 +589,7 @@ func TestWarmStartBitIdenticalToInternal(t *testing.T) {
 		Variant:  descent.Perturbed,
 		MaxIters: 300,
 		Seed:     77,
-		InitialP: initial,
+		Initial:  []*mat.Matrix{initial},
 	})
 	if err != nil {
 		t.Fatalf("internal OptimizeContext: %v", err)

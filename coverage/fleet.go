@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/descent"
 	"repro/internal/fleet"
-	"repro/internal/markov"
 	"repro/internal/mat"
 )
 
@@ -31,48 +30,6 @@ type FleetPlan struct {
 	UnionShare []float64 `json:"unionShare"`
 	// MinExposure is the per-PoI fleet exposure min_s Ē_i^(s).
 	MinExposure []float64 `json:"minExposure"`
-}
-
-// fleetOptions lowers the public Options to the internal stacked-descent
-// form; the per-restart seed and iteration hook are set by the caller.
-// The fleet search is always the perturbed variant — the stacked
-// landscape has at least as many local optima as the single-sensor one —
-// so Basic/Adaptive selections are rejected rather than silently
-// reinterpreted.
-func (o Options) fleetOptions(sensors int, resp [][]float64) (fleet.Options, error) {
-	if o.Algorithm != PerturbedDescent {
-		return fleet.Options{}, fmt.Errorf("%w: fleet optimization supports only the perturbed variant", ErrObjectives)
-	}
-	var solver markov.Method
-	switch o.Solver {
-	case "", "dense":
-		solver = markov.MethodDense
-	case "sparse":
-		solver = markov.MethodSparse
-	default:
-		return fleet.Options{}, fmt.Errorf("coverage: unknown solver %q (want \"dense\" or \"sparse\")", o.Solver)
-	}
-	var initial []*mat.Matrix
-	if o.InitialMatrices != nil {
-		initial = make([]*mat.Matrix, len(o.InitialMatrices))
-		for s, rows := range o.InitialMatrices {
-			m, err := mat.NewFromRows(rows)
-			if err != nil {
-				return fleet.Options{}, fmt.Errorf("coverage: initial matrix %d: %w", s, err)
-			}
-			initial[s] = m
-		}
-	}
-	return fleet.Options{
-		Sensors:        sensors,
-		Responsibility: resp,
-		MaxIters:       o.MaxIters,
-		NoiseStdDev:    o.NoiseStdDev,
-		Workers:        o.Workers,
-		Solver:         solver,
-		InitialPs:      initial,
-		RecordTrace:    o.RecordTrace,
-	}, nil
 }
 
 // validateInitialFleet rejects malformed warm-start stacks.
@@ -137,21 +94,36 @@ func optimizeFleet(ctx context.Context, scn Scenario, obj Objectives, opts Optio
 	if err := opts.validateInitialFleet(len(scn.PoIs), sensors); err != nil {
 		return nil, err
 	}
-	fopts, err := opts.fleetOptions(sensors, responsibility)
+	// The fleet search is always the perturbed variant — the stacked
+	// landscape has at least as many local optima as the single-sensor
+	// one — so Basic/Adaptive selections are rejected rather than
+	// silently reinterpreted.
+	if opts.Algorithm != PerturbedDescent {
+		return nil, fmt.Errorf("%w: fleet optimization supports only the perturbed variant", ErrObjectives)
+	}
+	dopts, err := opts.descentOptions(opts.InitialMatrices)
 	if err != nil {
 		return nil, err
 	}
-	return bestOf(ctx, opts, len(scn.PoIs), seeds, search[*fleet.Result]{
-		run: func(ctx context.Context, seed uint64, hook func(descent.IterRecord)) (*fleet.Result, error) {
-			f := fopts
-			f.Seed = seed
+	fm, err := fleet.NewModel(eng.Model(), sensors, responsibility)
+	if err != nil {
+		return nil, fmt.Errorf("coverage: %w", err)
+	}
+	return bestOf(ctx, opts, len(scn.PoIs), seeds, search[*descent.Result[*fleet.Evaluation]]{
+		run: func(ctx context.Context, seed uint64, hook func(descent.IterRecord)) (*descent.Result[*fleet.Evaluation], error) {
+			d := dopts
+			d.Seed = seed
 			if hook != nil {
-				f.OnIteration = func(rec descent.IterRecord, _ []*mat.Matrix) { hook(rec) }
+				d.OnIteration = func(rec descent.IterRecord, _ []*mat.Matrix) { hook(rec) }
 			}
-			return fleet.OptimizeContext(ctx, eng.Model(), f)
+			o, err := descent.NewOptimizer(fm, d)
+			if err != nil {
+				return nil, err
+			}
+			return o.RunContext(ctx)
 		},
-		cost: func(res *fleet.Result) float64 { return res.Eval.U },
-		plan: func(res *fleet.Result) (*Plan, error) {
+		cost: func(res *descent.Result[*fleet.Evaluation]) float64 { return res.Eval.U },
+		plan: func(res *descent.Result[*fleet.Evaluation]) (*Plan, error) {
 			return fleetPlanFromResult(eng, sensors, responsibility, res)
 		},
 	})
@@ -182,7 +154,7 @@ func OptimizeFleetBestContext(ctx context.Context, scn Scenario, obj Objectives,
 // Plan. Single-sensor-shaped fields describe sensor 0 (so legacy
 // consumers — the executor, the simulators, plan persistence — keep
 // working on the lead sensor) while the metrics carry the joint values.
-func fleetPlanFromResult(eng *core.Planner, sensors int, responsibility [][]float64, res *fleet.Result) (*Plan, error) {
+func fleetPlanFromResult(eng *core.Planner, sensors int, responsibility [][]float64, res *descent.Result[*fleet.Evaluation]) (*Plan, error) {
 	k := len(res.Ps)
 	n := res.Ps[0].Rows()
 	fp := &FleetPlan{
@@ -279,6 +251,6 @@ func EvaluateFleetMatrices(scn Scenario, obj Objectives, ps [][][]float64, respo
 	if err != nil {
 		return nil, fmt.Errorf("coverage: %w", err)
 	}
-	res := &fleet.Result{Ps: stack, Eval: ev}
+	res := &descent.Result[*fleet.Evaluation]{Ps: stack, Eval: ev}
 	return fleetPlanFromResult(eng, len(ps), responsibility, res)
 }

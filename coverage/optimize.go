@@ -145,10 +145,11 @@ type Options struct {
 	ProgressEvery int `json:"progressEvery,omitempty"`
 	// Workers is the number of OS-level workers one optimizer iteration may
 	// occupy (gradient assembly and line-search probes are partitioned
-	// across them). Results are bit-for-bit identical for every value.
-	// Zero selects GOMAXPROCS; one forces the serial path. Scenarios with
-	// fewer than 24 PoIs, where fan-out costs more than it saves, run
-	// every iteration on one goroutine whatever Workers says; there
+	// across them), for single-sensor and fleet searches alike: both run
+	// the same descent loop. Results are bit-for-bit identical for every
+	// value. Zero selects GOMAXPROCS; one forces the serial path.
+	// Scenarios with fewer than 24 PoIs, where fan-out costs more than it
+	// saves, run every iteration on one goroutine whatever Workers says; there
 	// Workers instead bounds how many restarts of a best-of search
 	// (OptimizeBest, OptimizeFleetBest) run at once, again with
 	// identical results.
@@ -268,16 +269,18 @@ func planner(scn Scenario, obj Objectives) (*core.Planner, error) {
 	return p, nil
 }
 
-// descentOptions lowers the public Options to the internal form; the
-// per-restart seed and iteration hook are set by the caller.
-func (o Options) descentOptions() (descent.Options, error) {
-	var initial *mat.Matrix
-	if o.InitialMatrix != nil {
-		var err error
-		initial, err = mat.NewFromRows(o.InitialMatrix)
+// descentOptions lowers the public Options to the internal form, with
+// initial as the warm-start stack (nil for the variant's own
+// initialization); the per-restart seed and iteration hook are set by
+// the caller. Single-sensor and fleet searches share this lowering.
+func (o Options) descentOptions(initial [][][]float64) (descent.Options, error) {
+	var stack []*mat.Matrix
+	for s, rows := range initial {
+		m, err := mat.NewFromRows(rows)
 		if err != nil {
-			return descent.Options{}, fmt.Errorf("coverage: initial matrix: %w", err)
+			return descent.Options{}, fmt.Errorf("coverage: initial matrix %d: %w", s, err)
 		}
+		stack = append(stack, m)
 	}
 	var solver markov.Method
 	switch o.Solver {
@@ -294,7 +297,7 @@ func (o Options) descentOptions() (descent.Options, error) {
 		FixedStep:   o.FixedStep,
 		NoiseStdDev: o.NoiseStdDev,
 		RecordTrace: o.RecordTrace,
-		InitialP:    initial,
+		Initial:     stack,
 		Workers:     o.Workers,
 		Solver:      solver,
 	}, nil
@@ -351,26 +354,30 @@ func optimize(ctx context.Context, scn Scenario, obj Objectives, opts Options, s
 	if err := opts.validateInitial(len(scn.PoIs)); err != nil {
 		return nil, err
 	}
-	dopts, err := opts.descentOptions()
+	var initial [][][]float64
+	if opts.InitialMatrix != nil {
+		initial = [][][]float64{opts.InitialMatrix}
+	}
+	dopts, err := opts.descentOptions(initial)
 	if err != nil {
 		return nil, err
 	}
-	return bestOf(ctx, opts, len(scn.PoIs), seeds, search[*descent.Result]{
-		run: func(ctx context.Context, seed uint64, hook func(descent.IterRecord)) (*descent.Result, error) {
+	return bestOf(ctx, opts, len(scn.PoIs), seeds, search[*descent.Result[*cost.Evaluation]]{
+		run: func(ctx context.Context, seed uint64, hook func(descent.IterRecord)) (*descent.Result[*cost.Evaluation], error) {
 			d := dopts
 			d.Seed = seed
 			if hook != nil {
-				d.OnIteration = func(rec descent.IterRecord, _ *mat.Matrix) { hook(rec) }
+				d.OnIteration = func(rec descent.IterRecord, _ []*mat.Matrix) { hook(rec) }
 			}
 			return eng.OptimizeContext(ctx, d)
 		},
-		cost: func(res *descent.Result) float64 { return res.Eval.U },
-		plan: func(res *descent.Result) (*Plan, error) { return planFromResult(res), nil },
+		cost: func(res *descent.Result[*cost.Evaluation]) float64 { return res.Eval.U },
+		plan: func(res *descent.Result[*cost.Evaluation]) (*Plan, error) { return planFromResult(res), nil },
 	})
 }
 
 // planFromResult converts an internal descent result to the public Plan.
-func planFromResult(res *descent.Result) *Plan {
+func planFromResult(res *descent.Result[*cost.Evaluation]) *Plan {
 	n := res.P.Rows()
 	p := make([][]float64, n)
 	for i := 0; i < n; i++ {

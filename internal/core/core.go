@@ -57,14 +57,14 @@ func (p *Planner) Model() *cost.Model { return p.model }
 
 // Optimize runs the configured steepest-descent search and returns the
 // best schedule found.
-func (p *Planner) Optimize(opts descent.Options) (*descent.Result, error) {
+func (p *Planner) Optimize(opts descent.Options) (*descent.Result[*cost.Evaluation], error) {
 	return p.OptimizeContext(context.Background(), opts)
 }
 
 // OptimizeContext is Optimize with cooperative cancellation. On
 // cancellation it returns the best-so-far result (nil when no iteration
 // completed) together with an error wrapping ctx.Err().
-func (p *Planner) OptimizeContext(ctx context.Context, opts descent.Options) (*descent.Result, error) {
+func (p *Planner) OptimizeContext(ctx context.Context, opts descent.Options) (*descent.Result[*cost.Evaluation], error) {
 	opt, err := descent.New(p.model, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -82,14 +82,14 @@ func (p *Planner) OptimizeContext(ctx context.Context, opts descent.Options) (*d
 }
 
 // OptimizeMany runs n independent searches with split seeds.
-func (p *Planner) OptimizeMany(opts descent.Options, n int) ([]*descent.Result, error) {
+func (p *Planner) OptimizeMany(opts descent.Options, n int) ([]*descent.Result[*cost.Evaluation], error) {
 	return p.OptimizeManyContext(context.Background(), opts, n)
 }
 
 // OptimizeManyContext is OptimizeMany with cooperative cancellation; the
 // cancellation contract follows descent.RunManyParallelContext (partial
 // result slice plus an error wrapping ctx.Err()).
-func (p *Planner) OptimizeManyContext(ctx context.Context, opts descent.Options, n int) ([]*descent.Result, error) {
+func (p *Planner) OptimizeManyContext(ctx context.Context, opts descent.Options, n int) ([]*descent.Result[*cost.Evaluation], error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: %d runs", ErrPlanner, n)
 	}

@@ -14,7 +14,7 @@ import (
 // positioned at a random iterate, with its projected steepest-descent
 // direction, ready for line-search probing. The caller decides whether
 // the fan-out threshold applies.
-func benchOptimizer(b *testing.B, m, workers int) (*Optimizer, *mat.Matrix, *mat.Matrix, float64) {
+func benchOptimizer(b *testing.B, m, workers int) (*singleOptimizer, []*mat.Matrix, []*mat.Matrix, float64) {
 	b.Helper()
 	top, err := topology.Random(rng.New(uint64(m)), topology.RandomConfig{
 		M: m, Width: 40 * float64(m), Height: 40 * float64(m),
@@ -30,15 +30,7 @@ func benchOptimizer(b *testing.B, m, workers int) (*Optimizer, *mat.Matrix, *mat
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := RandomInit(rng.New(1), m, DefaultMinProb)
-	ev, grad, err := model.GradientIn(opt.ws, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	curU := ev.U
-	dir := mat.New(m, m)
-	cost.ProjectTo(dir, grad)
-	mat.ScaleInPlace(-1, dir)
+	p, dir, curU := searchInputs(b, opt)
 	return opt, p, dir, curU
 }
 

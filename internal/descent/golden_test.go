@@ -8,6 +8,13 @@ import (
 	"repro/internal/topology"
 )
 
+// singleOptimizer and singleResult are the one-sensor instantiations
+// every test in this package runs.
+type (
+	singleOptimizer = Optimizer[*singleState, *cost.Evaluation]
+	singleResult    = Result[*cost.Evaluation]
+)
+
 // goldenModel is the fixed configuration the golden traces below were
 // captured with: Topology3, uniform α=1 β=1e-4, plus both §VII extensions
 // so every term of the objective and gradient is exercised.
@@ -27,7 +34,7 @@ func goldenModel(t *testing.T) *cost.Model {
 
 // pHash folds a matrix's exact bit patterns into one value; any single-ulp
 // drift in any entry changes it.
-func pHash(res *Result) uint64 {
+func pHash(res *singleResult) uint64 {
 	var sum uint64
 	for i := 0; i < res.P.Rows(); i++ {
 		for j := 0; j < res.P.Cols(); j++ {

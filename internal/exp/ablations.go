@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/descent"
+	"repro/internal/mat"
 	"repro/internal/stats"
 	"repro/internal/topology"
 )
@@ -31,7 +32,7 @@ func AblationStepSize(sc Scale) (*Table, error) {
 			Variant:    descent.Basic,
 			MaxIters:   sc.OptIters,
 			FixedStep:  step,
-			InitialP:   init,
+			Initial:    []*mat.Matrix{init},
 			StallIters: sc.OptIters + 1,
 		})
 		if err != nil {
@@ -48,7 +49,7 @@ func AblationStepSize(sc Scale) (*Table, error) {
 		})
 	}
 	adOpts := optimizerOptions(descent.Adaptive, sc, sc.Seed)
-	adOpts.InitialP = init
+	adOpts.Initial = []*mat.Matrix{init}
 	opt, err := descent.New(model, adOpts)
 	if err != nil {
 		return nil, err
@@ -137,7 +138,7 @@ func AblationWarmStart(sc Scale) (*Table, error) {
 		return nil, err
 	}
 	warm := optimizerOptions(descent.Perturbed, sc, sc.Seed+800)
-	warm.InitialP = warmP
+	warm.Initial = []*mat.Matrix{warmP}
 	warmOpt, err := descent.New(model, warm)
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"repro/internal/cost"
 	"repro/internal/descent"
 	"repro/internal/mat"
 	"repro/internal/mcmc"
@@ -104,7 +105,7 @@ func traceLine(name string, trace []descent.IterRecord, points int, pick func(de
 // a Scale budget affords, and the larger step reproduces the same
 // decrease-to-stability shape within it (the Δt sensitivity itself is
 // quantified by AblationStepSize).
-func runTraced(top *topology.Topology, alpha, beta float64, variant descent.Variant, sc Scale, seed uint64) (*descent.Result, error) {
+func runTraced(top *topology.Topology, alpha, beta float64, variant descent.Variant, sc Scale, seed uint64) (*descent.Result[*cost.Evaluation], error) {
 	model, err := newModel(top, alpha, beta)
 	if err != nil {
 		return nil, err
@@ -216,9 +217,9 @@ func iterationSimFigures(top *topology.Topology, alpha, beta float64, sc Scale, 
 		u    float64
 	}
 	var samples []sample
-	opts.OnIteration = func(rec descent.IterRecord, p *mat.Matrix) {
+	opts.OnIteration = func(rec descent.IterRecord, ps []*mat.Matrix) {
 		if (rec.Iter-1)%stride == 0 {
-			samples = append(samples, sample{iter: rec.Iter, p: p.Clone(), u: rec.U})
+			samples = append(samples, sample{iter: rec.Iter, p: ps[0].Clone(), u: rec.U})
 		}
 	}
 	opt, err := descent.New(model, opts)

@@ -83,7 +83,7 @@ func maxInt(a, b int) int {
 }
 
 // optimize runs one optimization and returns the result.
-func optimize(top *topology.Topology, alpha, beta float64, variant descent.Variant, sc Scale, seed uint64) (*descent.Result, error) {
+func optimize(top *topology.Topology, alpha, beta float64, variant descent.Variant, sc Scale, seed uint64) (*descent.Result[*cost.Evaluation], error) {
 	model, err := newModel(top, alpha, beta)
 	if err != nil {
 		return nil, err

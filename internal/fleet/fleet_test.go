@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/descent"
+	"repro/internal/markov"
 	"repro/internal/mat"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/topology"
 )
@@ -272,30 +274,59 @@ func nearTie(fm *Model, ps []*mat.Matrix, relTol float64) bool {
 	return false
 }
 
-// optimizeTwice runs the same configuration twice and returns both
-// results.
-func optimizeTwice(t *testing.T, cm *cost.Model, opts Options) (*Result, *Result) {
+// optimize runs the joint perturbed descent over a fleet of cm with
+// uniform responsibility.
+func optimize(t *testing.T, cm *cost.Model, sensors int, opts descent.Options) *descent.Result[*Evaluation] {
 	t.Helper()
-	a, err := Optimize(cm, opts)
+	fm, err := NewModel(cm, sensors, nil)
 	if err != nil {
-		t.Fatalf("Optimize #1: %v", err)
+		t.Fatalf("NewModel: %v", err)
 	}
-	b, err := Optimize(cm, opts)
-	if err != nil {
-		t.Fatalf("Optimize #2: %v", err)
-	}
-	return a, b
+	return run(t, fm, opts)
 }
 
-func sameTrace(t *testing.T, a, b []descent.IterRecord, label string) {
+// run runs the perturbed descent over a fleet objective.
+func run(t *testing.T, obj descent.Objective[*State], opts descent.Options) *descent.Result[*Evaluation] {
+	t.Helper()
+	opts.Variant = descent.Perturbed
+	o, err := descent.NewOptimizer(obj, opts)
+	if err != nil {
+		t.Fatalf("descent.NewOptimizer: %v", err)
+	}
+	res, err := o.Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return res
+}
+
+// poolSpy is a fleet objective that remembers the iteration pool the
+// optimizer hands its states, so tests can see whether it fanned out.
+type poolSpy struct {
+	*Model
+	pool *par.Pool
+}
+
+func (s *poolSpy) NewState(solver markov.Method, pool *par.Pool) *State {
+	if pool != nil {
+		s.pool = pool
+	}
+	return s.Model.NewState(solver, pool)
+}
+
+// sameTrace compares two traces record by record; Probes only when
+// withProbes is set, since the batched line search of a pooled
+// iteration may evaluate probes past the serial cutoff.
+func sameTrace(t *testing.T, a, b []descent.IterRecord, label string, withProbes bool) {
 	t.Helper()
 	if len(a) != len(b) {
 		t.Fatalf("%s: trace lengths %d vs %d", label, len(a), len(b))
 	}
 	for i := range a {
 		ra, rb := a[i], b[i]
-		// Probes is scheduling-independent here (the fleet search probes
-		// serially), so the full record must match.
+		if !withProbes {
+			ra.Probes, rb.Probes = 0, 0
+		}
 		if ra != rb {
 			t.Fatalf("%s: trace[%d] differs:\n  %+v\n  %+v", label, i, ra, rb)
 		}
@@ -319,16 +350,15 @@ func sameStack(t *testing.T, a, b []*mat.Matrix, label string) {
 
 func TestOptimizeDeterministic(t *testing.T) {
 	cm := newCostModel(t, topology.Topology3())
-	opts := Options{
-		Sensors:     2,
+	opts := descent.Options{
 		Seed:        42,
 		MaxIters:    30,
 		StallIters:  1000,
 		RecordTrace: true,
 		Workers:     1,
 	}
-	a, b := optimizeTwice(t, cm, opts)
-	sameTrace(t, a.Trace, b.Trace, "repeat run")
+	a, b := optimize(t, cm, 2, opts), optimize(t, cm, 2, opts)
+	sameTrace(t, a.Trace, b.Trace, "repeat run", true)
 	sameStack(t, a.Ps, b.Ps, "repeat run")
 	if a.Eval.U != b.Eval.U {
 		t.Fatalf("best U %v vs %v", a.Eval.U, b.Eval.U)
@@ -336,48 +366,36 @@ func TestOptimizeDeterministic(t *testing.T) {
 }
 
 // TestOptimizeWorkersBitIdentical is the fleet golden-trace discipline:
-// the stacked descent must produce bit-identical traces and matrices for
-// every Workers count, because parallelism only redistributes whole
-// sensors across spans. The field has 24 PoIs, the smallest M at which
-// descent.NewIterationPool lets an iteration fan out, so the multi-worker
-// runs really take the pooled path.
+// the joint descent must produce bit-identical traces and matrices for
+// every Workers count, because parallelism only moves line-search probes
+// to worker-private states and row-partitions the gradient assembly. The
+// field has 24 PoIs, the smallest M at which descent.NewIterationPool
+// lets an iteration fan out, so the multi-worker runs really take the
+// pooled path.
 func TestOptimizeWorkersBitIdentical(t *testing.T) {
-	const m = 24
-	top, err := topology.Random(rng.New(m), topology.RandomConfig{
-		M: m, Width: 40 * m, Height: 40 * m,
-	})
-	if err != nil {
-		t.Fatalf("topology.Random: %v", err)
-	}
-	cm := newCostModel(t, top)
-	base := Options{
-		Sensors:     3,
+	cm := field24(t)
+	base := descent.Options{
 		Seed:        99,
 		MaxIters:    25,
 		StallIters:  1000,
 		RecordTrace: true,
 		Workers:     1,
 	}
-	ref, err := Optimize(cm, base)
-	if err != nil {
-		t.Fatalf("Optimize(workers=1): %v", err)
-	}
+	ref := optimize(t, cm, 3, base)
 	for _, w := range []int{2, 3, 8} {
 		opts := base
 		opts.Workers = w
-		o, err := NewOptimizer(cm, opts)
+		fm, err := NewModel(cm, 3, nil)
 		if err != nil {
-			t.Fatalf("NewOptimizer(workers=%d): %v", w, err)
+			t.Fatalf("NewModel: %v", err)
 		}
-		got, err := o.Run()
-		if err != nil {
-			t.Fatalf("Run(workers=%d): %v", w, err)
-		}
-		if o.pool.Forks() == 0 {
+		spy := &poolSpy{Model: fm}
+		got := run(t, spy, opts)
+		if spy.pool == nil || spy.pool.Forks() == 0 {
 			t.Fatalf("workers=%d: the fleet optimizer never fanned out", w)
 		}
 		label := "workers=" + string(rune('0'+w))
-		sameTrace(t, ref.Trace, got.Trace, label)
+		sameTrace(t, ref.Trace, got.Trace, label, false)
 		sameStack(t, ref.Ps, got.Ps, label)
 		if ref.Eval.U != got.Eval.U {
 			t.Fatalf("workers=%d: best U %v vs %v", w, got.Eval.U, ref.Eval.U)
@@ -389,35 +407,33 @@ func TestOptimizeWorkersBitIdentical(t *testing.T) {
 // threshold: on a paper-sized topology a multi-worker fleet optimizer
 // attaches no pool.
 func TestOptimizeSmallFleetStaysSerial(t *testing.T) {
-	o, err := NewOptimizer(newCostModel(t, topology.Topology3()), Options{Sensors: 3, Workers: 4})
+	fm, err := NewModel(newCostModel(t, topology.Topology3()), 3, nil)
 	if err != nil {
-		t.Fatalf("NewOptimizer: %v", err)
+		t.Fatalf("NewModel: %v", err)
 	}
-	if o.pool != nil {
+	spy := &poolSpy{Model: fm}
+	run(t, spy, descent.Options{MaxIters: 2, Workers: 4})
+	if spy.pool != nil {
 		t.Fatal("4-PoI fleet optimizer attached a pool below the fan-out threshold")
 	}
 }
 
 func TestOptimizeImproves(t *testing.T) {
 	cm := newCostModel(t, topology.Topology1())
-	opts := Options{
-		Sensors:    2,
+	const sensors = 2
+	opts := descent.Options{
 		Seed:       5,
 		MaxIters:   120,
 		StallIters: 1000,
 		Workers:    2,
 	}
-	o, err := NewOptimizer(cm, opts)
-	if err != nil {
-		t.Fatalf("NewOptimizer: %v", err)
-	}
 	// Joint cost at the optimizer's own starting stack.
 	src := rng.New(opts.Seed)
-	init := make([]*mat.Matrix, opts.Sensors)
+	init := make([]*mat.Matrix, sensors)
 	for s := range init {
 		init[s] = descent.RandomInit(src, cm.Topology().M(), descent.DefaultMinProb)
 	}
-	fm, err := NewModel(cm, opts.Sensors, nil)
+	fm, err := NewModel(cm, sensors, nil)
 	if err != nil {
 		t.Fatalf("NewModel: %v", err)
 	}
@@ -425,10 +441,7 @@ func TestOptimizeImproves(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Evaluate(init): %v", err)
 	}
-	res, err := o.Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := run(t, fm, opts)
 	if res.Eval.U > startEv.U {
 		t.Fatalf("best U %v worse than initial %v", res.Eval.U, startEv.U)
 	}
@@ -447,17 +460,11 @@ func TestOptimizeImproves(t *testing.T) {
 
 func TestOptimizeWarmStart(t *testing.T) {
 	cm := newCostModel(t, topology.Topology2())
-	first, err := Optimize(cm, Options{Sensors: 2, Seed: 11, MaxIters: 60, StallIters: 1000, Workers: 1})
-	if err != nil {
-		t.Fatalf("cold Optimize: %v", err)
-	}
-	warm, err := Optimize(cm, Options{
-		Sensors: 2, Seed: 12, MaxIters: 30, StallIters: 1000, Workers: 1,
-		InitialPs: first.Ps,
+	first := optimize(t, cm, 2, descent.Options{Seed: 11, MaxIters: 60, StallIters: 1000, Workers: 1})
+	warm := optimize(t, cm, 2, descent.Options{
+		Seed: 12, MaxIters: 30, StallIters: 1000, Workers: 1,
+		Initial: first.Ps,
 	})
-	if err != nil {
-		t.Fatalf("warm Optimize: %v", err)
-	}
 	// A warm start from the cold optimum must never end up meaningfully
 	// worse: the run keeps the best-so-far, whose first candidate is the
 	// (clamp-renormalized) cold optimum itself.
@@ -470,18 +477,24 @@ func TestOptimizeWarmStart(t *testing.T) {
 func TestOptionsValidation(t *testing.T) {
 	cm := newCostModel(t, topology.Topology2())
 	cases := []struct {
-		name string
-		opts Options
+		name    string
+		sensors int
+		opts    descent.Options
 	}{
-		{"zero sensors", Options{}},
-		{"negative iters", Options{Sensors: 2, MaxIters: -1}},
-		{"minprob too large", Options{Sensors: 2, MinProb: 0.6}},
-		{"initial count mismatch", Options{Sensors: 2, InitialPs: make([]*mat.Matrix, 3)}},
+		{"zero sensors", 0, descent.Options{}},
+		{"negative iters", 2, descent.Options{MaxIters: -1}},
+		{"minprob too large", 2, descent.Options{MinProb: 0.6}},
+		{"initial count mismatch", 2, descent.Options{Initial: make([]*mat.Matrix, 3)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewOptimizer(cm, tc.opts); !errors.Is(err, ErrOptions) && !errors.Is(err, ErrModel) {
-				t.Errorf("err = %v, want ErrOptions/ErrModel", err)
+			fm, err := NewModel(cm, tc.sensors, nil)
+			if err == nil {
+				tc.opts.Variant = descent.Perturbed
+				_, err = descent.NewOptimizer(fm, tc.opts)
+			}
+			if !errors.Is(err, descent.ErrOptions) && !errors.Is(err, ErrModel) {
+				t.Errorf("err = %v, want descent.ErrOptions/ErrModel", err)
 			}
 		})
 	}
@@ -492,11 +505,14 @@ func TestOptionsValidation(t *testing.T) {
 // warmed iteration — evaluations, gradient blocks, line search, and
 // keeping a new best stack — allocates nothing.
 func TestWarmIterationAllocatesNothing(t *testing.T) {
-	cm := newCostModel(t, topology.Topology3())
+	fm, err := NewModel(newCostModel(t, topology.Topology3()), 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	allocs := func(iters int) float64 {
 		return testing.AllocsPerRun(2, func() {
-			o, err := NewOptimizer(cm, Options{
-				Sensors: 2, MaxIters: iters, Seed: 3, StallIters: 10 * iters, Workers: 1,
+			o, err := descent.NewOptimizer(fm, descent.Options{
+				Variant: descent.Perturbed, MaxIters: iters, Seed: 3, StallIters: 10 * iters, Workers: 1,
 			})
 			if err != nil {
 				t.Fatal(err)

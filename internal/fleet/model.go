@@ -25,8 +25,9 @@
 // Because every term is a composition of single-sensor quantities with
 // per-PoI coefficients, the joint gradient factors into K independent
 // Eq. 10 assemblies with overridden couplings — cost.Model's
-// GradientWeightedSolvedIn — and the stacked descent reuses the
-// single-sensor machinery wholesale, one cost.Workspace per sensor.
+// GradientWeightedSolvedIn. A Model is the joint objective package
+// descent searches (descent.NewOptimizer): its State evaluates a stack in
+// one cost.Workspace per sensor.
 package fleet
 
 import (
@@ -35,7 +36,9 @@ import (
 	"math"
 
 	"repro/internal/cost"
+	"repro/internal/markov"
 	"repro/internal/mat"
+	"repro/internal/par"
 )
 
 // ErrModel indicates an invalid fleet model configuration.
@@ -211,11 +214,107 @@ func (fm *Model) newEvaluation() *Evaluation {
 	}
 }
 
-// combine folds K single-sensor evaluations into the joint breakdown.
-// Every accumulation is a fixed-order fold (PoIs outer, sensors inner,
-// both ascending), so the result is deterministic regardless of how the
-// per-sensor evaluations were scheduled.
-func (fm *Model) combine(evs []*cost.Evaluation, out *Evaluation) {
+// Shape returns the fleet size K and the chain order M, the shape of
+// the matrix stacks the model evaluates.
+func (fm *Model) Shape() (k, m int) { return fm.k, fm.m }
+
+// State is a private evaluation state of the joint objective: one
+// cost.Workspace per sensor and the joint breakdown of the stack it
+// evaluated last. A State is not safe for concurrent use.
+type State struct {
+	fm  *Model
+	ws  []*cost.Workspace
+	evs []*cost.Evaluation // ws[s]'s last evaluation
+	ev  *Evaluation        // the joint breakdown of the last stack
+
+	coverCoef []float64 // c_i = α_i G_i^fleet
+	betaMask  []float64 // β masked to one sensor's owned PoIs
+}
+
+// NewState returns a fresh evaluation state whose chain solves use the
+// given backend. A non-nil pool row-partitions each sensor's gradient
+// assembly; the state does not own the pool.
+func (fm *Model) NewState(solver markov.Method, pool *par.Pool) *State {
+	st := &State{
+		fm:        fm,
+		ws:        make([]*cost.Workspace, fm.k),
+		evs:       make([]*cost.Evaluation, fm.k),
+		ev:        fm.newEvaluation(),
+		coverCoef: make([]float64, fm.m),
+		betaMask:  make([]float64, fm.m),
+	}
+	for s := range st.ws {
+		st.ws[s] = fm.cm.NewWorkspace()
+		st.ws[s].SetSolver(solver)
+		st.ws[s].SetPool(pool)
+	}
+	return st
+}
+
+// Evaluate evaluates the stack ps sensor by sensor, folds the K
+// single-sensor evaluations into the joint breakdown, and returns the
+// joint penalized cost U.
+func (st *State) Evaluate(ps []*mat.Matrix) (float64, error) {
+	fm := st.fm
+	if len(ps) != fm.k {
+		return 0, fmt.Errorf("%w: %d matrices for %d sensors", ErrModel, len(ps), fm.k)
+	}
+	for s, p := range ps {
+		ev, err := fm.cm.EvaluateIn(st.ws[s], p)
+		if err != nil {
+			return 0, fmt.Errorf("fleet: sensor %d: %w", s, err)
+		}
+		st.evs[s] = ev
+	}
+	st.combine()
+	return st.ev.U, nil
+}
+
+// Metrics returns the unpenalized joint cost, ΔC and Ē of the last
+// evaluation.
+func (st *State) Metrics() (objective, deltaC, eBar float64) {
+	return st.ev.Objective, st.ev.DeltaC, st.ev.EBar
+}
+
+// Gradient writes the K unprojected gradient blocks of the joint cost at
+// the last evaluation into dst: block s is ∂U/∂P^(s), assembled by the
+// single-sensor Eq. 10 machinery from sensor s's own Markov solution
+// with the fleet couplings — coverage through c_i = α_i G_i^fleet and
+// the responsibility-scaled targets, exposure through β masked to the
+// PoIs whose min-over-sensors exposure sensor s owns.
+func (st *State) Gradient(dst []*mat.Matrix) error {
+	fm := st.fm
+	for i := 0; i < fm.m; i++ {
+		st.coverCoef[i] = fm.alpha[i] * st.ev.G[i]
+	}
+	for s := 0; s < fm.k; s++ {
+		fm.maskBeta(st.betaMask, st.ev.Owner, s)
+		g, err := fm.cm.GradientWeightedSolvedIn(st.ws[s], st.evs[s], st.coverCoef, fm.coverPhi(st.coverCoef, s), st.betaMask)
+		if err != nil {
+			return fmt.Errorf("fleet: sensor %d gradient: %w", s, err)
+		}
+		if err := dst[s].CopyFrom(g); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CopyTo copies the last joint evaluation into dst, reusing its slices.
+func (st *State) CopyTo(dst *Evaluation) { st.ev.CopyTo(dst) }
+
+// Clone returns a fresh copy of the last joint evaluation.
+func (st *State) Clone() *Evaluation {
+	out := st.fm.newEvaluation()
+	st.ev.CopyTo(out)
+	return out
+}
+
+// combine folds the K single-sensor evaluations into the joint
+// breakdown. Every accumulation is a fixed-order fold (PoIs outer,
+// sensors inner, both ascending), so the result is deterministic.
+func (st *State) combine() {
+	fm, evs, out := st.fm, st.evs, st.ev
 	m, k := fm.m, fm.k
 	out.U, out.Objective = 0, 0
 	out.CoverageTerm, out.ExposureTerm, out.Penalty = 0, 0, 0
@@ -274,63 +373,32 @@ func (fm *Model) combine(evs []*cost.Evaluation, out *Evaluation) {
 }
 
 // Evaluate computes the joint cost breakdown at the K-matrix stack ps.
-// Each call allocates fresh workspaces; the optimizer's internal loop
-// reuses one set instead.
+// Each call builds a fresh State; the optimizer reuses its own.
 func (fm *Model) Evaluate(ps []*mat.Matrix) (*Evaluation, error) {
-	if len(ps) != fm.k {
-		return nil, fmt.Errorf("%w: %d matrices for %d sensors", ErrModel, len(ps), fm.k)
+	st := fm.NewState(markov.MethodDense, nil)
+	if _, err := st.Evaluate(ps); err != nil {
+		return nil, err
 	}
-	evs := make([]*cost.Evaluation, fm.k)
-	for s := 0; s < fm.k; s++ {
-		ev, err := fm.cm.EvaluateIn(fm.cm.NewWorkspace(), ps[s])
-		if err != nil {
-			return nil, fmt.Errorf("fleet: sensor %d: %w", s, err)
-		}
-		evs[s] = ev
-	}
-	out := fm.newEvaluation()
-	fm.combine(evs, out)
-	return out, nil
+	return st.ev, nil
 }
 
 // Gradient evaluates the joint cost at ps and returns the evaluation
 // together with the K unprojected gradient blocks of the stacked
-// objective (block s is ∂U/∂P^(s), assembled by the single-sensor Eq. 10
-// machinery with the fleet couplings). Like Evaluate, each call
-// allocates; the optimizer reuses buffers.
+// objective (see State.Gradient). Like Evaluate, each call allocates;
+// the optimizer reuses buffers.
 func (fm *Model) Gradient(ps []*mat.Matrix) (*Evaluation, []*mat.Matrix, error) {
-	if len(ps) != fm.k {
-		return nil, nil, fmt.Errorf("%w: %d matrices for %d sensors", ErrModel, len(ps), fm.k)
-	}
-	wss := make([]*cost.Workspace, fm.k)
-	evs := make([]*cost.Evaluation, fm.k)
-	for s := 0; s < fm.k; s++ {
-		wss[s] = fm.cm.NewWorkspace()
-		ev, err := fm.cm.EvaluateIn(wss[s], ps[s])
-		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: sensor %d: %w", s, err)
-		}
-		evs[s] = ev
-	}
-	out := fm.newEvaluation()
-	fm.combine(evs, out)
-
-	coverCoef := make([]float64, fm.m)
-	betaMask := make([]float64, fm.m)
-	for i := 0; i < fm.m; i++ {
-		coverCoef[i] = fm.alpha[i] * out.G[i]
+	st := fm.NewState(markov.MethodDense, nil)
+	if _, err := st.Evaluate(ps); err != nil {
+		return nil, nil, err
 	}
 	grads := make([]*mat.Matrix, fm.k)
-	for s := 0; s < fm.k; s++ {
-		cphi := fm.coverPhi(coverCoef, s)
-		fm.maskBeta(betaMask, out.Owner, s)
-		g, err := fm.cm.GradientWeightedSolvedIn(wss[s], evs[s], coverCoef, cphi, betaMask)
-		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: sensor %d gradient: %w", s, err)
-		}
-		grads[s] = g.Clone()
+	for s := range grads {
+		grads[s] = mat.New(fm.m, fm.m)
 	}
-	return out, grads, nil
+	if err := st.Gradient(grads); err != nil {
+		return nil, nil, err
+	}
+	return st.ev, grads, nil
 }
 
 // coverPhi returns sensor s's travel-time coupling Σ_i c_i ρ_{s,i} Φ_i
