@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_OUT ?= BENCH_run.json
 
-.PHONY: build test check race vet bench bench-compare conformance deploy-demo fleet-demo loadtest shardsmoke clean
+.PHONY: build test check race vet bench bench-compare conformance deploy-demo fleet-demo loadtest shardsmoke loc clean
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,16 @@ loadtest:
 # single-process run and all processes drain cleanly on SIGTERM.
 shardsmoke:
 	./scripts/shardsmoke.sh
+
+# loc prints the non-test Go lines of every package of the module and
+# their total: the line ledger a change reports next to its benchmarks.
+# The benchmark under perfbench/ is a module of its own and not counted.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+	while read -r pkg files; do \
+		n=0; [ -z "$$files" ] || n=$$(cat $$files | wc -l); \
+		printf '%7d %s\n' "$$n" "$$pkg"; \
+	done | awk '{ print; total += $$1 } END { printf "%7d total\n", total }'
 
 clean:
 	$(GO) clean ./...
