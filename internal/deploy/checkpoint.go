@@ -69,10 +69,11 @@ type deployMeta struct {
 	SegSum    []int64                `json:"segSum"`
 	SegMax    []int64                `json:"segMax"`
 	Executor  coverage.ExecutorState `json:"executor"`
-	// Fleet deployments checkpoint every sensor: Executors holds all K
+	// K ≥ 2 sensors checkpoint every sensor: Executors holds all K
 	// random-stream positions and Windows the per-sensor trajectory
-	// rings (Executor/Window above are unused). Absent for single-sensor
-	// deployments, keeping their checkpoints byte-compatible.
+	// rings (Executor/Window above are unused). One sensor uses
+	// Executor/Window and leaves these absent, so its checkpoints keep
+	// the format they had before fleets existed.
 	Executors []coverage.ExecutorState `json:"executors,omitempty"`
 	Windows   [][]int                  `json:"windows,omitempty"`
 
@@ -130,26 +131,15 @@ func (rt *Runtime) persist(d *deployment, withScenario bool) {
 
 // meta serializes the deployment's dynamic state; callers hold rt.mu.
 func (d *deployment) meta() (*deployMeta, error) {
-	var execState coverage.ExecutorState
-	var execStates []coverage.ExecutorState
-	var windows [][]int
-	if d.execs != nil {
-		execStates = make([]coverage.ExecutorState, len(d.execs))
-		windows = make([][]int, len(d.execs))
-		for s, e := range d.execs {
-			st, err := e.Snapshot()
-			if err != nil {
-				return nil, err
-			}
-			execStates[s] = st
-			windows[s] = d.fleetWindowSlice(s)
-		}
-	} else {
-		var err error
-		execState, err = d.exec.Snapshot()
+	states := make([]coverage.ExecutorState, len(d.execs))
+	windows := make([][]int, len(d.execs))
+	for s, e := range d.execs {
+		st, err := e.Snapshot()
 		if err != nil {
 			return nil, err
 		}
+		states[s] = st
+		windows[s] = d.sensorWindow(s)
 	}
 	m := &deployMeta{
 		ID:            d.id,
@@ -165,14 +155,10 @@ func (d *deployment) meta() (*deployMeta, error) {
 		IncidentRates: d.spec.IncidentRates,
 		Step:          d.step,
 		Visits:        append([]int64(nil), d.visits...),
-		Window:        nil,
 		LastVisit:     append([]int(nil), d.lastVisit...),
 		SegCount:      append([]int64(nil), d.segCount...),
 		SegSum:        append([]int64(nil), d.segSum...),
 		SegMax:        append([]int64(nil), d.segMax...),
-		Executor:      execState,
-		Executors:     execStates,
-		Windows:       windows,
 		DriftChecks:   d.driftChecks,
 		DriftTriggers: d.driftTriggers,
 		LastDrift:     d.lastDrift,
@@ -181,8 +167,10 @@ func (d *deployment) meta() (*deployMeta, error) {
 		Swaps:         append([]SwapRecord(nil), d.swaps...),
 		LastError:     d.lastError,
 	}
-	if d.execs == nil {
-		m.Window = d.windowSlice()
+	if len(d.execs) == 1 {
+		m.Executor, m.Window = states[0], windows[0]
+	} else {
+		m.Executors, m.Windows = states, windows
 	}
 	if d.inc != nil {
 		rngState, err := d.inc.src.State()
@@ -308,41 +296,24 @@ func (rt *Runtime) loadDeployment(metaPath string) (*deployment, error) {
 		return nil, err
 	}
 	m := len(scn.PoIs)
-	var exec *coverage.Executor
-	var execs []*coverage.Executor
-	if plan.Fleet != nil {
-		k := plan.Fleet.Sensors
-		if len(meta.Executors) != k {
-			return nil, fmt.Errorf("%d executor states for a %d-sensor fleet", len(meta.Executors), k)
-		}
-		if len(meta.Windows) != k {
-			return nil, fmt.Errorf("%d windows for a %d-sensor fleet", len(meta.Windows), k)
-		}
-		ps, err := sensorPlans(plan)
-		if err != nil {
-			return nil, err
-		}
-		execs = make([]*coverage.Executor, k)
-		for s := 0; s < k; s++ {
-			execs[s], err = coverage.ResumeExecutor(ps[s], meta.Executors[s])
-			if err != nil {
-				return nil, fmt.Errorf("sensor %d: %w", s, err)
-			}
-		}
-		exec = execs[0]
-	} else {
-		var err error
-		exec, err = coverage.ResumeExecutor(plan, meta.Executor)
-		if err != nil {
-			return nil, err
-		}
+	k := sensorCount(plan)
+	states, windows := []coverage.ExecutorState{meta.Executor}, [][]int{meta.Window}
+	if k > 1 {
+		states, windows = meta.Executors, meta.Windows
+	}
+	if len(states) != k {
+		return nil, fmt.Errorf("%d executor states for a %d-sensor fleet", len(states), k)
+	}
+	if len(windows) != k {
+		return nil, fmt.Errorf("%d windows for a %d-sensor fleet", len(windows), k)
+	}
+	ps, err := sensorPlans(plan)
+	if err != nil {
+		return nil, err
 	}
 	if len(meta.Visits) != m || len(meta.LastVisit) != m ||
 		len(meta.SegCount) != m || len(meta.SegSum) != m || len(meta.SegMax) != m {
 		return nil, fmt.Errorf("statistics arrays do not match %d PoIs", m)
-	}
-	if len(meta.Window) > spec.Drift.Window {
-		return nil, fmt.Errorf("window of %d exceeds configured %d", len(meta.Window), spec.Drift.Window)
 	}
 	d := &deployment{
 		id:            meta.ID,
@@ -351,11 +322,11 @@ func (rt *Runtime) loadDeployment(metaPath string) (*deployment, error) {
 		created:       meta.Created,
 		stopped:       meta.Stopped,
 		plan:          plan,
-		exec:          exec,
+		execs:         make([]*coverage.Executor, k),
+		wins:          make([][]int, k),
 		step:          meta.Step,
 		visits:        meta.Visits,
-		window:        make([]int, spec.Drift.Window),
-		winLen:        len(meta.Window),
+		winLen:        len(windows[0]),
 		lastVisit:     meta.LastVisit,
 		segCount:      meta.SegCount,
 		segSum:        meta.SegSum,
@@ -369,32 +340,23 @@ func (rt *Runtime) loadDeployment(metaPath string) (*deployment, error) {
 		lastError:     meta.LastError,
 		subs:          make(map[int]chan Event),
 	}
-	copy(d.window, meta.Window)
-	for i, s := range meta.Window {
-		if s < 0 || s >= m {
-			return nil, fmt.Errorf("window[%d] = %d outside [0, %d)", i, s, m)
+	for s, win := range windows {
+		if d.execs[s], err = coverage.ResumeExecutor(ps[s], states[s]); err != nil {
+			return nil, fmt.Errorf("sensor %d: %w", s, err)
 		}
-	}
-	if execs != nil {
-		d.execs = execs
-		d.winLen = len(meta.Windows[0])
-		d.fleetWins = make([][]int, len(execs))
-		for s := range d.fleetWins {
-			win := meta.Windows[s]
-			if len(win) != d.winLen {
-				return nil, fmt.Errorf("sensor %d window length %d, want %d", s, len(win), d.winLen)
-			}
-			if len(win) > spec.Drift.Window {
-				return nil, fmt.Errorf("sensor %d window of %d exceeds configured %d", s, len(win), spec.Drift.Window)
-			}
-			for i, p := range win {
-				if p < 0 || p >= m {
-					return nil, fmt.Errorf("sensor %d window[%d] = %d outside [0, %d)", s, i, p, m)
-				}
-			}
-			d.fleetWins[s] = make([]int, spec.Drift.Window)
-			copy(d.fleetWins[s], win)
+		if len(win) != d.winLen {
+			return nil, fmt.Errorf("sensor %d window length %d, want %d", s, len(win), d.winLen)
 		}
+		if len(win) > spec.Drift.Window {
+			return nil, fmt.Errorf("sensor %d window of %d exceeds configured %d", s, len(win), spec.Drift.Window)
+		}
+		for i, p := range win {
+			if p < 0 || p >= m {
+				return nil, fmt.Errorf("sensor %d window[%d] = %d outside [0, %d)", s, i, p, m)
+			}
+		}
+		d.wins[s] = make([]int, spec.Drift.Window)
+		copy(d.wins[s], win)
 	}
 	if meta.Incidents != nil {
 		if len(spec.IncidentRates) == 0 {

@@ -46,10 +46,11 @@ type DriftReport struct {
 	Triggered bool `json:"triggered"`
 }
 
-// driftReport fits markov.Estimate over the window and scores it against
-// the deployed plan. It returns the report and the estimated matrix rows
-// (the warm start for a triggered re-optimization).
-func driftReport(window []int, plan *coverage.Plan, target []float64, smoothing float64) (*DriftReport, [][]float64, error) {
+// scoreWindow fits markov.Estimate over one sensor's window and scores
+// it against that sensor's plan and target. It returns the report and
+// the estimated matrix rows (the warm start for a triggered
+// re-optimization).
+func scoreWindow(window []int, plan *coverage.Plan, target []float64, smoothing float64) (*DriftReport, [][]float64, error) {
 	m := len(plan.TransitionMatrix)
 	est, err := markov.Estimate(window, m, smoothing)
 	if err != nil {

@@ -1,13 +1,20 @@
-// Fleet deployment mode: a deployment whose plan carries a
-// coverage.FleetPlan runs K executors in lockstep — one per sensor,
-// each walking its own transition matrix with staggered starts and
-// independent random streams split from the deployment seed. Online
+// Lockstep execution: every deployment runs K ≥ 1 executors in
+// lockstep — one per sensor, each walking its own transition matrix
+// with staggered starts and independent random streams derived from the
+// deployment seed. A single-sensor plan is the K = 1 case. Online
 // statistics are union statistics (a PoI is covered in a step when any
-// sensor sits on it), drift is scored per sensor against that sensor's
-// matrix and responsibility-weighted target, and a triggered
-// re-optimization is joint: the K window estimates warm-start a fleet
-// job (coverage.Options.InitialMatrices) whose result hot-swaps all K
-// matrices atomically.
+// sensor sits on it, which for one sensor is just its position), drift
+// is scored per sensor against that sensor's matrix and
+// responsibility-weighted target, and a triggered re-optimization
+// warm-starts from all K window estimates and hot-swaps all K matrices
+// atomically.
+//
+// K = 1 differs from K ≥ 2 only where a format was fixed before fleets
+// existed, each in one function: the random-stream layout
+// (streamSeeds), the checkpoint fields (deployment.meta and
+// Runtime.loadDeployment), the View JSON (deployment.view), the
+// re-optimization job (deployment.reoptSpec) and Observe, which accepts
+// single-sensor telemetry only.
 
 package deploy
 
@@ -19,31 +26,33 @@ import (
 	"repro/internal/rng"
 )
 
-// FleetPlanLibrary is the optional fleet extension of PlanLibrary,
-// satisfied by *plans.Library. When the configured library implements
-// it, drifting fleet deployments consult the fleet key space before
-// paying for a joint re-optimization.
-type FleetPlanLibrary interface {
-	WarmStartFleet(scn coverage.Scenario, obj coverage.Objectives, sensors int, responsibility [][]float64) (*coverage.Plan, float64, bool)
-}
-
-// fleetSize returns the deployment's sensor count: the fleet size for
-// joint plans, 1 otherwise.
-func fleetSize(plan *coverage.Plan) int {
+// sensorCount returns a plan's sensor count: the fleet size for joint
+// plans, 1 otherwise.
+func sensorCount(plan *coverage.Plan) int {
 	if plan.Fleet != nil {
 		return plan.Fleet.Sensors
 	}
 	return 1
 }
 
-// sensorPlans splits a fleet plan into per-executor plans: sensor s
-// walks TransitionMatrices[s]; cost metadata rides along unchanged so
-// swap records and views keep reporting the joint cost.
+// responsibility returns a plan's per-sensor coverage split; nil means
+// the uniform 1/K split (and is all a single-sensor plan has).
+func responsibility(plan *coverage.Plan) [][]float64 {
+	if plan.Fleet != nil {
+		return plan.Fleet.Responsibility
+	}
+	return nil
+}
+
+// sensorPlans splits a plan into per-executor plans: sensor s walks
+// TransitionMatrices[s]; cost metadata rides along unchanged so swap
+// records and views keep reporting the joint cost. A single-sensor plan
+// is its own sensor-0 plan.
 func sensorPlans(plan *coverage.Plan) ([]*coverage.Plan, error) {
-	k := fleetSize(plan)
-	if k < 2 {
+	if plan.Fleet == nil {
 		return []*coverage.Plan{plan}, nil
 	}
+	k := plan.Fleet.Sensors
 	if len(plan.Fleet.TransitionMatrices) != k {
 		return nil, fmt.Errorf("%w: fleet plan has %d matrices for %d sensors",
 			ErrSpec, len(plan.Fleet.TransitionMatrices), k)
@@ -57,60 +66,48 @@ func sensorPlans(plan *coverage.Plan) ([]*coverage.Plan, error) {
 	return out, nil
 }
 
-// fleetSeeds derives one executor seed per sensor from the deployment
-// master seed, mirroring the pre-split discipline of sim.SimulateFleet:
-// sensor s's stream is independent of every other and of the incident
-// process (which splits from the same master after these).
-func fleetSeeds(seed uint64, k int) []uint64 {
+// streamSeeds lays out a deployment's random streams from its master
+// seed. One sensor draws from the master seed itself and the incident
+// process from the master's first split. K ≥ 2 sensors draw from the
+// first K splits in sensor order, mirroring the pre-split discipline of
+// sim.SimulateFleet, and the incident process from the split after
+// them. Either way every stream is independent of every other.
+func streamSeeds(seed uint64, k int) (sensors []uint64, incidents uint64) {
 	master := rng.New(seed)
-	out := make([]uint64, k)
-	for s := range out {
-		out[s] = master.Split().Uint64()
+	if k == 1 {
+		return []uint64{seed}, master.Split().Uint64()
 	}
-	return out
+	sensors = make([]uint64, k)
+	for s := range sensors {
+		sensors[s] = master.Split().Uint64()
+	}
+	return sensors, master.Split().Uint64()
 }
 
-// fleetStart is sensor s's starting PoI: the configured start for
+// sensorStart is sensor s's starting PoI: the configured start for
 // sensor 0, then staggered around the PoI ring exactly like
 // sim.FleetConfig, so K sensors begin spread out rather than stacked.
-func fleetStart(start, s, m int) int {
+func sensorStart(start, s, m int) int {
 	return (start + s) % m
 }
 
-// newFleetExecutors builds the K staggered executors for a fleet plan.
-func newFleetExecutors(plan *coverage.Plan, start int, seed uint64, m int) ([]*coverage.Executor, error) {
-	ps, err := sensorPlans(plan)
-	if err != nil {
-		return nil, err
-	}
-	seeds := fleetSeeds(seed, len(ps))
-	execs := make([]*coverage.Executor, len(ps))
-	for s := range ps {
-		execs[s], err = coverage.NewExecutor(ps[s], fleetStart(start, s, m), seeds[s])
-		if err != nil {
-			return nil, fmt.Errorf("%w: sensor %d: %v", ErrSpec, s, err)
-		}
-	}
-	return execs, nil
-}
-
-// recordFleetStep records one lockstep position vector (one PoI per
+// recordPositions records one lockstep position vector (one PoI per
 // sensor). The trajectory windows advance per sensor; coverage,
 // exposure, and incident detection are union statistics — a PoI is
 // covered this step when any sensor sits on it, counted once.
-func (d *deployment) recordFleetStep(pois []int) {
+func (d *deployment) recordPositions(pois []int) {
 	now := d.step
 	d.step++
-	w := len(d.window)
+	w := len(d.wins[0])
 	if d.winLen < w {
 		at := (d.winStart + d.winLen) % w
 		for s, poi := range pois {
-			d.fleetWins[s][at] = poi
+			d.wins[s][at] = poi
 		}
 		d.winLen++
 	} else {
 		for s, poi := range pois {
-			d.fleetWins[s][d.winStart] = poi
+			d.wins[s][d.winStart] = poi
 		}
 		d.winStart = (d.winStart + 1) % w
 	}
@@ -130,7 +127,7 @@ func (d *deployment) recordFleetStep(pois []int) {
 		d.lastVisit[poi] = now
 	}
 	if d.inc != nil {
-		d.inc.stepFleet(now, pois)
+		d.inc.step(now, pois)
 	}
 }
 
@@ -145,10 +142,11 @@ func covered(earlier []int, poi int) bool {
 	return false
 }
 
-// stepFleet advances the incident process one step under union
-// detection: arrivals everywhere, then detection at every sensor
-// position.
-func (inc *incidents) stepFleet(now int, pois []int) {
+// step advances the incident process one step under union detection:
+// arrivals everywhere, then detection at every sensor position. An
+// incident arriving at a PoI a sensor currently covers is detected with
+// zero delay.
+func (inc *incidents) step(now int, pois []int) {
 	for i, rate := range inc.rates {
 		if rate <= 0 {
 			continue
@@ -173,91 +171,90 @@ func (inc *incidents) stepFleet(now int, pois []int) {
 	}
 }
 
-// fleetWindowSlice materializes sensor s's trajectory window
-// oldest-first. All sensors share winStart/winLen — they advance in
-// lockstep.
-func (d *deployment) fleetWindowSlice(s int) []int {
+// sensorWindow materializes sensor s's trajectory window oldest-first.
+// All sensors share winStart/winLen — they advance in lockstep.
+func (d *deployment) sensorWindow(s int) []int {
 	out := make([]int, d.winLen)
-	w := len(d.window)
+	w := len(d.wins[s])
 	for i := 0; i < d.winLen; i++ {
-		out[i] = d.fleetWins[s][(d.winStart+i)%w]
+		out[i] = d.wins[s][(d.winStart+i)%w]
 	}
 	return out
 }
 
 // sensorTarget is sensor s's coverage responsibility ρ_s∘Φ: the share
 // of each PoI's prescribed allocation this sensor owes. With a nil
-// responsibility the split is uniform 1/K. Scoring each sensor's window
-// against its own share keeps per-sensor drift checks meaningful — a
-// sensor covering only its half of the field is healthy, not drifted.
+// responsibility the split is uniform 1/K, which for one sensor is Φ
+// itself. Scoring each sensor's window against its own share keeps
+// per-sensor drift checks meaningful — a sensor covering only its half
+// of the field is healthy, not drifted.
 func sensorTarget(plan *coverage.Plan, target []float64, s int) []float64 {
-	k := fleetSize(plan)
+	k := sensorCount(plan)
+	resp := responsibility(plan)
 	out := make([]float64, len(target))
 	for i, phi := range target {
 		rho := 1 / float64(k)
-		if plan.Fleet != nil && plan.Fleet.Responsibility != nil {
-			rho = plan.Fleet.Responsibility[s][i]
+		if resp != nil {
+			rho = resp[s][i]
 		}
 		out[i] = rho * phi
 	}
 	return out
 }
 
-// fleetDriftReport scores every sensor's window against its own matrix
-// and responsibility-weighted target, returning the worst report (the
-// trigger signal), the per-sensor window estimates (the joint warm
-// start), and the index of the worst sensor.
-func (d *deployment) fleetDriftReport() (*DriftReport, [][][]float64, int, error) {
+// driftReport scores every sensor's window against its own matrix and
+// responsibility-weighted target, returning the worst report (the
+// trigger signal) and the per-sensor window estimates (the warm start).
+func (d *deployment) driftReport() (*DriftReport, [][][]float64, error) {
 	ps, err := sensorPlans(d.plan)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	var worst *DriftReport
-	worstAt := 0
 	estimates := make([][][]float64, len(ps))
 	for s := range ps {
-		rep, est, err := driftReport(d.fleetWindowSlice(s), ps[s],
+		rep, est, err := scoreWindow(d.sensorWindow(s), ps[s],
 			sensorTarget(d.plan, d.spec.Scenario.Target, s), d.spec.Drift.Smoothing)
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("sensor %d: %w", s, err)
+			return nil, nil, fmt.Errorf("sensor %d: %w", s, err)
 		}
 		estimates[s] = est
 		if worst == nil || rep.Score > worst.Score {
 			worst = rep
-			worstAt = s
 		}
 	}
-	return worst, estimates, worstAt, nil
+	return worst, estimates, nil
 }
 
-// fleetReoptSpec builds the joint re-optimization job a drifting fleet
-// deployment submits: a fleet job over the same responsibility split,
-// warm-started from the K window estimates.
-func (d *deployment) fleetReoptSpec(estimates [][][]float64) jobs.Spec {
-	opts := d.spec.Reopt.Options
-	opts.InitialMatrices = estimates
-	var resp [][]float64
-	if d.plan.Fleet != nil {
-		resp = d.plan.Fleet.Responsibility
+// reoptSpec builds the re-optimization job a drifting deployment
+// submits, warm-started from the window estimates. One sensor submits
+// the classic single-sensor job (coverage.Options.InitialMatrix); K ≥ 2
+// sensors submit a joint fleet job over the same responsibility split
+// (coverage.Options.InitialMatrices).
+func (d *deployment) reoptSpec(estimates [][][]float64) jobs.Spec {
+	spec := jobs.Spec{
+		Scenario:   d.spec.Scenario,
+		Objectives: d.spec.Objectives,
+		Options:    d.spec.Reopt.Options,
+		Restarts:   d.spec.Reopt.Restarts,
 	}
-	return jobs.Spec{
-		Scenario:       d.spec.Scenario,
-		Objectives:     d.spec.Objectives,
-		Options:        opts,
-		Restarts:       d.spec.Reopt.Restarts,
-		Sensors:        fleetSize(d.plan),
-		Responsibility: resp,
+	if len(estimates) == 1 {
+		spec.Options.InitialMatrix = estimates[0]
+		return spec
 	}
+	spec.Options.InitialMatrices = estimates
+	spec.Sensors = len(estimates)
+	spec.Responsibility = responsibility(d.plan)
+	return spec
 }
 
-// swapFleet installs a new fleet plan across all K executors
-// atomically: every incoming matrix is validated (via a throwaway
-// executor) before the first live executor is touched, so a malformed
-// stack can never leave the fleet half-swapped.
-func (d *deployment) swapFleet(plan *coverage.Plan) error {
-	k := fleetSize(d.plan)
-	if fleetSize(plan) != k {
-		return fmt.Errorf("%d-sensor plan for a %d-sensor deployment", fleetSize(plan), k)
+// swapPlans installs a new plan across all K executors atomically:
+// every incoming matrix is validated (via a throwaway executor) before
+// the first live executor is touched, so a malformed stack can never
+// leave the deployment half-swapped.
+func (d *deployment) swapPlans(plan *coverage.Plan) error {
+	if k := sensorCount(plan); k != len(d.execs) {
+		return fmt.Errorf("%d-sensor plan for a %d-sensor deployment", k, len(d.execs))
 	}
 	ps, err := sensorPlans(plan)
 	if err != nil {

@@ -152,7 +152,7 @@ func TestReoptSwapPublishesToLibrary(t *testing.T) {
 	}
 
 	// The swapped plan is now cached for everyone.
-	swapped, dist, ok := lib.WarmStart(scn, obj)
+	swapped, dist, ok := lib.WarmStart(scn, obj, 1, nil)
 	if !ok || dist != 0 {
 		t.Fatalf("library has no exact entry after swap (ok %v, dist %v)", ok, dist)
 	}

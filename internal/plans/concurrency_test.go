@@ -73,7 +73,7 @@ func TestConcurrentSingleflight(t *testing.T) {
 				// Interleave churn: stats, nearest-neighbor scans, and
 				// out-of-band publishes that race the LRU.
 				lib.Stat()
-				lib.Nearest(scns[i], testObj)
+				lib.Nearest(scns[i], testObj, 1, nil)
 			}
 		}(w)
 	}

@@ -51,7 +51,7 @@ func TestLibrarySeededFromCorpusProblems(t *testing.T) {
 
 	// Exact-problem warm starts hit at distance 0.
 	for _, p := range seeded {
-		plan, dist, ok := lib.WarmStart(p.Scenario, p.Objectives)
+		plan, dist, ok := lib.WarmStart(p.Scenario, p.Objectives, 1, nil)
 		if !ok || plan == nil {
 			t.Fatalf("%s: no warm start after seeding", p.Scenario.Name)
 		}
@@ -68,7 +68,7 @@ func TestLibrarySeededFromCorpusProblems(t *testing.T) {
 	target[0] += shift
 	target[len(target)-1] -= shift
 	perturbed.Scenario.Target = target
-	plan, dist, ok := lib.WarmStart(perturbed.Scenario, perturbed.Objectives)
+	plan, dist, ok := lib.WarmStart(perturbed.Scenario, perturbed.Objectives, 1, nil)
 	if !ok || plan == nil {
 		t.Fatal("perturbed problem found no warm start")
 	}

@@ -79,15 +79,15 @@ func TestNearestSkipsFleet(t *testing.T) {
 	if _, err := l.Publish(near, testObj, fakeFleetPlan(4, 2, 1.0), Provenance{Source: "manual"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := l.Nearest(query, testObj); ok {
+	if _, _, ok := l.Nearest(query, testObj, 1, nil); ok {
 		t.Error("single-sensor Nearest returned a fleet entry")
 	}
-	if _, _, ok := l.NearestFleet(query, testObj, 3, nil); ok {
-		t.Error("NearestFleet(K=3) returned a K=2 entry")
+	if _, _, ok := l.Nearest(query, testObj, 3, nil); ok {
+		t.Error("Nearest(K=3) returned a K=2 entry")
 	}
-	e, _, ok := l.NearestFleet(query, testObj, 2, nil)
+	e, _, ok := l.Nearest(query, testObj, 2, nil)
 	if !ok || e.Sensors != 2 {
-		t.Fatalf("NearestFleet(K=2) = %+v, %v; want the fleet entry", e, ok)
+		t.Fatalf("Nearest(K=2) = %+v, %v; want the fleet entry", e, ok)
 	}
 
 	// With a single-sensor entry alongside, each key space sees only its
@@ -95,18 +95,18 @@ func TestNearestSkipsFleet(t *testing.T) {
 	if _, err := l.Publish(near, testObj, fakePlan(4, 1.0), Provenance{Source: "manual"}); err != nil {
 		t.Fatal(err)
 	}
-	se, _, ok := l.Nearest(query, testObj)
+	se, _, ok := l.Nearest(query, testObj, 1, nil)
 	if !ok || se.Sensors != 0 {
 		t.Fatalf("Nearest = %+v, %v; want the single entry", se, ok)
 	}
 
-	// WarmStartFleet: exact fleet hit is distance 0; near fleet query
+	// WarmStart(K=2): exact fleet hit is distance 0; near fleet query
 	// resolves to the neighbor.
-	if p, dist, ok := l.WarmStartFleet(near, testObj, 2, nil); !ok || dist != 0 || p.Fleet == nil {
-		t.Errorf("WarmStartFleet exact = dist %v ok %v", dist, ok)
+	if p, dist, ok := l.WarmStart(near, testObj, 2, nil); !ok || dist != 0 || p.Fleet == nil {
+		t.Errorf("WarmStart(K=2) exact = dist %v ok %v", dist, ok)
 	}
-	if p, dist, ok := l.WarmStartFleet(query, testObj, 2, nil); !ok || dist <= 0 || p.Fleet == nil {
-		t.Errorf("WarmStartFleet neighbor = dist %v ok %v", dist, ok)
+	if p, dist, ok := l.WarmStart(query, testObj, 2, nil); !ok || dist <= 0 || p.Fleet == nil {
+		t.Errorf("WarmStart(K=2) neighbor = dist %v ok %v", dist, ok)
 	}
 }
 

@@ -237,7 +237,7 @@ func TestNearest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e, dist, ok := l.Nearest(lineScn(t, "q", query), testObj)
+	e, dist, ok := l.Nearest(lineScn(t, "q", query), testObj, 1, nil)
 	if !ok {
 		t.Fatal("no neighbor found")
 	}
@@ -249,13 +249,13 @@ func TestNearest(t *testing.T) {
 	}
 
 	// An exact hit is not its own neighbor.
-	e2, _, ok := l.Nearest(lineScn(t, "self", near), testObj)
+	e2, _, ok := l.Nearest(lineScn(t, "self", near), testObj, 1, nil)
 	if ok && e2.Fingerprint == string(fpNear) {
 		t.Error("Nearest returned the exact fingerprint")
 	}
 
 	// A 3-PoI query only sees the 3-PoI entry.
-	e3, _, ok := l.Nearest(lineScn(t, "q3", []float64{0.3, 0.3, 0.4}), testObj)
+	e3, _, ok := l.Nearest(lineScn(t, "q3", []float64{0.3, 0.3, 0.4}), testObj, 1, nil)
 	if !ok || len(e3.Plan.TransitionMatrix) != 3 {
 		t.Errorf("cross-topology neighbor: %v, %v", e3, ok)
 	}
@@ -275,7 +275,7 @@ func TestNearestObjectiveDistance(t *testing.T) {
 	if _, err := l.Publish(scn, coverage.Objectives{Alpha: 50, Beta: 1e-3}, fakePlan(4, 1), Provenance{Source: "manual"}); err != nil {
 		t.Fatal(err)
 	}
-	e, _, ok := l.Nearest(scn, testObj)
+	e, _, ok := l.Nearest(scn, testObj, 1, nil)
 	if !ok || e.Fingerprint != string(fpClose) {
 		t.Errorf("nearest by objectives = %v, want %s", e, fpClose)
 	}
@@ -285,18 +285,18 @@ func TestNearestObjectiveDistance(t *testing.T) {
 // their Φ distance, empty libraries at nothing.
 func TestWarmStart(t *testing.T) {
 	l := newLib(t, Config{})
-	if _, _, ok := l.WarmStart(lineScn(t, "w", []float64{0.5, 0.5}), testObj); ok {
+	if _, _, ok := l.WarmStart(lineScn(t, "w", []float64{0.5, 0.5}), testObj, 1, nil); ok {
 		t.Error("empty library produced a warm start")
 	}
 	scn := lineScn(t, "w", []float64{0.4, 0.1, 0.1, 0.4})
 	if _, err := l.Publish(scn, testObj, fakePlan(4, 1), Provenance{Source: "manual"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, dist, ok := l.WarmStart(scn, testObj); !ok || dist != 0 {
+	if _, dist, ok := l.WarmStart(scn, testObj, 1, nil); !ok || dist != 0 {
 		t.Errorf("exact warm start = dist %v, ok %v; want 0, true", dist, ok)
 	}
 	shifted := lineScn(t, "w", []float64{0.38, 0.12, 0.1, 0.4})
-	if plan, dist, ok := l.WarmStart(shifted, testObj); !ok || dist == 0 || plan == nil {
+	if plan, dist, ok := l.WarmStart(shifted, testObj, 1, nil); !ok || dist == 0 || plan == nil {
 		t.Errorf("neighbor warm start = dist %v, ok %v", dist, ok)
 	}
 }

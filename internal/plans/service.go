@@ -43,10 +43,11 @@ type Query struct {
 	Options coverage.Options `json:"options"`
 	// Restarts is the multi-start budget of a spawned job (default 1).
 	Restarts int `json:"restarts,omitempty"`
-	// Sensors asks for a jointly-optimized K-sensor fleet plan when >= 2;
-	// 0 or 1 is the ordinary single-sensor query. Fleet queries address
-	// the fleet key space (coverage.FleetFingerprint) and never collide
-	// with single-sensor entries for the same scenario.
+	// Sensors is the fleet size K the plan is for: 0 or 1 is one sensor,
+	// K >= 2 asks for a jointly-optimized K-sensor fleet plan. Each fleet
+	// size has its own key space (one sensor coverage.ScenarioFingerprint,
+	// K >= 2 coverage.FleetFingerprint), so a query never collides with
+	// entries of another fleet size for the same scenario.
 	Sensors int `json:"sensors,omitempty"`
 	// Responsibility is the optional K×M fleet coverage-credit split
 	// (uniform 1/K when nil). Only valid with Sensors >= 2.
@@ -175,21 +176,7 @@ func (s *Service) QueryBatch(ctx context.Context, qs []Query) []Result {
 
 // resolve runs the hit → stale → singleflight-spawn ladder.
 func (s *Service) resolve(ctx context.Context, q Query) Result {
-	fleet := q.Sensors >= 2
-	var fp coverage.Fingerprint
-	var err error
-	switch {
-	case q.Sensors < 0:
-		return Result{Status: StatusError,
-			Error: fmt.Sprintf("plans: negative sensors %d", q.Sensors)}
-	case !fleet && q.Responsibility != nil:
-		return Result{Status: StatusError,
-			Error: "plans: responsibility set on a single-sensor query"}
-	case fleet:
-		fp, err = coverage.FleetFingerprint(q.Scenario, q.Objectives, q.Sensors, q.Responsibility)
-	default:
-		fp, err = coverage.ScenarioFingerprint(q.Scenario, q.Objectives)
-	}
+	fp, _, err := key(q.Scenario, q.Objectives, q.Sensors, q.Responsibility)
 	if err != nil {
 		return Result{Status: StatusError, Error: err.Error()}
 	}
@@ -210,14 +197,7 @@ func (s *Service) resolve(ctx context.Context, q Query) Result {
 		return res
 	}
 
-	var neighbor *Entry
-	var dist float64
-	var haveNeighbor bool
-	if fleet {
-		neighbor, dist, haveNeighbor = s.lib.NearestFleet(q.Scenario, q.Objectives, q.Sensors, q.Responsibility)
-	} else {
-		neighbor, dist, haveNeighbor = s.lib.Nearest(q.Scenario, q.Objectives)
-	}
+	neighbor, dist, haveNeighbor := s.lib.Nearest(q.Scenario, q.Objectives, q.Sensors, q.Responsibility)
 	if haveNeighbor {
 		res.WarmStart = &Neighbor{Fingerprint: neighbor.Fingerprint, Distance: dist}
 	}
