@@ -773,6 +773,34 @@ func optimizeSpec(ctx context.Context, spec Spec, opts coverage.Options) (*cover
 	return coverage.OptimizeContext(ctx, spec.Scenario, spec.Objectives, opts)
 }
 
+// restartOptions builds one restart's options from the job's: the
+// restart's split seed, progress forwarded onto the job, and — with
+// metrics on — the iteration hook that feeds the iteration-time and
+// probe histograms. The local worker loop and the shard runner share it.
+func (m *Manager) restartOptions(j *job, opts coverage.Options, seed uint64, restart int) coverage.Options {
+	opts.Seed = seed
+	opts.OnProgress = func(p coverage.Progress) {
+		m.noteProgress(j, restart, p)
+	}
+	if m.met.iterSeconds != nil {
+		// Iteration timing lives here, not in the descent loop: the hook
+		// measures wall-clock between successive events, so the hot path
+		// itself never calls time.Now.
+		var lastIter time.Time
+		opts.OnIteration = func(ev coverage.IterationEvent) {
+			now := time.Now()
+			if !lastIter.IsZero() {
+				m.met.iterSeconds.Observe(now.Sub(lastIter).Seconds())
+			}
+			lastIter = now
+			if ev.Probes > 0 {
+				m.met.probes.Observe(float64(ev.Probes))
+			}
+		}
+	}
+	return opts
+}
+
 // runJob drives one job: restarts run sequentially with OptimizeBest's
 // seed split, the best plan is checkpointed after every completed
 // restart, and cancellation is classified as user cancel (terminal) or
@@ -814,29 +842,7 @@ func (m *Manager) runJob(j *job) {
 		if ctx.Err() != nil {
 			break
 		}
-		runOpts := spec.Options
-		runOpts.Seed = seeds[r]
-		restart := r
-		runOpts.OnProgress = func(p coverage.Progress) {
-			m.noteProgress(j, restart, p)
-		}
-		if m.met.iterSeconds != nil {
-			// Iteration timing lives here, not in the descent loop: the
-			// hook measures wall-clock between successive events, so the
-			// hot path itself never calls time.Now.
-			var lastIter time.Time
-			runOpts.OnIteration = func(ev coverage.IterationEvent) {
-				now := time.Now()
-				if !lastIter.IsZero() {
-					m.met.iterSeconds.Observe(now.Sub(lastIter).Seconds())
-				}
-				lastIter = now
-				if ev.Probes > 0 {
-					m.met.probes.Observe(float64(ev.Probes))
-				}
-			}
-		}
-		plan, err := optimizeSpec(ctx, spec, runOpts)
+		plan, err := optimizeSpec(ctx, spec, m.restartOptions(j, spec.Options, seeds[r], r))
 		if err != nil {
 			if ctx.Err() != nil {
 				// Interrupted mid-restart; plan is that run's best-so-far.

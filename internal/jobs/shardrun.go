@@ -212,26 +212,7 @@ func (m *Manager) runOneShard(ctx context.Context, j *job, t *shardTable, k int,
 		if shardCtx.Err() != nil {
 			return
 		}
-		runOpts := spec.Options
-		runOpts.Seed = seeds[r]
-		restart := r
-		runOpts.OnProgress = func(p coverage.Progress) {
-			m.noteProgress(j, restart, p)
-		}
-		if m.met.iterSeconds != nil {
-			var lastIter time.Time
-			runOpts.OnIteration = func(ev coverage.IterationEvent) {
-				now := time.Now()
-				if !lastIter.IsZero() {
-					m.met.iterSeconds.Observe(now.Sub(lastIter).Seconds())
-				}
-				lastIter = now
-				if ev.Probes > 0 {
-					m.met.probes.Observe(float64(ev.Probes))
-				}
-			}
-		}
-		plan, err := optimizeSpec(shardCtx, spec, runOpts)
+		plan, err := optimizeSpec(shardCtx, spec, m.restartOptions(j, spec.Options, seeds[r], r))
 		if err != nil {
 			if shardCtx.Err() != nil {
 				return // interrupted mid-restart; nothing durable to record
