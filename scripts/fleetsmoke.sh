@@ -11,7 +11,10 @@
 #      simulated union ΔC (cmd/fleetdemo judges this — joint
 #      optimization must pay off in the measurable, not just in its
 #      own objective);
-#   4. the fleet metrics are exposed and the process drains cleanly
+#   4. both plans deploy through POST /deployments on the same
+#      instance and advance 200 lockstep steps, the fleet deployment
+#      reporting its 3 sensors and 3 positions;
+#   5. the fleet metrics are exposed and the process drains cleanly
 #      on SIGTERM.
 #
 # Environment:
@@ -95,9 +98,37 @@ grep -q '"transitionMatrices"' "$WORK/fleet_plan.json" ||
 "$WORK/fleetdemo" -single "$WORK/single_plan.json" -fleet "$WORK/fleet_plan.json" ||
 	fail "joint fleet plan did not beat the replicated single-sensor baseline"
 
+# deploy_and_advance <kind> <plan envelope> <outfile>: deploy the plan
+# on its scenario, advance it 200 steps, keep the final view. The body
+# is the emitted job spec joined with the plan envelope; /deployments
+# reads "scenario", "objectives" and "plan" and ignores the rest.
+deploy_and_advance() {
+	da_kind=$1 da_plan=$2 da_out=$3
+	{
+		"$WORK/fleetdemo" -emit-spec "$da_kind" | sed 's/}[[:space:]]*$/,/'
+		sed '1s/^[[:space:]]*{//' "$da_plan"
+	} >"$WORK/${da_kind}_deployment.json"
+	da_id=$(curl -fsS -X POST "$BASE/deployments" --data-binary @"$WORK/${da_kind}_deployment.json" |
+		sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -n 1)
+	[ -n "$da_id" ] || fail "$da_kind deployment create returned no id"
+	curl -fsS -X POST "$BASE/deployments/$da_id/advance" -d '{"steps": 200}' >"$da_out" ||
+		fail "cannot advance $da_kind deployment $da_id"
+	grep -q '"step": 201,' "$da_out" || fail "$da_kind deployment $da_id is not at step 201"
+	echo "fleetsmoke: $da_kind deployment $da_id advanced to step 201"
+}
+
+deploy_and_advance single "$WORK/single_plan.json" "$WORK/single_view.json"
+deploy_and_advance fleet "$WORK/fleet_plan.json" "$WORK/fleet_view.json"
+grep -q '"sensors": 3,' "$WORK/fleet_view.json" ||
+	fail "fleet deployment view does not report 3 sensors"
+positions=$(sed -n '/"positions": \[/,/\]/p' "$WORK/fleet_view.json" | grep -c '^ *[0-9][0-9]*,\{0,1\}$' || true)
+[ "$positions" -eq 3 ] || fail "fleet deployment view has $positions positions, want 3"
+
 curl -fsS "$BASE/metrics" >"$WORK/metrics.txt"
 grep -q '^fleet_jobs_total 1$' "$WORK/metrics.txt" ||
 	fail "fleet_jobs_total != 1 in /metrics"
+grep -q '^fleet_deployments_total 1$' "$WORK/metrics.txt" ||
+	fail "fleet_deployments_total != 1 in /metrics"
 
 kill $PIDS 2>/dev/null || true
 rc=0
