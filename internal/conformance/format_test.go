@@ -72,8 +72,10 @@ func TestReadCorpusRejectsMalformedDocuments(t *testing.T) {
 			wantMsg: "version",
 		},
 		{
-			name:    "unknown field",
-			mutate:  func(s string) string { return strings.Replace(s, `"family": "unit",`, `"family": "unit", "tolerances": 3,`, 1) },
+			name: "unknown field",
+			mutate: func(s string) string {
+				return strings.Replace(s, `"family": "unit",`, `"family": "unit", "tolerances": 3,`, 1)
+			},
 			wantMsg: "unknown field",
 		},
 		{
@@ -109,8 +111,10 @@ func TestReadCorpusRejectsMalformedDocuments(t *testing.T) {
 			wantMsg: "bitexact over workers",
 		},
 		{
-			name:    "unknown invariant type",
-			mutate:  func(s string) string { return strings.Replace(s, `"type": "cost_order"`, `"type": "cost_orderings"`, 1) },
+			name: "unknown invariant type",
+			mutate: func(s string) string {
+				return strings.Replace(s, `"type": "cost_order"`, `"type": "cost_orderings"`, 1)
+			},
 			wantMsg: "unknown invariant type",
 		},
 		{

@@ -81,8 +81,8 @@ type Check struct {
 
 // FileReport is one corpus family's outcome.
 type FileReport struct {
-	Family string `json:"family"`
-	Cases  int    `json:"cases"`
+	Family string  `json:"family"`
+	Cases  int     `json:"cases"`
 	Checks []Check `json:"checks"`
 	// Divergent lists invariant IDs whose verdicts differ between
 	// solvers — a conformance failure in itself: the sparse path must

@@ -96,8 +96,8 @@ type Model struct {
 	w   Weights
 	// at[(j*m+k)*m+i] = T_{jk,i} − Φ_i·T_jk, the per-PoI coverage
 	// discrepancy coefficients. The layout is transition-major with the
-	// PoI index i contiguous, so the O(M³) coverage loops in evaluateInto
-	// and gradientRows stream the innermost dimension instead of striding
+	// PoI index i contiguous, so the O(M³) coverage loops in foldG and
+	// gradientRows stream the innermost dimension instead of striding
 	// by M². Built lazily on first dense-path use (see atTable): the
 	// sparse path never touches it, which at city scale (M = 512 the
 	// table is M³ doubles ≈ 1 GiB) is most of that path's memory win.
@@ -110,7 +110,10 @@ type Model struct {
 	// nonzero cover time live in covIdx/covVal[covPtr[j*m+k]:covPtr[j*m+k+1]].
 	// Geometric topologies cover only the PoIs near the j→k path, so these
 	// lists hold a small multiple of M² entries where the at table holds
-	// M³. Built lazily on first sparse-path gradient (see coverLists).
+	// M³. Built lazily on the first evaluation (see coverLists): every
+	// evaluation builds its CoverTime numerator from them, on both solver
+	// paths, and the sparse-path gradient folds its coverage partials
+	// over them.
 	covPtr  []int
 	covIdx  []int32
 	covVal  []float64
@@ -297,59 +300,43 @@ func (m *Model) evaluateInto(ev *Evaluation, coverNum []float64, sol *markov.Sol
 	p := sol.P
 
 	// Coverage: G_i = Σ_{j,k} π_j p_jk a^{(i)}_{jk}; C̄_i from Eq. 2.
-	// The dense path streams the i-contiguous rows of the coverage tables
-	// (same per-(j,k) visit order and per-slot fold as the historic
-	// accessor-based loop, so the sums carry identical bits). The sparse
-	// path (solutions from a sparse solve) never touches the M³ at table:
-	// it uses the identity G_i = coverNum_i − Φ_i·Σ π_j p_jk T_jk, which
-	// is the same sum reassociated — exact in exact arithmetic, within
-	// markov.SparseTol in floating point.
-	// The mode test is hoisted out of the O(M²) transition sweep into two
-	// separate loop nests: a per-(j,k) branch on an invariant defeats the
-	// inner-loop unrolling the dense path relies on. Both nests keep the
-	// historic per-(j,k) visit order and per-slot fold, so the sums carry
-	// identical bits to the fused loop they replace.
+	// One sweep over the transitions in ascending (j, k) builds TotalTime
+	// and the CoverTime numerator on both paths, the latter from the
+	// sparse cover lists: a PoI a transition does not cover would add
+	// w·(+0) to a sum that only ever holds non-negative values, so
+	// skipping it changes no bits (DESIGN §8.2). The dense path then folds
+	// G from the at table (foldG); the sparse path uses the identity
+	// G_i = coverNum_i − Φ_i·TotalTime instead, the same sum reassociated
+	// — exact in exact arithmetic, within markov.SparseTol in floating
+	// point — and never touches the M³ table.
+	covPtr, covIdx, covVal := m.coverLists()
 	var totalTime float64 // Σ π_j p_jk T_jk
 	pd := p.Data()
-	if sol.Method() == markov.MethodSparse {
-		// Sparse mode: never touch the M³ at table.
-		for j := 0; j < n; j++ {
-			pij := sol.Pi[j]
-			prow := pd[j*n : (j+1)*n]
-			for k := 0; k < n; k++ {
-				w := pij * prow[k]
-				if w == 0 {
-					continue
-				}
-				totalTime += w * m.travel[j*n+k]
-				crow := m.top.CoverRow(j, k)
-				for i := 0; i < n; i++ {
-					coverNum[i] += w * crow[i]
-				}
+	for j := 0; j < n; j++ {
+		pij := sol.Pi[j]
+		prow := pd[j*n : (j+1)*n]
+		for k := 0; k < n; k++ {
+			w := pij * prow[k]
+			if w == 0 {
+				continue
+			}
+			slot := j*n + k
+			totalTime += w * m.travel[slot]
+			lo, hi := covPtr[slot], covPtr[slot+1]
+			idx := covIdx[lo:hi]
+			vals := covVal[lo:hi]
+			vals = vals[:len(idx)]
+			for t, i := range idx {
+				coverNum[i] += w * vals[t]
 			}
 		}
+	}
+	if sol.Method() == markov.MethodSparse {
 		for i := 0; i < n; i++ {
 			g[i] = coverNum[i] - m.top.TargetAt(i)*totalTime
 		}
 	} else {
-		at := m.atTable()
-		for j := 0; j < n; j++ {
-			pij := sol.Pi[j]
-			prow := pd[j*n : (j+1)*n]
-			for k := 0; k < n; k++ {
-				w := pij * prow[k]
-				if w == 0 {
-					continue
-				}
-				totalTime += w * m.travel[j*n+k]
-				crow := m.top.CoverRow(j, k)
-				arow := at[(j*n+k)*n : (j*n+k+1)*n]
-				for i := 0; i < n; i++ {
-					coverNum[i] += w * crow[i]
-					g[i] += w * arow[i]
-				}
-			}
-		}
+		m.foldG(g, sol.Pi, pd)
 	}
 	ev.TotalTime = totalTime
 	for i := 0; i < n; i++ {
@@ -389,12 +376,10 @@ func (m *Model) evaluateInto(ev *Evaluation, coverNum []float64, sol *markov.Sol
 	}
 
 	// §VII extensions.
+	ev.Energy = m.energy(sol)
 	if m.w.EnergyWeight > 0 {
-		ev.Energy = m.energy(sol)
 		d := ev.Energy - m.w.EnergyTarget
 		ev.EnergyTerm = 0.5 * m.w.EnergyWeight * d * d
-	} else {
-		ev.Energy = m.energy(sol)
 	}
 	ev.Entropy = sol.EntropyRate()
 	if m.w.EntropyWeight > 0 {
@@ -406,16 +391,63 @@ func (m *Model) evaluateInto(ev *Evaluation, coverNum []float64, sol *markov.Sol
 	return nil
 }
 
+// foldG accumulates the dense-path discrepancies G_i = Σ_{j,k} w_jk·a_{jk,i}
+// (w_jk = π_j p_jk) into g, which must hold +0s. The nonzero-weight
+// transitions are taken in ascending (j, k), four per pass over g:
+// g[i] + w0*a0[i] + w1*a1[i] + w2*a2[i] + w3*a3[i] evaluates left to right,
+// so every g[i] sees exactly the rounding sequence of one
+// g[i] += w*a[i] per transition, while the pass streams one row of the
+// at table per transition and writes g a quarter as often.
+func (m *Model) foldG(g, pi, pd []float64) {
+	n := len(g)
+	at := m.atTable()
+	var rows [4][]float64
+	var ws [4]float64
+	nb := 0
+	for j := 0; j < n; j++ {
+		pij := pi[j]
+		prow := pd[j*n : (j+1)*n]
+		for k := 0; k < n; k++ {
+			w := pij * prow[k]
+			if w == 0 {
+				continue
+			}
+			slot := j*n + k
+			rows[nb], ws[nb] = at[slot*n:slot*n+n], w
+			nb++
+			if nb < 4 {
+				continue
+			}
+			nb = 0
+			a0, a1, a2, a3 := rows[0][:n], rows[1][:n], rows[2][:n], rows[3][:n]
+			w0, w1, w2, w3 := ws[0], ws[1], ws[2], ws[3]
+			for i := range g {
+				g[i] = g[i] + w0*a0[i] + w1*a1[i] + w2*a2[i] + w3*a3[i]
+			}
+		}
+	}
+	for b := 0; b < nb; b++ {
+		a, w := rows[b][:n], ws[b]
+		for i := range g {
+			g[i] += w * a[i]
+		}
+	}
+}
+
 // energy returns D = Σ_i π_i Σ_{j≠i} p_ij d_ij.
 func (m *Model) energy(sol *markov.Solution) float64 {
 	n := m.top.M()
+	pd := sol.P.Data()
 	var d float64
 	for i := 0; i < n; i++ {
+		pii := sol.Pi[i]
+		prow := pd[i*n : (i+1)*n]
+		drow := m.top.DistanceRow(i)
 		for j := 0; j < n; j++ {
 			if j == i {
 				continue
 			}
-			d += sol.Pi[i] * sol.P.At(i, j) * m.top.Distance(i, j)
+			d += pii * prow[j] * drow[j]
 		}
 	}
 	return d

@@ -144,7 +144,8 @@ func TestMulToRowsBadSpan(t *testing.T) {
 }
 
 // referenceSolveTo is the per-column substitution path (the small-order
-// code), used as the bit oracle for the batched solver.
+// code, with forward substitution from row 0), used as the bit oracle for
+// the batched solver.
 func referenceSolveTo(f *LU, dst, b *Matrix) {
 	n := f.lu.rows
 	col := make([]float64, n)
@@ -152,7 +153,7 @@ func referenceSolveTo(f *LU, dst, b *Matrix) {
 		for i := 0; i < n; i++ {
 			col[i] = b.data[f.pivot[i]*b.cols+j]
 		}
-		f.substitute(col)
+		referenceSubstitute(f, col)
 		for i := 0; i < n; i++ {
 			dst.data[i*b.cols+j] = col[i]
 		}

@@ -122,23 +122,33 @@ func (f *LU) Refactor(a *Matrix) error {
 			return fmt.Errorf("%w: pivot %g at column %d below %g of row magnitude %g",
 				ErrSingular, maxAbs, k, MinPivotRatio, f.scale[p])
 		}
+		rowk := d[k*n : (k+1)*n]
 		if p != k {
-			for j := 0; j < n; j++ {
-				d[p*n+j], d[k*n+j] = d[k*n+j], d[p*n+j]
+			rowp := d[p*n : (p+1)*n]
+			rowp = rowp[:len(rowk)]
+			for j, v := range rowk {
+				rowk[j], rowp[j] = rowp[j], v
 			}
 			f.pivot[p], f.pivot[k] = f.pivot[k], f.pivot[p]
 			f.sign = -f.sign
 			f.scale[p], f.scale[k] = f.scale[k], f.scale[p]
 		}
-		inv := 1 / d[k*n+k]
+		// Eliminate below the pivot over row subslices: the same
+		// d[i][j] -= l*d[k][j] sequence as the indexed loop, without the
+		// per-element index arithmetic.
+		inv := 1 / rowk[k]
+		tail := rowk[k+1:]
 		for i := k + 1; i < n; i++ {
-			l := d[i*n+k] * inv
-			d[i*n+k] = l
+			rowi := d[i*n+k : (i+1)*n]
+			l := rowi[0] * inv
+			rowi[0] = l
 			if l == 0 {
 				continue
 			}
-			for j := k + 1; j < n; j++ {
-				d[i*n+j] -= l * d[k*n+j]
+			ri := rowi[1:]
+			ri = ri[:len(tail)]
+			for j, v := range tail {
+				ri[j] -= l * v
 			}
 		}
 	}
@@ -165,18 +175,20 @@ func (f *LU) SolveVecTo(x, b []float64) error {
 	for i := 0; i < n; i++ {
 		x[i] = b[f.pivot[i]]
 	}
-	f.substitute(x)
+	f.substitute(x, 0)
 	return nil
 }
 
 // substitute runs forward substitution with unit-diagonal L and back
-// substitution with U, in place on an already-permuted right-hand side.
-func (f *LU) substitute(x []float64) {
+// substitution with U, in place on an already-permuted right-hand side
+// that is +0 in rows [0, first). Forward substitution starts at row
+// first, which skips only bitwise no-ops (see substituteBatch).
+func (f *LU) substitute(x []float64, first int) {
 	n := f.lu.rows
 	d := f.lu.data
-	for i := 1; i < n; i++ {
+	for i := first + 1; i < n; i++ {
 		s := x[i]
-		for j := 0; j < i; j++ {
+		for j := first; j < i; j++ {
 			s -= d[i*n+j] * x[j]
 		}
 		x[i] = s
@@ -217,7 +229,7 @@ func (f *LU) SolveTo(dst, b *Matrix) error {
 				brow := b.data[f.pivot[i]*b.cols+j0:]
 				copy(x[i*nb:(i+1)*nb], brow[:nb])
 			}
-			f.substituteBatch(x, nb)
+			f.substituteBatch(x, nb, 0)
 			for i := 0; i < n; i++ {
 				copy(dst.data[i*b.cols+j0:i*b.cols+j0+nb], x[i*nb:(i+1)*nb])
 			}
@@ -228,7 +240,7 @@ func (f *LU) SolveTo(dst, b *Matrix) error {
 		for i := 0; i < n; i++ {
 			f.col[i] = b.data[f.pivot[i]*b.cols+j]
 		}
-		f.substitute(f.col)
+		f.substitute(f.col, 0)
 		for i := 0; i < n; i++ {
 			dst.data[i*b.cols+j] = f.col[i]
 		}
@@ -248,17 +260,20 @@ func (f *LU) batchScratch(nb int) []float64 {
 }
 
 // substituteBatch runs forward/back substitution on nb packed columns at
-// once; x[i*nb+c] holds row i of column c. Each column undergoes exactly
-// the per-column op sequence of substitute — no zero-skips are added and
-// the diagonal divide stays a divide — so the blocked path is bit-for-bit
-// identical to the per-column one and exists purely to stream the
+// once; x[i*nb+c] holds row i of column c, and every column must be +0 in
+// rows [0, first). Forward substitution starts at row first. Each term it
+// skips is l·(+0), subtracted from an entry that still holds its initial
+// +0 or 1, so skipping it is a bitwise no-op (DESIGN §8.2). Past that,
+// each column undergoes exactly the per-column op sequence of substitute
+// — the diagonal divide stays a divide — so the blocked path is
+// bit-for-bit identical to the per-column one; it exists to stream the
 // factored matrix once per batch.
-func (f *LU) substituteBatch(x []float64, nb int) {
+func (f *LU) substituteBatch(x []float64, nb, first int) {
 	n := f.lu.rows
 	d := f.lu.data
-	for i := 1; i < n; i++ {
+	for i := first + 1; i < n; i++ {
 		xi := x[i*nb : (i+1)*nb]
-		for j := 0; j < i; j++ {
+		for j := first; j < i; j++ {
 			l := d[i*n+j]
 			xj := x[j*nb : (j+1)*nb]
 			for c := range xi {
@@ -284,7 +299,10 @@ func (f *LU) substituteBatch(x []float64, nb int) {
 
 // InverseTo writes A^{-1} into the caller-owned n-by-n dst without
 // allocating: it solves A X = I column by column against implicit unit
-// vectors.
+// vectors. Each column's forward substitution starts at the row its unit
+// entry lands in (at and above luBatchCutover, each batch of columns at
+// the first such row): the rows above it stay exactly +0, so the skipped
+// work changes no bits (see substituteBatch).
 func (f *LU) InverseTo(dst *Matrix) error {
 	n := f.lu.rows
 	if dst.rows != n || dst.cols != n {
@@ -294,6 +312,7 @@ func (f *LU) InverseTo(dst *Matrix) error {
 		for j0 := 0; j0 < n; j0 += luBatchCols {
 			nb := min(luBatchCols, n-j0)
 			x := f.batchScratch(nb)
+			first := n
 			for i := 0; i < n; i++ {
 				xi := x[i*nb : (i+1)*nb]
 				for c := range xi {
@@ -301,9 +320,10 @@ func (f *LU) InverseTo(dst *Matrix) error {
 				}
 				if p := f.pivot[i]; p >= j0 && p < j0+nb {
 					xi[p-j0] = 1
+					first = min(first, i)
 				}
 			}
-			f.substituteBatch(x, nb)
+			f.substituteBatch(x, nb, first)
 			for i := 0; i < n; i++ {
 				copy(dst.data[i*n+j0:i*n+j0+nb], x[i*nb:(i+1)*nb])
 			}
@@ -311,14 +331,16 @@ func (f *LU) InverseTo(dst *Matrix) error {
 		return nil
 	}
 	for j := 0; j < n; j++ {
+		first := 0
 		for i := 0; i < n; i++ {
 			if f.pivot[i] == j {
 				f.col[i] = 1
+				first = i
 			} else {
 				f.col[i] = 0
 			}
 		}
-		f.substitute(f.col)
+		f.substitute(f.col, first)
 		for i := 0; i < n; i++ {
 			dst.data[i*n+j] = f.col[i]
 		}

@@ -65,8 +65,8 @@ type family struct {
 
 // Registry holds metric families in registration order.
 type Registry struct {
-	mu   sync.Mutex
-	fams []*family
+	mu     sync.Mutex
+	fams   []*family
 	byName map[string]*family
 }
 
