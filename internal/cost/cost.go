@@ -8,13 +8,17 @@
 //   - the coverage-time deviation term ½ Σ_i α_i G_i² with
 //     G_i = Σ_{j,k} π_j p_jk (T_{jk,i} − Φ_i T_jk),
 //   - the exposure-time term ½ Σ_i β_i Ē_i² with
-//     Ē_i = Σ_{j≠i} p_ij R_ji / (1 − p_ii) (Eq. 3),
+//     Ē_i = Σ_{j≠i} p_ij R_ji / (1 − p_ii) (Eq. 3), evaluated in the
+//     closed form (1 − π_i)/(π_i (1 − p_ii)) that Kac's return-time
+//     identity R_ii = 1/π_i = 1 + Σ_{j≠i} p_ij R_ji gives,
 //   - a log-barrier penalty keeping every p_ij inside (0, 1) (Eq. 9),
 //   - optional §VII extensions: an energy term ½ w_D (D − γ)² on the mean
 //     travel distance per transition, and an entropy reward −λH on the
 //     chain's entropy rate.
 //
-// All π-, Z- and R-dependent quantities come from package markov.
+// π, and for the gradient Z, come from package markov. The cost itself
+// needs only π, so an evaluation runs the chain solve's stationary stage
+// and leaves Z to the gradient.
 package cost
 
 import (
@@ -94,25 +98,16 @@ func (w *Weights) validate(m int) error {
 type Model struct {
 	top *topology.Topology
 	w   Weights
-	// at[(j*m+k)*m+i] = T_{jk,i} − Φ_i·T_jk, the per-PoI coverage
-	// discrepancy coefficients. The layout is transition-major with the
-	// PoI index i contiguous, so the O(M³) coverage loops in foldG and
-	// gradientRows stream the innermost dimension instead of striding
-	// by M². Built lazily on first dense-path use (see atTable): the
-	// sparse path never touches it, which at city scale (M = 512 the
-	// table is M³ doubles ≈ 1 GiB) is most of that path's memory win.
-	at     []float64
-	atOnce sync.Once
-	// travelRow[j*m+k] = T_jk for the denominator of C̄.
+	// travel[j*m+k] = T_jk for the denominator of C̄.
 	travel []float64
 
 	// Sparse coverage lists: for transition slot j*m+k, the PoIs with
 	// nonzero cover time live in covIdx/covVal[covPtr[j*m+k]:covPtr[j*m+k+1]].
 	// Geometric topologies cover only the PoIs near the j→k path, so these
-	// lists hold a small multiple of M² entries where the at table holds
-	// M³. Built lazily on the first evaluation (see coverLists): every
-	// evaluation builds its CoverTime numerator from them, on both solver
-	// paths, and the sparse-path gradient folds its coverage partials
+	// lists hold a small multiple of M² entries where a dense table of
+	// the coverage coefficients would hold M³. Built lazily on the first
+	// evaluation (see coverLists): every evaluation builds its CoverTime
+	// numerator from them, and every gradient folds its coverage partials
 	// over them.
 	covPtr  []int
 	covIdx  []int32
@@ -120,8 +115,8 @@ type Model struct {
 	covOnce sync.Once
 }
 
-// NewModel validates the weights and precomputes the coverage coefficient
-// tables for the topology.
+// NewModel validates the weights and precomputes the travel-time table
+// for the topology.
 func NewModel(top *topology.Topology, w Weights) (*Model, error) {
 	m := top.M()
 	if err := w.validate(m); err != nil {
@@ -146,28 +141,6 @@ func NewModel(top *topology.Topology, w Weights) (*Model, error) {
 		}
 	}
 	return mod, nil
-}
-
-// atTable returns the dense coverage-coefficient table, building it on
-// first use (safe under concurrent gradient workers). Each entry is
-// computed with the same expression the eager constructor used, so the
-// table holds the same doubles as always — the laziness cannot move any
-// bits on the dense path; it only lets the sparse path skip the build.
-func (m *Model) atTable() []float64 {
-	m.atOnce.Do(func() {
-		n := m.top.M()
-		at := make([]float64, n*n*n)
-		for i := 0; i < n; i++ {
-			phi := m.top.TargetAt(i)
-			for j := 0; j < n; j++ {
-				for k := 0; k < n; k++ {
-					at[(j*n+k)*n+i] = m.top.CoverTime(j, k, i) - phi*m.top.TravelTime(j, k)
-				}
-			}
-		}
-		m.at = at
-	})
-	return m.at
 }
 
 // coverLists returns the sparse per-transition cover lists, scanning the
@@ -250,7 +223,9 @@ type Evaluation struct {
 	// Entropy is the chain's entropy rate H (§VII).
 	Entropy float64
 
-	// Sol carries the chain solution (π, Z, R) the evaluation used.
+	// Sol carries the chain solution the evaluation used. The cost reads
+	// only its stationary stage (P and π); W, Z and R are nil until
+	// Sol.Fundamental forms them, which the gradient does.
 	Sol *markov.Solution
 }
 
@@ -294,21 +269,19 @@ func (m *Model) evaluateInto(ev *Evaluation, coverNum []float64, sol *markov.Sol
 		ct = make([]float64, n)
 	}
 	*ev = Evaluation{Sol: sol, G: g, CBar: cb, EBarI: eb, CoverTime: ct}
-	for i := 0; i < n; i++ {
-		g[i], cb[i], eb[i], coverNum[i] = 0, 0, 0, 0
+	for i := range coverNum {
+		coverNum[i] = 0
 	}
 	p := sol.P
 
-	// Coverage: G_i = Σ_{j,k} π_j p_jk a^{(i)}_{jk}; C̄_i from Eq. 2.
-	// One sweep over the transitions in ascending (j, k) builds TotalTime
-	// and the CoverTime numerator on both paths, the latter from the
-	// sparse cover lists: a PoI a transition does not cover would add
-	// w·(+0) to a sum that only ever holds non-negative values, so
-	// skipping it changes no bits (DESIGN §8.2). The dense path then folds
-	// G from the at table (foldG); the sparse path uses the identity
-	// G_i = coverNum_i − Φ_i·TotalTime instead, the same sum reassociated
-	// — exact in exact arithmetic, within markov.SparseTol in floating
-	// point — and never touches the M³ table.
+	// Coverage: G_i = Σ_{j,k} π_j p_jk (T_{jk,i} − Φ_i T_jk); C̄_i from
+	// Eq. 2. One sweep over the transitions in ascending (j, k) builds
+	// TotalTime and the CoverTime numerator, the latter from the sparse
+	// cover lists: a PoI a transition does not cover would add w·(+0) to
+	// a sum that only ever holds non-negative values, so skipping it
+	// changes no bits (DESIGN §8.2). G is then the same sum regrouped,
+	// G_i = CoverTime_i − Φ_i·TotalTime, so no M³ coefficient table is
+	// ever built.
 	covPtr, covIdx, covVal := m.coverLists()
 	var totalTime float64 // Σ π_j p_jk T_jk
 	pd := p.Data()
@@ -331,40 +304,28 @@ func (m *Model) evaluateInto(ev *Evaluation, coverNum []float64, sol *markov.Sol
 			}
 		}
 	}
-	if sol.Method() == markov.MethodSparse {
-		for i := 0; i < n; i++ {
-			g[i] = coverNum[i] - m.top.TargetAt(i)*totalTime
-		}
-	} else {
-		m.foldG(g, sol.Pi, pd)
-	}
 	ev.TotalTime = totalTime
 	for i := 0; i < n; i++ {
+		g[i] = coverNum[i] - m.top.TargetAt(i)*totalTime
 		ct[i] = coverNum[i]
 		ev.CBar[i] = coverNum[i] / totalTime
 		ev.CoverageTerm += 0.5 * m.w.Alpha[i] * ev.G[i] * ev.G[i]
 		ev.DeltaC += ev.G[i] * ev.G[i]
 	}
 
-	// Exposure: Ē_i = Σ_{j≠i} p_ij R_ji / (1 − p_ii) (Eq. 3).
+	// Exposure: Ē_i = Σ_{j≠i} p_ij R_ji / (1 − p_ii) (Eq. 3), which by
+	// Kac's identity R_ii = 1/π_i = 1 + Σ_{j≠i} p_ij R_ji is
+	// (1 − π_i)/(π_i (1 − p_ii)): no Z or R needed.
 	var sumE2 float64
-	rd := sol.R.Data()
 	for i := 0; i < n; i++ {
-		prow := pd[i*n : (i+1)*n]
-		denom := 1 - prow[i]
+		denom := 1 - pd[i*n+i]
 		if denom <= 0 {
 			// p_ii = 1 would make the chain reducible; Solve rejects that
 			// earlier, so this is purely defensive.
 			return fmt.Errorf("%w: p_%d%d = 1", markov.ErrNotErgodic, i, i)
 		}
-		var s float64
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			s += prow[j] * rd[j*n+i]
-		}
-		ev.EBarI[i] = s / denom
+		pi := sol.Pi[i]
+		ev.EBarI[i] = (1 - pi) / (pi * denom)
 		ev.ExposureTerm += 0.5 * m.w.Beta[i] * ev.EBarI[i] * ev.EBarI[i]
 		sumE2 += ev.EBarI[i] * ev.EBarI[i]
 	}
@@ -389,49 +350,6 @@ func (m *Model) evaluateInto(ev *Evaluation, coverNum []float64, sol *markov.Sol
 	ev.Objective = ev.CoverageTerm + ev.ExposureTerm + ev.EnergyTerm + ev.EntropyTerm
 	ev.U = ev.Objective + ev.Penalty
 	return nil
-}
-
-// foldG accumulates the dense-path discrepancies G_i = Σ_{j,k} w_jk·a_{jk,i}
-// (w_jk = π_j p_jk) into g, which must hold +0s. The nonzero-weight
-// transitions are taken in ascending (j, k), four per pass over g:
-// g[i] + w0*a0[i] + w1*a1[i] + w2*a2[i] + w3*a3[i] evaluates left to right,
-// so every g[i] sees exactly the rounding sequence of one
-// g[i] += w*a[i] per transition, while the pass streams one row of the
-// at table per transition and writes g a quarter as often.
-func (m *Model) foldG(g, pi, pd []float64) {
-	n := len(g)
-	at := m.atTable()
-	var rows [4][]float64
-	var ws [4]float64
-	nb := 0
-	for j := 0; j < n; j++ {
-		pij := pi[j]
-		prow := pd[j*n : (j+1)*n]
-		for k := 0; k < n; k++ {
-			w := pij * prow[k]
-			if w == 0 {
-				continue
-			}
-			slot := j*n + k
-			rows[nb], ws[nb] = at[slot*n:slot*n+n], w
-			nb++
-			if nb < 4 {
-				continue
-			}
-			nb = 0
-			a0, a1, a2, a3 := rows[0][:n], rows[1][:n], rows[2][:n], rows[3][:n]
-			w0, w1, w2, w3 := ws[0], ws[1], ws[2], ws[3]
-			for i := range g {
-				g[i] = g[i] + w0*a0[i] + w1*a1[i] + w2*a2[i] + w3*a3[i]
-			}
-		}
-	}
-	for b := 0; b < nb; b++ {
-		a, w := rows[b][:n], ws[b]
-		for i := range g {
-			g[i] += w * a[i]
-		}
-	}
 }
 
 // energy returns D = Σ_i π_i Σ_{j≠i} p_ij d_ij.

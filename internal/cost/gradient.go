@@ -17,9 +17,12 @@ import (
 //
 // The partials ∂U/∂π, ∂U/∂Z, ∂U/∂P treat π, Z and P as independent
 // variables; the chain rule through π(P) and Z(P) is supplied by
-// Schweitzer's perturbation formulas, which the tensor contractions above
-// encode. Callers typically project the result with Project before
-// stepping so the iterate stays row-stochastic.
+// Schweitzer's perturbation formulas, which the contractions above
+// encode. With the exposure written in the closed form
+// Ē_i = (1 − π_i)/(π_i (1 − p_ii)), no term of U reads Z, so ∂U/∂Z ≡ 0
+// and the assembly reduces to π_k (Z·∂U/∂π)_l + ∂U/∂p_kl (DESIGN §5).
+// Callers typically project the result with Project before stepping so
+// the iterate stays row-stochastic.
 //
 // Each call builds fresh results; hot loops should hold a Workspace and
 // call GradientIn, which reuses one set of buffers and is bit-for-bit
@@ -37,31 +40,21 @@ type gradTask struct {
 	ev *Evaluation
 }
 
-func (t *gradTask) Run(w, lo, hi int) {
-	t.m.gradientRows(t.ws, t.ev, w, lo, hi)
-}
-
-// mulTask row-partitions a matrix product across the pool. Dimensions are
-// validated once before dispatch, so Run can ignore the error return.
-type mulTask struct {
-	dst, a, b *mat.Matrix
-}
-
-func (t *mulTask) Run(w, lo, hi int) {
-	_ = mat.MulToRows(t.dst, t.a, t.b, lo, hi)
+func (t *gradTask) Run(_, lo, hi int) {
+	t.m.gradientRows(t.ws, t.ev, lo, hi)
 }
 
 // gradientInto assembles [D_P U] from a completed evaluation into the
 // workspace's gradient buffer. It performs no allocations on the success
 // path.
 //
-// The partial-derivative phases are row-partitioned: each worker owns rows
-// [lo, hi) of dUdP and dUdPi and (through the exposure term's structure)
-// columns [lo, hi) of dUdZ, so no two workers touch the same float64 slot
-// and every slot receives its additions in exactly the serial order. That
-// owner-computes split — rather than per-worker shards merged at the end —
-// is what keeps the parallel gradient bit-for-bit identical to the serial
-// one: merging shards would reassociate floating-point sums.
+// The partial-derivative phase is row-partitioned: each worker owns rows
+// [lo, hi) of dUdP and dUdPi, so no two workers touch the same float64
+// slot and every slot receives its additions in exactly the serial
+// order. That owner-computes split — rather than per-worker shards merged
+// at the end — is what keeps the parallel gradient bit-for-bit identical
+// to the serial one: merging shards would reassociate floating-point
+// sums.
 func (m *Model) gradientInto(ws *Workspace, ev *Evaluation) (*mat.Matrix, error) {
 	return m.gradientIntoWith(ws, ev, nil, 0, nil)
 }
@@ -70,62 +63,58 @@ func (m *Model) gradientInto(ws *Workspace, ev *Evaluation) (*mat.Matrix, error)
 // overrides. A nil coverCoef selects the standard coverage coefficients
 // c_i = α_i G_i (and coverPhi is ignored); a non-nil coverCoef supplies
 // c_i directly together with the travel-time coefficient coverPhi =
-// Σ_i c_i Φ̃_i for caller-chosen per-PoI targets Φ̃, and forces the
-// target-independent cover-list coverage form regardless of solver
-// backend. A nil beta selects the model's exposure weights; a non-nil
-// beta overrides them per PoI. The standard call (nil, 0, nil) is
-// bit-for-bit the historic gradient.
+// Σ_i c_i Φ̃_i for caller-chosen per-PoI targets Φ̃. A nil beta selects
+// the model's exposure weights; a non-nil beta overrides them per PoI.
 func (m *Model) gradientIntoWith(ws *Workspace, ev *Evaluation, coverCoef []float64, coverPhi float64, beta []float64) (*mat.Matrix, error) {
 	n := m.top.M()
 	sol := ev.Sol
+	if beta == nil {
+		beta = m.w.Beta
+	}
+	pd := sol.P.Data()
+	for i := 0; i < n; i++ {
+		if beta[i]*ev.EBarI[i] != 0 && 1-pd[i*n+i] <= 0 {
+			// Same guard as Evaluate: a (numerically) absorbing row has no
+			// finite exposure derivative, and dividing through would send
+			// NaN/Inf into the line search. Normally unreachable because
+			// Evaluate rejects such chains first, but the gradient must
+			// not trust that when handed a foreign Evaluation.
+			return nil, fmt.Errorf("%w: p_%d%d = 1", markov.ErrNotErgodic, i, i)
+		}
+	}
+	// The π chain rule and the exposure row constants read Z: form it
+	// once, before the fan-out.
+	if err := sol.Fundamental(); err != nil {
+		return nil, err
+	}
 
 	ws.ensureGradient()
-	width := ws.pool.Workers()
-	ws.ensureWorkerScratch(width)
-
 	dUdPi := ws.dUdPi
 	for i := range dUdPi {
 		dUdPi[i] = 0
 	}
-	ws.dUdZ.Zero()
 	ws.dUdP.Zero()
 
 	// Shared precompute: the coverage coefficients c_i = α_i G_i are read
 	// by every worker (each row j folds over all i), so they are built once
-	// up front rather than per worker.
+	// up front rather than per worker, with the travel-time coefficient
+	// cphi = Σ_i c_i Φ_i the cover-list fold subtracts.
 	carr := ws.carr
 	ws.anyCover = false
-	if coverCoef == nil {
-		for i := 0; i < n; i++ {
-			c := m.w.Alpha[i] * ev.G[i]
-			carr[i] = c
-			if c != 0 {
-				ws.anyCover = true
-			}
+	for i := 0; i < n; i++ {
+		c := m.w.Alpha[i] * ev.G[i]
+		if coverCoef != nil {
+			c = coverCoef[i]
 		}
-	} else {
-		for i := 0; i < n; i++ {
-			c := coverCoef[i]
-			carr[i] = c
-			if c != 0 {
-				ws.anyCover = true
-			}
+		carr[i] = c
+		if c != 0 {
+			ws.anyCover = true
 		}
-	}
-	if beta == nil {
-		beta = m.w.Beta
 	}
 	ws.beta = beta
-	// Sparse solutions flip the coverage partials to the cover-list form
-	// and the Eq. 10 contractions to factor solves. A caller-supplied
-	// coverCoef always uses the cover-list form: the lists are
-	// target-independent, which is what lets the override carry its own
-	// Φ̃ through coverPhi.
-	sparseMode := sol.Method() == markov.MethodSparse
-	ws.sparseCover = sparseMode || coverCoef != nil
-	if ws.sparseCover && ws.anyCover {
+	if ws.anyCover {
 		if coverCoef == nil {
-			var cphi float64 // Σ_i c_i Φ_i, the travel-time coefficient
+			var cphi float64
 			for i := 0; i < n; i++ {
 				cphi += carr[i] * m.top.TargetAt(i)
 			}
@@ -135,135 +124,43 @@ func (m *Model) gradientIntoWith(ws *Workspace, ev *Evaluation, coverCoef []floa
 		}
 		m.coverLists() // build outside the worker fan-out
 	}
-	for w := 0; w < width; w++ {
-		ws.errIdx[w] = -1
-	}
 
 	ws.gtask.m = m
 	ws.gtask.ws = ws
 	ws.gtask.ev = ev
-	if width == 1 {
+	if ws.pool.Workers() == 1 {
 		ws.gtask.Run(0, 0, n)
 	} else {
 		ws.pool.Run(n, &ws.gtask)
 	}
 
-	// An absorbing row aborts a worker mid-span. The smallest recorded
-	// index is the first row the serial loop would have rejected, so the
-	// error is identical either way.
-	errAt := -1
-	for w := 0; w < width; w++ {
-		if i := ws.errIdx[w]; i >= 0 && (errAt < 0 || i < errAt) {
-			errAt = i
-		}
-	}
-	if errAt >= 0 {
-		// Same guard as Evaluate: a (numerically) absorbing row has no
-		// finite exposure derivative, and dividing through would send
-		// NaN/Inf into the line search. Normally unreachable because
-		// Evaluate rejects such chains first, but gradientInto must not
-		// trust that when handed a foreign Evaluation.
-		return nil, fmt.Errorf("%w: p_%d%d = 1", markov.ErrNotErgodic, errAt, errAt)
-	}
-
-	// --- Assemble Eq. 10 contractions. ---
-	// term1_kl = π_k (Z·dUdPi)_l.
+	// Eq. 10 with ∂U/∂Z ≡ 0: [D_P U]_kl = π_k (Z·dUdPi)_l + dUdP_kl.
 	if err := mat.MulVecTo(ws.q, sol.Z, dUdPi); err != nil {
 		return nil, err
 	}
-	// term2a = Zᵀ · dUdZ · Zᵀ. On the dense path the two O(M³) products
-	// dominate the assembly cost and row-partition cleanly (row i of a
-	// product depends only on row i of its left factor), so they run on
-	// the pool. On the sparse path the left product is cheap anyway —
-	// dUdZ only has entries on the exposure support, and MulTo skips zero
-	// left-factor entries — and the right product is replaced by one
-	// blocked M-rhs transpose solve against the sparse factorization
-	// (Zᵀ = A⁻ᵀ), which costs factor fill per column instead of M² and
-	// streams the factor once. The multi-RHS block layout (rhs r in
-	// column r) coincides with the matrices' own row-major layout, so
-	// tmp solves straight into term2a with no gather/scatter.
-	if err := mat.TransposeTo(ws.zt, sol.Z); err != nil {
-		return nil, err
-	}
-	if err := ws.mulRows(ws.tmp, ws.dUdZ, ws.zt, width); err != nil {
-		return nil, err
-	}
-	if sf := sol.Sparse(); sparseMode && sf != nil {
-		if err := sf.SolveTransposeMulti(ws.term2a.Data(), ws.tmp.Data(), n); err != nil {
-			return nil, err
-		}
-	} else if err := ws.mulRows(ws.term2a, ws.zt, ws.tmp, width); err != nil {
-		return nil, err
-	}
-	// term2b_kl = π_k (Z²·colsums(dUdZ))_l.
-	colsum := ws.colsum
-	for j := range colsum {
-		colsum[j] = 0
-	}
-	dzd := ws.dUdZ.Data()
-	for i := 0; i < n; i++ {
-		row := dzd[i*n : (i+1)*n]
-		for j, v := range row {
-			colsum[j] += v
-		}
-	}
-	if sparseMode {
-		// Fold the vector through Z twice instead of forming Z².
-		if err := mat.MulVecTo(ws.r2, sol.Z, colsum); err != nil {
-			return nil, err
-		}
-		if err := mat.MulVecTo(ws.r, sol.Z, ws.r2); err != nil {
-			return nil, err
-		}
-	} else if err := mat.MulVecTo(ws.r, sol.Z2(), colsum); err != nil {
-		return nil, err
-	}
-
 	gd := ws.grad.Data()
-	t2d := ws.term2a.Data()
 	dpd := ws.dUdP.Data()
-	q, r := ws.q, ws.r
+	q := ws.q
 	for k := 0; k < n; k++ {
 		pik := sol.Pi[k]
 		grow := gd[k*n : (k+1)*n]
-		t2row := t2d[k*n : (k+1)*n]
 		dprow := dpd[k*n : (k+1)*n]
 		for l := range grow {
-			grow[l] = pik*(q[l]-r[l]) + t2row[l] + dprow[l]
+			grow[l] = pik*q[l] + dprow[l]
 		}
 	}
 	return ws.grad, nil
 }
 
-// mulRows runs dst = a·b, on the pool when it is wide enough to pay off.
-func (ws *Workspace) mulRows(dst, a, b *mat.Matrix, width int) error {
-	if width <= 1 {
-		return mat.MulTo(dst, a, b)
-	}
-	// Validate dimensions once with an empty span so the per-span calls
-	// inside the workers cannot fail.
-	if err := mat.MulToRows(dst, a, b, 0, 0); err != nil {
-		return err
-	}
-	ws.mtask.dst, ws.mtask.a, ws.mtask.b = dst, a, b
-	ws.pool.Run(a.Rows(), &ws.mtask)
-	return nil
-}
-
 // gradientRows accumulates every partial-derivative term owned by rows
-// [lo, hi): rows of dUdP and dUdPi, plus columns [lo, hi) of dUdZ (the
-// exposure term writes column i while processing row i). w names the
-// worker's scratch slot.
+// [lo, hi): rows of dUdP and entries of dUdPi.
 //
-// Bit-for-bit discipline: each dUdP/dUdPi/dUdZ slot must see exactly the
-// additions of the serial i-outer loops, in the same order, with the same
-// expression shapes. The coverage term is the delicate one — the serial
-// loop is i-outer (over objectives) with rows inside, while this pass is
-// row-outer — but per slot the accumulation still folds over ascending i,
-// so the reordering changes which slots are interleaved, never the order
-// within a slot. The zero-coefficient skip (c_i = 0) is preserved exactly:
-// adding 0.0 is not a bitwise no-op (−0.0 + 0.0 = +0.0).
-func (m *Model) gradientRows(ws *Workspace, ev *Evaluation, w, lo, hi int) {
+// Bit-for-bit discipline: each dUdP/dUdPi slot must see exactly the
+// additions of the serial loops, in the same order, with the same
+// expression shapes, whatever the span. The zero-coefficient skip
+// (e_i = 0) is preserved exactly: adding 0.0 is not a bitwise no-op
+// (−0.0 + 0.0 = +0.0).
+func (m *Model) gradientRows(ws *Workspace, ev *Evaluation, lo, hi int) {
 	n := m.top.M()
 	sol := ev.Sol
 	pd := sol.P.Data()
@@ -272,12 +169,10 @@ func (m *Model) gradientRows(ws *Workspace, ev *Evaluation, w, lo, hi int) {
 	carr := ws.carr
 
 	// --- Coverage term: ½ Σ_i α_i G_i². ---
-	switch {
-	case ws.anyCover && ws.sparseCover:
-		// Sparse form: S_jk = Σ_i c_i T_{jk,i} − (Σ_i c_i Φ_i)·T_jk, so
-		// dUdP_jk = π_j S_jk and the dUdPi fold is Σ_k p_jk S_jk. The
-		// per-(j,k) dot runs over the nonzero cover list instead of all M
-		// PoIs, and the M³ at table is never touched.
+	// With S_jk = Σ_i c_i T_{jk,i} − (Σ_i c_i Φ_i)·T_jk, dUdP_jk = π_j S_jk
+	// and the dUdPi fold is Σ_k p_jk S_jk. The per-(j,k) dot runs over
+	// the nonzero cover list instead of all M PoIs.
+	if ws.anyCover {
 		covPtr, covIdx, covVal := m.covPtr, m.covIdx, m.covVal
 		cphi := ws.cphi
 		for j := lo; j < hi; j++ {
@@ -299,47 +194,14 @@ func (m *Model) gradientRows(ws *Workspace, ev *Evaluation, w, lo, hi int) {
 			}
 			dUdPi[j] = acc
 		}
-	case ws.anyCover:
-		at := m.atTable()
-		rowAcc := ws.rowAcc[w]
-		cpj := ws.cpj[w]
-		for j := lo; j < hi; j++ {
-			pij := sol.Pi[j]
-			prow := pd[j*n : (j+1)*n]
-			dprow := dpd[j*n : (j+1)*n]
-			for i := 0; i < n; i++ {
-				rowAcc[i] = 0
-				cpj[i] = carr[i] * pij // (c·π_j), the serial c*sol.Pi[j]
-			}
-			for k := 0; k < n; k++ {
-				pjk := prow[k]
-				arow := at[(j*n+k)*n : (j*n+k+1)*n]
-				var s float64 // the dUdP_jk fold over ascending i
-				for i := 0; i < n; i++ {
-					if carr[i] == 0 {
-						continue
-					}
-					a := arow[i]
-					s += cpj[i] * a
-					rowAcc[i] += pjk * a // rowDot_i folds over ascending k
-				}
-				dprow[k] = s
-			}
-			var acc float64
-			for i := 0; i < n; i++ {
-				if carr[i] == 0 {
-					continue
-				}
-				acc += carr[i] * rowAcc[i]
-			}
-			dUdPi[j] = acc
-		}
 	}
 
-	// --- Exposure term: ½ Σ_i β_i Ē_i². ---
-	// Row i contributes to row i of dUdP, entry i of dUdPi, and column i of
-	// dUdZ — all owned by this span, so no other worker races these writes.
-	dzd := ws.dUdZ.Data()
+	// --- Exposure term: ½ Σ_i β_i Ē_i², Ē_i = (1 − π_i)/(π_i (1 − p_ii)). ---
+	// With e_i = β_i Ē_i, ∂U/∂π_i = −e_i/(π_i² (1 − p_ii)) and
+	// ∂U/∂p_ii = e_i Ē_i/(1 − p_ii). Row i also gains the constant
+	// e_i z_ii/(π_i (1 − p_ii)) in every entry: projection removes it,
+	// but it keeps the raw gradient — whose max-norm scales V4's noise —
+	// equal to the R-based form of Eq. 3 (DESIGN §5).
 	zd := sol.Z.Data()
 	beta := ws.beta
 	for i := lo; i < hi; i++ {
@@ -349,23 +211,13 @@ func (m *Model) gradientRows(ws *Workspace, ev *Evaluation, w, lo, hi int) {
 		}
 		prow := pd[i*n : (i+1)*n]
 		denom := 1 - prow[i]
-		if denom <= 0 {
-			ws.errIdx[w] = i
-			return
-		}
-		pii := sol.Pi[i]
-		dUdPi[i] -= e * ev.EBarI[i] / pii
-		dzd[i*n+i] += e / pii
-		zii := zd[i*n+i]
-		pidenom := pii * denom
+		pi := sol.Pi[i]
+		pidenom := pi * denom
+		dUdPi[i] -= e / (pi * pidenom)
 		dprow := dpd[i*n : (i+1)*n]
-		ne := -e
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			dzd[j*n+i] += ne * prow[j] / pidenom
-			dprow[j] += e * (zii - zd[j*n+i]) / pidenom
+		c := e * zd[i*n+i] / pidenom
+		for j := range dprow {
+			dprow[j] += c
 		}
 		dprow[i] += e * ev.EBarI[i] / denom
 	}

@@ -7,11 +7,11 @@ import (
 )
 
 // Workspace owns every buffer one evaluation/gradient pass needs: the
-// Markov solver's π/Z/R storage (and Z², formed only for gradients), the Evaluation result slices, and the
-// scratch matrices of the Eq. 10 contractions. With a Workspace, a model's
-// EvaluateIn and GradientIn perform zero allocations in steady state —
-// the property the descent hot loop (dozens of evaluations per line
-// search) depends on.
+// Markov solver's π/Z/R storage, the Evaluation result slices, and the
+// scratch of the Eq. 10 assembly. With a Workspace, a model's EvaluateIn
+// and GradientIn perform zero allocations in steady state — the property
+// the descent hot loop (dozens of evaluations per line search) depends
+// on.
 //
 // A Workspace is not safe for concurrent use: the Evaluation and gradient
 // returned by EvaluateIn/GradientIn alias its buffers and are overwritten
@@ -24,40 +24,26 @@ type Workspace struct {
 	ev       Evaluation
 	coverNum []float64
 
-	// pool, when set, row-partitions the gradient phases and the Eq. 10
-	// matrix products across its workers. Results are bit-for-bit
-	// identical with any pool width, including none.
+	// pool, when set, row-partitions the gradient's partial-derivative
+	// phase across its workers. Results are bit-for-bit identical with
+	// any pool width, including none.
 	pool *par.Pool
 
 	// Gradient scratch, allocated on first GradientIn so evaluate-only
 	// workspaces stay small.
-	dUdPi  []float64
-	colsum []float64
-	q      []float64
-	r      []float64
-	r2     []float64 // Z·colsum staging for the sparse path's Z·(Z·colsum)
-	carr   []float64 // coverage coefficients c_i = α_i G_i
-	// Sparse-path coverage state for the current gradient pass.
-	sparseCover bool
-	cphi        float64 // Σ_i c_i Φ_i
+	dUdPi []float64
+	q     []float64 // Z·dUdPi
+	carr  []float64 // coverage coefficients c_i = α_i G_i
+	// Coverage state for the current gradient pass.
+	anyCover bool
+	cphi     float64 // Σ_i c_i Φ_i
 	// beta is the exposure-weight vector the current gradient pass reads:
 	// the model's own β on the standard path, a caller override on the
 	// weighted path (the fleet layer masks β to the argmin sensor).
-	beta   []float64
-	dUdZ   *mat.Matrix
-	dUdP   *mat.Matrix
-	zt     *mat.Matrix
-	tmp    *mat.Matrix
-	term2a *mat.Matrix
-	grad   *mat.Matrix
-
-	// Per-worker gradient scratch, sized to the pool width on first use.
-	anyCover bool
-	errIdx   []int
-	rowAcc   [][]float64
-	cpj      [][]float64
-	gtask    gradTask
-	mtask    mulTask
+	beta  []float64
+	dUdP  *mat.Matrix
+	grad  *mat.Matrix
+	gtask gradTask
 }
 
 // NewWorkspace returns a Workspace sized for the model's topology.
@@ -102,40 +88,20 @@ func (ws *Workspace) ensureGradient() {
 	}
 	n := ws.n
 	ws.dUdPi = make([]float64, n)
-	ws.colsum = make([]float64, n)
 	ws.q = make([]float64, n)
-	ws.r = make([]float64, n)
-	ws.r2 = make([]float64, n)
 	ws.carr = make([]float64, n)
-	ws.dUdZ = mat.New(n, n)
 	ws.dUdP = mat.New(n, n)
-	ws.zt = mat.New(n, n)
-	ws.tmp = mat.New(n, n)
-	ws.term2a = mat.New(n, n)
 	ws.grad = mat.New(n, n)
 }
 
-// ensureWorkerScratch sizes the per-worker slots for the given pool
-// width. Widths only ever grow, so steady-state calls allocate nothing.
-func (ws *Workspace) ensureWorkerScratch(width int) {
-	if len(ws.errIdx) >= width {
-		return
-	}
-	ws.errIdx = make([]int, width)
-	ws.rowAcc = make([][]float64, width)
-	ws.cpj = make([][]float64, width)
-	for w := 0; w < width; w++ {
-		ws.rowAcc[w] = make([]float64, ws.n)
-		ws.cpj[w] = make([]float64, ws.n)
-	}
-}
-
 // EvaluateIn computes the full cost breakdown at p using the workspace's
-// buffers. The returned Evaluation (including its Sol) aliases the
-// workspace and is valid until the workspace's next use; Clone it to keep
-// it longer. Results are bit-for-bit identical to Evaluate.
+// buffers. It runs only the chain solve's stationary stage: the
+// returned Sol holds P and π, and forms Z on a Fundamental call. The
+// returned Evaluation (including its Sol) aliases the workspace and is
+// valid until the workspace's next use; Clone it to keep it longer.
+// Results are bit-for-bit identical to Evaluate.
 func (m *Model) EvaluateIn(ws *Workspace, p *mat.Matrix) (*Evaluation, error) {
-	sol, err := ws.solver.Solve(p)
+	sol, err := ws.solver.SolveStationary(p)
 	if err != nil {
 		return nil, err
 	}
@@ -164,12 +130,13 @@ func (m *Model) GradientIn(ws *Workspace, p *mat.Matrix) (*Evaluation, *mat.Matr
 // GradientSolvedIn assembles the Eq. 10 gradient from an evaluation the
 // workspace already holds: ev must be the value returned by this
 // workspace's most recent EvaluateIn (or GradientIn), with no workspace
-// use in between. It skips the O(M³) Markov re-solve that GradientIn
+// use in between. It skips the stationary re-solve that GradientIn
 // would repeat — the descent loops use it to reuse the accepted
-// line-search probe's solution for the next iteration's gradient. The
-// result is bit-for-bit identical to calling GradientIn at the same
-// matrix, because EvaluateIn is deterministic: re-solving would rebuild
-// exactly the doubles ev already holds.
+// line-search probe's solution for the next iteration's gradient, whose
+// Z it then forms from the same solver. The result is bit-for-bit
+// identical to calling GradientIn at the same matrix, because EvaluateIn
+// is deterministic: re-solving would rebuild exactly the doubles ev
+// already holds.
 func (m *Model) GradientSolvedIn(ws *Workspace, ev *Evaluation) (*mat.Matrix, error) {
 	return m.gradientInto(ws, ev)
 }
@@ -199,7 +166,8 @@ func (ev *Evaluation) Clone() *Evaluation {
 // CopyTo overwrites dst with a deep copy of ev, reusing dst's slices and
 // chain-solution buffers (see markov.Solution.CopyTo), so an optimizer
 // that keeps its best evaluation in one destination allocates nothing
-// per improvement. dst must not be a workspace's own evaluation.
+// per improvement. The copy's Sol carries Z only if ev's had formed it.
+// dst must not be a workspace's own evaluation.
 func (ev *Evaluation) CopyTo(dst *Evaluation) {
 	g, cbar, ebar, cover, sol := dst.G, dst.CBar, dst.EBarI, dst.CoverTime, dst.Sol
 	*dst = *ev

@@ -48,6 +48,13 @@ func TestEvaluateInMatchesEvaluate(t *testing.T) {
 				t.Fatalf("trial %d: per-PoI slice mismatch at %d", trial, i)
 			}
 		}
+		// Both solutions form Z from their own solvers on request.
+		if err := got.Sol.Fundamental(); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Sol.Fundamental(); err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < top.M(); i++ {
 			if got.Sol.Pi[i] != want.Sol.Pi[i] {
 				t.Fatalf("trial %d: Pi[%d] mismatch", trial, i)
@@ -161,12 +168,13 @@ func TestWorkspaceZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestEvaluateInLeavesZ2Unformed checks that an evaluation alone never
-// forms Z²: U needs π, Z and R only, and the O(M³) product belongs to the
-// gradient. Z2 forms its product from Z as it stands at the first
-// request, so doctoring Z after EvaluateIn tells the two apart — a
-// product formed inside EvaluateIn would still reflect the original Z.
-// The gradient then must form it.
+// TestEvaluateInLeavesZ2Unformed checks that an evaluation alone forms
+// neither Z nor Z²: U needs π only, and Z belongs to the gradient. After
+// a gradient has formed both, EvaluateIn must re-arm them, so its Sol
+// reads W, Z and R as nil rather than the previous chain's. Z2 then
+// forms the fundamental stage and its product from Z as it stands at
+// the first request, so doctoring Z in between tells a fresh product
+// from a kept one.
 func TestEvaluateInLeavesZ2Unformed(t *testing.T) {
 	top := topology.Topology3()
 	m, err := NewModel(top, Uniform(top.M(), 1, 1))
@@ -175,14 +183,22 @@ func TestEvaluateInLeavesZ2Unformed(t *testing.T) {
 	}
 	ws := m.NewWorkspace()
 	p := randomErgodicP(rng.New(709), top.M())
-	// A gradient first, so the solver's Z² buffer exists and has been
-	// formed once: EvaluateIn must re-arm it, not keep or refresh it.
-	if _, _, err := m.GradientIn(ws, p); err != nil {
+	// A gradient first, so the solver's Z and Z² buffers exist and have
+	// been formed once: EvaluateIn must re-arm them, not keep them.
+	ev, _, err := m.GradientIn(ws, p)
+	if err != nil {
 		t.Fatalf("GradientIn: %v", err)
 	}
-	ev, err := m.EvaluateIn(ws, p)
+	ev.Sol.Z2()
+	ev, err = m.EvaluateIn(ws, p)
 	if err != nil {
 		t.Fatalf("EvaluateIn: %v", err)
+	}
+	if ev.Sol.W != nil || ev.Sol.Z != nil || ev.Sol.R != nil {
+		t.Fatal("EvaluateIn left the previous solve's W, Z or R readable")
+	}
+	if err := ev.Sol.Fundamental(); err != nil {
+		t.Fatal(err)
 	}
 	mat.ScaleInPlace(2, ev.Sol.Z)
 	want, err := mat.Mul(ev.Sol.Z, ev.Sol.Z)

@@ -26,16 +26,16 @@ import (
 // other byte counts.
 var goldenDigests = map[string]map[string]string{
 	"single": {
-		"views":      "5b2b89b492b2f5601ddb454886947417c5e5b1dabcc5f1a0e1fab80f6718d69a",
-		"checkpoint": "be8b69259b0680a42019a1b871d67a264af78598e00e4746c61f62f6aebece22",
-		"reopt":      "84162f2f554faaec6da4b46c1da618b782677084282bcf6c1d9b2da249230603",
-		"resumed":    "2be60ff340441f83e2f8e0fb3c5200de681664b6e63cdaee8387d7e9f5bfc927",
+		"views":      "942582afa6326ed58c11a1563cc062921403ad9fa82ed5cf0131bf71d1a2e6e6",
+		"checkpoint": "d03c79ba5bdbd9cd0489cc37be02b4e7cfb9991302e80b956f647f5b9de9ffda",
+		"reopt":      "1afdd2e1627ba0a304a22fc8eec632b90985d6f5fa590c82e17508d9a84b86cf",
+		"resumed":    "ac95db2da0482fa69920b95d3fc81d6a8bb2526ec7d44885128cbc1e2b7b157a",
 	},
 	"fleet": {
-		"views":      "76d663edd2d98e8bda305588195f53a9f8c483a3553fbb983384a7b9f8fc13bb",
-		"checkpoint": "5b4712a156d001f4d5b3c90ac6c10e9d26ff2b58230d61b6ac679a9722b37c0b",
-		"reopt":      "a5df88db6b905a144531ec9062ac1bd0dfa9f0eeb0a8a347a630653b5529c924",
-		"resumed":    "86fe8dece1208f8772e2b85ef88f627a810f62259adff822b08997f2d46848d6",
+		"views":      "5854ae827a7a4f0c9b579c10b5b083fcd719c66fda0428452a8b2bccd3d46bcf",
+		"checkpoint": "b741637e47d34f85596f9e41e19a8eb7c969eaeda50af6b2733d5530f73295d3",
+		"reopt":      "b4ebb4f36b989fd7fb97d46bfc1658d79078beaa27b748659e6ade541cb88f74",
+		"resumed":    "bc5ba17432bb4aa0860c83b1b9cd804fd3d0e287320f46ca2408bf3872d9fe8f",
 	},
 }
 

@@ -111,16 +111,7 @@ func TestWorkersDeterminism(t *testing.T) {
 func TestGoldenTracesWithWorkers(t *testing.T) {
 	forceFanOut(t)
 	model := goldenModel(t)
-	cases := []struct {
-		variant Variant
-		bestU   uint64
-		phash   uint64
-	}{
-		{Basic, 0x3fe357f9e57f67c4, 0x2000232925950e4},
-		{Adaptive, 0x3fc369a4d6006051, 0x66099d811f5ca4c},
-		{Perturbed, 0x3fbf0db09671202d, 0x7cb38580bb6e030},
-	}
-	for _, tc := range cases {
+	for _, tc := range goldenVariants {
 		t.Run(tc.variant.String(), func(t *testing.T) {
 			opt, err := New(model, Options{
 				Variant: tc.variant, MaxIters: 25, Seed: 42, Workers: 4,

@@ -71,10 +71,10 @@ func TestGoldenFleetTraces(t *testing.T) {
 		seed                    uint64
 		bestU, hash             uint64
 	}{
-		{"topology3/k2", small, 2, 1, 0, 42, 0x3f929d899a581f50, 0x69d797d6289f1f2a},
-		{"topology3/k3", small, 3, 1, 0, 42, 0x3fd8f027b423ff21, 0x4748d34093d1c203},
-		{"field24/k3/w1", field, 3, 1, 1000, 99, 0x40df2e38c2f4ed1d, 0xe051da09bb71669b},
-		{"field24/k3/w4", field, 3, 4, 1000, 99, 0x40df2e38c2f4ed1d, 0xe051da09bb71669b},
+		{"topology3/k2", small, 2, 1, 0, 42, 0x3f929d89979cb73c, 0x69d797ea885a8e70},
+		{"topology3/k3", small, 3, 1, 0, 42, 0x3fd8f027b42436df, 0x4748d35deb104838},
+		{"field24/k3/w1", field, 3, 1, 1000, 99, 0x40df2e38c2f4ed1f, 0xe051da09bb714729},
+		{"field24/k3/w4", field, 3, 4, 1000, 99, 0x40df2e38c2f4ed1f, 0xe051da09bb714729},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

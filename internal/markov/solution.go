@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"errors"
 	"math"
 	"sync"
 
@@ -8,17 +9,20 @@ import (
 )
 
 // Solution bundles the limiting quantities of an ergodic chain that the
-// cost function and its gradient consume: the stationary distribution π,
-// the matrix W whose rows all equal π, the fundamental matrix
-// Z = (I - P + W)^{-1} (Eq. 7), its square, and the mean first-passage
-// matrix R (Eq. 8). π, W, Z and R are computed in Solve and treated as
-// immutable afterwards; Z² is formed on first request (see Z2).
+// cost function and its gradient consume, in two stages. The stationary
+// stage holds P and the stationary distribution π. The fundamental stage
+// holds the matrix W whose rows all equal π, the fundamental matrix
+// Z = (I - P + W)^{-1} (Eq. 7) and the mean first-passage matrix R
+// (Eq. 8); Fundamental forms it, and Z2 forms Z² on top of it. Every
+// formed quantity is treated as immutable until the owning Solver's next
+// solve.
 type Solution struct {
 	// P is the transition matrix the solution was computed from.
 	P *mat.Matrix
 	// Pi is the stationary distribution π.
 	Pi []float64
-	// W has every row equal to Pi (Eq. 5 context).
+	// W has every row equal to Pi (Eq. 5 context). Nil until the
+	// fundamental stage is formed, like Z and R.
 	W *mat.Matrix
 	// Z is the fundamental matrix (I - P + W)^{-1} (Eq. 7).
 	Z *mat.Matrix
@@ -30,28 +34,80 @@ type Solution struct {
 
 	// method is the backend that produced the solution; see Method.
 	method Method
+
+	// w, z and r are the storage W, Z and R point at once formed. A
+	// Solver keeps them across solves, and so does a CopyTo destination.
+	w, z, r *mat.Matrix
+	// solver is the Solver whose current solution this is, the one the
+	// fundamental stage is formed from; nil after Clone and CopyTo.
+	solver   *Solver
+	fundOnce sync.Once
+	fundErr  error
+
 	// z2 holds Z·Z once z2Once has run. A Solver keeps the buffer across
 	// solves and re-arms z2Once on each one.
 	z2     *mat.Matrix
 	z2Once sync.Once
 
-	// sparse holds the factorization handle of a MethodSparse solve, nil
-	// on the dense path and after Clone. Access via Sparse().
+	// sparse holds the factorization handle of a sparse fundamental
+	// stage, nil otherwise and after Clone. Access via Sparse().
 	sparse *SparseFactors
 }
 
-// Method reports the backend that computed the solution: MethodSparse
-// only when a sparse solve succeeded (a sparse Solver's dense fallback
-// reports MethodDense). Clone keeps it, so consumers that branch on the
-// backend treat a clone like its original.
+// ErrNoFundamental is returned by Fundamental for a copied Solution whose
+// source never formed its fundamental stage: the copy has no solver to
+// form W, Z and R from.
+var ErrNoFundamental = errors.New("markov: fundamental stage not formed before the solution was copied")
+
+// Method reports the backend that computed the stationary stage:
+// MethodSparse only when the sparse stationary solve succeeded (a sparse
+// Solver's dense fallback reports MethodDense). Clone keeps it, so
+// consumers that branch on the backend treat a clone like its original.
 func (s *Solution) Method() Method { return s.method }
 
+// Fundamental forms the fundamental stage — W, Z and R — on its first
+// call after the stationary stage, from the Solver that produced the
+// solution, and reports whether it could. Later calls return the first
+// call's result, and concurrent first calls are safe. Solve forms the
+// stage itself; only a SolveStationary result needs this call.
+func (s *Solution) Fundamental() error {
+	s.fundOnce.Do(s.formFundamental)
+	return s.fundErr
+}
+
+// formFundamental runs the owning Solver's fundamental stage and, on
+// success, exposes its buffers as W, Z and R.
+func (s *Solution) formFundamental() {
+	if s.solver == nil {
+		s.fundErr = ErrNoFundamental
+		return
+	}
+	if s.fundErr = s.solver.fundamental(); s.fundErr == nil {
+		s.adopt()
+	}
+}
+
+// adopt exposes the formed storage as W, Z and R.
+func (s *Solution) adopt() { s.W, s.Z, s.R = s.w, s.z, s.r }
+
+// unform re-arms both lazy stages: W, Z, R and Z² read as nil until they
+// are formed again, so no stale matrix of an earlier chain shows through.
+// The storage is kept.
+func (s *Solution) unform() {
+	s.W, s.Z, s.R = nil, nil, nil
+	s.fundOnce = sync.Once{}
+	s.fundErr = nil
+	s.z2Once = sync.Once{}
+	s.sparse = nil
+}
+
 // Z2 returns Z·Z, the square the perturbation formula for dZ/dt needs.
-// Only the Eq. 10 gradient reads it, so Solve does not form it: the
-// product is computed on the first call and kept until the owning
-// Solver's next Solve. Every call site gets the bits of one mat.MulTo of
-// Z by itself, and concurrent first calls are safe. The returned matrix
-// aliases the Solution; treat it as read-only.
+// Solve does not form it: the product is computed on the first call,
+// after forming the fundamental stage if need be, and kept until the
+// owning Solver's next solve. Every call site gets the bits of one
+// mat.MulTo of Z by itself, and concurrent first calls are safe. The
+// returned matrix aliases the Solution; treat it as read-only. It is nil
+// when the fundamental stage cannot be formed.
 func (s *Solution) Z2() *mat.Matrix {
 	s.z2Once.Do(s.formZ2)
 	return s.z2
@@ -60,6 +116,10 @@ func (s *Solution) Z2() *mat.Matrix {
 // formZ2 computes Z·Z into the Solution's z2 buffer, allocating it on
 // first use.
 func (s *Solution) formZ2() {
+	if s.Fundamental() != nil {
+		s.z2 = nil
+		return
+	}
 	n := s.Z.Rows()
 	if s.z2 == nil {
 		s.z2 = mat.New(n, n)
@@ -117,6 +177,9 @@ func (c *Chain) StationaryPower(maxIter int, tol float64) ([]float64, error) {
 // GroupInverse returns Meyer's group generalized inverse A# of A = I - P,
 // via A# = Z - W (equivalent to the paper's Z = I + P·A#, Eq. 7 context).
 func (s *Solution) GroupInverse() (*mat.Matrix, error) {
+	if err := s.Fundamental(); err != nil {
+		return nil, err
+	}
 	return mat.SubM(s.Z, s.W)
 }
 
@@ -140,8 +203,12 @@ func (s *Solution) EntropyRate() float64 {
 }
 
 // KemenyConstant returns K = Σ_{j≠i} π_j R_ij, which is independent of the
-// starting state i and equals trace(Z) - 1.
+// starting state i and equals trace(Z) - 1. It is NaN when the
+// fundamental stage cannot be formed.
 func (s *Solution) KemenyConstant() float64 {
+	if s.Fundamental() != nil {
+		return math.NaN()
+	}
 	var tr float64
 	for i := 0; i < len(s.Pi); i++ {
 		tr += s.Z.At(i, i)
@@ -172,6 +239,9 @@ func (s *Solution) ConditionNumber() (float64, error) {
 // dπ = π V Z (Schweitzer; the paper's component form dπ_i/dt =
 // Σ_{k,l} π_k z_li V_kl).
 func (s *Solution) DPi(v *mat.Matrix) ([]float64, error) {
+	if err := s.Fundamental(); err != nil {
+		return nil, err
+	}
 	pv, err := mat.VecMul(s.Pi, v)
 	if err != nil {
 		return nil, err
@@ -183,6 +253,9 @@ func (s *Solution) DPi(v *mat.Matrix) ([]float64, error) {
 // zero-row-sum direction V: dZ = Z V Z - W V Z² (Schweitzer; the paper's
 // component form dz_ij/dt = Σ_{kl} [z_ik z_lj - π_k (Z²)_lj] V_kl).
 func (s *Solution) DZ(v *mat.Matrix) (*mat.Matrix, error) {
+	if err := s.Fundamental(); err != nil {
+		return nil, err
+	}
 	zv, err := mat.Mul(s.Z, v)
 	if err != nil {
 		return nil, err

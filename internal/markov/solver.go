@@ -3,7 +3,6 @@ package markov
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/mat"
 )
@@ -12,17 +11,25 @@ import (
 // optimizer's inner loop — which solves the same-sized chain thousands of
 // times — performs no allocations in steady state.
 //
-// A Solver owns the Solution it returns: every call to Solve overwrites
-// the previous result, so callers that need a Solution to outlive the next
-// call must Clone it. A Solver is not safe for concurrent use; give each
-// goroutine its own (the descent package allocates one per optimizer).
+// A solve has two stages. The stationary stage validates P, checks
+// ergodicity and computes π with one factorization; it is all a cost
+// evaluation needs. The fundamental stage forms W, Z and R (Eqs. 7–8)
+// from the same solver, on the first Solution.Fundamental call after the
+// stationary stage. Solve runs both; SolveStationary runs the first and
+// leaves the second to whoever asks for it.
+//
+// A Solver owns the Solution it returns: every call to Solve or
+// SolveStationary overwrites the previous result, so callers that need a
+// Solution to outlive the next call must Clone it. A Solver is not safe
+// for concurrent use; give each goroutine its own (the descent package
+// allocates one per optimizer).
 type Solver struct {
 	n      int
 	sol    Solution
 	method Method
 
 	lu  *mat.LU
-	zin *mat.Matrix // holds I - P + W, then the stationary system (I-P)^T
+	zin *mat.Matrix // holds the stationary system (I-P)^T, then I - P + W
 	b   []float64   // right-hand side of the stationary system
 
 	// Sparse-path assembly scratch, allocated on first sparse solve.
@@ -37,14 +44,14 @@ type Solver struct {
 // NewSolver returns a Solver for n-state chains with all buffers
 // preallocated.
 func NewSolver(n int) *Solver {
-	return &Solver{
+	s := &Solver{
 		n: n,
 		sol: Solution{
 			P:  mat.New(n, n),
 			Pi: make([]float64, n),
-			W:  mat.New(n, n),
-			Z:  mat.New(n, n),
-			R:  mat.New(n, n),
+			w:  mat.New(n, n),
+			z:  mat.New(n, n),
+			r:  mat.New(n, n),
 		},
 		lu:    mat.NewLU(n),
 		zin:   mat.New(n, n),
@@ -53,14 +60,33 @@ func NewSolver(n int) *Solver {
 		level: make([]int, n),
 		queue: make([]int, 0, n),
 	}
+	s.sol.solver = s
+	return s
 }
 
-// Solve validates p, checks ergodicity, and computes the stationary
-// distribution and derived matrices into the Solver's buffers. The
-// returned Solution aliases those buffers and is valid until the next
-// Solve call. Z² is not formed here; the Solution's Z2 forms it on
-// request. No allocations occur on the success path.
+// Solve runs both stages: it validates p, checks ergodicity, and computes
+// the stationary distribution and the fundamental-stage matrices W, Z and
+// R into the Solver's buffers. The returned Solution aliases those
+// buffers and is valid until the next solve. Z² is not formed here; the
+// Solution's Z2 forms it on request. No allocations occur on the success
+// path.
 func (s *Solver) Solve(p *mat.Matrix) (*Solution, error) {
+	sol, err := s.SolveStationary(p)
+	if err != nil {
+		return nil, err
+	}
+	if err := sol.Fundamental(); err != nil {
+		return nil, err
+	}
+	return sol, nil
+}
+
+// SolveStationary runs the stationary stage only: it validates p, checks
+// ergodicity, and computes π and the Solution's copy of p. The returned
+// Solution's W, Z and R are nil until its Fundamental method forms them
+// from this Solver, which must not have solved another chain in between.
+// No allocations occur on the success path.
+func (s *Solver) SolveStationary(p *mat.Matrix) (*Solution, error) {
 	n := s.n
 	if p.Rows() != n || p.Cols() != n {
 		return nil, fmt.Errorf("%w: solver for %d states got %dx%d",
@@ -69,8 +95,8 @@ func (s *Solver) Solve(p *mat.Matrix) (*Solution, error) {
 	if err := CheckStochastic(p); err != nil {
 		return nil, err
 	}
-	// Re-arm the lazy Z² for this solve; its buffer is kept.
-	s.sol.z2Once = sync.Once{}
+	// Re-arm the lazy stages for this solve; their buffers are kept.
+	s.sol.unform()
 	if !s.ergodic(p) {
 		// Error path only: rebuild the diagnostic detail with the Chain
 		// helpers (these allocate, which is fine off the hot path).
@@ -78,41 +104,56 @@ func (s *Solver) Solve(p *mat.Matrix) (*Solution, error) {
 		return nil, fmt.Errorf("%w: irreducible=%v period=%d",
 			ErrNotErgodic, c.IsIrreducible(), c.Period())
 	}
+	s.sol.method = MethodDense
 	if s.method == MethodSparse {
-		sol, err := s.solveSparse(p)
+		err := s.stationarySparse(p)
 		if err == nil {
-			return sol, nil
-		}
-		if !errors.Is(err, mat.ErrSingular) {
+			s.sol.method = MethodSparse
+		} else if !errors.Is(err, mat.ErrSingular) {
 			return nil, err
 		}
 		// Near-singular pivot in the no-pivoting sparse factorization:
 		// fall back to the pivoted dense reference for this solve.
 	}
-	return s.solveDense(p)
-}
-
-// solveDense is the bit-exact dense reference path.
-func (s *Solver) solveDense(p *mat.Matrix) (*Solution, error) {
-	n := s.n
-	s.sol.method = MethodDense
-	s.sol.sparse = nil
-	if err := s.stationary(p); err != nil {
+	if s.sol.method == MethodDense {
+		if err := s.stationary(p); err != nil {
+			return nil, err
+		}
+	}
+	if err := s.sol.P.CopyFrom(p); err != nil {
 		return nil, err
 	}
-	pi := s.sol.Pi
+	return &s.sol, nil
+}
 
-	// W has every row equal to π.
-	wd := s.sol.W.Data()
+// fundamental is the fundamental stage of the Solver's current solution:
+// W, Z and R from its P and π. A sparse stationary stage hands its
+// factorization on to a rank-2 Woodbury update (see fundamentalSparse);
+// when that rejects a near-singular system, or the stationary stage was
+// dense, Z comes from the pivoted dense LU of I − P + W.
+func (s *Solver) fundamental() error {
+	sol := &s.sol
+	n := s.n
+	wd := sol.w.Data()
 	for i := 0; i < n; i++ {
-		copy(wd[i*n:(i+1)*n], pi)
+		copy(wd[i*n:(i+1)*n], sol.Pi)
+	}
+	if sol.method == MethodSparse {
+		err := s.fundamentalSparse()
+		if err == nil {
+			s.formR()
+			return nil
+		}
+		if !errors.Is(err, mat.ErrSingular) {
+			return err
+		}
 	}
 
 	// Z = (I - P + W)^{-1}: build the operand, factor, invert into Z.
 	// The entry order (I - P) + W matches the original two-step SubM/AddM
 	// construction bit for bit.
 	zd := s.zin.Data()
-	pd := p.Data()
+	pd := sol.P.Data()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			d := 0.0
@@ -123,17 +164,24 @@ func (s *Solver) solveDense(p *mat.Matrix) (*Solution, error) {
 		}
 	}
 	if err := s.lu.Refactor(s.zin); err != nil {
-		return nil, fmt.Errorf("markov: invert I-P+W: %w", err)
+		return fmt.Errorf("markov: invert I-P+W: %w", err)
 	}
-	if err := s.lu.InverseTo(s.sol.Z); err != nil {
-		return nil, fmt.Errorf("markov: invert I-P+W: %w", err)
+	if err := s.lu.InverseTo(sol.z); err != nil {
+		return fmt.Errorf("markov: invert I-P+W: %w", err)
 	}
+	s.formR()
+	return nil
+}
 
-	// R_ij = (δ_ij - z_ij + z_jj) / π_j. The diagonal of Z is staged into
-	// the RHS scratch (idle here) so the inner loop streams three
-	// contiguous rows instead of re-reading a strided column.
-	zdd := s.sol.Z.Data()
-	rd := s.sol.R.Data()
+// formR fills R_ij = (δ_ij - z_ij + z_jj) / π_j from the current Z. The
+// diagonal of Z is staged into the RHS scratch (idle here) so the inner
+// loop streams three contiguous rows instead of re-reading a strided
+// column.
+func (s *Solver) formR() {
+	n := s.n
+	pi := s.sol.Pi
+	zdd := s.sol.z.Data()
+	rd := s.sol.r.Data()
 	zdiag := s.b
 	for j := 0; j < n; j++ {
 		zdiag[j] = zdd[j*n+j]
@@ -149,11 +197,6 @@ func (s *Solver) solveDense(p *mat.Matrix) (*Solution, error) {
 			rrow[j] = (d - zrow[j] + zdiag[j]) / pi[j]
 		}
 	}
-
-	if err := s.sol.P.CopyFrom(p); err != nil {
-		return nil, err
-	}
-	return &s.sol, nil
 }
 
 // stationary solves π(I - P) = 0 with Σπ = 1 into s.sol.Pi, replacing one
@@ -293,11 +336,13 @@ func checkPositive(pi []float64) error {
 }
 
 // Clone returns a deep copy of the Solution, detaching it from whatever
-// Solver buffers back it. Use it to retain a Solution past the next Solve
-// call on the owning Solver. The backend marker is kept; Z² is not
-// copied or formed, the clone's Z2 forms it on request. The sparse
-// factorization handle, when present, is not carried over: it aliases
-// solver-owned factor storage.
+// Solver buffers back it. Use it to retain a Solution past the next solve
+// on the owning Solver. The backend marker is kept; Z² is not copied or
+// formed, the clone's Z2 forms it on request. The sparse factorization
+// handle, when present, is not carried over: it aliases solver-owned
+// factor storage. W, Z and R are copied when the fundamental stage was
+// formed; otherwise the clone has no solver to form them from, and its
+// Fundamental reports ErrNoFundamental.
 func (s *Solution) Clone() *Solution {
 	out := &Solution{}
 	s.CopyTo(out)
@@ -312,12 +357,16 @@ func (s *Solution) Clone() *Solution {
 func (s *Solution) CopyTo(dst *Solution) {
 	dst.P = copyMatrix(dst.P, s.P)
 	dst.Pi = append(dst.Pi[:0], s.Pi...)
-	dst.W = copyMatrix(dst.W, s.W)
-	dst.Z = copyMatrix(dst.Z, s.Z)
-	dst.R = copyMatrix(dst.R, s.R)
 	dst.method = s.method
-	dst.z2Once = sync.Once{}
-	dst.sparse = nil
+	dst.unform()
+	dst.solver = nil
+	if s.Z == nil {
+		return
+	}
+	dst.w = copyMatrix(dst.w, s.W)
+	dst.z = copyMatrix(dst.z, s.Z)
+	dst.r = copyMatrix(dst.r, s.R)
+	dst.fundOnce.Do(dst.adopt)
 }
 
 // copyMatrix copies src into dst when the shapes match and returns dst,

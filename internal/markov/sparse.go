@@ -20,11 +20,10 @@ const (
 	// the fundamental-matrix system as a rank-2 Sherman–Morrison–Woodbury
 	// update of that one factorization, so per-solve cost scales with
 	// the factor fill instead of M³. Results agree with MethodDense to
-	// SparseTol (see below); consumers that only fold Z² against a
-	// vector use two Z-products instead of Solution.Z2. When the
-	// no-pivoting sparse factorization rejects a near-singular pivot the
-	// solver transparently falls back to the dense path, so MethodSparse
-	// never trades correctness for speed.
+	// SparseTol (see below). When the no-pivoting sparse factorization
+	// rejects a near-singular pivot the solver transparently falls back
+	// to the dense path, so MethodSparse never trades correctness for
+	// speed.
 	MethodSparse
 )
 
@@ -54,10 +53,10 @@ func (s *Solver) SetMethod(m Method) { s.method = m }
 // Method returns the solver's current backend.
 func (s *Solver) Method() Method { return s.method }
 
-// SparseFactors exposes the factorization behind a sparse Solve so
-// downstream consumers (the cost gradient's Eq. 10 contractions) can
-// solve against A = I − P + W and its transpose at factor-fill cost
-// instead of re-deriving dense O(M³) products from Z.
+// SparseFactors exposes the factorization behind a sparse fundamental
+// stage so downstream consumers can solve against A = I − P + W and its
+// transpose at factor-fill cost instead of re-deriving dense O(M³)
+// products from Z.
 type SparseFactors struct {
 	lr  *mat.LowRankSolver
 	nnz int // factor fill, for diagnostics
@@ -70,14 +69,6 @@ func (f *SparseFactors) SolveTranspose(x, b []float64) error {
 	return f.lr.SolveVecTransTo(x, b)
 }
 
-// SolveTransposeMulti solves Aᵀ X = B for k right-hand sides in the n×k
-// row-major block layout of mat.SparseLU.SolveMultiTo (column r is one
-// right-hand side). x and b may alias. This is the gradient's bulk
-// Zᵀ·(·) contraction: one traversal of the factor covers every column.
-func (f *SparseFactors) SolveTransposeMulti(x, b []float64, k int) error {
-	return f.lr.SolveMultiTransTo(x, b, k)
-}
-
 // Solve solves A x = b (x = Z b up to factorization accuracy). x must
 // not alias b.
 func (f *SparseFactors) Solve(x, b []float64) error {
@@ -87,9 +78,10 @@ func (f *SparseFactors) Solve(x, b []float64) error {
 // FactorNNZ returns the stored entries of the underlying sparse LU.
 func (f *SparseFactors) FactorNNZ() int { return f.nnz }
 
-// Sparse returns the sparse factorization handle when the Solution came
-// from a MethodSparse solve, nil otherwise (including after Clone, which
-// detaches from solver-owned state).
+// Sparse returns the sparse factorization handle once a MethodSparse
+// solution's fundamental stage has run on the sparse factorization, nil
+// otherwise (including after Clone, which detaches from solver-owned
+// state).
 func (s *Solution) Sparse() *SparseFactors { return s.sparse }
 
 // sparseScratch holds the sparse path's per-solve assembly buffers plus
@@ -120,20 +112,13 @@ type sparseScratch struct {
 	factors SparseFactors
 }
 
-// solveSparse is the MethodSparse implementation. One sparse LU — of the
-// transposed replaced-row stationary system S (rows of (I − P)ᵀ with the
-// last row replaced by the Σπ = 1 normalization) — serves both solves:
-// π comes from S x = e_n, and the fundamental-matrix system is a rank-2
-// Woodbury update of Sᵀ,
-//
-//	A = I − P + 1πᵀ = Sᵀ + 1·πᵀ + (g − 1)·e_nᵀ,
-//
-// where g is the last column of I − P (Sᵀ differs from I − P only in
-// that column, which the normalization row replaced). Z then arrives in
-// one blocked multi-RHS solve against the identity. Any mat.ErrSingular
-// from the no-pivoting factorization is returned for the caller to fall
-// back to the dense path.
-func (s *Solver) solveSparse(p *mat.Matrix) (*Solution, error) {
+// stationarySparse is the MethodSparse stationary stage. One sparse LU
+// — of the transposed replaced-row stationary system S (rows of (I − P)ᵀ
+// with the last row replaced by the Σπ = 1 normalization) — gives π from
+// S x = e_n, and stays in the scratch for fundamentalSparse. Any
+// mat.ErrSingular from the no-pivoting factorization is returned for the
+// caller to fall back to the dense path.
+func (s *Solver) stationarySparse(p *mat.Matrix) error {
 	n := s.n
 	if s.sp == nil {
 		s.sp = &sparseScratch{
@@ -182,7 +167,7 @@ func (s *Solver) solveSparse(p *mat.Matrix) (*Solution, error) {
 	}
 	statSys := &sp.sys
 	if err := statSys.SetRows(n, n, sp.rcols, sp.rvals); err != nil {
-		return nil, err
+		return err
 	}
 	// The fill-reducing ordering depends only on the support pattern;
 	// recompute it only when the pattern changed since the last solve.
@@ -198,30 +183,33 @@ func (s *Solver) solveSparse(p *mat.Matrix) (*Solution, error) {
 	}
 	statLU := &sp.lu
 	if err := statLU.Refactor(statSys, sp.patPerm, 0); err != nil {
-		return nil, err
+		return err
 	}
 	for i := range sp.e {
 		sp.e[i] = 0
 	}
 	sp.e[n-1] = 1
 	if err := statLU.SolveVecTo(s.sol.Pi, sp.e); err != nil {
-		return nil, err
+		return err
 	}
+	return checkPositive(s.sol.Pi)
+}
+
+// fundamentalSparse is the MethodSparse fundamental stage. The
+// stationary factorization absorbs the fundamental-matrix system as a
+// rank-2 Woodbury update of Sᵀ,
+//
+//	A = I − P + 1πᵀ = Sᵀ + 1·πᵀ + (g − 1)·e_nᵀ,
+//
+// where g is the last column of I − P (Sᵀ differs from I − P only in
+// that column, which the normalization row replaced). Z then arrives in
+// one blocked multi-RHS solve against the identity. Any mat.ErrSingular
+// is returned for the caller to fall back to the dense path.
+func (s *Solver) fundamentalSparse() error {
+	n := s.n
+	sp := s.sp
+	pd := s.sol.P.Data()
 	pi := s.sol.Pi
-	if err := checkPositive(pi); err != nil {
-		return nil, err
-	}
-
-	// W has every row equal to π (kept dense; O(n²) like the dense path).
-	wd := s.sol.W.Data()
-	for i := 0; i < n; i++ {
-		copy(wd[i*n:(i+1)*n], pi)
-	}
-
-	// A = Sᵀ + 1·πᵀ + (g − 1)·e_{n−1}ᵀ: the same factorization that
-	// produced π absorbs the fundamental-matrix system as a rank-2
-	// Woodbury update, where g_j = δ_{j,n−1} − p_{j,n−1} is the last
-	// column of I − P that the normalization row displaced.
 	for i := range sp.u {
 		sp.u[i] = 1
 	}
@@ -235,15 +223,15 @@ func (s *Solver) solveSparse(p *mat.Matrix) (*Solution, error) {
 	}
 	// sp.e still holds e_{n−1} from the π solve.
 	lr := &sp.lr
-	if err := lr.RefactorTrans(statLU,
+	if err := lr.RefactorTrans(&sp.lu,
 		[][]float64{sp.u, sp.u2}, [][]float64{pi, sp.e}); err != nil {
-		return nil, err
+		return err
 	}
 
 	// Z = A⁻¹ in one blocked multi-RHS solve against the identity: the
 	// n×n row-major block layout of SolveMultiTo (rhs r in column r)
 	// coincides with Z's own layout, so the solve lands directly in Z.
-	zd := s.sol.Z.Data()
+	zd := s.sol.z.Data()
 	for i := range zd {
 		zd[i] = 0
 	}
@@ -251,32 +239,9 @@ func (s *Solver) solveSparse(p *mat.Matrix) (*Solution, error) {
 		zd[i*n+i] = 1
 	}
 	if err := lr.SolveMultiTo(zd, zd, n); err != nil {
-		return nil, err
+		return err
 	}
-
-	// R_ij = (δ_ij − z_ij + z_jj) / π_j, as on the dense path.
-	rd := s.sol.R.Data()
-	zdiag := s.b
-	for j := 0; j < n; j++ {
-		zdiag[j] = zd[j*n+j]
-	}
-	for i := 0; i < n; i++ {
-		zrow := zd[i*n : (i+1)*n]
-		rrow := rd[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			d := 0.0
-			if i == j {
-				d = 1
-			}
-			rrow[j] = (d - zrow[j] + zdiag[j]) / pi[j]
-		}
-	}
-
-	if err := s.sol.P.CopyFrom(p); err != nil {
-		return nil, err
-	}
-	sp.factors = SparseFactors{lr: lr, nnz: statLU.NNZ()}
-	s.sol.method = MethodSparse
+	sp.factors = SparseFactors{lr: lr, nnz: sp.lu.NNZ()}
 	s.sol.sparse = &sp.factors
-	return &s.sol, nil
+	return nil
 }

@@ -19,6 +19,9 @@ func (s *Solution) SLEM(maxIter int, tol float64) (float64, error) {
 	if maxIter <= 0 {
 		return 0, fmt.Errorf("markov: SLEM maxIter %d", maxIter)
 	}
+	if err := s.Fundamental(); err != nil {
+		return 0, err
+	}
 	n := len(s.Pi)
 	b, err := mat.SubM(s.P, s.W)
 	if err != nil {

@@ -641,13 +641,6 @@ func (lr *LowRankSolver) bSolveMulti(x, b []float64, k int) error {
 	return lr.base.SolveMultiTo(x, b, k)
 }
 
-func (lr *LowRankSolver) bSolveMultiT(x, b []float64, k int) error {
-	if lr.trans {
-		return lr.base.SolveMultiTo(x, b, k)
-	}
-	return lr.base.SolveMultiTransTo(x, b, k)
-}
-
 // NewLowRankSolver builds a Woodbury solver for A + Σᵢ uᵢvᵢᵀ over the
 // given base factorization of A. It returns ErrSingular when the
 // capacitance matrix I + VᵀA⁻¹U is singular (the updated matrix is
@@ -849,14 +842,4 @@ func (lr *LowRankSolver) SolveMultiTo(x, b []float64, k int) error {
 		return err
 	}
 	return lr.woodburyCorrect(x, k, lr.v, lr.w, lr.capl)
-}
-
-// SolveMultiTransTo solves (A + UVᵀ)ᵀ X = B for k right-hand sides in
-// the n×k row-major block layout of SparseLU.SolveMultiTo. x and b may
-// alias.
-func (lr *LowRankSolver) SolveMultiTransTo(x, b []float64, k int) error {
-	if err := lr.bSolveMultiT(x, b, k); err != nil {
-		return err
-	}
-	return lr.woodburyCorrect(x, k, lr.u, lr.wt, lr.capt)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/coverage"
 	"repro/internal/jobs"
@@ -160,4 +161,106 @@ func TestConcurrentPublishLookup(t *testing.T) {
 	if e.Plan.Cost != 1.0 {
 		t.Errorf("best plan lost: final cost %v, want 1.0", e.Plan.Cost)
 	}
+}
+
+// gatedStore is a Store whose Put waits for a release once armed, the
+// stand-in for a slow, fsync'd durable write.
+type gatedStore struct {
+	jobs.Store
+	mu      sync.Mutex
+	armed   bool
+	entered chan struct{} // receives once per gated Put
+	release chan struct{} // closed to let gated Puts finish
+}
+
+func (g *gatedStore) Put(name string, blob []byte) error {
+	g.mu.Lock()
+	armed := g.armed
+	g.mu.Unlock()
+	if armed {
+		g.entered <- struct{}{}
+		<-g.release
+	}
+	return g.Store.Put(name, blob)
+}
+
+// TestLookupDoesNotWaitOnPut holds a publish inside Store.Put and
+// requires lookups of existing entries to return meanwhile. Two
+// concurrent publishes of one fingerprint must still keep the cheaper
+// plan, whichever reaches the store first.
+func TestLookupDoesNotWaitOnPut(t *testing.T) {
+	fs, err := jobs.NewFSStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &gatedStore{Store: fs, entered: make(chan struct{}), release: make(chan struct{})}
+	lib := newLib(t, Config{Store: store, Capacity: 1})
+	resident := lineScn(t, "resident", []float64{0.4, 0.1, 0.1, 0.4})
+	durable := lineScn(t, "durable", []float64{0.25, 0.25, 0.25, 0.25})
+	var fps []coverage.Fingerprint
+	for _, scn := range []coverage.Scenario{durable, resident} {
+		fp, err := lib.Publish(scn, testObj, fakePlan(4, 2), Provenance{Source: "manual"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fps = append(fps, fp)
+	}
+	// Capacity 1: "durable" now lives only in the store, "resident" in
+	// memory too, so the lookups below cover both tiers.
+
+	store.mu.Lock()
+	store.armed = true
+	store.mu.Unlock()
+	hot := lineScn(t, "hot", []float64{0.1, 0.4, 0.4, 0.1})
+	errs := make(chan error, 2)
+	for _, cost := range []float64{3, 1} {
+		go func(cost float64) {
+			_, err := lib.Publish(hot, testObj, fakePlan(4, cost), Provenance{Source: "manual"})
+			errs <- err
+		}(cost)
+	}
+	<-store.entered // one publish is inside Put; the other waits its turn
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, fp := range fps {
+			if e, ok := lib.Lookup(fp); !ok || e.Plan.Cost != 2 {
+				t.Errorf("lookup %s during a held Put: ok=%v", fp, ok)
+			}
+		}
+		lib.Stat()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("lookups blocked behind a held Store.Put")
+	}
+
+	// Let the first Put finish; the second publish then either writes
+	// (it is cheaper) or keeps the first (it is not) — and in the first
+	// case enters Put again.
+	close(store.release)
+	go func() {
+		for range store.entered {
+		}
+	}()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("Publish: %v", err)
+		}
+	}
+	fp, err := coverage.ScenarioFingerprint(hot, testObj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := lib.Lookup(fp)
+	if !ok || e.Plan.Cost != 1 {
+		t.Fatalf("after concurrent publishes: ok=%v entry %+v, want the cost-1 plan", ok, e)
+	}
+	reloaded := newLib(t, Config{Store: fs})
+	if e, ok := reloaded.Lookup(fp); !ok || e.Plan.Cost != 1 {
+		t.Fatalf("durable tier kept ok=%v entry %+v, want the cost-1 plan", ok, e)
+	}
+	close(store.entered)
 }

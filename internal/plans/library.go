@@ -185,6 +185,11 @@ type Library struct {
 	log *slog.Logger
 	met libMetrics
 
+	// pubMu serializes publishers, so a publish's check of the current
+	// entry, its durable write and its index update act as one step
+	// against other publishers, while mu is held only around the
+	// in-memory reads and writes: lookups never wait on a Store.Put.
+	pubMu sync.Mutex
 	mu    sync.Mutex
 	lru   *list.List               // *Entry, front = most recently used
 	inMem map[string]*list.Element // fingerprint -> LRU node
@@ -313,7 +318,9 @@ func key(scn coverage.Scenario, obj coverage.Objectives, sensors int, responsibi
 // the fingerprint already exists, the better (lower-cost) plan wins —
 // re-publishing a worse re-optimization never degrades the cache. The
 // entry lands in the durable tier (when configured) and at the front of
-// the LRU.
+// the LRU. Publishers run one at a time, but the durable write happens
+// outside the lock lookups take: reads of existing entries never wait on
+// a slow or fsync'd Store.Put.
 func (l *Library) Publish(scn coverage.Scenario, obj coverage.Objectives, plan *coverage.Plan, prov Provenance) (coverage.Fingerprint, error) {
 	if plan == nil || len(plan.TransitionMatrix) == 0 {
 		return "", fmt.Errorf("%w: nil or empty plan", ErrEntry)
@@ -347,9 +354,12 @@ func (l *Library) Publish(scn coverage.Scenario, obj coverage.Objectives, plan *
 		Provenance:  prov,
 	}
 
+	l.pubMu.Lock()
+	defer l.pubMu.Unlock()
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if prev, ok := l.index[e.Fingerprint]; ok && prev.cost <= plan.Cost {
+	prev, ok := l.index[e.Fingerprint]
+	l.mu.Unlock()
+	if ok && prev.cost <= plan.Cost {
 		// The cache already holds an at-least-as-good plan for this exact
 		// problem; keep it (and refresh nothing — the entry is untouched).
 		l.log.Debug("publish kept existing entry",
@@ -369,8 +379,10 @@ func (l *Library) Publish(scn coverage.Scenario, obj coverage.Objectives, plan *
 			return "", fmt.Errorf("plans: store put: %w", err)
 		}
 	}
+	l.mu.Lock()
 	l.index[e.Fingerprint] = indexOf(e)
 	l.touch(e)
+	l.mu.Unlock()
 	l.log.Info("plan published",
 		slog.String("fingerprint", e.Fingerprint),
 		slog.String("source", prov.Source),

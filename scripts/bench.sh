@@ -10,8 +10,8 @@
 #   scripts/bench.sh merge before.json after.json out.json [pr [title [note]]]
 #
 # The first form runs the suite, writes out.json, and prints a
-# prev-vs-now table. prev.json defaults to the newest checked-in
-# BENCH_pr*.json (whose "after" numbers are used); pass "none" to skip
+# prev-vs-now table. prev.json defaults to the checked-in BENCH_prN.json
+# with the highest N (whose "after" numbers are used); pass "none" to skip
 # the comparison. A missing prior snapshot is tolerated: fresh clones
 # have nothing to diff yet.
 #
@@ -183,11 +183,18 @@ echo "wrote $out"
 if [ "$prev" = "none" ]; then
 	exit 0
 fi
-# Pick the newest checked-in snapshot when none was named explicitly.
+# Pick the newest checked-in snapshot when none was named explicitly:
+# the highest number, not the last in glob order (BENCH_pr9.json sorts
+# after BENCH_pr16.json).
 if [ -z "$prev" ]; then
-	for f in BENCH_pr*.json; do
-		[ -e "$f" ] && prev=$f
-	done
+	prev=$(for f in BENCH_pr*.json; do
+		n=${f#BENCH_pr}
+		n=${n%.json}
+		case $n in
+		'' | *[!0-9]*) ;;
+		*) echo "$n $f" ;;
+		esac
+	done | sort -n | tail -n 1 | cut -d' ' -f2)
 fi
 if [ -z "$prev" ] || [ ! -r "$prev" ]; then
 	echo "no prior BENCH_*.json snapshot found; skipping comparison"
