@@ -488,6 +488,69 @@ func BenchmarkGradientFiniteDifference(b *testing.B) {
 	}
 }
 
+// BenchmarkProbe measures one line-search probe — the cost at
+// P + δ·D — two ways: "direct" evaluates it with a stationary solve of
+// the probed matrix (EvaluateIn, one factorization), "line" on a search
+// line through P along D (ProbeIn, one O(M²) shifted Hessenberg solve;
+// the once-per-search line build is outside the timed loop). The
+// direction is the projected steepest descent at a floored random
+// iterate, and δ a sixteenth of the feasibility bound. Under "sparse"
+// the direct solve factors with the sparse LU and the line is built
+// from the sparse fundamental stage.
+func BenchmarkProbe(b *testing.B) {
+	for _, m := range []int{8, 32, 64} {
+		model, p := benchModelSized(b, m)
+		_, g, err := model.Gradient(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dir := cost.Project(g)
+		mat.ScaleInPlace(-1, dir)
+		bound := math.Inf(1)
+		pd := p.Data()
+		for i, v := range dir.Data() {
+			if v > 0 {
+				bound = math.Min(bound, (1-1e-7-pd[i])/v)
+			} else if v < 0 {
+				bound = math.Min(bound, (1e-7-pd[i])/v)
+			}
+		}
+		delta := bound / 16
+		cand := p.Clone()
+		if err := mat.AddInPlace(cand, delta, dir); err != nil {
+			b.Fatal(err)
+		}
+		for _, method := range []markov.Method{markov.MethodDense, markov.MethodSparse} {
+			ws := model.NewWorkspace()
+			ws.SetSolver(method)
+			ev, err := model.EvaluateIn(ws, p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			line := markov.NewLine(m)
+			if err := line.Reset(ev.Sol, dir); err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("M%d/%v/direct", m, method), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := model.EvaluateIn(ws, cand); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("M%d/%v/line", m, method), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := model.ProbeIn(ws, line, cand, delta); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkChainSolve measures the Markov substrate through the allocating
 // Chain.Solve: the ergodicity check, then π, Z, R and the Z² that
 // Chain.Solve forms eagerly, for one 9-state chain.

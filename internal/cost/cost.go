@@ -18,7 +18,8 @@
 //
 // π, and for the gradient Z, come from package markov. The cost itself
 // needs only π, so an evaluation runs the chain solve's stationary stage
-// and leaves Z to the gradient.
+// and leaves Z to the gradient. A line-search probe (ProbeIn) takes π
+// from a markov.Line through the iterate instead of a factorization.
 package cost
 
 import (
@@ -219,8 +220,10 @@ type Evaluation struct {
 	// TotalTime is Σ_{j,k} π_j p_jk T_jk, the mean time per transition.
 	TotalTime float64
 	// Energy is the mean travel distance per transition D (§VII).
+	// A probe evaluation (ProbeIn) leaves it zero when EnergyWeight is.
 	Energy float64
-	// Entropy is the chain's entropy rate H (§VII).
+	// Entropy is the chain's entropy rate H (§VII). A probe evaluation
+	// leaves it zero when EntropyWeight is.
 	Entropy float64
 
 	// Sol carries the chain solution the evaluation used. The cost reads
@@ -249,7 +252,7 @@ func (m *Model) EvaluateSolved(sol *markov.Solution) (*Evaluation, error) {
 		EBarI:     make([]float64, n),
 		CoverTime: make([]float64, n),
 	}
-	if err := m.evaluateInto(ev, make([]float64, n), sol); err != nil {
+	if err := m.evaluateInto(ev, make([]float64, n), sol, false); err != nil {
 		return nil, err
 	}
 	return ev, nil
@@ -258,7 +261,13 @@ func (m *Model) EvaluateSolved(sol *markov.Solution) (*Evaluation, error) {
 // evaluateInto fills ev (whose G/CBar/EBarI slices must be sized to the
 // topology) with the cost breakdown at sol, using coverNum as scratch. It
 // performs no allocations on the success path.
-func (m *Model) evaluateInto(ev *Evaluation, coverNum []float64, sol *markov.Solution) error {
+//
+// A probe evaluation computes the energy D and the entropy rate H only
+// when their weights are nonzero: U reads them only through EnergyTerm
+// and EntropyTerm, which are exact zeros otherwise, so skipping them
+// changes no bit of U, and the entropy rate's M² logarithms are a large
+// share of a line-search probe.
+func (m *Model) evaluateInto(ev *Evaluation, coverNum []float64, sol *markov.Solution, probe bool) error {
 	n := m.top.M()
 	if len(sol.Pi) != n {
 		return fmt.Errorf("%w: solution for %d states, topology has %d",
@@ -331,18 +340,28 @@ func (m *Model) evaluateInto(ev *Evaluation, coverNum []float64, sol *markov.Sol
 	}
 	ev.EBar = math.Sqrt(sumE2)
 
-	// Barrier penalty (Eq. 9).
+	// Barrier penalty (Eq. 9). Inside [ε, 1−ε] the barrier is +0, and
+	// adding +0 to the non-negative sum changes no bit, so only the
+	// entries outside that band call it.
+	eps := m.w.Epsilon
 	for _, v := range pd {
-		ev.Penalty += barrier(v, m.w.Epsilon)
+		if v > eps && v < 1-eps {
+			continue
+		}
+		ev.Penalty += barrier(v, eps)
 	}
 
 	// §VII extensions.
-	ev.Energy = m.energy(sol)
+	if !probe || m.w.EnergyWeight > 0 {
+		ev.Energy = m.energy(sol)
+	}
 	if m.w.EnergyWeight > 0 {
 		d := ev.Energy - m.w.EnergyTarget
 		ev.EnergyTerm = 0.5 * m.w.EnergyWeight * d * d
 	}
-	ev.Entropy = sol.EntropyRate()
+	if !probe || m.w.EntropyWeight > 0 {
+		ev.Entropy = sol.EntropyRate()
+	}
 	if m.w.EntropyWeight > 0 {
 		ev.EntropyTerm = -m.w.EntropyWeight * ev.Entropy
 	}

@@ -105,7 +105,27 @@ func (m *Model) EvaluateIn(ws *Workspace, p *mat.Matrix) (*Evaluation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.evaluateInto(&ws.ev, ws.coverNum, sol); err != nil {
+	if err := m.evaluateInto(&ws.ev, ws.coverNum, sol, false); err != nil {
+		return nil, err
+	}
+	return &ws.ev, nil
+}
+
+// ProbeIn evaluates a line-search probe: the cost at p = P + δ·D, where
+// line runs through P along D (markov.Line). π comes from the line's
+// O(M²) shifted solve instead of a factorization of p, and the energy and
+// entropy rate are computed only when their weights are nonzero;
+// otherwise the fold is EvaluateIn's. U agrees with EvaluateIn at p to
+// rounding, not bit for bit (DESIGN §8.2). The returned Evaluation
+// aliases the workspace like EvaluateIn's; its Sol forms Z through the
+// dense branch on request. line is only read, so workspaces may probe
+// one line concurrently.
+func (m *Model) ProbeIn(ws *Workspace, line *markov.Line, p *mat.Matrix, delta float64) (*Evaluation, error) {
+	sol, err := ws.solver.SolveLine(line, p, delta)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.evaluateInto(&ws.ev, ws.coverNum, sol, true); err != nil {
 		return nil, err
 	}
 	return &ws.ev, nil

@@ -26,16 +26,16 @@ import (
 // other byte counts.
 var goldenDigests = map[string]map[string]string{
 	"single": {
-		"views":      "942582afa6326ed58c11a1563cc062921403ad9fa82ed5cf0131bf71d1a2e6e6",
-		"checkpoint": "d03c79ba5bdbd9cd0489cc37be02b4e7cfb9991302e80b956f647f5b9de9ffda",
+		"views":      "96d7bedd039db69479cd648790d7630ae0693cdd22fa2c6fb15f8b5074efeaf3",
+		"checkpoint": "3a3dc55620bd4b35c94b8836761d1106c4d0abfb01b2e52d32f74fcad68e0581",
 		"reopt":      "1afdd2e1627ba0a304a22fc8eec632b90985d6f5fa590c82e17508d9a84b86cf",
-		"resumed":    "ac95db2da0482fa69920b95d3fc81d6a8bb2526ec7d44885128cbc1e2b7b157a",
+		"resumed":    "42b5ebf1f77823c29dd86c76221d0c38ada14b75465a8b45918c1413000db4af",
 	},
 	"fleet": {
-		"views":      "5854ae827a7a4f0c9b579c10b5b083fcd719c66fda0428452a8b2bccd3d46bcf",
-		"checkpoint": "b741637e47d34f85596f9e41e19a8eb7c969eaeda50af6b2733d5530f73295d3",
-		"reopt":      "b4ebb4f36b989fd7fb97d46bfc1658d79078beaa27b748659e6ade541cb88f74",
-		"resumed":    "bc5ba17432bb4aa0860c83b1b9cd804fd3d0e287320f46ca2408bf3872d9fe8f",
+		"views":      "d87036bea4ba86807875199eb48c996c7a7b49310729e5cf5405fc2ba3aedd94",
+		"checkpoint": "3685c9b0da169af1f2d2d382a68fdb5e4ae3b056cb1b36531280d68b0673b177",
+		"reopt":      "87effa58f8982ea936a6816ee5b1f6c3d3f1a57cde0df4256cbf2404fbe56570",
+		"resumed":    "180bb912f79e1f5758a3d54fa72ba70fa8c669b2efc94fa96f952a9b6abc33b1",
 	},
 }
 

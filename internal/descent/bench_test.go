@@ -34,12 +34,16 @@ func benchOptimizer(b *testing.B, m, workers int) (*singleOptimizer, []*mat.Matr
 	return opt, p, dir, curU
 }
 
-// BenchmarkLineSearchStep measures one full V3 line search (geometric
-// bracketing plus conservative trisection, a few dozen cost evaluations)
+// BenchmarkLineSearchStep measures the line-search half of one V3
+// iteration — the iterate's evaluation and gradient, which form the Z
+// the search lines are built from, then the full search (geometric
+// bracketing plus conservative trisection, a few dozen probes) —
 // serially (W1) and fanned out across a two-worker pool (W2) at every
-// size, with the fan-out threshold lifted so W2 always forks. This is the
-// descent hot loop's dominant cost, it runs allocation-free, and the
-// W2/W1 ratio per size is the crossover minFanOutOrder is set from.
+// size, with the fan-out threshold lifted so W2 always forks. Every op
+// re-primes the iterate, so no op starts from the previous op's last
+// probe and W1 and W2 time the same work. This is the descent hot
+// loop's dominant cost, it runs allocation-free, and the W2/W1 ratio per
+// size is the crossover minFanOutOrder is set from.
 func BenchmarkLineSearchStep(b *testing.B) {
 	prev := minFanOutOrder
 	minFanOutOrder = 0
@@ -50,6 +54,13 @@ func BenchmarkLineSearchStep(b *testing.B) {
 			b.Run(fmt.Sprintf("M%d/W%d", m, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
+					if _, err := opt.st.Evaluate(p); err != nil {
+						b.Fatal(err)
+					}
+					if err := opt.st.Gradient(opt.grad); err != nil {
+						b.Fatal(err)
+					}
+					opt.evAtP = true
 					step, _, ok := opt.lineSearch(p, dir, curU)
 					if !ok && step != 0 {
 						b.Fatal("inconsistent line search result")

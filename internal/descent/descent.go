@@ -283,6 +283,21 @@ type Optimizer[S State[E], E any] struct {
 	dir  []*mat.Matrix // projected (negated) descent direction
 	cand []*mat.Matrix // line-search / acceptance candidate stack
 
+	// evAtP reports whether st's last evaluation is the current
+	// iterate's: true after the initial evaluation and after an accepted
+	// candidate (the p/cand swap makes the candidate's evaluation the
+	// iterate's), false once line-search probes or a rejected candidate
+	// have overwritten it. When true, the gradient and the search lines
+	// reuse it instead of solving the iterate's chains again; either way
+	// the bits are identical, because re-solving the same p reproduces
+	// the same solution.
+	evAtP bool
+	// lines are the current line search's per-sensor search lines,
+	// built from the iterate's evaluation before the first probe and
+	// only read by the probes, serial and batched. Allocated by the
+	// first line search.
+	lines []*markov.Line
+
 	// Parallel machinery, nil/empty when NewIterationPool gives no pool
 	// (Workers <= 1, or M below the fan-out crossover). Each pool worker
 	// owns a private evaluation state and candidate stack so probe
@@ -549,14 +564,7 @@ func (o *Optimizer[S, E]) RunContext(ctx context.Context) (*Result[E], error) {
 	res.P = res.Ps[0]
 	bestU := curU
 	stall := 0
-	// evAtP tracks whether the state's last evaluation (and its Markov
-	// solutions) is current for p: true after the initial evaluate and
-	// after an accepted candidate (the p/cand swap makes the candidate's
-	// evaluation the iterate's), false once line-search probes or a
-	// rejected candidate have clobbered the state. When true, the gradient
-	// skips the O(M³) chain re-solves; either way the bits are identical
-	// because re-solving the same p reproduces the same solution.
-	evAtP := true
+	o.evAtP = true
 	for iter := 1; iter <= o.opts.MaxIters; iter++ {
 		if err := ctx.Err(); err != nil {
 			return res, cancelErr(err, res.Iters)
@@ -564,10 +572,11 @@ func (o *Optimizer[S, E]) RunContext(ctx context.Context) (*Result[E], error) {
 		// Every iteration that starts counts, including one that finds
 		// no feasible step and changes nothing.
 		res.Iters = iter
-		if !evAtP {
+		if !o.evAtP {
 			if _, err := o.st.Evaluate(p); err != nil {
 				return nil, fmt.Errorf("descent: iteration %d: %w", iter, err)
 			}
+			o.evAtP = true
 		}
 		if err := o.st.Gradient(o.grad); err != nil {
 			return nil, fmt.Errorf("descent: iteration %d: %w", iter, err)
@@ -585,7 +594,6 @@ func (o *Optimizer[S, E]) RunContext(ctx context.Context) (*Result[E], error) {
 		} else {
 			var ok bool
 			step, _, ok = o.lineSearch(p, o.dir, curU)
-			evAtP = false // probe evaluations may have clobbered the state
 			if !ok || step == 0 {
 				if o.opts.Variant == Adaptive {
 					// Δt* = 0: the paper's criterion for a local optimum.
@@ -618,6 +626,7 @@ func (o *Optimizer[S, E]) RunContext(ctx context.Context) (*Result[E], error) {
 			return nil, err
 		}
 		candU, err := o.st.Evaluate(next)
+		o.evAtP = false
 		if err != nil {
 			return nil, fmt.Errorf("descent: iteration %d: %w", iter, err)
 		}
@@ -631,7 +640,7 @@ func (o *Optimizer[S, E]) RunContext(ctx context.Context) (*Result[E], error) {
 			// computed at the candidate, which is now p — the next
 			// iteration's gradient reuses its Markov solutions.
 			p, o.cand = next, p
-			evAtP = true
+			o.evAtP = true
 			curU = candU
 			curObj, curDC, curEB = o.st.Metrics()
 		} else {
@@ -785,10 +794,33 @@ func maxFeasibleStep(ps, dirs []*mat.Matrix, floor float64) float64 {
 // paper's conservative trisection inside that bracket. It returns the
 // chosen step, the cost at that step, and false when no positive step
 // improves on curU (the paper's Δt* = 0 case).
+//
+// Every probe evaluates on the search lines (Objective.Probe): π along
+// P + δ·dir is one O(M²) solve against a Hessenberg reduction made once
+// here, from the iterate's evaluation, before any probe overwrites it.
+// A probe's U therefore agrees with a direct evaluation of the same
+// stack to rounding only; the caller evaluates the chosen step directly.
+// When the lines cannot be built every probe would fail, and the search
+// reports no step.
 func (o *Optimizer[S, E]) lineSearch(p, dir []*mat.Matrix, curU float64) (float64, float64, bool) {
 	o.probes = 0
 	bound := maxFeasibleStep(p, dir, o.opts.MinProb)
 	if bound <= 0 {
+		return 0, curU, false
+	}
+	if !o.evAtP {
+		if _, err := o.st.Evaluate(p); err != nil {
+			return 0, curU, false
+		}
+	}
+	o.evAtP = false // the probes overwrite the state's evaluation
+	if o.lines == nil {
+		o.lines = make([]*markov.Line, o.k)
+		for s := range o.lines {
+			o.lines[s] = markov.NewLine(o.m)
+		}
+	}
+	if err := o.st.Line(o.lines, dir); err != nil {
 		return 0, curU, false
 	}
 	// Any numerically meaningful improvement counts; convergence ("within
@@ -934,7 +966,7 @@ type probeTask[S State[E], E any] struct {
 func (t *probeTask[S, E]) Run(w, lo, hi int) {
 	o := t.o
 	for k := lo; k < hi; k++ {
-		o.probeU[t.base+k] = phiIn(o.probeSt[w], o.probeCand[w], t.p, t.dir, t.ds[k])
+		o.probeU[t.base+k] = phiIn(o.probeSt[w], o.probeCand[w], o.lines, t.p, t.dir, t.ds[k])
 	}
 }
 
@@ -946,21 +978,21 @@ func (o *Optimizer[S, E]) evalProbes(p, dir []*mat.Matrix, ds []float64, base in
 	o.pool.Run(len(ds), &o.ptask)
 }
 
-// phi computes φ(δ) = U(P + δ·dir) into the optimizer's candidate stack
-// and state, allocating nothing.
+// phi computes φ(δ) = U(P + δ·dir) on the search lines into the
+// optimizer's candidate stack and state, allocating nothing.
 func (o *Optimizer[S, E]) phi(p, dir []*mat.Matrix, delta float64) float64 {
 	o.probes++
-	return phiIn(o.st, o.cand, p, dir, delta)
+	return phiIn(o.st, o.cand, o.lines, p, dir, delta)
 }
 
 // phiIn is phi against an explicit state and candidate stack, so batched
-// probes can run in worker-private storage. Infeasible or non-ergodic
-// probes evaluate to +Inf.
-func phiIn[S State[E], E any](st S, cand, p, dir []*mat.Matrix, delta float64) float64 {
+// probes can run in worker-private storage; the lines are shared and
+// only read. Infeasible or non-ergodic probes evaluate to +Inf.
+func phiIn[S State[E], E any](st S, cand []*mat.Matrix, lines []*markov.Line, p, dir []*mat.Matrix, delta float64) float64 {
 	if err := stepTo(cand, p, dir, delta); err != nil {
 		return math.Inf(1)
 	}
-	u, err := st.Evaluate(cand)
+	u, err := st.Probe(lines, cand, delta)
 	if err != nil {
 		return math.Inf(1)
 	}

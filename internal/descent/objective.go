@@ -34,6 +34,14 @@ type State[E any] interface {
 	// Gradient writes the unprojected gradient blocks ∂U/∂P^(s) at the
 	// last evaluation into dst, one block per sensor.
 	Gradient(dst []*mat.Matrix) error
+	// Line builds lines[s], sensor s's search line through the last
+	// evaluation along the zero-row-sum direction dir[s], forming the
+	// evaluation's fundamental matrices if Gradient has not.
+	Line(lines []*markov.Line, dir []*mat.Matrix) error
+	// Probe evaluates the stack ps, each ps[s] the point at δ on
+	// lines[s], which becomes the state's last evaluation, and returns
+	// its penalized cost U. It only reads the lines.
+	Probe(lines []*markov.Line, ps []*mat.Matrix, delta float64) (float64, error)
 	// CopyTo copies the last evaluation into dst, reusing its buffers;
 	// Clone copies it into a fresh one.
 	CopyTo(dst E)
@@ -80,6 +88,19 @@ func (s *singleState) Gradient(dst []*mat.Matrix) error {
 		return err
 	}
 	return dst[0].CopyFrom(g)
+}
+
+func (s *singleState) Line(lines []*markov.Line, dir []*mat.Matrix) error {
+	return lines[0].Reset(s.ev.Sol, dir[0])
+}
+
+func (s *singleState) Probe(lines []*markov.Line, ps []*mat.Matrix, delta float64) (float64, error) {
+	ev, err := s.model.ProbeIn(s.ws, lines[0], ps[0], delta)
+	if err != nil {
+		return 0, err
+	}
+	s.ev = ev
+	return ev.U, nil
 }
 
 func (s *singleState) CopyTo(dst *cost.Evaluation) { s.ev.CopyTo(dst) }

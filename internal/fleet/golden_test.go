@@ -73,8 +73,8 @@ func TestGoldenFleetTraces(t *testing.T) {
 	}{
 		{"topology3/k2", small, 2, 1, 0, 42, 0x3f929d89979cb73c, 0x69d797ea885a8e70},
 		{"topology3/k3", small, 3, 1, 0, 42, 0x3fd8f027b42436df, 0x4748d35deb104838},
-		{"field24/k3/w1", field, 3, 1, 1000, 99, 0x40df2e38c2f4ed1f, 0xe051da09bb714729},
-		{"field24/k3/w4", field, 3, 4, 1000, 99, 0x40df2e38c2f4ed1f, 0xe051da09bb714729},
+		{"field24/k3/w1", field, 3, 1, 1000, 99, 0x40de36ca2a63da93, 0x7877be4eff3f7307},
+		{"field24/k3/w4", field, 3, 4, 1000, 99, 0x40de36ca2a63da93, 0x7877be4eff3f7307},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -300,6 +300,35 @@ func (st *State) Gradient(dst []*mat.Matrix) error {
 	return nil
 }
 
+// Line builds lines[s], sensor s's search line through its last
+// evaluation along dir[s] (markov.Line).
+func (st *State) Line(lines []*markov.Line, dir []*mat.Matrix) error {
+	for s, ev := range st.evs {
+		if err := lines[s].Reset(ev.Sol, dir[s]); err != nil {
+			return fmt.Errorf("fleet: sensor %d line: %w", s, err)
+		}
+	}
+	return nil
+}
+
+// Probe evaluates the stack ps, ps[s] the point at δ on lines[s], like
+// Evaluate but with each sensor's π from its line (cost.Model.ProbeIn).
+func (st *State) Probe(lines []*markov.Line, ps []*mat.Matrix, delta float64) (float64, error) {
+	fm := st.fm
+	if len(ps) != fm.k || len(lines) != fm.k {
+		return 0, fmt.Errorf("%w: %d matrices and %d lines for %d sensors", ErrModel, len(ps), len(lines), fm.k)
+	}
+	for s, p := range ps {
+		ev, err := fm.cm.ProbeIn(st.ws[s], lines[s], p, delta)
+		if err != nil {
+			return 0, fmt.Errorf("fleet: sensor %d: %w", s, err)
+		}
+		st.evs[s] = ev
+	}
+	st.combine()
+	return st.ev.U, nil
+}
+
 // CopyTo copies the last joint evaluation into dst, reusing its slices.
 func (st *State) CopyTo(dst *Evaluation) { st.ev.CopyTo(dst) }
 

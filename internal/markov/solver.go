@@ -12,8 +12,9 @@ import (
 // times — performs no allocations in steady state.
 //
 // A solve has two stages. The stationary stage validates P, checks
-// ergodicity and computes π with one factorization; it is all a cost
-// evaluation needs. The fundamental stage forms W, Z and R (Eqs. 7–8)
+// ergodicity and computes π with one factorization — or, for a point on
+// a search Line, with one O(M²) shifted solve (SolveLine); it is all a
+// cost evaluation needs. The fundamental stage forms W, Z and R (Eqs. 7–8)
 // from the same solver, on the first Solution.Fundamental call after the
 // stationary stage. Solve runs both; SolveStationary runs the first and
 // leaves the second to whoever asks for it.
@@ -34,6 +35,8 @@ type Solver struct {
 
 	// Sparse-path assembly scratch, allocated on first sparse solve.
 	sp *sparseScratch
+	// Shifted-solve scratch of SolveLine, allocated on its first call.
+	lineWs *mat.ShiftedScratch
 
 	// Graph-check scratch for the ergodicity test.
 	seen  []bool
@@ -87,22 +90,8 @@ func (s *Solver) Solve(p *mat.Matrix) (*Solution, error) {
 // from this Solver, which must not have solved another chain in between.
 // No allocations occur on the success path.
 func (s *Solver) SolveStationary(p *mat.Matrix) (*Solution, error) {
-	n := s.n
-	if p.Rows() != n || p.Cols() != n {
-		return nil, fmt.Errorf("%w: solver for %d states got %dx%d",
-			ErrNotStochastic, n, p.Rows(), p.Cols())
-	}
-	if err := CheckStochastic(p); err != nil {
+	if err := s.begin(p); err != nil {
 		return nil, err
-	}
-	// Re-arm the lazy stages for this solve; their buffers are kept.
-	s.sol.unform()
-	if !s.ergodic(p) {
-		// Error path only: rebuild the diagnostic detail with the Chain
-		// helpers (these allocate, which is fine off the hot path).
-		c := &Chain{p: p}
-		return nil, fmt.Errorf("%w: irreducible=%v period=%d",
-			ErrNotErgodic, c.IsIrreducible(), c.Period())
 	}
 	s.sol.method = MethodDense
 	if s.method == MethodSparse {
@@ -124,6 +113,30 @@ func (s *Solver) SolveStationary(p *mat.Matrix) (*Solution, error) {
 		return nil, err
 	}
 	return &s.sol, nil
+}
+
+// begin opens a stationary stage for p: it checks p's shape, that it is
+// stochastic and that it is ergodic, and re-arms the solution's lazy
+// stages.
+func (s *Solver) begin(p *mat.Matrix) error {
+	n := s.n
+	if p.Rows() != n || p.Cols() != n {
+		return fmt.Errorf("%w: solver for %d states got %dx%d",
+			ErrNotStochastic, n, p.Rows(), p.Cols())
+	}
+	if err := CheckStochastic(p); err != nil {
+		return err
+	}
+	// Re-arm the lazy stages for this solve; their buffers are kept.
+	s.sol.unform()
+	if !s.ergodic(p) {
+		// Error path only: rebuild the diagnostic detail with the Chain
+		// helpers (these allocate, which is fine off the hot path).
+		c := &Chain{p: p}
+		return fmt.Errorf("%w: irreducible=%v period=%d",
+			ErrNotErgodic, c.IsIrreducible(), c.Period())
+	}
+	return nil
 }
 
 // fundamental is the fundamental stage of the Solver's current solution:

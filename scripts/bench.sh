@@ -8,25 +8,74 @@
 #   scripts/bench.sh [out.json [prev.json]]
 #   scripts/bench.sh compare now.json prev.json
 #   scripts/bench.sh merge before.json after.json out.json [pr [title [note]]]
+#   scripts/bench.sh summarize raw.txt out.json
 #
-# The first form runs the suite, writes out.json, and prints a
-# prev-vs-now table. prev.json defaults to the checked-in BENCH_prN.json
-# with the highest N (whose "after" numbers are used); pass "none" to skip
-# the comparison. A missing prior snapshot is tolerated: fresh clones
-# have nothing to diff yet.
+# The first form runs the suite BENCH_COUNT times (default 3, as
+# go test -count), writes out.json with each benchmark's median over the
+# passes, and prints a prev-vs-now table. prev.json defaults to the
+# checked-in BENCH_prN.json with the highest N (whose "after" numbers are
+# used); pass "none" to skip the comparison. A missing prior snapshot is
+# tolerated: fresh clones have nothing to diff yet.
 #
 # The comparison doubles as a regression gate: the script exits nonzero
-# when any benchmark's ns/op regressed by more than
+# when any benchmark's median ns/op regressed by more than
 # BENCH_FAIL_THRESHOLD percent (default 20) against the prior snapshot.
 # CI sets BENCH_FAIL_THRESHOLD=100 (only a 2x slowdown fails) because
 # shared runners are noisy; locally the tighter default catches real
-# regressions before they are committed.
+# regressions before they are committed. Gating on the median keeps one
+# cold or preempted pass from tripping the gate without loosening it.
 #
-# The second form runs nothing: it joins two flat snapshots by benchmark
+# The merge form runs nothing: it joins two flat snapshots by benchmark
 # name into the checked-in BENCH_pr*.json schema, where each entry has
 # nullable "before" and "after" objects (null = the benchmark did not
-# exist on that side).
+# exist on that side). The summarize form runs nothing either: it turns
+# raw go test -bench output into a snapshot, one median entry per
+# benchmark, the way the first form does.
 set -eu
+
+# summarize <raw.txt> <out.json>: write the snapshot of raw go test
+# -bench output. A benchmark that ran several passes gets the median of
+# each column (the mean of the middle two for an even count), in order
+# of its first appearance.
+summarize() {
+	awk '
+		/^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
+		/^goos:/ { goos = $2 }
+		/^goarch:/ { goarch = $2 }
+		/^Benchmark.*allocs\/op/ {
+			name = $1
+			sub(/-[0-9]+$/, "", name)  # strip GOMAXPROCS suffix
+			if (!(name in runs)) order[n++] = name
+			k = runs[name]++
+			for (i = 2; i <= NF; i++) {
+				if ($(i) == "ns/op") ns[name, k] = $(i - 1)
+				if ($(i) == "B/op") bytes[name, k] = $(i - 1)
+				if ($(i) == "allocs/op") allocs[name, k] = $(i - 1)
+			}
+		}
+		function median(col, name, cnt,   v, i, j, t) {
+			for (i = 0; i < cnt; i++) v[i] = col[name, i] + 0
+			for (i = 1; i < cnt; i++)
+				for (j = i; j > 0 && v[j - 1] > v[j]; j--) {
+					t = v[j]; v[j] = v[j - 1]; v[j - 1] = t
+				}
+			if (cnt % 2) return v[int(cnt / 2)]
+			return (v[cnt / 2 - 1] + v[cnt / 2]) / 2
+		}
+		END {
+			printf "{\n  \"benchmarks\": [\n"
+			for (b = 0; b < n; b++) {
+				name = order[b]
+				if (b) printf ",\n"
+				printf "    {\"name\": \"%s\", \"ns_op\": %.10g, \"b_op\": %.10g, \"allocs_op\": %.10g}", \
+					name, median(ns, name, runs[name]), median(bytes, name, runs[name]), \
+					median(allocs, name, runs[name])
+			}
+			printf "\n  ],\n"
+			printf "  \"cpu\": \"%s\",\n  \"goos\": \"%s\",\n  \"goarch\": \"%s\"\n}\n", cpu, goos, goarch
+		}
+	' "$1" >"$2"
+}
 
 # flatten_json emits "name ns b allocs" per benchmark line of a snapshot,
 # preferring the "after" object when one is present (merged snapshots).
@@ -106,6 +155,12 @@ if [ "${1:-}" = "compare" ]; then
 	exit $?
 fi
 
+if [ "${1:-}" = "summarize" ]; then
+	[ $# -eq 3 ] || { echo "usage: $0 summarize raw.txt out.json" >&2; exit 2; }
+	summarize "$2" "$3"
+	exit 0
+fi
+
 if [ "${1:-}" = "merge" ]; then
 	[ $# -ge 4 ] || { echo "usage: $0 merge before.json after.json out.json [pr [title [note]]]" >&2; exit 2; }
 	before=$2 after=$3 out=$4 pr=${5:-0} title=${6:-} note=${7:-}
@@ -146,37 +201,17 @@ fi
 
 out=${1:-BENCH_run.json}
 prev=${2:-}
+count=${BENCH_COUNT:-3}
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
-go test -run '^$' -benchmem -benchtime 300ms \
-	-bench 'BenchmarkEvaluate$|BenchmarkEvaluateAlloc$|BenchmarkEvaluateLarge$|BenchmarkGradient$|BenchmarkGradientAlloc$|BenchmarkGradientLarge$|BenchmarkFleetGradient$|BenchmarkChainSolve$|BenchmarkOptimizerIteration$|BenchmarkOptimizeBest$|BenchmarkShardedOptimizeBest$' \
+go test -run '^$' -benchmem -benchtime 300ms -count "$count" \
+	-bench 'BenchmarkEvaluate$|BenchmarkEvaluateAlloc$|BenchmarkEvaluateLarge$|BenchmarkGradient$|BenchmarkGradientAlloc$|BenchmarkGradientLarge$|BenchmarkFleetGradient$|BenchmarkChainSolve$|BenchmarkProbe$|BenchmarkOptimizerIteration$|BenchmarkOptimizeBest$|BenchmarkShardedOptimizeBest$' \
 	. >"$tmp"
-go test -run '^$' -benchmem -benchtime 300ms \
+go test -run '^$' -benchmem -benchtime 300ms -count "$count" \
 	-bench 'BenchmarkLineSearchStep' ./internal/descent/ >>"$tmp"
 
-awk '
-	/^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
-	/^goos:/ { goos = $2 }
-	/^goarch:/ { goarch = $2 }
-	/^Benchmark.*allocs\/op/ {
-		name = $1
-		sub(/-[0-9]+$/, "", name)  # strip GOMAXPROCS suffix
-		for (i = 2; i <= NF; i++) {
-			if ($(i) == "ns/op") ns = $(i - 1)
-			if ($(i) == "B/op") bytes = $(i - 1)
-			if ($(i) == "allocs/op") allocs = $(i - 1)
-		}
-		if (n++) printf ",\n"
-		printf "    {\"name\": \"%s\", \"ns_op\": %s, \"b_op\": %s, \"allocs_op\": %s}", \
-			name, ns, bytes, allocs
-	}
-	END {
-		printf "\n  ],\n"
-		printf "  \"cpu\": \"%s\",\n  \"goos\": \"%s\",\n  \"goarch\": \"%s\"\n}\n", cpu, goos, goarch
-	}
-	BEGIN { printf "{\n  \"benchmarks\": [\n" }
-' "$tmp" >"$out"
+summarize "$tmp" "$out"
 
 echo "wrote $out"
 
