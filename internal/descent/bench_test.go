@@ -35,8 +35,8 @@ func benchOptimizer(b *testing.B, m, workers int) (*singleOptimizer, []*mat.Matr
 }
 
 // BenchmarkLineSearchStep measures the line-search half of one V3
-// iteration — the iterate's evaluation and gradient, which form the Z
-// the search lines are built from, then the full search (geometric
+// iteration — the iterate's evaluation and gradient, the search lines
+// built from the Z the gradient forms, then the full search (geometric
 // bracketing plus conservative trisection, a few dozen probes) —
 // serially (W1) and fanned out across a two-worker pool (W2) at every
 // size, with the fan-out threshold lifted so W2 always forks. Every op
@@ -60,7 +60,9 @@ func BenchmarkLineSearchStep(b *testing.B) {
 					if err := opt.st.Gradient(opt.grad); err != nil {
 						b.Fatal(err)
 					}
-					opt.evAtP = true
+					if err := opt.st.Line(opt.lines, dir); err != nil {
+						b.Fatal(err)
+					}
 					step, _, ok := opt.lineSearch(p, dir, curU)
 					if !ok && step != 0 {
 						b.Fatal("inconsistent line search result")

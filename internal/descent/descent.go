@@ -283,19 +283,10 @@ type Optimizer[S State[E], E any] struct {
 	dir  []*mat.Matrix // projected (negated) descent direction
 	cand []*mat.Matrix // line-search / acceptance candidate stack
 
-	// evAtP reports whether st's last evaluation is the current
-	// iterate's: true after the initial evaluation and after an accepted
-	// candidate (the p/cand swap makes the candidate's evaluation the
-	// iterate's), false once line-search probes or a rejected candidate
-	// have overwritten it. When true, the gradient and the search lines
-	// reuse it instead of solving the iterate's chains again; either way
-	// the bits are identical, because re-solving the same p reproduces
-	// the same solution.
-	evAtP bool
-	// lines are the current line search's per-sensor search lines,
-	// built from the iterate's evaluation before the first probe and
-	// only read by the probes, serial and batched. Allocated by the
-	// first line search.
+	// lines are the current iteration's per-sensor search lines, built
+	// from the iterate's evaluation right after its gradient and only
+	// read by the line-search probes, serial and batched. Nil for Basic,
+	// which runs no line search.
 	lines []*markov.Line
 
 	// Parallel machinery, nil/empty when NewIterationPool gives no pool
@@ -397,6 +388,12 @@ func NewOptimizer[S State[E], E any](obj Objective[S], opts Options) (*Optimizer
 		o.probeDelta = make([]float64, 0, lsMaxProbes)
 		o.probeU = make([]float64, lsMaxProbes)
 		o.ptask.o = o
+	}
+	if opts.Variant != Basic {
+		o.lines = make([]*markov.Line, k)
+		for s := range o.lines {
+			o.lines[s] = markov.NewLine(m)
+		}
 	}
 	return o, nil
 }
@@ -564,7 +561,14 @@ func (o *Optimizer[S, E]) RunContext(ctx context.Context) (*Result[E], error) {
 	res.P = res.Ps[0]
 	bestU := curU
 	stall := 0
-	o.evAtP = true
+	// evAtP tracks whether the state's last evaluation (and its Markov
+	// solutions) is current for p: true after the initial evaluate and
+	// after an accepted candidate (the p/cand swap makes the candidate's
+	// evaluation the iterate's), false once line-search probes or a
+	// rejected candidate have clobbered the state. When true, the gradient
+	// skips the O(M³) chain re-solves; either way the bits are identical
+	// because re-solving the same p reproduces the same solution.
+	evAtP := true
 	for iter := 1; iter <= o.opts.MaxIters; iter++ {
 		if err := ctx.Err(); err != nil {
 			return res, cancelErr(err, res.Iters)
@@ -572,11 +576,10 @@ func (o *Optimizer[S, E]) RunContext(ctx context.Context) (*Result[E], error) {
 		// Every iteration that starts counts, including one that finds
 		// no feasible step and changes nothing.
 		res.Iters = iter
-		if !o.evAtP {
+		if !evAtP {
 			if _, err := o.st.Evaluate(p); err != nil {
 				return nil, fmt.Errorf("descent: iteration %d: %w", iter, err)
 			}
-			o.evAtP = true
 		}
 		if err := o.st.Gradient(o.grad); err != nil {
 			return nil, fmt.Errorf("descent: iteration %d: %w", iter, err)
@@ -592,18 +595,19 @@ func (o *Optimizer[S, E]) RunContext(ctx context.Context) (*Result[E], error) {
 				step = bound
 			}
 		} else {
+			// The state still holds p's evaluation with its fundamental
+			// matrices formed by the gradient: build the search lines
+			// from it before the first probe overwrites it.
+			if err := o.st.Line(o.lines, o.dir); err != nil {
+				return nil, fmt.Errorf("descent: iteration %d: search line: %w", iter, err)
+			}
 			var ok bool
 			step, _, ok = o.lineSearch(p, o.dir, curU)
+			evAtP = false // probe evaluations have clobbered the state
 			if !ok || step == 0 {
 				if o.opts.Variant == Adaptive {
 					// Δt* = 0: the paper's criterion for a local optimum.
-					res.Converged = true
-					res.LocalOptimum = true
-					o.record(res, IterRecord{
-						Iter: iter, U: curU, Objective: curObj,
-						DeltaC: curDC, EBar: curEB, Step: 0, Accepted: false,
-						Probes: o.probes,
-					}, p)
+					o.stopAtOptimum(res, iter, curU, curObj, curDC, curEB, p)
 					break
 				}
 				// Zero optimal step: take a uniform random step within
@@ -626,9 +630,18 @@ func (o *Optimizer[S, E]) RunContext(ctx context.Context) (*Result[E], error) {
 			return nil, err
 		}
 		candU, err := o.st.Evaluate(next)
-		o.evAtP = false
+		evAtP = false
 		if err != nil {
 			return nil, fmt.Errorf("descent: iteration %d: %w", iter, err)
+		}
+		if o.opts.Variant == Adaptive && candU >= improvementTarget(curU) {
+			// The probes' U agrees with a direct evaluation to rounding
+			// only (DESIGN §8.2), so near a stationary point a probe can
+			// read an improvement that the chosen step's direct cost does
+			// not confirm. V3 accepts only a strict improvement; anything
+			// else is Δt* = 0.
+			o.stopAtOptimum(res, iter, curU, curObj, curDC, curEB, p)
+			break
 		}
 		prevU := curU
 		accepted := o.opts.Variant != Perturbed || candU < curU || o.anneal(candU, curU, bestU, iter)
@@ -640,7 +653,7 @@ func (o *Optimizer[S, E]) RunContext(ctx context.Context) (*Result[E], error) {
 			// computed at the candidate, which is now p — the next
 			// iteration's gradient reuses its Markov solutions.
 			p, o.cand = next, p
-			o.evAtP = true
+			evAtP = true
 			curU = candU
 			curObj, curDC, curEB = o.st.Metrics()
 		} else {
@@ -664,6 +677,27 @@ func (o *Optimizer[S, E]) RunContext(ctx context.Context) (*Result[E], error) {
 		}
 	}
 	return res, nil
+}
+
+// stopAtOptimum ends an Adaptive run at Δt* = 0, the paper's criterion
+// for a local optimum: it records the iteration as a zero step that
+// leaves the iterate unchanged.
+func (o *Optimizer[S, E]) stopAtOptimum(res *Result[E], iter int, curU, curObj, curDC, curEB float64, p []*mat.Matrix) {
+	res.Converged = true
+	res.LocalOptimum = true
+	o.record(res, IterRecord{
+		Iter: iter, U: curU, Objective: curObj,
+		DeltaC: curDC, EBar: curEB, Step: 0, Accepted: false,
+		Probes: o.probes,
+	}, p)
+}
+
+// improvementTarget is the cost a step must beat to count as an
+// improvement on curU. Any numerically meaningful improvement counts;
+// convergence ("within some tolerance level", §V) is judged by the
+// stall counter, not here, so the search is not cut off prematurely.
+func improvementTarget(curU float64) float64 {
+	return curU - 1e-15*math.Max(1, math.Abs(curU))
 }
 
 // direction turns the gradient blocks into the projected descent
@@ -795,38 +829,20 @@ func maxFeasibleStep(ps, dirs []*mat.Matrix, floor float64) float64 {
 // chosen step, the cost at that step, and false when no positive step
 // improves on curU (the paper's Δt* = 0 case).
 //
-// Every probe evaluates on the search lines (Objective.Probe): π along
-// P + δ·dir is one O(M²) solve against a Hessenberg reduction made once
-// here, from the iterate's evaluation, before any probe overwrites it.
-// A probe's U therefore agrees with a direct evaluation of the same
-// stack to rounding only; the caller evaluates the chosen step directly.
-// When the lines cannot be built every probe would fail, and the search
-// reports no step.
+// Every probe evaluates on o.lines (State.Probe), which the caller has
+// built through p along dir (State.Line): π along P + δ·dir is one O(M²)
+// solve against a Hessenberg reduction made once per search. A probe's
+// U therefore agrees with a direct evaluation of the same stack to
+// rounding only; the caller evaluates the chosen step directly. The
+// search only reads the lines and p, so it is a pure function of its
+// arguments and the lines.
 func (o *Optimizer[S, E]) lineSearch(p, dir []*mat.Matrix, curU float64) (float64, float64, bool) {
 	o.probes = 0
 	bound := maxFeasibleStep(p, dir, o.opts.MinProb)
 	if bound <= 0 {
 		return 0, curU, false
 	}
-	if !o.evAtP {
-		if _, err := o.st.Evaluate(p); err != nil {
-			return 0, curU, false
-		}
-	}
-	o.evAtP = false // the probes overwrite the state's evaluation
-	if o.lines == nil {
-		o.lines = make([]*markov.Line, o.k)
-		for s := range o.lines {
-			o.lines[s] = markov.NewLine(o.m)
-		}
-	}
-	if err := o.st.Line(o.lines, dir); err != nil {
-		return 0, curU, false
-	}
-	// Any numerically meaningful improvement counts; convergence ("within
-	// some tolerance level", §V) is judged by the caller's stall counter,
-	// not here, so the search is not cut off prematurely.
-	target := curU - 1e-15*math.Max(1, math.Abs(curU))
+	target := improvementTarget(curU)
 	if o.pool.Workers() > 1 {
 		return o.lineSearchBatched(p, dir, curU, bound, target)
 	}

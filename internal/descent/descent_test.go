@@ -522,6 +522,7 @@ func TestLineSearchFindsDescent(t *testing.T) {
 	}
 	dir := cost.Project(grad)
 	mat.ScaleInPlace(-1, dir)
+	primeSearch(t, opt, []*mat.Matrix{p}, []*mat.Matrix{dir})
 	step, u, ok := opt.lineSearch([]*mat.Matrix{p}, []*mat.Matrix{dir}, ev.U)
 	if !ok {
 		t.Fatal("line search found no descent from the uniform start")
@@ -563,6 +564,7 @@ func TestLineSearchZeroAtMinimum(t *testing.T) {
 	}
 	// Ascent direction: +projected gradient.
 	dir := cost.Project(grad)
+	primeSearch(t, opt, []*mat.Matrix{p}, []*mat.Matrix{dir})
 	if step, _, ok := opt.lineSearch([]*mat.Matrix{p}, []*mat.Matrix{dir}, ev.U); ok && step > 0 {
 		// An ascent direction may still curve downward far away; accept
 		// only a genuinely lower cost.

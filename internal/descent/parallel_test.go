@@ -248,7 +248,8 @@ func lineSearchFixture(t *testing.T, workers int) (*singleOptimizer, []*mat.Matr
 
 // searchInputs returns the inputs of one line-search step for opt: a
 // random iterate of its objective's shape, the iterate's projected
-// steepest-descent direction, and its cost.
+// steepest-descent direction, and its cost. opt's search lines are
+// built through them (primeSearch).
 func searchInputs[S State[E], E any](tb testing.TB, opt *Optimizer[S, E]) (p, dir []*mat.Matrix, curU float64) {
 	tb.Helper()
 	src := rng.New(1)
@@ -268,7 +269,21 @@ func searchInputs[S State[E], E any](tb testing.TB, opt *Optimizer[S, E]) (p, di
 		cost.ProjectTo(dir[s], g)
 		mat.ScaleInPlace(-1, dir[s])
 	}
+	primeSearch(tb, opt, p, dir)
 	return p, dir, curU
+}
+
+// primeSearch readies opt for a direct lineSearch call at p along dir
+// the way RunContext does: it evaluates p and builds the search lines
+// from that evaluation.
+func primeSearch[S State[E], E any](tb testing.TB, opt *Optimizer[S, E], p, dir []*mat.Matrix) {
+	tb.Helper()
+	if _, err := opt.st.Evaluate(p); err != nil {
+		tb.Fatal(err)
+	}
+	if err := opt.st.Line(opt.lines, dir); err != nil {
+		tb.Fatal(err)
+	}
 }
 
 // TestSteadyStateAllocs asserts the zero-allocation contract of the hot
@@ -352,6 +367,7 @@ func batchedMatchesSerial[S State[E], E any](t *testing.T, obj Objective[S]) {
 	}
 	t.Cleanup(func() { batched.pool.Stop() })
 	p, dir, curU := searchInputs(t, serial)
+	primeSearch(t, batched, p, dir)
 
 	s1, u1, ok1 := serial.lineSearch(p, dir, curU)
 	s2, u2, ok2 := batched.lineSearch(p, dir, curU)

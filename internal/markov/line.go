@@ -3,12 +3,12 @@ package markov
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/mat"
 )
 
-// ErrDirection indicates a search direction a Line cannot be built along.
+// ErrDirection indicates a line whose order does not match the chain,
+// direction or solver it is used with.
 var ErrDirection = errors.New("markov: invalid line direction")
 
 // Line is the stationary distribution along a search line P + δ·D, for
@@ -46,31 +46,17 @@ func NewLine(n int) *Line {
 	}
 }
 
-// lineDirTol bounds a direction row's sum relative to the row's
-// absolute sum. A projected direction (cost.ProjectTo) is zero-sum up to
-// rounding, a few ulps of its entries; the identity above needs D·1 = 0.
-const lineDirTol = 1e-10
-
 // Reset builds the line through sol's chain along d. It forms sol's
 // fundamental stage if that has not happened yet, so sol must still be
-// its Solver's current solution or carry a formed Z. d must have
-// zero row sums. It performs no allocations on the success path.
+// its Solver's current solution or carry a formed Z. The identity needs
+// d to have zero row sums; Reset does not check that, because every
+// probe checks that its P + δ·d is stochastic (SolveLine). It performs
+// no allocations on the success path.
 func (l *Line) Reset(sol *Solution, d *mat.Matrix) error {
 	n := l.n
 	if len(sol.Pi) != n || d.Rows() != n || d.Cols() != n {
 		return fmt.Errorf("%w: line of order %d through a %d-state chain along %dx%d",
 			ErrDirection, n, len(sol.Pi), d.Rows(), d.Cols())
-	}
-	dd := d.Data()
-	for i := 0; i < n; i++ {
-		var sum, abs float64
-		for _, v := range dd[i*n : (i+1)*n] {
-			sum += v
-			abs += math.Abs(v)
-		}
-		if !(math.Abs(sum) <= lineDirTol*abs) {
-			return fmt.Errorf("%w: row %d sums to %g", ErrDirection, i, sum)
-		}
 	}
 	if err := sol.Fundamental(); err != nil {
 		return err

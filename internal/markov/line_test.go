@@ -75,21 +75,17 @@ func TestLineSolutionFormsZ(t *testing.T) {
 	}
 }
 
-// TestLineRejects covers the errors of the line layer: a direction whose
-// rows do not sum to zero, a line of the wrong order, a copied solution
-// with no fundamental stage to build from, and a probe that leaves the
-// stochastic matrices.
+// TestLineRejects covers the errors of the line layer: a line of the
+// wrong order, a copied solution with no fundamental stage to build
+// from, a probe that leaves the stochastic matrices, and a direction
+// whose rows do not sum to zero, which builds but fails at its first
+// probe off δ = 0.
 func TestLineRejects(t *testing.T) {
 	const n = 6
 	p, d, l := lineFixture(t, n, MethodDense)
 	sol, err := NewSolver(n).SolveStationary(p)
 	if err != nil {
 		t.Fatal(err)
-	}
-	bad := d.Clone()
-	bad.Add(2, 3, 1e-3)
-	if err := NewLine(n).Reset(sol, bad); !errors.Is(err, ErrDirection) {
-		t.Errorf("non-zero-sum row: err = %v, want ErrDirection", err)
 	}
 	if err := NewLine(n).Reset(sol.Clone(), d); !errors.Is(err, ErrNoFundamental) {
 		t.Errorf("copied stationary stage: err = %v, want ErrNoFundamental", err)
@@ -103,6 +99,19 @@ func TestLineRejects(t *testing.T) {
 	}
 	if _, err := NewSolver(n).SolveLine(l, far, 1e3); !errors.Is(err, ErrNotStochastic) {
 		t.Errorf("probe off the simplex: err = %v, want ErrNotStochastic", err)
+	}
+	bad := d.Clone()
+	bad.Add(2, 3, 1e-3)
+	lb := NewLine(n)
+	if err := lb.Reset(sol, bad); err != nil {
+		t.Fatalf("non-zero-sum row: Reset: %v", err)
+	}
+	q := p.Clone()
+	if err := mat.AddInPlace(q, 1, bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSolver(n).SolveLine(lb, q, 1); !errors.Is(err, ErrNotStochastic) {
+		t.Errorf("non-zero-sum row: probe err = %v, want ErrNotStochastic", err)
 	}
 }
 

@@ -10,9 +10,9 @@
 #   scripts/bench.sh merge before.json after.json out.json [pr [title [note]]]
 #   scripts/bench.sh summarize raw.txt out.json
 #
-# The first form runs the suite BENCH_COUNT times (default 3, as
-# go test -count), writes out.json with each benchmark's median over the
-# passes, and prints a prev-vs-now table. prev.json defaults to the
+# The first form runs the suite three times (go test -count 3), writes
+# out.json with each benchmark's median over the passes, and prints a
+# prev-vs-now table. prev.json defaults to the
 # checked-in BENCH_prN.json with the highest N (whose "after" numbers are
 # used); pass "none" to skip the comparison. A missing prior snapshot is
 # tolerated: fresh clones have nothing to diff yet.
@@ -201,7 +201,7 @@ fi
 
 out=${1:-BENCH_run.json}
 prev=${2:-}
-count=${BENCH_COUNT:-3}
+count=3
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
