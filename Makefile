@@ -16,8 +16,8 @@ race:
 	$(GO) test -race ./...
 
 # check is the PR gate: static analysis plus the full suite under the race
-# detector (RunManyParallel and the per-Optimizer workspace ownership rule
-# are only meaningfully exercised with -race on).
+# detector (concurrent best-of restarts and the per-Optimizer workspace
+# ownership rule are only meaningfully exercised with -race on).
 check: vet race
 
 # bench runs the evaluation-pipeline benchmark suite and writes a JSON

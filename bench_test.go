@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/coverage"
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/descent"
 	"repro/internal/exp"
@@ -596,8 +595,12 @@ func BenchmarkOptimizerIteration(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	fm, err := fleet.NewModel(model, 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	opts := descent.Options{Variant: descent.Perturbed, MaxIters: 20, Seed: 5}
-	warm, err := descent.New(model, opts)
+	warm, err := descent.NewOptimizer(fm, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -610,7 +613,7 @@ func BenchmarkOptimizerIteration(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opt, err := descent.New(model, opts)
+		opt, err := descent.NewOptimizer(fm, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -701,15 +704,11 @@ func BenchmarkIncidentSimulation(b *testing.B) {
 // moments) on a 4-state chain.
 func BenchmarkChainAnalysis(b *testing.B) {
 	top := topology.Topology1()
-	planner, err := core.NewPlanner(top, cost.Uniform(top.M(), 1, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
 	p := descent.RandomInit(rng.New(8), top.M(), 1e-7)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := planner.Analyze(p, core.AnalyzeOptions{}); err != nil {
+		if _, err := markov.Analyze(p, markov.AnalyzeOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

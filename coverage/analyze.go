@@ -3,8 +3,7 @@ package coverage
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/cost"
+	"repro/internal/markov"
 	"repro/internal/mat"
 	"repro/internal/sim"
 )
@@ -41,19 +40,14 @@ func Analyze(scn Scenario, plan *Plan) (*Analysis, error) {
 	if plan == nil {
 		return nil, fmt.Errorf("%w: nil plan", ErrPlan)
 	}
-	top, err := scn.build()
-	if err != nil {
+	if _, err := scn.build(); err != nil {
 		return nil, err
-	}
-	eng, err := core.NewPlanner(top, cost.Uniform(top.M(), 1, 1))
-	if err != nil {
-		return nil, fmt.Errorf("coverage: %w", err)
 	}
 	pm, err := mat.NewFromRows(plan.TransitionMatrix)
 	if err != nil {
 		return nil, fmt.Errorf("coverage: %w", err)
 	}
-	a, err := eng.Analyze(pm, core.AnalyzeOptions{})
+	a, err := markov.Analyze(pm, markov.AnalyzeOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("coverage: %w", err)
 	}

@@ -1,12 +1,12 @@
 package coverage
 
 import (
-	"context"
 	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/descent"
+	"repro/internal/fleet"
 	"repro/internal/mat"
 )
 
@@ -577,22 +577,30 @@ func TestWarmStartBitIdenticalToInternal(t *testing.T) {
 		t.Fatalf("Optimize: %v", err)
 	}
 
-	eng, err := planner(scn, obj)
+	model, err := costModel(scn, obj)
 	if err != nil {
-		t.Fatalf("planner: %v", err)
+		t.Fatalf("costModel: %v", err)
+	}
+	fm, err := fleet.NewModel(model, 1, nil)
+	if err != nil {
+		t.Fatalf("fleet.NewModel: %v", err)
 	}
 	initial, err := mat.NewFromRows(warm)
 	if err != nil {
 		t.Fatalf("NewFromRows: %v", err)
 	}
-	res, err := eng.OptimizeContext(context.Background(), descent.Options{
+	opt, err := descent.NewOptimizer(fm, descent.Options{
 		Variant:  descent.Perturbed,
 		MaxIters: 300,
 		Seed:     77,
 		Initial:  []*mat.Matrix{initial},
 	})
 	if err != nil {
-		t.Fatalf("internal OptimizeContext: %v", err)
+		t.Fatalf("NewOptimizer: %v", err)
+	}
+	res, err := opt.Run()
+	if err != nil {
+		t.Fatalf("internal Run: %v", err)
 	}
 	if plan.Cost != res.Eval.U {
 		t.Fatalf("cost = %v, want internal %v", plan.Cost, res.Eval.U)

@@ -5,11 +5,12 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/descent"
+	"repro/internal/fleet"
 	"repro/internal/markov"
 	"repro/internal/mat"
+	"repro/internal/mcmc"
 	"repro/internal/rng"
 )
 
@@ -252,8 +253,9 @@ func (o Options) variant() descent.Variant {
 	}
 }
 
-// planner builds the internal engine for a scenario and objectives.
-func planner(scn Scenario, obj Objectives) (*core.Planner, error) {
+// costModel builds the single-sensor cost model (Eq. 9) of a scenario
+// under the objectives.
+func costModel(scn Scenario, obj Objectives) (*cost.Model, error) {
 	top, err := scn.build()
 	if err != nil {
 		return nil, err
@@ -262,11 +264,11 @@ func planner(scn Scenario, obj Objectives) (*core.Planner, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.NewPlanner(top, w)
+	model, err := cost.NewModel(top, w)
 	if err != nil {
 		return nil, fmt.Errorf("coverage: %w", err)
 	}
-	return p, nil
+	return model, nil
 }
 
 // descentOptions lowers the public Options to the internal form, with
@@ -325,7 +327,7 @@ func (o Options) validateInitial(m int) error {
 // optimization — the cheap admission check the job service performs
 // before queueing work.
 func Validate(scn Scenario, obj Objectives) error {
-	_, err := planner(scn, obj)
+	_, err := costModel(scn, obj)
 	return err
 }
 
@@ -341,60 +343,141 @@ func Optimize(scn Scenario, obj Objectives, opts Options) (*Plan, error) {
 // returns the best plan found so far (nil when no iteration completed)
 // together with an error wrapping ctx.Err().
 func OptimizeContext(ctx context.Context, scn Scenario, obj Objectives, opts Options) (*Plan, error) {
-	return optimize(ctx, scn, obj, opts, []uint64{opts.Seed})
+	return optimize(ctx, scn, obj, opts, nil, []uint64{opts.Seed})
 }
 
-// optimize runs one single-sensor descent per seed through bestOf and
-// converts the winner to a Plan.
-func optimize(ctx context.Context, scn Scenario, obj Objectives, opts Options, seeds []uint64) (*Plan, error) {
-	eng, err := planner(scn, obj)
+// fleetSpec is the fleet of an OptimizeFleet* search: its size and
+// responsibility assignment (nil for uniform).
+type fleetSpec struct {
+	sensors        int
+	responsibility [][]float64
+}
+
+// optimize runs one descent per seed through bestOf and converts the
+// winner to a Plan. Every search runs on the joint objective fleet.Model:
+// the single-sensor entry points pass a nil fleet and search its K = 1
+// case, whose plan carries no Fleet block.
+func optimize(ctx context.Context, scn Scenario, obj Objectives, opts Options, fs *fleetSpec, seeds []uint64) (*Plan, error) {
+	model, err := costModel(scn, obj)
 	if err != nil {
 		return nil, err
 	}
-	if err := opts.validateInitial(len(scn.PoIs)); err != nil {
-		return nil, err
-	}
 	var initial [][][]float64
-	if opts.InitialMatrix != nil {
-		initial = [][][]float64{opts.InitialMatrix}
+	sensors, responsibility := 1, [][]float64(nil)
+	if fs == nil {
+		if err := opts.validateInitial(len(scn.PoIs)); err != nil {
+			return nil, err
+		}
+		if opts.InitialMatrix != nil {
+			initial = [][][]float64{opts.InitialMatrix}
+		}
+	} else {
+		if err := opts.validateInitialFleet(len(scn.PoIs), fs.sensors); err != nil {
+			return nil, err
+		}
+		// The fleet search is always the perturbed variant — the stacked
+		// landscape has at least as many local optima as the
+		// single-sensor one — so Basic/Adaptive selections are rejected
+		// rather than silently reinterpreted.
+		if opts.Algorithm != PerturbedDescent {
+			return nil, fmt.Errorf("%w: fleet optimization supports only the perturbed variant", ErrObjectives)
+		}
+		initial = opts.InitialMatrices
+		sensors, responsibility = fs.sensors, fs.responsibility
 	}
 	dopts, err := opts.descentOptions(initial)
 	if err != nil {
 		return nil, err
 	}
-	return bestOf(ctx, opts, len(scn.PoIs), seeds, search[*descent.Result[*cost.Evaluation]]{
-		run: func(ctx context.Context, seed uint64, hook func(descent.IterRecord)) (*descent.Result[*cost.Evaluation], error) {
-			d := dopts
-			d.Seed = seed
-			if hook != nil {
-				d.OnIteration = func(rec descent.IterRecord, _ []*mat.Matrix) { hook(rec) }
-			}
-			return eng.OptimizeContext(ctx, d)
-		},
-		cost: func(res *descent.Result[*cost.Evaluation]) float64 { return res.Eval.U },
-		plan: func(res *descent.Result[*cost.Evaluation]) (*Plan, error) { return planFromResult(res), nil },
+	fm, err := fleet.NewModel(model, sensors, responsibility)
+	if err != nil {
+		return nil, fmt.Errorf("coverage: %w", err)
+	}
+	res, err := bestOf(ctx, opts, len(scn.PoIs), seeds, func(ctx context.Context, seed uint64, hook func(descent.IterRecord)) (*result, error) {
+		d := dopts
+		d.Seed = seed
+		if hook != nil {
+			d.OnIteration = func(rec descent.IterRecord, _ []*mat.Matrix) { hook(rec) }
+		}
+		o, err := descent.NewOptimizer(fm, d)
+		if err != nil {
+			return nil, err
+		}
+		return o.RunContext(ctx)
 	})
+	if res == nil {
+		return nil, err
+	}
+	plan, perr := planFromResult(fm, dopts.Solver, res, fs != nil)
+	if perr != nil {
+		if err != nil {
+			return nil, err
+		}
+		return nil, perr
+	}
+	return plan, err
 }
 
-// planFromResult converts an internal descent result to the public Plan.
-func planFromResult(res *descent.Result[*cost.Evaluation]) *Plan {
-	n := res.P.Rows()
-	p := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		p[i] = res.P.Row(i)
+// result is the outcome of one descent on the joint objective.
+type result = descent.Result[*fleet.Evaluation]
+
+// planFromResult converts a result of the joint objective fm into the
+// public Plan, for every entry point. The metrics are the joint ones; at
+// K = 1 they are the sensor's own. The single-sensor-shaped fields
+// describe sensor 0, so the executor, the simulators and plan
+// persistence work on a fleet plan's lead sensor. Each sensor is
+// re-evaluated with the run's solver for what the joint evaluation does
+// not carry: the stationary distribution, C̄ and the energy and entropy
+// rate, which a fleet plan averages over its sensors. withFleet adds the
+// Fleet block and makes CoverageShare the union share; without it (the
+// single-sensor entry points) CoverageShare is sensor 0's C̄.
+func planFromResult(fm *fleet.Model, solver markov.Method, res *result, withFleet bool) (*Plan, error) {
+	k, n := len(res.Ps), res.Ps[0].Rows()
+	cm := fm.Cost()
+	rows := make([][][]float64, k)
+	cbar := make([][]float64, k)
+	var lead *cost.Evaluation
+	var energy, entropy float64
+	for s, p := range res.Ps {
+		ws := cm.NewWorkspace()
+		ws.SetSolver(solver)
+		ev, err := cm.EvaluateIn(ws, p)
+		if err != nil {
+			return nil, fmt.Errorf("coverage: plan sensor %d: %w", s, err)
+		}
+		if s == 0 {
+			lead = ev
+		}
+		cbar[s] = ev.CBar
+		energy += ev.Energy
+		entropy += ev.Entropy
+		rows[s] = make([][]float64, n)
+		for i := range rows[s] {
+			rows[s][i] = p.Row(i)
+		}
 	}
 	plan := &Plan{
-		TransitionMatrix: p,
-		Stationary:       append([]float64(nil), res.Eval.Sol.Pi...),
-		CoverageShare:    append([]float64(nil), res.Eval.CBar...),
-		MeanExposure:     append([]float64(nil), res.Eval.EBarI...),
+		TransitionMatrix: rows[0],
+		Stationary:       append([]float64(nil), lead.Sol.Pi...),
+		CoverageShare:    append([]float64(nil), lead.CBar...),
+		MeanExposure:     append([]float64(nil), res.Eval.MinExposure...),
 		DeltaC:           res.Eval.DeltaC,
 		EBar:             res.Eval.EBar,
 		Cost:             res.Eval.U,
-		Energy:           res.Eval.Energy,
-		Entropy:          res.Eval.Entropy,
+		Energy:           energy / float64(k),
+		Entropy:          entropy / float64(k),
 		Iterations:       res.Iters,
 		Converged:        res.Converged,
+	}
+	if withFleet {
+		plan.CoverageShare = fleet.UnionShare(cbar)
+		plan.Fleet = &FleetPlan{
+			Sensors:            k,
+			TransitionMatrices: rows,
+			Responsibility:     fm.Responsibility(),
+			UnionShare:         append([]float64(nil), plan.CoverageShare...),
+			MinExposure:        append([]float64(nil), plan.MeanExposure...),
+		}
 	}
 	for _, rec := range res.Trace {
 		plan.Trace = append(plan.Trace, TracePoint{
@@ -404,7 +487,7 @@ func planFromResult(res *descent.Result[*cost.Evaluation]) *Plan {
 			EBar:      rec.EBar,
 		})
 	}
-	return plan
+	return plan, nil
 }
 
 // OptimizeBest runs `restarts` independent optimizations with split
@@ -446,14 +529,14 @@ func OptimizeBestContext(ctx context.Context, scn Scenario, obj Objectives, opts
 	if restarts <= 0 {
 		return nil, fmt.Errorf("%w: %d restarts", ErrObjectives, restarts)
 	}
-	return optimize(ctx, scn, obj, opts, SplitSeeds(opts.Seed, restarts))
+	return optimize(ctx, scn, obj, opts, nil, SplitSeeds(opts.Seed, restarts))
 }
 
 // EvaluateMatrix computes the plan metrics for a user-supplied transition
 // matrix under the scenario and objectives — useful for comparing
 // hand-built or baseline schedules against optimized ones.
 func EvaluateMatrix(scn Scenario, obj Objectives, p [][]float64) (*Plan, error) {
-	eng, err := planner(scn, obj)
+	model, err := costModel(scn, obj)
 	if err != nil {
 		return nil, err
 	}
@@ -461,9 +544,9 @@ func EvaluateMatrix(scn Scenario, obj Objectives, p [][]float64) (*Plan, error) 
 	if err != nil {
 		return nil, fmt.Errorf("coverage: %w", err)
 	}
-	ev, err := eng.Evaluate(pm)
+	ev, err := model.Evaluate(pm)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("coverage: %w", err)
 	}
 	n := pm.Rows()
 	rows := make([][]float64, n)
@@ -509,11 +592,7 @@ func MetropolisBaseline(scn Scenario) ([][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.NewPlanner(top, cost.Uniform(top.M(), 1, 1))
-	if err != nil {
-		return nil, fmt.Errorf("coverage: %w", err)
-	}
-	p, err := eng.Baseline()
+	p, err := mcmc.MetropolisHastings(top.Target())
 	if err != nil {
 		return nil, fmt.Errorf("coverage: %w", err)
 	}

@@ -12,32 +12,27 @@ import (
 // variable so tests can keep the fan and read its Peak.
 var newRestartFan = descent.NewRestartFan
 
-// search is one kind of restart a best-of search runs: run performs a
-// restart with the given seed, passing every iteration record to hook
-// (nil when the caller set no hooks) and returning its best-so-far
-// result with a cancellation error, as the descent runs it wraps do;
-// cost ranks results and plan converts the winner.
-type search[R comparable] struct {
-	run  func(ctx context.Context, seed uint64, hook func(descent.IterRecord)) (R, error)
-	cost func(R) float64
-	plan func(R) (*Plan, error)
-}
+// restart performs one restart of a best-of search with the given seed,
+// passing every iteration record to hook (nil when the caller set no
+// hooks) and returning its best-so-far result with a cancellation
+// error, as the descent runs it wraps do.
+type restart func(ctx context.Context, seed uint64, hook func(descent.IterRecord)) (*result, error)
 
-// bestOf runs one restart per seed and returns the plan of the
-// lowest-cost result, reducing in restart order with strict < so the
-// first restart wins a tie. The restarts of a search over m PoIs run
-// concurrently when descent.NewRestartFan allows it; the plan and the
-// hook stream are bit for bit what running them one after another
-// produces. On a non-cancellation error bestOf returns the error of the
-// lowest-indexed restart that failed. On cancellation it starts no
-// further restart and returns the best plan across the restarts that
-// made progress (nil when none did) with the error.
-func bestOf[R comparable](ctx context.Context, opts Options, m int, seeds []uint64, s search[R]) (*Plan, error) {
+// bestOf runs one restart per seed and returns the lowest-cost result,
+// reducing in restart order with strict < so the first restart wins a
+// tie. The restarts of a search over m PoIs run concurrently when
+// descent.NewRestartFan allows it; the result and the hook stream are
+// bit for bit what running them one after another produces. On a
+// non-cancellation error bestOf returns the error of the lowest-indexed
+// restart that failed. On cancellation it starts no further restart and
+// returns the best result across the restarts that made progress (nil
+// when none did) with the error.
+func bestOf(ctx context.Context, opts Options, m int, seeds []uint64, run restart) (*result, error) {
 	n := len(seeds)
-	results := make([]R, n)
+	results := make([]*result, n)
 	hooks := newHookStream(opts, n)
 	err := newRestartFan(opts.Workers, m, n).Run(ctx, n, func(r int) error {
-		res, err := s.run(ctx, seeds[r], hooks.hook(r))
+		res, err := run(ctx, seeds[r], hooks.hook(r))
 		results[r] = res
 		hooks.finish(r, err != nil)
 		return err
@@ -48,23 +43,13 @@ func bestOf[R comparable](ctx context.Context, opts Options, m int, seeds []uint
 			return nil, err
 		}
 	}
-	var best, zero R
+	var best *result
 	for _, res := range results {
-		if res != zero && (best == zero || s.cost(res) < s.cost(best)) {
+		if res != nil && (best == nil || res.Eval.U < best.Eval.U) {
 			best = res
 		}
 	}
-	if best == zero {
-		return nil, err
-	}
-	plan, perr := s.plan(best)
-	if perr != nil {
-		if err != nil {
-			return nil, err
-		}
-		return nil, perr
-	}
-	return plan, err
+	return best, err
 }
 
 // hookRec is the compact iteration record a restart buffers until its

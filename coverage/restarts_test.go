@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/descent"
+	"repro/internal/fleet"
 )
 
 // keepFans records every restart fan the best-of searches build for the
@@ -144,7 +145,7 @@ func TestBestOfOutOfOrderFinish(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			finished := []chan struct{}{make(chan struct{}), make(chan struct{}), make(chan struct{})}
 			costs := []float64{2, 1, 1}
-			run := func(_ context.Context, seed uint64, hook func(descent.IterRecord)) (*int, error) {
+			run := func(_ context.Context, seed uint64, hook func(descent.IterRecord)) (*result, error) {
 				r := int(seed)
 				defer close(finished[r])
 				if r < 2 {
@@ -156,7 +157,7 @@ func TestBestOfOutOfOrderFinish(t *testing.T) {
 				if tc.fail && r > 0 {
 					return nil, errs[r]
 				}
-				return &r, nil
+				return &result{Eval: &fleet.Evaluation{U: costs[r]}, Iters: r}, nil
 			}
 			var got []int
 			opts := Options{Workers: 3, OnIteration: func(ev IterationEvent) {
@@ -165,19 +166,15 @@ func TestBestOfOutOfOrderFinish(t *testing.T) {
 				}
 				got = append(got, ev.Restart)
 			}}
-			plan, err := bestOf(context.Background(), opts, 4, []uint64{0, 1, 2}, search[*int]{
-				run:  run,
-				cost: func(r *int) float64 { return costs[*r] },
-				plan: func(r *int) (*Plan, error) { return &Plan{Iterations: *r}, nil },
-			})
+			best, err := bestOf(context.Background(), opts, 4, []uint64{0, 1, 2}, run)
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}
-			if tc.wantErr == nil && plan.Iterations != 1 {
-				t.Errorf("best is restart %d, want restart 1 (first of the tied)", plan.Iterations)
+			if tc.wantErr == nil && best.Iters != 1 {
+				t.Errorf("best is restart %d, want restart 1 (first of the tied)", best.Iters)
 			}
-			if tc.wantErr != nil && plan != nil {
-				t.Error("failed search returned a plan")
+			if tc.wantErr != nil && best != nil {
+				t.Error("failed search returned a result")
 			}
 			var want []int
 			for _, r := range tc.wantRec {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/descent"
+	"repro/internal/fleet"
 	"repro/internal/markov"
 	"repro/internal/mat"
 	"repro/internal/mcmc"
@@ -102,7 +103,11 @@ func lineFixtures(t *testing.T) []lineFixture {
 	small := randomField(t, 16, 1, 1)
 	field := randomField(t, 64, 1, 0.01)
 	warm := flooredMetropolis(t, field)
-	opt, err := descent.New(field, descent.Options{
+	fm, err := fleet.NewModel(field, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := descent.NewOptimizer(fm, descent.Options{
 		Variant: descent.Perturbed, MaxIters: 8, Seed: 1, Initial: []*mat.Matrix{warm},
 	})
 	if err != nil {

@@ -15,9 +15,10 @@ import (
 //
 // A Workspace is not safe for concurrent use: the Evaluation and gradient
 // returned by EvaluateIn/GradientIn alias its buffers and are overwritten
-// by the next call. Give each goroutine its own Workspace (descent gives
-// one to every Optimizer, so RunManyParallel workers never share);
-// Evaluation.Clone detaches a result that must survive longer.
+// by the next call. Give each goroutine its own Workspace (every
+// evaluation state of a descent run holds its own, so concurrent
+// restarts never share); Evaluation.Clone detaches a result that must
+// survive longer.
 type Workspace struct {
 	n        int
 	solver   *markov.Solver

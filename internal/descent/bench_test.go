@@ -26,7 +26,7 @@ func benchOptimizer(b *testing.B, m, workers int) (*singleOptimizer, []*mat.Matr
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt, err := New(model, Options{Variant: Adaptive, MaxIters: 1, Seed: 1, Workers: workers})
+	opt, err := newSingle(model, Options{Variant: Adaptive, MaxIters: 1, Seed: 1, Workers: workers})
 	if err != nil {
 		b.Fatal(err)
 	}

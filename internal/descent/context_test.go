@@ -13,7 +13,7 @@ import (
 // with the best-so-far result rather than running out the full budget.
 func TestRunContextCancelMidRun(t *testing.T) {
 	m := model(t, topology.Topology3(), 1, 1e-4)
-	opt, err := New(m, Options{
+	opt, err := newSingle(m, Options{
 		Variant:  Perturbed,
 		MaxIters: 50_000_000, // far beyond anything that finishes in a test
 		// Never stall out: the run must end because of the context alone.
@@ -61,7 +61,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 // starts yields no result at all.
 func TestRunContextAlreadyCancelled(t *testing.T) {
 	m := model(t, topology.Topology2(), 1, 1e-4)
-	opt, err := New(m, Options{Variant: Adaptive, MaxIters: 100, Seed: 3})
+	opt, err := newSingle(m, Options{Variant: Adaptive, MaxIters: 100, Seed: 3})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestRunContextUncancelledMatchesRun(t *testing.T) {
 	m := model(t, topology.Topology2(), 1, 1e-4)
 	opts := Options{Variant: Perturbed, MaxIters: 120, Seed: 11}
 
-	optA, err := New(m, opts)
+	optA, err := newSingle(m, opts)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestRunContextUncancelledMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	optB, err := New(m, opts)
+	optB, err := newSingle(m, opts)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -110,61 +110,6 @@ func TestRunContextUncancelledMatchesRun(t *testing.T) {
 			if plain.P.At(i, j) != ctxed.P.At(i, j) {
 				t.Fatalf("P[%d][%d]: %v != %v", i, j, plain.P.At(i, j), ctxed.P.At(i, j))
 			}
-		}
-	}
-}
-
-// TestRunManyContextCancelKeepsPartials: cancelling a sweep returns the
-// partial result slice (best-so-far or nil per run) plus the context
-// error, while an uncancelled sweep matches RunMany exactly.
-func TestRunManyContextCancelKeepsPartials(t *testing.T) {
-	m := model(t, topology.Topology3(), 1, 1e-4)
-	opts := Options{
-		Variant:    Perturbed,
-		MaxIters:   50_000_000,
-		StallIters: 50_000_000,
-		Seed:       21,
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	out, err := RunManyParallelContext(ctx, m, opts, 4, 2)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(out) != 4 {
-		t.Fatalf("len(out) = %d, want 4", len(out))
-	}
-	var progressed int
-	for _, r := range out {
-		if r != nil {
-			progressed++
-			if r.Eval == nil || r.P == nil {
-				t.Error("partial result missing P or Eval")
-			}
-		}
-	}
-	if progressed == 0 {
-		t.Error("no run made any progress before cancel")
-	}
-}
-
-func TestRunManyContextUncancelledMatchesRunMany(t *testing.T) {
-	m := model(t, topology.Topology2(), 1, 1e-4)
-	opts := Options{Variant: Adaptive, MaxIters: 80, Seed: 5}
-	plain, err := RunMany(m, opts, 3)
-	if err != nil {
-		t.Fatalf("RunMany: %v", err)
-	}
-	ctxed, err := RunManyContext(context.Background(), m, opts, 3)
-	if err != nil {
-		t.Fatalf("RunManyContext: %v", err)
-	}
-	for i := range plain {
-		if plain[i].Eval.U != ctxed[i].Eval.U {
-			t.Errorf("run %d: U %v != %v", i, plain[i].Eval.U, ctxed[i].Eval.U)
 		}
 	}
 }

@@ -18,8 +18,8 @@
 //     escape the numerous local optima of the solution space.
 //
 // The loop runs over a stack of K transition matrices behind the
-// Objective interface: one sensor's cost.Model (K = 1, see New) or the
-// joint cost of a fleet of K sensors. Every step direction is the negated
+// Objective interface, the joint cost of a fleet of K ≥ 1 sensors; one
+// sensor's cost is the K = 1 fleet. Every step direction is the negated
 // projection (Eq. 11) of the gradient blocks [D_P U] (Eq. 10), so
 // iterates keep exact unit row sums; a configurable probability floor
 // keeps them strictly inside the polytope, matching the role of the
@@ -241,7 +241,7 @@ type IterRecord struct {
 }
 
 // Result is the outcome of an optimization run; E is the objective's
-// evaluation breakdown (*cost.Evaluation for one sensor).
+// evaluation breakdown.
 type Result[E any] struct {
 	// Ps is the best stack found, one matrix per sensor.
 	Ps []*mat.Matrix
@@ -270,9 +270,8 @@ type Result[E any] struct {
 //
 // Every Optimizer owns a private evaluation state and gradient/
 // direction/candidate stacks, so its hot loop allocates nothing in
-// steady state and concurrent optimizers (RunManyParallel workers, the
-// restarts of a best-of search) never share mutable state — only the
-// immutable Objective.
+// steady state and concurrent optimizers (the restarts of a best-of
+// search) never share mutable state — only the immutable Objective.
 type Optimizer[S State[E], E any] struct {
 	opts Options
 	src  *rng.Source
@@ -309,10 +308,15 @@ type Optimizer[S State[E], E any] struct {
 // minFanOutOrder is the chain order M from which one optimizer iteration
 // fans out across a worker pool. Below it the fork/join handshake of
 // every probe batch and gradient phase costs more than the parallel work
-// saves. It sits at the measured crossover of BenchmarkLineSearchStep,
-// Workers=2 against Workers=1 on a 2-vCPU Xeon VM (Go 1.24): M4 +45%
-// time, M8 +7%, M16 about even, M24 −10%, M32 −32%. Tests lower it to
-// exercise the pooled paths on small models.
+// saves. It was set where the fan-out first won BenchmarkLineSearchStep
+// (Workers=2 against Workers=1, 2-vCPU Xeon VM, Go 1.24), before probes
+// became O(M²) line solves. With line probes the same sweep reads W2
+// slower than W1 at every measured size: +27% time at M24, +8% at M32,
+// +1% at M64 (DESIGN §8.5), so fan-out no longer pays back at any
+// measured size. The value stays until it is re-derived (ROADMAP item
+// 8), because changing it moves the perfbench field workload (M = 64),
+// which fans out today. Tests lower it to exercise the pooled paths on
+// small models.
 var minFanOutOrder = 24
 
 // NewIterationPool returns the pool one optimizer iteration over M-state
@@ -347,12 +351,6 @@ func NewRestartFan(workers, m, n int) *Fan {
 		return newFan(1)
 	}
 	return newFan(min(workers, n))
-}
-
-// New validates the options and builds an Optimizer for one sensor's
-// cost model, the K = 1 objective.
-func New(model *cost.Model, opts Options) (*Optimizer[*singleState, *cost.Evaluation], error) {
-	return NewOptimizer(single{model}, opts)
 }
 
 // NewOptimizer validates the options and builds an Optimizer over the
@@ -1013,72 +1011,4 @@ func phiIn[S State[E], E any](st S, cand []*mat.Matrix, lines []*markov.Line, p,
 		return math.Inf(1)
 	}
 	return u
-}
-
-// RunMany executes n independent runs with seeds split from opts.Seed and
-// returns all results; the experiment harness uses it for the CDFs of
-// Fig. 2 and the statistics of Table III.
-func RunMany(model *cost.Model, opts Options, n int) ([]*Result[*cost.Evaluation], error) {
-	return RunManyParallelContext(context.Background(), model, opts, n, 1)
-}
-
-// RunManyContext is RunMany with cooperative cancellation; see
-// RunManyParallelContext for the cancellation contract.
-func RunManyContext(ctx context.Context, model *cost.Model, opts Options, n int) ([]*Result[*cost.Evaluation], error) {
-	return RunManyParallelContext(ctx, model, opts, n, 1)
-}
-
-// RunManyParallel is RunMany with up to `workers` runs in flight at once.
-// Results are identical to the sequential version for any worker count:
-// per-run seeds are split from opts.Seed up front and results land at
-// their run's index. The cost model is shared across workers, which is
-// safe because Model is immutable after construction.
-func RunManyParallel(model *cost.Model, opts Options, n, workers int) ([]*Result[*cost.Evaluation], error) {
-	return RunManyParallelContext(context.Background(), model, opts, n, workers)
-}
-
-// RunManyParallelContext is RunManyParallel with cooperative
-// cancellation. When the context is cancelled mid-sweep, in-flight runs
-// stop at their next iteration boundary and the call returns the result
-// slice — holding a best-so-far Result for every run that made progress
-// and nil for runs that never started — together with an error wrapping
-// ctx.Err(). For an uncancelled context the results are bit-for-bit
-// identical to RunManyParallel.
-func RunManyParallelContext(ctx context.Context, model *cost.Model, opts Options, n, workers int) ([]*Result[*cost.Evaluation], error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: %d runs", ErrOptions, n)
-	}
-	master := rng.New(opts.Seed)
-	seeds := make([]uint64, n)
-	for i := range seeds {
-		seeds[i] = master.Uint64()
-	}
-
-	out := make([]*Result[*cost.Evaluation], n)
-	err := newFan(workers).Run(ctx, n, func(i int) error {
-		var err error
-		out[i], err = runOne(ctx, model, opts, seeds[i])
-		if err != nil && !errors.Is(err, ctx.Err()) {
-			return fmt.Errorf("descent: run %d: %w", i, err)
-		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, ctx.Err()) {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return out, cancelErr(err, 0)
-	}
-	return out, nil
-}
-
-// runOne executes a single seeded run.
-func runOne(ctx context.Context, model *cost.Model, opts Options, seed uint64) (*Result[*cost.Evaluation], error) {
-	runOpts := opts
-	runOpts.Seed = seed
-	opt, err := New(model, runOpts)
-	if err != nil {
-		return nil, err
-	}
-	return opt.RunContext(ctx)
 }

@@ -34,7 +34,7 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := New(m, tc.opts); !errors.Is(err, ErrOptions) {
+			if _, err := newSingle(m, tc.opts); !errors.Is(err, ErrOptions) {
 				t.Errorf("err = %v, want ErrOptions", err)
 			}
 		})
@@ -113,7 +113,7 @@ func TestMaxFeasibleStepAtBoundary(t *testing.T) {
 
 func TestBasicDecreasesCost(t *testing.T) {
 	m := model(t, topology.Topology2(), 1, 0)
-	opt, err := New(m, Options{
+	opt, err := newSingle(m, Options{
 		Variant:     Basic,
 		MaxIters:    300,
 		FixedStep:   1e-4, // larger than the paper's to converge in test time
@@ -142,7 +142,7 @@ func TestBasicDecreasesCost(t *testing.T) {
 
 func TestBasicTraceMonotoneBest(t *testing.T) {
 	m := model(t, topology.Topology3(), 1, 1)
-	opt, err := New(m, Options{Variant: Basic, MaxIters: 100, FixedStep: 1e-4, RecordTrace: true})
+	opt, err := newSingle(m, Options{Variant: Basic, MaxIters: 100, FixedStep: 1e-4, RecordTrace: true})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -165,7 +165,7 @@ func TestAdaptiveConvergesAndStops(t *testing.T) {
 	// Exposure-only objective on Topology 1: the setting in which the
 	// paper reports the adaptive variant stalling at local optima.
 	m := model(t, topology.Topology1(), 0, 1)
-	opt, err := New(m, Options{
+	opt, err := newSingle(m, Options{
 		Variant: Adaptive, MaxIters: 4000, Seed: 7,
 		Tolerance: 1e-4, StallIters: 50, RecordTrace: true,
 	})
@@ -199,7 +199,7 @@ func TestAdaptiveFasterThanBasic(t *testing.T) {
 	init := UniformInit(top.M())
 	iters := 50
 
-	basicOpt, err := New(m, Options{Variant: Basic, MaxIters: iters, Initial: []*mat.Matrix{init}})
+	basicOpt, err := newSingle(m, Options{Variant: Basic, MaxIters: iters, Initial: []*mat.Matrix{init}})
 	if err != nil {
 		t.Fatalf("New basic: %v", err)
 	}
@@ -207,7 +207,7 @@ func TestAdaptiveFasterThanBasic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("basic Run: %v", err)
 	}
-	adaptOpt, err := New(m, Options{Variant: Adaptive, MaxIters: iters, Initial: []*mat.Matrix{init}})
+	adaptOpt, err := newSingle(m, Options{Variant: Adaptive, MaxIters: iters, Initial: []*mat.Matrix{init}})
 	if err != nil {
 		t.Fatalf("New adaptive: %v", err)
 	}
@@ -225,7 +225,7 @@ func TestResultMatrixIsStochastic(t *testing.T) {
 	for _, variant := range []Variant{Basic, Adaptive, Perturbed} {
 		t.Run(variant.String(), func(t *testing.T) {
 			m := model(t, topology.Topology2(), 1, 1)
-			opt, err := New(m, Options{Variant: variant, MaxIters: 60, Seed: 11, FixedStep: 1e-4})
+			opt, err := newSingle(m, Options{Variant: variant, MaxIters: 60, Seed: 11, FixedStep: 1e-4})
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
@@ -259,14 +259,8 @@ func TestPerturbedImprovesOrMatchesAdaptive(t *testing.T) {
 	m := model(t, top, 0, 1)
 
 	const runs = 6
-	adaptive, err := RunMany(m, Options{Variant: Adaptive, MaxIters: 150, Seed: 42}, runs)
-	if err != nil {
-		t.Fatalf("RunMany adaptive: %v", err)
-	}
-	perturbed, err := RunMany(m, Options{Variant: Perturbed, MaxIters: 150, Seed: 42, StallIters: 60}, runs)
-	if err != nil {
-		t.Fatalf("RunMany perturbed: %v", err)
-	}
+	adaptive := runSeeds(t, m, Options{Variant: Adaptive, MaxIters: 150, Seed: 42}, runs)
+	perturbed := runSeeds(t, m, Options{Variant: Perturbed, MaxIters: 150, Seed: 42, StallIters: 60}, runs)
 	mean := func(rs []*singleResult) float64 {
 		var s float64
 		for _, r := range rs {
@@ -289,7 +283,7 @@ func TestPerturbedImprovesOrMatchesAdaptive(t *testing.T) {
 func TestPerturbedAnnealingBranches(t *testing.T) {
 	m := model(t, topology.Topology2(), 0, 1)
 	// Converge once to land near an optimum.
-	seedOpt, err := New(m, Options{Variant: Perturbed, MaxIters: 400, Seed: 13})
+	seedOpt, err := newSingle(m, Options{Variant: Perturbed, MaxIters: 400, Seed: 13})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -298,7 +292,7 @@ func TestPerturbedAnnealingBranches(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	for _, k := range []float64{1e9, 1e-9} {
-		opt, err := New(m, Options{
+		opt, err := newSingle(m, Options{
 			Variant:     Perturbed,
 			MaxIters:    150,
 			Seed:        17,
@@ -308,7 +302,7 @@ func TestPerturbedAnnealingBranches(t *testing.T) {
 			StallIters:  1000,
 		})
 		if err != nil {
-			t.Fatalf("New(k=%g): %v", k, err)
+			t.Fatalf("newSingle(k=%g): %v", k, err)
 		}
 		res, err := opt.Run()
 		if err != nil {
@@ -329,7 +323,7 @@ func TestPerturbedAnnealingBranches(t *testing.T) {
 func TestPerturbedDeterministicForSeed(t *testing.T) {
 	m := model(t, topology.Topology2(), 1, 1)
 	run := func() *singleResult {
-		opt, err := New(m, Options{Variant: Perturbed, MaxIters: 40, Seed: 99, StallIters: 100})
+		opt, err := newSingle(m, Options{Variant: Perturbed, MaxIters: 40, Seed: 99, StallIters: 100})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -351,7 +345,7 @@ func TestPerturbedDeterministicForSeed(t *testing.T) {
 
 func TestAcceptanceCounters(t *testing.T) {
 	m := model(t, topology.Topology2(), 1, 1)
-	opt, err := New(m, Options{Variant: Basic, MaxIters: 20, FixedStep: 1e-4})
+	opt, err := newSingle(m, Options{Variant: Basic, MaxIters: 20, FixedStep: 1e-4})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -367,7 +361,7 @@ func TestAcceptanceCounters(t *testing.T) {
 	}
 	// Perturbed with brutal noise at a near-optimum sees rejections under
 	// a cold schedule.
-	warm, err := New(m, Options{Variant: Perturbed, MaxIters: 300, Seed: 9})
+	warm, err := newSingle(m, Options{Variant: Perturbed, MaxIters: 300, Seed: 9})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -375,7 +369,7 @@ func TestAcceptanceCounters(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	cold, err := New(m, Options{
+	cold, err := newSingle(m, Options{
 		Variant: Perturbed, MaxIters: 100, Seed: 10,
 		Initial: warmRes.Ps, NoiseStdDev: 50, AnnealK: 1e-9, StallIters: 1000,
 	})
@@ -392,65 +386,6 @@ func TestAcceptanceCounters(t *testing.T) {
 	}
 }
 
-func TestRunManyIndependentSeeds(t *testing.T) {
-	m := model(t, topology.Topology2(), 1, 0)
-	results, err := RunMany(m, Options{Variant: Adaptive, MaxIters: 80, Seed: 5}, 4)
-	if err != nil {
-		t.Fatalf("RunMany: %v", err)
-	}
-	if len(results) != 4 {
-		t.Fatalf("got %d results", len(results))
-	}
-	// Random inits should differ across runs: at least one pair of final
-	// matrices differs (they may still converge to the same optimum, so
-	// compare the initial trace costs instead via distinct U trajectories).
-	distinct := false
-	for i := 1; i < len(results); i++ {
-		if mat.MaxAbsDiff(results[0].P, results[i].P) > 1e-12 ||
-			math.Abs(results[0].Eval.U-results[i].Eval.U) > 1e-15 {
-			distinct = true
-		}
-	}
-	_ = distinct // equality of all four is legitimate (global optimum); no assertion
-}
-
-// TestRunManyParallelMatchesSequential: any worker count must reproduce
-// the sequential results exactly (per-run seeds are pre-split).
-func TestRunManyParallelMatchesSequential(t *testing.T) {
-	m := model(t, topology.Topology2(), 1, 0)
-	opts := Options{Variant: Perturbed, MaxIters: 50, Seed: 21, StallIters: 60}
-	seq, err := RunMany(m, opts, 6)
-	if err != nil {
-		t.Fatalf("RunMany: %v", err)
-	}
-	for _, workers := range []int{2, 4, 16} {
-		par, err := RunManyParallel(m, opts, 6, workers)
-		if err != nil {
-			t.Fatalf("RunManyParallel(%d): %v", workers, err)
-		}
-		for i := range seq {
-			if seq[i].Eval.U != par[i].Eval.U {
-				t.Fatalf("workers=%d: run %d cost %v != sequential %v",
-					workers, i, par[i].Eval.U, seq[i].Eval.U)
-			}
-			if mat.MaxAbsDiff(seq[i].P, par[i].P) != 0 {
-				t.Fatalf("workers=%d: run %d matrix differs", workers, i)
-			}
-		}
-	}
-}
-
-func TestRunManyParallelValidation(t *testing.T) {
-	m := model(t, topology.Topology2(), 1, 0)
-	if _, err := RunManyParallel(m, Options{Variant: Adaptive}, 0, 2); !errors.Is(err, ErrOptions) {
-		t.Errorf("zero runs err = %v", err)
-	}
-	// Worker count is clamped, not rejected.
-	if _, err := RunManyParallel(m, Options{Variant: Adaptive, MaxIters: 5}, 2, -3); err != nil {
-		t.Errorf("negative workers: %v", err)
-	}
-}
-
 func TestInitialPOverride(t *testing.T) {
 	m := model(t, topology.Topology2(), 1, 0)
 	init, _ := mat.NewFromRows([][]float64{
@@ -458,7 +393,7 @@ func TestInitialPOverride(t *testing.T) {
 		{0.1, 0.8, 0.1},
 		{0.1, 0.1, 0.8},
 	})
-	opt, err := New(m, Options{Variant: Basic, MaxIters: 1, FixedStep: 0, Initial: []*mat.Matrix{init}, RecordTrace: true})
+	opt, err := newSingle(m, Options{Variant: Basic, MaxIters: 1, FixedStep: 0, Initial: []*mat.Matrix{init}, RecordTrace: true})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -481,7 +416,7 @@ func TestInitialPOverride(t *testing.T) {
 func TestOnIterationCallback(t *testing.T) {
 	m := model(t, topology.Topology2(), 1, 0)
 	var calls int
-	opt, err := New(m, Options{
+	opt, err := newSingle(m, Options{
 		Variant:  Basic,
 		MaxIters: 10,
 		OnIteration: func(rec IterRecord, ps []*mat.Matrix) {
@@ -507,7 +442,7 @@ func TestOnIterationCallback(t *testing.T) {
 
 func TestLineSearchFindsDescent(t *testing.T) {
 	m := model(t, topology.Topology2(), 1, 0)
-	opt, err := New(m, Options{Variant: Adaptive, Seed: 3})
+	opt, err := newSingle(m, Options{Variant: Adaptive, Seed: 3})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -549,7 +484,7 @@ func TestLineSearchZeroAtMinimum(t *testing.T) {
 	// At a (near) stationary point the line search along an ascent
 	// direction must return no step.
 	m := model(t, topology.Topology2(), 1, 0)
-	opt, err := New(m, Options{Variant: Adaptive, Seed: 3})
+	opt, err := newSingle(m, Options{Variant: Adaptive, Seed: 3})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -596,7 +531,7 @@ func TestItersCountsSkippedIterations(t *testing.T) {
 		t.Fatal(err)
 	}
 	const budget = 50
-	opt, err := New(m, Options{Variant: Perturbed, MaxIters: budget, Seed: 1, Workers: 1, RecordTrace: true})
+	opt, err := newSingle(m, Options{Variant: Perturbed, MaxIters: budget, Seed: 1, Workers: 1, RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,4 +548,34 @@ func TestItersCountsSkippedIterations(t *testing.T) {
 	if len(res.Trace) >= budget {
 		t.Errorf("trace has %d records; the fixture needs skipped iterations", len(res.Trace))
 	}
+}
+
+// splitSeeds draws n per-restart seeds from a master seed, the way a
+// best-of search splits them (coverage.SplitSeeds).
+func splitSeeds(seed uint64, n int) []uint64 {
+	master := rng.New(seed)
+	seeds := make([]uint64, n)
+	for i := range seeds {
+		seeds[i] = master.Uint64()
+	}
+	return seeds
+}
+
+// runSeeds runs n optimizations one after another, with seeds split from
+// opts.Seed.
+func runSeeds(t *testing.T, m *cost.Model, opts Options, n int) []*singleResult {
+	t.Helper()
+	out := make([]*singleResult, n)
+	for i, seed := range splitSeeds(opts.Seed, n) {
+		o := opts
+		o.Seed = seed
+		opt, err := newSingle(m, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[i], err = opt.Run(); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+	return out
 }

@@ -6,9 +6,9 @@ import (
 )
 
 // Fan runs the independent restarts of a multi-start search, up to a
-// fixed number at a time: the scheduler behind RunManyParallel and the
-// best-of searches of the coverage package. Every restart builds its own
-// optimizer and shares only the immutable cost model, so how many run at
+// fixed number at a time: the scheduler behind the best-of searches of
+// the coverage package. Every restart builds its own optimizer and
+// shares only the immutable objective, so how many run at
 // once changes no restart's result; callers keep results by restart
 // index and reduce them in restart order.
 //

@@ -117,7 +117,7 @@ func TestPerturbedRunAllocsFlat(t *testing.T) {
 	m := goldenModel(t)
 	allocs := func(iters int) float64 {
 		return testing.AllocsPerRun(2, func() {
-			opt, err := New(m, Options{
+			opt, err := newSingle(m, Options{
 				Variant: Perturbed, MaxIters: iters, Seed: 5, StallIters: 10 * iters, Workers: 1,
 			})
 			if err != nil {

@@ -1,6 +1,7 @@
 package descent
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -8,16 +9,25 @@ import (
 	"repro/internal/cost"
 	"repro/internal/fleet"
 	"repro/internal/mat"
-	"repro/internal/rng"
 	"repro/internal/topology"
 )
 
 // singleOptimizer and singleResult are the one-sensor instantiations
-// every test in this package runs.
+// most tests in this package run: a single sensor's cost as the K = 1
+// case of the joint fleet objective.
 type (
-	singleOptimizer = Optimizer[*singleState, *cost.Evaluation]
-	singleResult    = Result[*cost.Evaluation]
+	singleOptimizer = Optimizer[*fleet.State, *fleet.Evaluation]
+	singleResult    = Result[*fleet.Evaluation]
 )
+
+// newSingle builds an optimizer over model's cost as a one-sensor fleet.
+func newSingle(model *cost.Model, opts Options) (*singleOptimizer, error) {
+	fm, err := fleet.NewModel(model, 1, nil)
+	if err != nil {
+		return nil, err
+	}
+	return NewOptimizer(fm, opts)
+}
 
 // goldenModel is the fixed configuration the golden traces below were
 // captured with: Topology3, uniform α=1 β=1e-4, plus both §VII extensions
@@ -53,8 +63,8 @@ func matrixHash(p *mat.Matrix) uint64 {
 
 // goldenVariants pins, per variant, the best-U bits and best-P hash of
 // a 25-iteration seed-42 run on goldenModel. TestGoldenTraces,
-// TestGoldenTracesWithWorkers, TestOnIterationBitExact and
-// TestGoldenOneSensorFleet all hold their runs to it.
+// TestGoldenTracesWithWorkers, TestGoldenOneSensorFleet and
+// TestOnIterationBitExact hold their runs to it.
 var goldenVariants = []struct {
 	variant Variant
 	bestU   uint64
@@ -65,8 +75,8 @@ var goldenVariants = []struct {
 	{Perturbed, 0x3fbf0db09671216c, 0x7cb38580bb433cd},
 }
 
-// goldenParallelRuns pins RunManyParallel's four perturbed 15-iteration
-// runs from seed 7 on goldenModel.
+// goldenParallelRuns pins the four perturbed 15-iteration restarts whose
+// seeds are split from seed 7, on goldenModel.
 var goldenParallelRuns = []uint64{
 	0x3fc74d5eb2dda600,
 	0x3fc591dba240f969,
@@ -74,33 +84,53 @@ var goldenParallelRuns = []uint64{
 	0x3fc26b7ac2705134,
 }
 
+// runGolden runs one golden configuration on goldenModel's one-sensor
+// fleet; with Workers > 1 it forces the in-iteration fan-out and checks
+// the run took it.
+func runGolden(t *testing.T, model *cost.Model, opts Options) *singleResult {
+	t.Helper()
+	if opts.Workers > 1 {
+		forceFanOut(t)
+	}
+	opt, err := newSingle(model, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := opt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.Workers > 1 {
+		requireForked(t, opt)
+	}
+	return res
+}
+
+// checkGolden holds a 25-iteration seed-42 result to its variant's pins.
+func checkGolden(t *testing.T, res *singleResult, bestU, phash uint64) {
+	t.Helper()
+	if got := math.Float64bits(res.Eval.U); got != bestU {
+		t.Errorf("bestU bits = %#x, want %#x (U = %v)", got, bestU, res.Eval.U)
+	}
+	if got := pHash(res); got != phash {
+		t.Errorf("P hash = %#x, want %#x", got, phash)
+	}
+}
+
 // TestGoldenTraces pins the exact float64 bit patterns each descent
 // variant produces for a fixed seed. The values were captured from the
-// seed implementation before the workspace refactor; the refactor's
-// contract is bit-for-bit identical arithmetic, so any mismatch here means
-// a floating-point operation was reordered, not merely perturbed.
+// seed implementation's single-sensor cost model before the workspace
+// refactor; the refactor's contract is bit-for-bit identical arithmetic,
+// so any mismatch here means a floating-point operation was reordered,
+// not merely perturbed.
 func TestGoldenTraces(t *testing.T) {
 	model := goldenModel(t)
 	for _, tc := range goldenVariants {
 		t.Run(tc.variant.String(), func(t *testing.T) {
-			opt, err := New(model, Options{
+			res := runGolden(t, model, Options{
 				Variant: tc.variant, MaxIters: 25, Seed: 42, RecordTrace: true,
 			})
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			res, err := opt.Run()
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			if got := math.Float64bits(res.Eval.U); got != tc.bestU {
-				t.Errorf("bestU bits = %#x, want %#x (U = %v)", got, tc.bestU, res.Eval.U)
-			}
-			if got := pHash(res); got != tc.phash {
-				t.Errorf("P hash = %#x, want %#x", got, tc.phash)
-			}
-			// The trace and the result must agree: the recorded minimum U
-			// never undercuts the reported best.
+			checkGolden(t, res, tc.bestU, tc.phash)
 			for _, rec := range res.Trace {
 				if math.IsNaN(rec.U) {
 					t.Fatalf("iter %d: trace U is NaN", rec.Iter)
@@ -110,77 +140,113 @@ func TestGoldenTraces(t *testing.T) {
 	}
 }
 
-// TestGoldenParallelRuns pins RunManyParallel's per-run results for a
-// fixed seed: worker scheduling must never leak into the numerics (seeds
-// are split up front, each worker owns its Optimizer and Workspace).
-func TestGoldenParallelRuns(t *testing.T) {
+// TestGoldenTracesWithWorkers replays the goldens with the line-search
+// probes and gradient fanned out over four workers: the fan-out must
+// not change a single bit of the trajectory.
+func TestGoldenTracesWithWorkers(t *testing.T) {
 	model := goldenModel(t)
-	want := goldenParallelRuns
-	for _, workers := range []int{1, 4} {
-		rs, err := RunManyParallel(model, Options{
-			Variant: Perturbed, MaxIters: 15, Seed: 7,
-		}, 4, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: RunManyParallel: %v", workers, err)
-		}
-		for i, r := range rs {
-			if got := math.Float64bits(r.Eval.U); got != want[i] {
-				t.Errorf("workers=%d run %d: bestU bits = %#x, want %#x",
-					workers, i, got, want[i])
-			}
-		}
+	for _, tc := range goldenVariants {
+		t.Run(tc.variant.String(), func(t *testing.T) {
+			res := runGolden(t, model, Options{
+				Variant: tc.variant, MaxIters: 25, Seed: 42, Workers: 4,
+			})
+			checkGolden(t, res, tc.bestU, tc.phash)
+		})
 	}
 }
 
-// TestGoldenOneSensorFleet replays every single-sensor golden through a
-// one-sensor fleet.Model: at K = 1 the joint objective must reproduce
-// cost.Model bit for bit — evaluation, gradient and therefore the whole
-// trajectory — serially, on a fanned-out pool, and for the split seeds
-// of RunManyParallel.
+// TestGoldenOneSensorFleet checks that at K = 1 the joint fleet
+// objective is the single-sensor cost term by term: the best evaluation
+// each golden run reports, serially and fanned out, and each split-seed
+// restart's best U must equal what cost.Model computes for the best P,
+// bit for bit.
 func TestGoldenOneSensorFleet(t *testing.T) {
 	model := goldenModel(t)
-	fm, err := fleet.NewModel(model, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(t *testing.T, opts Options) *Result[*fleet.Evaluation] {
-		t.Helper()
-		opt, err := NewOptimizer(fm, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := opt.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if opts.Workers > 1 {
-			requireForked(t, opt)
-		}
-		return res
-	}
 	for _, workers := range []int{1, 4} {
 		for _, tc := range goldenVariants {
 			t.Run(fmt.Sprintf("%v/w%d", tc.variant, workers), func(t *testing.T) {
-				if workers > 1 {
-					forceFanOut(t)
-				}
-				res := run(t, Options{Variant: tc.variant, MaxIters: 25, Seed: 42, Workers: workers})
-				if got := math.Float64bits(res.Eval.U); got != tc.bestU {
-					t.Errorf("bestU bits = %#x, want %#x (U = %v)", got, tc.bestU, res.Eval.U)
-				}
-				if got := matrixHash(res.P); got != tc.phash {
-					t.Errorf("P hash = %#x, want %#x", got, tc.phash)
-				}
+				res := runGolden(t, model, Options{
+					Variant: tc.variant, MaxIters: 25, Seed: 42, Workers: workers,
+				})
+				checkGolden(t, res, tc.bestU, tc.phash)
+				checkSensorTerms(t, model, res)
 			})
 		}
 	}
 	t.Run("parallel-runs", func(t *testing.T) {
-		master := rng.New(7)
-		for i, want := range goldenParallelRuns {
-			res := run(t, Options{Variant: Perturbed, MaxIters: 15, Seed: master.Uint64()})
-			if got := math.Float64bits(res.Eval.U); got != want {
-				t.Errorf("run %d: bestU bits = %#x, want %#x", i, got, want)
+		for i, seed := range splitSeeds(7, len(goldenParallelRuns)) {
+			res := runGolden(t, model, Options{Variant: Perturbed, MaxIters: 15, Seed: seed})
+			if got := math.Float64bits(res.Eval.U); got != goldenParallelRuns[i] {
+				t.Errorf("run %d: bestU bits = %#x, want %#x", i, got, goldenParallelRuns[i])
 			}
+			checkSensorTerms(t, model, res)
 		}
 	})
+}
+
+// checkSensorTerms compares a one-sensor fleet result's best evaluation
+// with model's own evaluation of the best P, bit for bit.
+func checkSensorTerms(t *testing.T, model *cost.Model, res *singleResult) {
+	t.Helper()
+	want, err := model.Evaluate(res.P)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.Eval
+	for _, term := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"U", got.U, want.U},
+		{"Objective", got.Objective, want.Objective},
+		{"CoverageTerm", got.CoverageTerm, want.CoverageTerm},
+		{"ExposureTerm", got.ExposureTerm, want.ExposureTerm},
+		{"Penalty", got.Penalty, want.Penalty},
+		{"EnergyTerm", got.EnergyTerm, want.EnergyTerm},
+		{"EntropyTerm", got.EntropyTerm, want.EntropyTerm},
+		{"DeltaC", got.DeltaC, want.DeltaC},
+		{"EBar", got.EBar, want.EBar},
+	} {
+		if math.Float64bits(term.got) != math.Float64bits(term.want) {
+			t.Errorf("%s = %v, cost.Model gives %v", term.name, term.got, term.want)
+		}
+	}
+	for i := range want.G {
+		if math.Float64bits(got.G[i]) != math.Float64bits(want.G[i]) {
+			t.Errorf("G[%d] = %v, cost.Model gives %v", i, got.G[i], want.G[i])
+		}
+		if math.Float64bits(got.MinExposure[i]) != math.Float64bits(want.EBarI[i]) {
+			t.Errorf("MinExposure[%d] = %v, cost.Model's EBarI gives %v", i, got.MinExposure[i], want.EBarI[i])
+		}
+	}
+}
+
+// TestGoldenParallelRuns pins the per-restart results of a split-seed
+// multi-start search: restart r runs with the r-th seed drawn from the
+// master seed, as coverage.SplitSeeds draws them, and the restarts run
+// one at a time or four at once on a Fan. Scheduling must never leak
+// into the numerics: each restart owns its optimizer and evaluation
+// state.
+func TestGoldenParallelRuns(t *testing.T) {
+	model := goldenModel(t)
+	seeds := splitSeeds(7, len(goldenParallelRuns))
+	for _, workers := range []int{1, 4} {
+		got := make([]*singleResult, len(seeds))
+		err := newFan(workers).Run(context.Background(), len(seeds), func(r int) error {
+			opt, err := newSingle(model, Options{Variant: Perturbed, MaxIters: 15, Seed: seeds[r]})
+			if err != nil {
+				return err
+			}
+			got[r], err = opt.Run()
+			return err
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i, want := range goldenParallelRuns {
+			if bits := math.Float64bits(got[i].Eval.U); bits != want {
+				t.Errorf("workers=%d run %d: bestU bits = %#x, want %#x", workers, i, bits, want)
+			}
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/fleet"
 	"repro/internal/markov"
 	"repro/internal/mat"
 	"repro/internal/par"
@@ -86,8 +87,8 @@ func TestLineSearchRepeats(t *testing.T) {
 func TestAdaptiveStopsAtOptimumM64(t *testing.T) {
 	model := fieldModel64(t)
 	for name, obj := range map[string]Objective[*lowFirstProbeState]{
-		"line":        lowFirstProbe{single{model}, 0},
-		"noisy-probe": lowFirstProbe{single{model}, 1e-12},
+		"line":        lowFirstProbe{oneSensor(t, model), 0},
+		"noisy-probe": lowFirstProbe{oneSensor(t, model), 1e-12},
 	} {
 		t.Run(name, func(t *testing.T) {
 			res := runAdaptive(t, obj)
@@ -122,7 +123,7 @@ func fieldModel64(t *testing.T) *cost.Model {
 
 // runAdaptive runs V2+V3 on obj and checks that it stops at Δt* = 0
 // with a strictly decreasing U over its accepted steps.
-func runAdaptive[S State[*cost.Evaluation]](t *testing.T, obj Objective[S]) *Result[*cost.Evaluation] {
+func runAdaptive[S State[*fleet.Evaluation]](t *testing.T, obj Objective[S]) *Result[*fleet.Evaluation] {
 	t.Helper()
 	const maxIters = 100
 	opt, err := NewOptimizer(obj, Options{Variant: Adaptive, MaxIters: maxIters, Seed: 1, Workers: 1, RecordTrace: true})
@@ -152,32 +153,50 @@ func runAdaptive[S State[*cost.Evaluation]](t *testing.T, obj Objective[S]) *Res
 	return res
 }
 
+// oneSensor returns model's cost as the K = 1 fleet objective.
+func oneSensor(t *testing.T, model *cost.Model) *fleet.Model {
+	t.Helper()
+	fm, err := fleet.NewModel(model, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fm
+}
+
 // lowFirstProbe is the K = 1 objective whose states read the first
 // probe of every line search bias (relative) below the iterate's cost
 // whenever that probe does not read lower already.
 type lowFirstProbe struct {
-	single
+	*fleet.Model
 	bias float64
 }
 
 func (o lowFirstProbe) NewState(solver markov.Method, pool *par.Pool) *lowFirstProbeState {
-	return &lowFirstProbeState{singleState: o.single.NewState(solver, pool), bias: o.bias}
+	return &lowFirstProbeState{State: o.Model.NewState(solver, pool), bias: o.bias}
 }
 
 type lowFirstProbeState struct {
-	*singleState
+	*fleet.State
 	bias  float64
+	last  float64 // U of the last evaluation or probe, as the state read it
 	base  float64 // the iterate's U, read when the lines are built
 	fresh bool    // no probe has run on the current lines yet
 }
 
+func (s *lowFirstProbeState) Evaluate(ps []*mat.Matrix) (float64, error) {
+	u, err := s.State.Evaluate(ps)
+	s.last = u
+	return u, err
+}
+
 func (s *lowFirstProbeState) Line(lines []*markov.Line, dir []*mat.Matrix) error {
-	s.base, s.fresh = s.ev.U, true
-	return s.singleState.Line(lines, dir)
+	s.base, s.fresh = s.last, true
+	return s.State.Line(lines, dir)
 }
 
 func (s *lowFirstProbeState) Probe(lines []*markov.Line, ps []*mat.Matrix, delta float64) (float64, error) {
-	u, err := s.singleState.Probe(lines, ps, delta)
+	u, err := s.State.Probe(lines, ps, delta)
+	s.last = u
 	if err == nil && s.fresh {
 		u = math.Min(u, s.base-s.bias*math.Abs(s.base))
 	}

@@ -1,15 +1,14 @@
 package descent
 
 import (
-	"repro/internal/cost"
 	"repro/internal/markov"
 	"repro/internal/mat"
 	"repro/internal/par"
 )
 
 // Objective is a cost over a stack of K row-stochastic M×M matrices, the
-// space one descent run searches. cost.Model is the K = 1 objective (see
-// New) and fleet.Model the joint objective of K ≥ 1 sensors. An
+// space one descent run searches. fleet.Model is the joint objective of
+// K ≥ 1 sensors; a single sensor's cost (Eq. 9) is its K = 1 case. An
 // Objective is immutable; everything an evaluation writes lives in one
 // of its States, so concurrent runs can share it.
 type Objective[S any] interface {
@@ -47,62 +46,3 @@ type State[E any] interface {
 	CopyTo(dst E)
 	Clone() E
 }
-
-// single is a cost.Model as the K = 1 objective.
-type single struct{ model *cost.Model }
-
-func (o single) Shape() (int, int) { return 1, o.model.Topology().M() }
-
-func (o single) NewState(solver markov.Method, pool *par.Pool) *singleState {
-	ws := o.model.NewWorkspace()
-	ws.SetSolver(solver)
-	ws.SetPool(pool)
-	return &singleState{model: o.model, ws: ws}
-}
-
-// singleState evaluates one matrix in one cost.Workspace. The gradient
-// reuses the workspace's Markov solution of the last evaluation instead
-// of re-solving the chain.
-type singleState struct {
-	model *cost.Model
-	ws    *cost.Workspace
-	ev    *cost.Evaluation // the workspace's last evaluation
-}
-
-func (s *singleState) Evaluate(ps []*mat.Matrix) (float64, error) {
-	ev, err := s.model.EvaluateIn(s.ws, ps[0])
-	if err != nil {
-		return 0, err
-	}
-	s.ev = ev
-	return ev.U, nil
-}
-
-func (s *singleState) Metrics() (float64, float64, float64) {
-	return s.ev.Objective, s.ev.DeltaC, s.ev.EBar
-}
-
-func (s *singleState) Gradient(dst []*mat.Matrix) error {
-	g, err := s.model.GradientSolvedIn(s.ws, s.ev)
-	if err != nil {
-		return err
-	}
-	return dst[0].CopyFrom(g)
-}
-
-func (s *singleState) Line(lines []*markov.Line, dir []*mat.Matrix) error {
-	return lines[0].Reset(s.ev.Sol, dir[0])
-}
-
-func (s *singleState) Probe(lines []*markov.Line, ps []*mat.Matrix, delta float64) (float64, error) {
-	ev, err := s.model.ProbeIn(s.ws, lines[0], ps[0], delta)
-	if err != nil {
-		return 0, err
-	}
-	s.ev = ev
-	return ev.U, nil
-}
-
-func (s *singleState) CopyTo(dst *cost.Evaluation) { s.ev.CopyTo(dst) }
-
-func (s *singleState) Clone() *cost.Evaluation { return s.ev.Clone() }

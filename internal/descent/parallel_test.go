@@ -82,12 +82,12 @@ func TestWorkersDeterminism(t *testing.T) {
 		t.Run(variant.String(), func(t *testing.T) {
 			keys := make(map[int]string)
 			for _, workers := range []int{1, 4} {
-				opt, err := New(model, Options{
+				opt, err := newSingle(model, Options{
 					Variant: variant, MaxIters: 12, Seed: 99,
 					Workers: workers, RecordTrace: true,
 				})
 				if err != nil {
-					t.Fatalf("New(workers=%d): %v", workers, err)
+					t.Fatalf("newSingle(workers=%d): %v", workers, err)
 				}
 				res, err := opt.Run()
 				if err != nil {
@@ -100,35 +100,6 @@ func TestWorkersDeterminism(t *testing.T) {
 			}
 			if keys[1] != keys[4] {
 				t.Errorf("Workers:1 and Workers:4 traces differ:\n  1: %s\n  4: %s", keys[1], keys[4])
-			}
-		})
-	}
-}
-
-// TestGoldenTracesWithWorkers re-runs the pinned golden configurations
-// with a multi-worker pool: the expected bit patterns are the same
-// constants TestGoldenTraces pins for the serial path.
-func TestGoldenTracesWithWorkers(t *testing.T) {
-	forceFanOut(t)
-	model := goldenModel(t)
-	for _, tc := range goldenVariants {
-		t.Run(tc.variant.String(), func(t *testing.T) {
-			opt, err := New(model, Options{
-				Variant: tc.variant, MaxIters: 25, Seed: 42, Workers: 4,
-			})
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			res, err := opt.Run()
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			requireForked(t, opt)
-			if got := math.Float64bits(res.Eval.U); got != tc.bestU {
-				t.Errorf("bestU bits = %#x, want %#x (U = %v)", got, tc.bestU, res.Eval.U)
-			}
-			if got := pHash(res); got != tc.phash {
-				t.Errorf("P hash = %#x, want %#x", got, tc.phash)
 			}
 		})
 	}
@@ -157,7 +128,7 @@ func TestFanOutThreshold(t *testing.T) {
 		}
 	}
 	// The small test model runs serially whatever Workers says.
-	opt, err := New(testModel16(t), Options{Variant: Adaptive, MaxIters: 2, Seed: 1, Workers: 4})
+	opt, err := newSingle(testModel16(t), Options{Variant: Adaptive, MaxIters: 2, Seed: 1, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,10 +141,10 @@ func TestFanOutThreshold(t *testing.T) {
 // is rejected, zero defaults to GOMAXPROCS (≥ 1).
 func TestOptionsWorkersValidation(t *testing.T) {
 	model := goldenModel(t)
-	if _, err := New(model, Options{Variant: Adaptive, Workers: -1}); err == nil {
+	if _, err := newSingle(model, Options{Variant: Adaptive, Workers: -1}); err == nil {
 		t.Fatal("Workers: -1 accepted")
 	}
-	opt, err := New(model, Options{Variant: Adaptive})
+	opt, err := newSingle(model, Options{Variant: Adaptive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +209,7 @@ func maxFeasibleStep1(p, dir *mat.Matrix, floor float64) float64 {
 // over the 16-PoI test model, with the inputs of one line-search step.
 func lineSearchFixture(t *testing.T, workers int) (*singleOptimizer, []*mat.Matrix, []*mat.Matrix, float64) {
 	t.Helper()
-	opt, err := New(testModel16(t), Options{Variant: Adaptive, Seed: 1, Workers: workers})
+	opt, err := newSingle(testModel16(t), Options{Variant: Adaptive, Seed: 1, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,13 +265,16 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			forceFanOut(t)
 			opt, ps, dir, curU := lineSearchFixture(t, workers)
-			model, ws, p := opt.st.model, opt.st.ws, ps[0]
+			st := opt.st
 			t.Cleanup(func() { opt.pool.Stop() })
 
 			// Warm up: lazily-allocated scratch (gradient buffers, worker
 			// slots, LU batch scratch) and pool goroutines come into
 			// existence here, not inside the measured runs.
-			if _, _, err := model.GradientIn(ws, p); err != nil {
+			if _, err := st.Evaluate(ps); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Gradient(opt.grad); err != nil {
 				t.Fatal(err)
 			}
 			opt.lineSearch(ps, dir, curU)
@@ -309,18 +283,21 @@ func TestSteadyStateAllocs(t *testing.T) {
 			}
 
 			if allocs := testing.AllocsPerRun(10, func() {
-				if _, err := model.EvaluateIn(ws, p); err != nil {
+				if _, err := st.Evaluate(ps); err != nil {
 					t.Fatal(err)
 				}
 			}); allocs != 0 {
-				t.Errorf("EvaluateIn allocates %v per call, want 0", allocs)
+				t.Errorf("Evaluate allocates %v per call, want 0", allocs)
 			}
 			if allocs := testing.AllocsPerRun(10, func() {
-				if _, _, err := model.GradientIn(ws, p); err != nil {
+				if _, err := st.Evaluate(ps); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Gradient(opt.grad); err != nil {
 					t.Fatal(err)
 				}
 			}); allocs != 0 {
-				t.Errorf("GradientIn allocates %v per call, want 0", allocs)
+				t.Errorf("Evaluate and Gradient allocate %v per call, want 0", allocs)
 			}
 			if allocs := testing.AllocsPerRun(10, func() {
 				if step, _, ok := opt.lineSearch(ps, dir, curU); !ok && step != 0 {
@@ -336,14 +313,18 @@ func TestSteadyStateAllocs(t *testing.T) {
 // searchObjectives are the objectives the batched line search is held
 // to serial-identical steps on: the 16-PoI test model as one sensor, and
 // a fleet of two sensors over it.
-func searchObjectives(t *testing.T) (Objective[*singleState], Objective[*fleet.State]) {
+func searchObjectives(t *testing.T) (one, two Objective[*fleet.State]) {
 	t.Helper()
 	model := testModel16(t)
-	fm, err := fleet.NewModel(model, 2, nil)
+	fm1, err := fleet.NewModel(model, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return single{model}, fm
+	fm2, err := fleet.NewModel(model, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fm1, fm2
 }
 
 // TestBatchedLineSearchMatchesSerial compares the serial and batched line

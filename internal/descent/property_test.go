@@ -1,13 +1,13 @@
-package core
+package descent
 
 import (
 	"math"
 	"testing"
 
 	"repro/internal/cost"
-	"repro/internal/descent"
 	"repro/internal/geom"
 	"repro/internal/mat"
+	"repro/internal/mcmc"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -15,9 +15,9 @@ import (
 
 // TestPipelineOnRandomTopologies is the end-to-end robustness property:
 // for arbitrary valid workloads (random layouts, pauses, skewed targets,
-// random objective weights), the full pipeline — optimize, evaluate,
-// baseline, simulate — runs without error and produces internally
-// consistent results.
+// random objective weights), the full pipeline — optimize, evaluate, the
+// Metropolis–Hastings baseline, simulate — runs without error and
+// produces internally consistent results.
 func TestPipelineOnRandomTopologies(t *testing.T) {
 	src := rng.New(4242)
 	for trial := 0; trial < 12; trial++ {
@@ -34,17 +34,21 @@ func TestPipelineOnRandomTopologies(t *testing.T) {
 		}
 		alpha := src.Uniform(0, 2)
 		beta := math.Pow(10, src.Uniform(-6, 0))
-		p, err := NewPlanner(top, cost.Uniform(top.M(), alpha, beta))
+		model, err := cost.NewModel(top, cost.Uniform(top.M(), alpha, beta))
 		if err != nil {
-			t.Fatalf("trial %d: NewPlanner: %v", trial, err)
+			t.Fatalf("trial %d: NewModel: %v", trial, err)
 		}
-		res, err := p.Optimize(descent.Options{
-			Variant:  descent.Perturbed,
+		opt, err := newSingle(model, Options{
+			Variant:  Perturbed,
 			MaxIters: 120,
 			Seed:     src.Uint64(),
 		})
 		if err != nil {
-			t.Fatalf("trial %d: Optimize: %v", trial, err)
+			t.Fatalf("trial %d: newSingle: %v", trial, err)
+		}
+		res, err := opt.Run()
+		if err != nil {
+			t.Fatalf("trial %d: Run: %v", trial, err)
 		}
 		// Result is a proper interior stochastic matrix.
 		for i, s := range mat.RowSums(res.P) {
@@ -58,26 +62,33 @@ func TestPipelineOnRandomTopologies(t *testing.T) {
 		if math.Abs(ev.U-(ev.Objective+ev.Penalty)) > 1e-9*(1+math.Abs(ev.U)) {
 			t.Fatalf("trial %d: U decomposition off", trial)
 		}
+		sev, err := model.Evaluate(res.P)
+		if err != nil {
+			t.Fatalf("trial %d: Evaluate: %v", trial, err)
+		}
+		if sev.U != ev.U {
+			t.Fatalf("trial %d: evaluated U %v, optimizer's best %v", trial, sev.U, ev.U)
+		}
 		// Short simulation agrees with the analytic coverage to loose
 		// tolerance.
-		runs, err := p.Simulate(res.P, SimulateOptions{
-			Steps: 60000, Seed: src.Uint64(), TimeModel: sim.UnitStep,
-		})
+		runs, err := sim.RunMany(sim.Config{
+			Topology: top, P: res.P, Steps: 60000, Seed: src.Uint64(), TimeModel: sim.UnitStep,
+		}, 1)
 		if err != nil {
 			t.Fatalf("trial %d: Simulate: %v", trial, err)
 		}
-		for i := range ev.CBar {
-			if math.Abs(runs[0].CoverageShare[i]-ev.CBar[i]) > 0.03 {
+		for i := range sev.CBar {
+			if math.Abs(runs[0].CoverageShare[i]-sev.CBar[i]) > 0.03 {
 				t.Fatalf("trial %d PoI %d: simulated %v vs analytic %v",
-					trial, i, runs[0].CoverageShare[i], ev.CBar[i])
+					trial, i, runs[0].CoverageShare[i], sev.CBar[i])
 			}
 		}
 		// Baseline chain solves and evaluates.
-		base, err := p.Baseline()
+		base, err := mcmc.MetropolisHastings(top.Target())
 		if err != nil {
 			t.Fatalf("trial %d: Baseline: %v", trial, err)
 		}
-		if _, err := p.Evaluate(base); err != nil {
+		if _, err := model.Evaluate(base); err != nil {
 			// Exact-zero diagonals in the MH chain can push the barrier
 			// to +Inf but must not produce an error.
 			t.Fatalf("trial %d: Evaluate baseline: %v", trial, err)
@@ -100,17 +111,21 @@ func TestOptimizeExtremeWeights(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := NewPlanner(top, cost.Uniform(top.M(), tc.alpha, tc.beta))
+			model, err := cost.NewModel(top, cost.Uniform(top.M(), tc.alpha, tc.beta))
 			if err != nil {
-				t.Fatalf("NewPlanner: %v", err)
+				t.Fatalf("NewModel: %v", err)
 			}
-			res, err := p.Optimize(descent.Options{
-				Variant:  descent.Perturbed,
+			opt, err := newSingle(model, Options{
+				Variant:  Perturbed,
 				MaxIters: 60,
 				Seed:     3,
 			})
 			if err != nil {
-				t.Fatalf("Optimize: %v", err)
+				t.Fatalf("newSingle: %v", err)
+			}
+			res, err := opt.Run()
+			if err != nil {
+				t.Fatalf("Run: %v", err)
 			}
 			if math.IsNaN(res.Eval.U) || math.IsInf(res.Eval.U, 0) {
 				t.Errorf("U = %v", res.Eval.U)
@@ -136,23 +151,31 @@ func TestOptimizeExtremePauseAsymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	p, err := NewPlanner(top, cost.Uniform(3, 1, 1e-4))
+	model, err := cost.NewModel(top, cost.Uniform(3, 1, 1e-4))
 	if err != nil {
-		t.Fatalf("NewPlanner: %v", err)
+		t.Fatalf("NewModel: %v", err)
 	}
-	res, err := p.Optimize(descent.Options{Variant: descent.Perturbed, MaxIters: 150, Seed: 5})
+	opt, err := newSingle(model, Options{Variant: Perturbed, MaxIters: 150, Seed: 5})
 	if err != nil {
-		t.Fatalf("Optimize: %v", err)
+		t.Fatalf("newSingle: %v", err)
+	}
+	res, err := opt.Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	ev, err := model.Evaluate(res.P)
+	if err != nil {
+		t.Fatalf("Evaluate: %v", err)
 	}
 	// The long-pause PoI should end up with the dominant coverage share.
 	best := 0
-	for i, c := range res.Eval.CBar {
-		if c > res.Eval.CBar[best] {
+	for i, c := range ev.CBar {
+		if c > ev.CBar[best] {
 			best = i
 		}
 	}
 	if best != 0 {
-		t.Errorf("dominant coverage at PoI %d, want 0 (pause 100): %v", best, res.Eval.CBar)
+		t.Errorf("dominant coverage at PoI %d, want 0 (pause 100): %v", best, ev.CBar)
 	}
 }
 

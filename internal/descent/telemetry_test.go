@@ -13,7 +13,7 @@ import (
 // allocations to the optimizer loop.
 func TestRecordNilHookZeroAllocs(t *testing.T) {
 	model := goldenModel(t)
-	opt, err := New(model, Options{Variant: Adaptive, MaxIters: 1, Seed: 1})
+	opt, err := newSingle(model, Options{Variant: Adaptive, MaxIters: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestOnIterationBitExact(t *testing.T) {
 	for _, tc := range goldenVariants {
 		t.Run(tc.variant.String(), func(t *testing.T) {
 			var calls int
-			opt, err := New(model, Options{
+			opt, err := newSingle(model, Options{
 				Variant: tc.variant, MaxIters: 25, Seed: 42,
 				OnIteration: func(rec IterRecord, ps []*mat.Matrix) {
 					calls++
@@ -81,7 +81,7 @@ func TestProbeCounts(t *testing.T) {
 		{Perturbed, true},
 	} {
 		t.Run(tc.variant.String(), func(t *testing.T) {
-			opt, err := New(model, Options{
+			opt, err := newSingle(model, Options{
 				Variant: tc.variant, MaxIters: 10, Seed: 42, RecordTrace: true,
 			})
 			if err != nil {

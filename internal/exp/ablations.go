@@ -28,17 +28,13 @@ func AblationStepSize(sc Scale) (*Table, error) {
 	}
 	init := descent.UniformInit(top.M())
 	for _, step := range []float64{1e-6, 1e-5, 1e-4, 1e-3} {
-		opt, err := descent.New(model, descent.Options{
+		res, err := run(model, descent.Options{
 			Variant:    descent.Basic,
 			MaxIters:   sc.OptIters,
 			FixedStep:  step,
 			Initial:    []*mat.Matrix{init},
 			StallIters: sc.OptIters + 1,
 		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := opt.Run()
 		if err != nil {
 			return nil, fmt.Errorf("exp: ablation step %v: %w", step, err)
 		}
@@ -50,11 +46,7 @@ func AblationStepSize(sc Scale) (*Table, error) {
 	}
 	adOpts := optimizerOptions(descent.Adaptive, sc, sc.Seed)
 	adOpts.Initial = []*mat.Matrix{init}
-	opt, err := descent.New(model, adOpts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := opt.Run()
+	res, err := run(model, adOpts)
 	if err != nil {
 		return nil, fmt.Errorf("exp: ablation adaptive: %w", err)
 	}
@@ -86,7 +78,7 @@ func AblationNoise(sc Scale) (*Table, error) {
 	for _, sigma := range []float64{0.001, 0.02, 0.1, 0.5} {
 		opts := optimizerOptions(descent.Perturbed, sc, sc.Seed)
 		opts.NoiseStdDev = sigma
-		results, err := descent.RunMany(model, opts, sc.Runs)
+		results, err := runSeeds(model, opts, sc.Runs)
 		if err != nil {
 			return nil, fmt.Errorf("exp: ablation noise %v: %w", sigma, err)
 		}
@@ -125,11 +117,7 @@ func AblationWarmStart(sc Scale) (*Table, error) {
 		Columns: []string{"initialization", "final U", "ΔC"},
 	}
 	cold := optimizerOptions(descent.Perturbed, sc, sc.Seed+800)
-	coldOpt, err := descent.New(model, cold)
-	if err != nil {
-		return nil, err
-	}
-	coldRes, err := coldOpt.Run()
+	coldRes, err := run(model, cold)
 	if err != nil {
 		return nil, fmt.Errorf("exp: warm-start ablation cold: %w", err)
 	}
@@ -139,11 +127,7 @@ func AblationWarmStart(sc Scale) (*Table, error) {
 	}
 	warm := optimizerOptions(descent.Perturbed, sc, sc.Seed+800)
 	warm.Initial = []*mat.Matrix{warmP}
-	warmOpt, err := descent.New(model, warm)
-	if err != nil {
-		return nil, err
-	}
-	warmRes, err := warmOpt.Run()
+	warmRes, err := run(model, warm)
 	if err != nil {
 		return nil, fmt.Errorf("exp: warm-start ablation warm: %w", err)
 	}
@@ -175,16 +159,16 @@ func ExtensionEnergy(sc Scale) (*Table, error) {
 			return nil, err
 		}
 		opts := optimizerOptions(descent.Perturbed, sc, sc.Seed+uint64(300+i))
-		opt, err := descent.New(model, opts)
+		res, err := run(model, opts)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("exp: extension energy %v: %w", w, err)
 		}
-		res, err := opt.Run()
+		ev, err := model.Evaluate(res.P)
 		if err != nil {
 			return nil, fmt.Errorf("exp: extension energy %v: %w", w, err)
 		}
 		t.Rows = append(t.Rows, []string{
-			FormatFloat(w), FormatFloat(res.Eval.DeltaC), FormatFloat(res.Eval.Energy),
+			FormatFloat(w), FormatFloat(res.Eval.DeltaC), FormatFloat(ev.Energy),
 		})
 	}
 	return t, nil
@@ -210,16 +194,16 @@ func ExtensionEntropy(sc Scale) (*Table, error) {
 			return nil, err
 		}
 		opts := optimizerOptions(descent.Perturbed, sc, sc.Seed+uint64(400+i))
-		opt, err := descent.New(model, opts)
+		res, err := run(model, opts)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("exp: extension entropy %v: %w", lam, err)
 		}
-		res, err := opt.Run()
+		ev, err := model.Evaluate(res.P)
 		if err != nil {
 			return nil, fmt.Errorf("exp: extension entropy %v: %w", lam, err)
 		}
 		t.Rows = append(t.Rows, []string{
-			FormatFloat(lam), FormatFloat(res.Eval.Entropy),
+			FormatFloat(lam), FormatFloat(ev.Entropy),
 			FormatFloat(res.Eval.DeltaC), FormatFloat(res.Eval.EBar),
 		})
 	}

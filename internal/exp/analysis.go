@@ -3,8 +3,8 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/descent"
+	"repro/internal/markov"
 	"repro/internal/mat"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -29,15 +29,7 @@ func TableMixing(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("exp: mixing %s: %w", r.label, err)
 		}
-		model, err := newModel(top, r.alpha, r.beta)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := core.NewPlanner(top, model.Weights())
-		if err != nil {
-			return nil, err
-		}
-		a, err := eng.Analyze(res.P, core.AnalyzeOptions{})
+		a, err := markov.Analyze(res.P, markov.AnalyzeOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("exp: mixing %s: %w", r.label, err)
 		}

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/cost"
 	"repro/internal/descent"
 	"repro/internal/mat"
 	"repro/internal/mcmc"
@@ -27,7 +26,7 @@ func costCDF(top *topology.Topology, alpha, beta float64, variant descent.Varian
 	if err != nil {
 		return Line{}, err
 	}
-	results, err := descent.RunMany(model, optimizerOptions(variant, sc, sc.Seed), sc.Runs)
+	results, err := runSeeds(model, optimizerOptions(variant, sc, sc.Seed), sc.Runs)
 	if err != nil {
 		return Line{}, err
 	}
@@ -105,7 +104,7 @@ func traceLine(name string, trace []descent.IterRecord, points int, pick func(de
 // a Scale budget affords, and the larger step reproduces the same
 // decrease-to-stability shape within it (the Δt sensitivity itself is
 // quantified by AblationStepSize).
-func runTraced(top *topology.Topology, alpha, beta float64, variant descent.Variant, sc Scale, seed uint64) (*descent.Result[*cost.Evaluation], error) {
+func runTraced(top *topology.Topology, alpha, beta float64, variant descent.Variant, sc Scale, seed uint64) (*result, error) {
 	model, err := newModel(top, alpha, beta)
 	if err != nil {
 		return nil, err
@@ -115,11 +114,7 @@ func runTraced(top *topology.Topology, alpha, beta float64, variant descent.Vari
 	if variant == descent.Basic {
 		opts.FixedStep = 1e-5
 	}
-	opt, err := descent.New(model, opts)
-	if err != nil {
-		return nil, err
-	}
-	return opt.Run()
+	return run(model, opts)
 }
 
 // Figure3 reproduces U vs iteration for the basic algorithm under several
@@ -222,11 +217,7 @@ func iterationSimFigures(top *topology.Topology, alpha, beta float64, sc Scale, 
 			samples = append(samples, sample{iter: rec.Iter, p: ps[0].Clone(), u: rec.U})
 		}
 	}
-	opt, err := descent.New(model, opts)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if _, err := opt.Run(); err != nil {
+	if _, err := run(model, opts); err != nil {
 		return nil, nil, nil, err
 	}
 

@@ -3,8 +3,10 @@ package exp
 import (
 	"fmt"
 
+	"repro/coverage"
 	"repro/internal/cost"
 	"repro/internal/descent"
+	"repro/internal/fleet"
 	"repro/internal/mat"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -82,17 +84,49 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// optimize runs one optimization and returns the result.
-func optimize(top *topology.Topology, alpha, beta float64, variant descent.Variant, sc Scale, seed uint64) (*descent.Result[*cost.Evaluation], error) {
-	model, err := newModel(top, alpha, beta)
+// result is the outcome of one descent on the joint objective.
+type result = descent.Result[*fleet.Evaluation]
+
+// run searches model's cost as the K = 1 case of the joint fleet
+// objective, the objective every descent runs on. The result's Eval has
+// the cost and the paper's two metrics; evaluate res.P on the model for
+// the rest of the breakdown.
+func run(model *cost.Model, opts descent.Options) (*result, error) {
+	fm, err := fleet.NewModel(model, 1, nil)
 	if err != nil {
 		return nil, err
 	}
-	opt, err := descent.New(model, optimizerOptions(variant, sc, seed))
+	opt, err := descent.NewOptimizer(fm, opts)
 	if err != nil {
 		return nil, err
 	}
 	return opt.Run()
+}
+
+// runSeeds runs n searches one after another, with the per-run seeds
+// split from opts.Seed as a best-of search splits them
+// (coverage.SplitSeeds).
+func runSeeds(model *cost.Model, opts descent.Options, n int) ([]*result, error) {
+	out := make([]*result, n)
+	for i, seed := range coverage.SplitSeeds(opts.Seed, n) {
+		o := opts
+		o.Seed = seed
+		res, err := run(model, o)
+		if err != nil {
+			return nil, fmt.Errorf("run %d: %w", i, err)
+		}
+		out[i] = res
+	}
+	return out, nil
+}
+
+// optimize runs one optimization and returns the result.
+func optimize(top *topology.Topology, alpha, beta float64, variant descent.Variant, sc Scale, seed uint64) (*result, error) {
+	model, err := newModel(top, alpha, beta)
+	if err != nil {
+		return nil, err
+	}
+	return run(model, optimizerOptions(variant, sc, seed))
 }
 
 // simulateMatrix runs sc.SimReps simulations of the matrix and returns
@@ -141,11 +175,19 @@ func TradeoffSweep(sc Scale) ([]TradeoffResult, error) {
 	top := topology.Topology3()
 	out := make([]TradeoffResult, 0, len(tradeoffRatios))
 	for i, r := range tradeoffRatios {
-		res, err := optimize(top, r.alpha, r.beta, descent.Perturbed, sc, sc.Seed+uint64(i))
+		model, err := newModel(top, r.alpha, r.beta)
+		if err != nil {
+			return nil, err
+		}
+		res, err := run(model, optimizerOptions(descent.Perturbed, sc, sc.Seed+uint64(i)))
 		if err != nil {
 			return nil, fmt.Errorf("exp: sweep %s: %w", r.label, err)
 		}
-		out = append(out, TradeoffResult{Ratio: r.label, Eval: res.Eval})
+		ev, err := model.Evaluate(res.P)
+		if err != nil {
+			return nil, fmt.Errorf("exp: sweep %s: %w", r.label, err)
+		}
+		out = append(out, TradeoffResult{Ratio: r.label, Eval: ev})
 	}
 	return out, nil
 }
@@ -214,7 +256,7 @@ func TableIII(sc Scale) (*Table, error) {
 		Columns: []string{"algorithm", "min", "avg", "max"},
 	}
 	for _, variant := range []descent.Variant{descent.Adaptive, descent.Perturbed} {
-		results, err := descent.RunMany(model, optimizerOptions(variant, sc, sc.Seed), sc.Runs)
+		results, err := runSeeds(model, optimizerOptions(variant, sc, sc.Seed), sc.Runs)
 		if err != nil {
 			return nil, fmt.Errorf("exp: table III %s: %w", variant, err)
 		}

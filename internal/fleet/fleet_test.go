@@ -73,20 +73,20 @@ func TestNewModelValidation(t *testing.T) {
 	}{
 		{"zero sensors", 0, nil},
 		{"negative sensors", -1, nil},
-		{"row count mismatch", 2, UniformResponsibility(3, m)},
+		{"row count mismatch", 2, uniformResponsibility(3, m)},
 		{"row length mismatch", 2, [][]float64{make([]float64, m), make([]float64, m+1)}},
 		{"nan share", 2, func() [][]float64 {
-			r := UniformResponsibility(2, m)
+			r := uniformResponsibility(2, m)
 			r[0][0] = math.NaN()
 			return r
 		}()},
 		{"negative share", 2, func() [][]float64 {
-			r := UniformResponsibility(2, m)
+			r := uniformResponsibility(2, m)
 			r[1][1] = -0.1
 			return r
 		}()},
 		{"unclaimed poi", 2, func() [][]float64 {
-			r := UniformResponsibility(2, m)
+			r := uniformResponsibility(2, m)
 			r[0][0], r[1][0] = 0, 0
 			return r
 		}()},
@@ -161,7 +161,7 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 	resps := map[string]func(k, m int) [][]float64{
 		"uniform": func(k, m int) [][]float64 { return nil },
 		"skewed": func(k, m int) [][]float64 {
-			r := UniformResponsibility(k, m)
+			r := uniformResponsibility(k, m)
 			for i := 0; i < m; i++ {
 				r[0][i] = 0.25
 				r[k-1][i] = 1.75 - 0.5*float64(k)*0.25 // keep column sums positive
@@ -525,4 +525,19 @@ func TestWarmIterationAllocatesNothing(t *testing.T) {
 	if short, long := allocs(50), allocs(400); short != long {
 		t.Errorf("fleet run allocates %v at 50 iterations but %v at 400", short, long)
 	}
+}
+
+// uniformResponsibility returns the default assignment ρ_{s,i} = 1/K:
+// every sensor owns an equal share of every PoI's coverage target.
+func uniformResponsibility(sensors, m int) [][]float64 {
+	rows := make([][]float64, sensors)
+	v := 1 / float64(sensors)
+	for s := range rows {
+		row := make([]float64, m)
+		for i := range row {
+			row[i] = v
+		}
+		rows[s] = row
+	}
+	return rows
 }

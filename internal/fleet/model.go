@@ -62,21 +62,6 @@ type Model struct {
 	beta  []float64
 }
 
-// UniformResponsibility returns the default assignment ρ_{s,i} = 1/K:
-// every sensor owns an equal share of every PoI's coverage target.
-func UniformResponsibility(sensors, m int) [][]float64 {
-	rows := make([][]float64, sensors)
-	v := 1 / float64(sensors)
-	for s := range rows {
-		row := make([]float64, m)
-		for i := range row {
-			row[i] = v
-		}
-		rows[s] = row
-	}
-	return rows
-}
-
 // NewModel builds a fleet model over the given single-sensor cost model.
 // A nil responsibility selects the uniform 1/K assignment; otherwise it
 // must be K rows of M finite non-negative shares with every PoI claimed
@@ -186,22 +171,39 @@ type Evaluation struct {
 	// Owner[i] is the sensor achieving MinExposure[i] (lowest index on
 	// ties) — the sensor whose parameters the exposure gradient flows to.
 	Owner []int
-	// UnionShare is the analytic prediction of the simulated union
-	// coverage share per PoI: 1 − Π_s (1 − C̄_i^(s)), the
-	// independent-overlap approximation of the fraction of time at least
-	// one sensor covers PoI i.
-	UnionShare []float64
+}
+
+// UnionShare returns the analytic prediction of the simulated union
+// coverage share per PoI from the sensors' coverage distributions C̄^(s):
+// 1 − Π_s (1 − C̄_i^(s)), the independent-overlap approximation of the
+// fraction of time at least one sensor covers PoI i. No cost term reads
+// it, so evaluations leave it to the caller that reports it.
+func UnionShare(cbar [][]float64) []float64 {
+	out := make([]float64, len(cbar[0]))
+	for i := range out {
+		prod := 1.0
+		for _, cb := range cbar {
+			c := cb[i]
+			if c < 0 {
+				c = 0
+			} else if c > 1 {
+				c = 1
+			}
+			prod *= 1 - c
+		}
+		out[i] = 1 - prod
+	}
+	return out
 }
 
 // CopyTo overwrites dst with a deep copy of ev, reusing dst's slices,
 // so the optimizer can keep its best evaluation without allocating.
 func (ev *Evaluation) CopyTo(dst *Evaluation) {
-	g, minExp, owner, union := dst.G, dst.MinExposure, dst.Owner, dst.UnionShare
+	g, minExp, owner := dst.G, dst.MinExposure, dst.Owner
 	*dst = *ev
 	dst.G = append(g[:0], ev.G...)
 	dst.MinExposure = append(minExp[:0], ev.MinExposure...)
 	dst.Owner = append(owner[:0], ev.Owner...)
-	dst.UnionShare = append(union[:0], ev.UnionShare...)
 }
 
 // newEvaluation allocates an Evaluation sized for the model.
@@ -210,7 +212,6 @@ func (fm *Model) newEvaluation() *Evaluation {
 		G:           make([]float64, fm.m),
 		MinExposure: make([]float64, fm.m),
 		Owner:       make([]int, fm.m),
-		UnionShare:  make([]float64, fm.m),
 	}
 }
 
@@ -342,9 +343,23 @@ func (st *State) Clone() *Evaluation {
 // combine folds the K single-sensor evaluations into the joint
 // breakdown. Every accumulation is a fixed-order fold (PoIs outer,
 // sensors inner, both ascending), so the result is deterministic.
+//
+// One sensor's own terms are the joint ones bit for bit (ρ = 1 and the
+// minimum over one exposure is that exposure), so at K = 1 combine takes
+// them instead of folding them a second time.
 func (st *State) combine() {
 	fm, evs, out := st.fm, st.evs, st.ev
 	m, k := fm.m, fm.k
+	if k == 1 {
+		ev := evs[0]
+		out.U, out.Objective = ev.U, ev.Objective
+		out.CoverageTerm, out.ExposureTerm, out.Penalty = ev.CoverageTerm, ev.ExposureTerm, ev.Penalty
+		out.EnergyTerm, out.EntropyTerm = ev.EnergyTerm, ev.EntropyTerm
+		out.DeltaC, out.EBar = ev.DeltaC, ev.EBar
+		copy(out.G, ev.G)
+		copy(out.MinExposure, ev.EBarI)
+		return
+	}
 	out.U, out.Objective = 0, 0
 	out.CoverageTerm, out.ExposureTerm, out.Penalty = 0, 0, 0
 	out.EnergyTerm, out.EntropyTerm = 0, 0
@@ -377,20 +392,6 @@ func (st *State) combine() {
 		sumE2 += best * best
 	}
 	out.EBar = math.Sqrt(sumE2)
-
-	for i := 0; i < m; i++ {
-		prod := 1.0
-		for s := 0; s < k; s++ {
-			c := evs[s].CBar[i]
-			if c < 0 {
-				c = 0
-			} else if c > 1 {
-				c = 1
-			}
-			prod *= 1 - c
-		}
-		out.UnionShare[i] = 1 - prod
-	}
 
 	for s := 0; s < k; s++ {
 		out.Penalty += evs[s].Penalty

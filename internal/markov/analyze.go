@@ -1,10 +1,9 @@
-package core
+package markov
 
 import (
 	"fmt"
 	"math"
 
-	"repro/internal/markov"
 	"repro/internal/mat"
 )
 
@@ -50,9 +49,9 @@ type AnalyzeOptions struct {
 }
 
 // Analyze computes the ChainAnalysis of a transition matrix.
-func (p *Planner) Analyze(m *mat.Matrix, opts AnalyzeOptions) (*ChainAnalysis, error) {
+func Analyze(m *mat.Matrix, opts AnalyzeOptions) (*ChainAnalysis, error) {
 	if m == nil {
-		return nil, fmt.Errorf("%w: nil matrix", ErrPlanner)
+		return nil, fmt.Errorf("%w: nil matrix", ErrNotStochastic)
 	}
 	if opts.MixingEps == 0 {
 		opts.MixingEps = 0.01
@@ -60,29 +59,29 @@ func (p *Planner) Analyze(m *mat.Matrix, opts AnalyzeOptions) (*ChainAnalysis, e
 	if opts.MixingMaxSteps == 0 {
 		opts.MixingMaxSteps = 100000
 	}
-	chain, err := markov.New(m)
+	chain, err := New(m)
 	if err != nil {
-		return nil, fmt.Errorf("core: analyze: %w", err)
+		return nil, err
 	}
 	sol, err := chain.Solve()
 	if err != nil {
-		return nil, fmt.Errorf("core: analyze: %w", err)
+		return nil, err
 	}
 	slem, err := sol.SLEM(20000, 1e-10)
 	if err != nil {
-		return nil, fmt.Errorf("core: analyze: %w", err)
+		return nil, err
 	}
 	mixing, err := chain.MixingTime(sol, opts.MixingEps, opts.MixingMaxSteps)
 	if err != nil {
-		return nil, fmt.Errorf("core: analyze: %w", err)
+		return nil, err
 	}
 	moments, err := sol.Moments()
 	if err != nil {
-		return nil, fmt.Errorf("core: analyze: %w", err)
+		return nil, err
 	}
 	kappa, err := sol.ConditionNumber()
 	if err != nil {
-		return nil, fmt.Errorf("core: analyze: %w", err)
+		return nil, err
 	}
 
 	n := chain.M()

@@ -1,36 +1,38 @@
-package core
+package markov_test
 
 import (
 	"errors"
 	"math"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/descent"
+	"repro/internal/fleet"
+	"repro/internal/markov"
 	"repro/internal/mat"
+	"repro/internal/mcmc"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
 func TestAnalyzeValidation(t *testing.T) {
-	p := newPlanner(t, topology.Topology2(), 1, 1)
-	if _, err := p.Analyze(nil, AnalyzeOptions{}); !errors.Is(err, ErrPlanner) {
+	if _, err := markov.Analyze(nil, markov.AnalyzeOptions{}); !errors.Is(err, markov.ErrNotStochastic) {
 		t.Errorf("nil matrix err = %v", err)
 	}
 	bad, _ := mat.NewFromRows([][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}})
-	if _, err := p.Analyze(bad, AnalyzeOptions{}); err == nil {
+	if _, err := markov.Analyze(bad, markov.AnalyzeOptions{}); err == nil {
 		t.Error("reducible chain should fail analysis")
 	}
 }
 
 func TestAnalyzeBasicProperties(t *testing.T) {
 	top := topology.Topology2()
-	p := newPlanner(t, top, 1, 1)
-	base, err := p.Baseline()
+	base, err := mcmc.MetropolisHastings(top.Target())
 	if err != nil {
-		t.Fatalf("Baseline: %v", err)
+		t.Fatalf("MetropolisHastings: %v", err)
 	}
-	a, err := p.Analyze(base, AnalyzeOptions{})
+	a, err := markov.Analyze(base, markov.AnalyzeOptions{})
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -57,45 +59,55 @@ func TestAnalyzeBasicProperties(t *testing.T) {
 }
 
 // TestAnalyzeMeanExposureMatchesEq3 cross-checks the moment-based mean
-// against the evaluation's Ē_i (Eq. 3) — two independent derivations.
+// against the evaluation's Ē_i (Eq. 3) at an optimized schedule — two
+// independent derivations.
 func TestAnalyzeMeanExposureMatchesEq3(t *testing.T) {
 	top := topology.Topology1()
-	p := newPlanner(t, top, 0, 1)
-	res, err := p.Optimize(descent.Options{Variant: descent.Perturbed, MaxIters: 150, Seed: 4})
+	model, err := cost.NewModel(top, cost.Uniform(top.M(), 0, 1))
 	if err != nil {
-		t.Fatalf("Optimize: %v", err)
+		t.Fatalf("NewModel: %v", err)
 	}
-	a, err := p.Analyze(res.P, AnalyzeOptions{})
+	fm, err := fleet.NewModel(model, 1, nil)
+	if err != nil {
+		t.Fatalf("fleet.NewModel: %v", err)
+	}
+	opt, err := descent.NewOptimizer(fm, descent.Options{Variant: descent.Perturbed, MaxIters: 150, Seed: 4})
+	if err != nil {
+		t.Fatalf("NewOptimizer: %v", err)
+	}
+	res, err := opt.Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	ev, err := model.Evaluate(res.P)
+	if err != nil {
+		t.Fatalf("Evaluate: %v", err)
+	}
+	a, err := markov.Analyze(res.P, markov.AnalyzeOptions{})
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
 	for i := range a.MeanExposure {
-		if diff := math.Abs(a.MeanExposure[i] - res.Eval.EBarI[i]); diff > 1e-7 {
-			t.Errorf("PoI %d: moments mean %v vs Eq.3 %v", i, a.MeanExposure[i], res.Eval.EBarI[i])
+		if diff := math.Abs(a.MeanExposure[i] - ev.EBarI[i]); diff > 1e-7 {
+			t.Errorf("PoI %d: moments mean %v vs Eq.3 %v", i, a.MeanExposure[i], ev.EBarI[i])
 		}
 	}
 }
 
-// TestAnalyzeExposureStdDevAgainstSimulation validates the closed-form
-// exposure standard deviation against measured segment statistics.
+// TestAnalyzeExposureStdDevAgainstSimulation validates the analytic
+// mean exposure against measured unit-step segment statistics.
 func TestAnalyzeExposureStdDevAgainstSimulation(t *testing.T) {
 	top := topology.Topology1()
-	p := newPlanner(t, top, 1, 1)
-	src := rng.New(42)
-	m := descent.RandomInit(src, top.M(), 1e-6)
-	a, err := p.Analyze(m, AnalyzeOptions{})
+	m := descent.RandomInit(rng.New(42), top.M(), 1e-6)
+	a, err := markov.Analyze(m, markov.AnalyzeOptions{})
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	// Re-measure by simulation: collect per-PoI segment second moments.
-	// sim.Metrics only exposes means, so measure variance via many short
-	// estimates: instead, use one long unit-step run and the identity
-	// Var = E[L²] − (E[L])²; we approximate E[L²] by splitting the run
-	// into halves and... simpler: simulate segments directly here.
-	steps := 400000
-	runs, err := p.Simulate(m, SimulateOptions{Steps: steps, Seed: 9, TimeModel: sim.UnitStep})
+	runs, err := sim.RunMany(sim.Config{
+		Topology: top, P: m, Steps: 400000, Seed: 9, TimeModel: sim.UnitStep,
+	}, 1)
 	if err != nil {
-		t.Fatalf("Simulate: %v", err)
+		t.Fatalf("simulate: %v", err)
 	}
 	for i := range a.MeanExposure {
 		got := runs[0].MeanExposure[i]
@@ -109,26 +121,21 @@ func TestAnalyzeExposureStdDevAgainstSimulation(t *testing.T) {
 // laziness to a chain shrinks its spectral gap and grows its mixing
 // time.
 func TestAnalyzeLazyChainsMixSlower(t *testing.T) {
-	top := topology.Topology2()
-	p := newPlanner(t, top, 1, 1)
-
-	busyRows := [][]float64{
+	busy, _ := mat.NewFromRows([][]float64{
 		{0.2, 0.4, 0.4},
 		{0.4, 0.2, 0.4},
 		{0.4, 0.4, 0.2},
-	}
-	lazyRows := [][]float64{
+	})
+	lazy, _ := mat.NewFromRows([][]float64{
 		{0.9, 0.05, 0.05},
 		{0.05, 0.9, 0.05},
 		{0.05, 0.05, 0.9},
-	}
-	busy, _ := mat.NewFromRows(busyRows)
-	lazy, _ := mat.NewFromRows(lazyRows)
-	ab, err := p.Analyze(busy, AnalyzeOptions{})
+	})
+	ab, err := markov.Analyze(busy, markov.AnalyzeOptions{})
 	if err != nil {
 		t.Fatalf("Analyze busy: %v", err)
 	}
-	al, err := p.Analyze(lazy, AnalyzeOptions{})
+	al, err := markov.Analyze(lazy, markov.AnalyzeOptions{})
 	if err != nil {
 		t.Fatalf("Analyze lazy: %v", err)
 	}
