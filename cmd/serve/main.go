@@ -67,7 +67,7 @@ func run(args []string, ready chan<- string) error {
 		logLevel   = fs.String("log-level", "info", "minimum log level (debug, info, warn, error)")
 		logFormat  = fs.String("log-format", "text", "log output format (text, json)")
 		shard      = fs.Bool("shard", false, "shard multi-restart jobs across every serve instance sharing the checkpoint dir (requires -checkpoint-dir)")
-		nodeID     = fs.String("node-id", "", "node name in shard leases and job IDs (default hostname-pid); must be unique per instance")
+		nodeID     = fs.String("node-id", "", "node name in shard leases and, with -shard, job IDs (default hostname-pid); must be unique per instance")
 		shardSize  = fs.Int("shard-restarts", 1, "restarts per shard when -shard is on")
 		leaseTTL   = fs.Duration("lease-ttl", 10*time.Second, "shard lease time-to-live before another node may take over")
 	)

@@ -40,8 +40,13 @@ func Analyze(scn Scenario, plan *Plan) (*Analysis, error) {
 	if plan == nil {
 		return nil, fmt.Errorf("%w: nil plan", ErrPlan)
 	}
-	if _, err := scn.build(); err != nil {
+	top, err := scn.build()
+	if err != nil {
 		return nil, err
+	}
+	if n := len(plan.TransitionMatrix); n != top.M() {
+		return nil, fmt.Errorf("%w: %d-state plan for scenario %q with %d PoIs",
+			ErrPlan, n, scn.Name, top.M())
 	}
 	pm, err := mat.NewFromRows(plan.TransitionMatrix)
 	if err != nil {

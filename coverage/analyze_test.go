@@ -35,6 +35,20 @@ func TestAnalyzePlan(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRejectsForeignPlan: a plan whose order differs from the
+// scenario's PoI count was optimized for another scenario and is refused,
+// not analysed as if it fit.
+func TestAnalyzeRejectsForeignPlan(t *testing.T) {
+	scn, err := PaperTopology(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two := &Plan{TransitionMatrix: [][]float64{{0.5, 0.5}, {0.5, 0.5}}}
+	if _, err := Analyze(scn, two); !errors.Is(err, ErrPlan) {
+		t.Errorf("2-state plan on %d PoIs: err = %v, want ErrPlan", len(scn.PoIs), err)
+	}
+}
+
 func TestSimulateIncidents(t *testing.T) {
 	plan, scn := testPlan(t)
 	rep, err := SimulateIncidents(scn, plan, []float64{2}, SimOptions{Steps: 40000, Seed: 3})

@@ -16,16 +16,19 @@ import (
 // checkpointVersion is the on-disk job-metadata format version.
 const checkpointVersion = 1
 
-// Checkpoint blob layout, one triple per job in the manager's Store:
+// Checkpoint blob layout of one job in the manager's Store:
 //
 //	<id>.job.json       job metadata + objectives + options (this file)
 //	<id>.scenario.json  the Scenario, via coverage.WriteScenario
-//	<id>.plan.json      best plan so far, via coverage.WritePlan (optional)
+//	<id>.plan.json      the job's final plan, via coverage.WritePlan
+//	<id>.shards.json    the shard table, next to each shard's state,
+//	<id>.shard-<k>.*    best-plan and lease blobs (shard.go)
 //
-// The scenario and plan blobs reuse the coverage/persist envelopes, so
-// (with the default filesystem store) they are loadable by every
-// existing tool (e.g. `coverage-opt -scenario` or LoadPlan) as well as
-// by the resume path.
+// The metadata is written at submit and then only by the terminal CAS;
+// progress lives in the shard blobs. The scenario and plan blobs reuse
+// the coverage/persist envelopes, so (with the default filesystem
+// store) they are loadable by every existing tool (e.g. `coverage-opt
+// -scenario` or LoadPlan) as well as by the resume path.
 type jobEnvelope struct {
 	Version int      `json:"version"`
 	Kind    string   `json:"kind"`
@@ -42,7 +45,6 @@ type jobMeta struct {
 	Restarts     int                 `json:"restarts"`
 	Sensors      int                 `json:"sensors,omitempty"`
 	Resp         [][]float64         `json:"responsibility,omitempty"`
-	Sharded      bool                `json:"sharded,omitempty"`
 	RestartsDone int                 `json:"restartsDone"`
 	ItersDone    int                 `json:"itersDone,omitempty"`
 	RanSec       float64             `json:"ranSec,omitempty"`
@@ -57,89 +59,36 @@ func jobBlob(id string) string      { return id + ".job.json" }
 func scenarioBlob(id string) string { return id + ".scenario.json" }
 func planBlob(id string) string     { return id + ".plan.json" }
 
-// persist checkpoints a job: metadata always, the scenario only on
-// first write, the plan whenever one exists. Failures are recorded on
-// the job rather than crashing the worker — an unwritable checkpoint
-// store must not take the service down.
-func (m *Manager) persist(j *job, withScenario bool) {
-	if m.store == nil {
-		return
-	}
-	m.mu.Lock()
-	if j.sharded && !withScenario {
-		// Sharded jobs write their metadata blob exactly once, at submit;
-		// after that the blob is CAS-contended across nodes (terminal
-		// transitions only) and progress lives in the shard-state blobs.
-		// A plain Put here could clobber another node's terminal CAS.
-		m.mu.Unlock()
-		return
-	}
-	meta := &jobMeta{
-		ID:           j.id,
-		State:        j.state,
-		Sharded:      j.sharded,
-		Objectives:   j.spec.Objectives,
-		Options:      j.spec.Options,
-		Restarts:     j.spec.Restarts,
-		Sensors:      j.spec.Sensors,
-		Resp:         j.spec.Responsibility,
-		RestartsDone: j.restartsDone,
-		ItersDone:    j.itersDone,
-		RanSec:       j.ranSec,
-		Created:      j.created,
-		Started:      j.started,
-		Finished:     j.finished,
-		Error:        j.errMsg,
-	}
-	scn := j.spec.Scenario
-	plan := j.plan
-	m.mu.Unlock()
-
-	start := time.Now()
-	err := m.writeCheckpoint(meta, scn, plan, withScenario)
-	m.met.ckptSeconds.Observe(time.Since(start).Seconds())
-	if err != nil {
-		m.log.ErrorContext(j.logCtx(), "checkpoint write failed",
-			slog.String("error", err.Error()))
-		m.mu.Lock()
-		if j.errMsg == "" {
-			j.errMsg = fmt.Sprintf("checkpoint: %v", err)
-		}
-		m.mu.Unlock()
-	}
-}
-
-// writeCheckpoint writes the triple crash-safely: each blob lands via
-// the store's atomic Put, and the metadata (which names the
-// authoritative state) goes last.
-func (m *Manager) writeCheckpoint(meta *jobMeta, scn coverage.Scenario, plan *coverage.Plan, withScenario bool) error {
-	if withScenario {
-		var buf bytes.Buffer
-		if err := coverage.WriteScenario(&buf, scn); err != nil {
-			return err
-		}
-		if err := m.store.Put(scenarioBlob(meta.ID), buf.Bytes()); err != nil {
-			return err
-		}
-	}
-	if plan != nil {
-		var buf bytes.Buffer
-		if err := coverage.WritePlan(&buf, plan); err != nil {
-			return err
-		}
-		if err := m.store.Put(planBlob(meta.ID), buf.Bytes()); err != nil {
-			return err
-		}
+// persist writes a new job's checkpoint at submit: the scenario, then
+// the metadata that names it.
+func (m *Manager) persist(j *job) error {
+	var buf bytes.Buffer
+	if err := coverage.WriteScenario(&buf, j.spec.Scenario); err != nil {
+		return err
 	}
 	blob, err := json.MarshalIndent(jobEnvelope{
 		Version: checkpointVersion,
 		Kind:    "job",
-		Job:     meta,
+		Job: &jobMeta{
+			ID:         j.id,
+			State:      j.state,
+			Objectives: j.spec.Objectives,
+			Options:    j.spec.Options,
+			Restarts:   j.spec.Restarts,
+			Sensors:    j.spec.Sensors,
+			Resp:       j.spec.Responsibility,
+			Created:    j.created,
+		},
 	}, "", "  ")
 	if err != nil {
 		return err
 	}
-	return m.store.Put(jobBlob(meta.ID), append(blob, '\n'))
+	start := time.Now()
+	defer func() { m.met.ckptSeconds.Observe(time.Since(start).Seconds()) }()
+	if err := m.store.Put(scenarioBlob(j.id), buf.Bytes()); err != nil {
+		return err
+	}
+	return m.store.Put(jobBlob(j.id), append(blob, '\n'))
 }
 
 // loadCheckpoints scans the store, rebuilds the job table, and returns
@@ -233,7 +182,6 @@ func (m *Manager) loadJob(id string) (*job, error) {
 			Responsibility: meta.Resp,
 		},
 		state:        meta.State,
-		sharded:      meta.Sharded,
 		created:      meta.Created,
 		started:      meta.Started,
 		finished:     meta.Finished,
@@ -246,12 +194,8 @@ func (m *Manager) loadJob(id string) (*job, error) {
 			RestartsDone: meta.RestartsDone,
 		},
 	}
-	// A job caught mid-flight by a hard kill says "running"; it resumes
-	// from its last completed restart like a paused one.
-	if j.state == StateRunning {
-		j.state = StatePaused
-	}
-	// No plan checkpoint yet is fine for queued or just-started jobs.
+	// Only a terminal job, or one checkpointed before every job ran on
+	// shards, has a plan blob.
 	planRaw, err := m.store.Get(planBlob(meta.ID))
 	switch {
 	case err == nil:
@@ -267,5 +211,58 @@ func (m *Manager) loadJob(id string) (*job, error) {
 	default:
 		return nil, err
 	}
+	if !j.state.Terminal() {
+		m.resumeShards(j)
+	}
 	return j, nil
+}
+
+// resumeShards brings a non-terminal job's progress, and the running
+// time of its completed restarts, in from its shard records. A
+// checkpoint from before every job ran on shards has restartsDone > 0
+// and no shard table: its completed restarts and best plan become
+// shard 0 of a one-shard table, so the job resumes where it stopped
+// (coverage.SplitSeeds is prefix-stable). A failed write here only
+// costs work: the worker rebuilds a missing table, and rerun restarts
+// reproduce the same bits.
+func (m *Manager) resumeShards(j *job) {
+	t, err := m.loadShardTable(j.id)
+	if errors.Is(err, fs.ErrNotExist) && j.restartsDone > 0 {
+		t, err = m.convertCheckpoint(j)
+	}
+	if err != nil {
+		if !errors.Is(err, fs.ErrNotExist) {
+			m.log.Error("shard records unusable; job resumes from scratch",
+				slog.String("job", j.id), slog.String("error", err.Error()))
+		}
+		return
+	}
+	j.ranSec += m.refreshShardProgress(j, t)
+}
+
+// convertCheckpoint writes the one-shard table of an old-format
+// checkpoint, shard 0's plan and state first.
+func (m *Manager) convertCheckpoint(j *job) (*shardTable, error) {
+	t := newShardTable(j.id, j.spec.Restarts, j.spec.Restarts)
+	s := t.pending(0)
+	s.Done, s.Iters = min(j.restartsDone, s.Hi), j.itersDone
+	if s.Done == s.Hi {
+		s.State = shardDone
+	}
+	if j.plan != nil {
+		if err := m.putPlan(shardPlanBlob(j.id, 0), j.plan); err != nil {
+			return nil, err
+		}
+		// The old format kept no restart index; a one-shard table never
+		// compares it.
+		c := j.plan.Cost
+		s.BestCost = &c
+	}
+	if err := m.store.Put(shardStateBlob(j.id, 0), marshalBlob(s)); err != nil {
+		return nil, err
+	}
+	if err := m.store.Put(shardTableBlob(j.id), marshalBlob(t)); err != nil {
+		return nil, err
+	}
+	return &t, nil
 }

@@ -2,14 +2,16 @@
 // multi-restart coverage optimizations as queued, cancellable,
 // checkpointable jobs instead of one-shot CLI invocations.
 //
-// A Manager holds a bounded FIFO queue and a fixed worker pool. Each job
-// runs the restarts of an OptimizeBest-style search one at a time (seeds
-// split with coverage.SplitSeeds, so an uninterrupted job reproduces
-// coverage.OptimizeBest bit-for-bit), checkpoints after every completed
-// restart through the coverage/persist JSON helpers, and samples live
-// progress from the descent trace via coverage.Options.OnProgress. A
-// Manager restarted on the same checkpoint directory re-queues every
-// interrupted job and resumes it from its last completed restart.
+// A Manager holds a bounded FIFO queue and a fixed worker pool. Every
+// job runs through the shard protocol (shard.go, shardrun.go): its
+// restarts are cut into shards, each run one restart at a time with the
+// seeds coverage.SplitSeeds derives and checkpointed after every
+// completed restart, and the shard winners merge to exactly what
+// coverage.OptimizeBest returns. A manager outside a cluster gives each
+// job one shard. Live progress is sampled from the descent trace via
+// coverage.Options.OnProgress. A Manager restarted on the same
+// checkpoint store re-queues every interrupted job and resumes it from
+// its last completed restart.
 //
 // Lifecycle:
 //
@@ -154,17 +156,16 @@ type job struct {
 	created      time.Time
 	queuedAt     time.Time // last enqueue time, for queue-wait metrics
 	deployment   string    // deployment that submitted the job, if any
-	started      time.Time // start of the *current* running span
+	started      time.Time // start of the current (or, once ended, last) running span
 	finished     time.Time
 	prog         Progress
 	errMsg       string
 	plan         *coverage.Plan // best-so-far, or final when done
 	restartsDone int
 	itersDone    int                // optimizer iterations over completed restarts
-	ranSec       float64            // wall-clock seconds of finished running spans
+	ranSec       float64            // wall-clock seconds of finished running spans and of restarts completed before a resume
 	cancel       context.CancelFunc // non-nil while running
 	userCancel   bool
-	sharded      bool // runs through the shard protocol (shardrun.go)
 	inQueue      bool // sitting on the local worker queue right now
 }
 
@@ -203,7 +204,7 @@ func (j *job) view() View {
 }
 
 // Config tunes a Manager. The zero value is usable: two workers, a
-// 16-deep queue, and no persistence.
+// 16-deep queue, and an in-memory store.
 type Config struct {
 	// Workers is the worker-pool size (default 2).
 	Workers int
@@ -217,8 +218,9 @@ type Config struct {
 	// job's result: the descent path is bit-identical for every worker
 	// count.
 	MaxJobWorkers int
-	// Dir is the checkpoint directory; empty disables persistence (jobs
-	// are lost on process exit). Ignored when Store is set.
+	// Dir is the checkpoint directory; with neither Dir nor Store, jobs
+	// live in an in-memory store and are lost on process exit. Ignored
+	// when Store is set.
 	Dir string
 	// Store overrides the persistence backend: when non-nil, checkpoints
 	// go through it instead of a filesystem store rooted at Dir. Use it
@@ -233,11 +235,11 @@ type Config struct {
 	// duration, descent iteration time, line-search probes, checkpoint
 	// write latency) register into. Nil disables metrics.
 	Metrics *obs.Registry
-	// Shard configures distributed restart sharding: when enabled (and a
-	// persistence backend exists), every submitted multi-restart job is
-	// split into restart-shards any manager sharing the Store can claim
-	// through a CAS lease and run; results merge deterministically to
-	// the bit-exact single-process answer. See shard.go.
+	// Shard configures the shard protocol every job runs through. With
+	// Enabled, this manager joins a cluster on its store: submitted jobs
+	// split into ShardSize-restart shards that any manager sharing the
+	// Store can claim through a CAS lease and run. Without it each job is
+	// one shard run by this manager. See shard.go.
 	Shard ShardConfig
 
 	// Test hooks, settable only from inside the package (crash and
@@ -325,9 +327,9 @@ type Manager struct {
 	log  *slog.Logger
 	met  jobMetrics
 
-	store Store       // nil disables persistence
-	cas   CASStore    // non-nil iff sharding is enabled
-	shard ShardConfig // normalized; meaningful iff cas != nil
+	store Store       // checkpoint blobs: Config.Store, an FSStore at Dir, or in memory
+	cas   CASStore    // store, with compare-and-swap for leases and terminal transitions
+	shard ShardConfig // normalized
 
 	// Copied from Config before the workers start (see Config).
 	testDropLeases        bool
@@ -343,8 +345,8 @@ type Manager struct {
 	onDone   func(jobID string, spec Spec, plan *coverage.Plan)
 }
 
-// New builds a Manager, resumes any checkpointed jobs found in cfg.Dir,
-// and starts the worker pool.
+// New builds a Manager, resumes any checkpointed jobs found in its
+// store, and starts the worker pool and the store poller.
 func New(cfg Config) (*Manager, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
@@ -373,43 +375,34 @@ func New(cfg Config) (*Manager, error) {
 			return nil, err
 		}
 		m.store = fsStore
+	default:
+		m.store = &memStore{blobs: make(map[string][]byte)}
 	}
-	if cfg.Shard.Enabled && m.store != nil {
-		m.shard = cfg.Shard.withDefaults()
-		m.cas = AsCAS(m.store)
-	}
+	m.shard = cfg.Shard.withDefaults()
+	m.cas = AsCAS(m.store)
 	m.testDropLeases = cfg.testDropLeases
 	m.testAfterShardRestart = cfg.testAfterShardRestart
-	var resumed []*job
-	if m.store != nil {
-		var err error
-		resumed, err = m.loadCheckpoints()
-		if err != nil {
-			stop()
-			return nil, err
-		}
+	resumed, err := m.loadCheckpoints()
+	if err != nil {
+		stop()
+		return nil, err
 	}
 	// Size the queue so every resumable job fits alongside the configured
 	// headroom; otherwise New could deadlock re-queueing a large backlog.
 	m.queue = make(chan *job, cfg.QueueDepth+len(resumed))
 	for _, j := range resumed {
 		j.state = StateQueued
-		if !m.shardingEnabled() {
-			// A sharded checkpoint resumed by a non-sharded manager runs
-			// single-process; restarts are bit-exact either way.
-			j.sharded = false
-		}
 		j.inQueue = true
 		m.queue <- j
 	}
+	// The poller runs on every manager: a job parked behind a live lease
+	// (left by a hard-killed predecessor) or turned away by a full queue
+	// is re-enqueued only by it.
+	m.wg.Add(cfg.Workers + 1)
 	for w := 0; w < cfg.Workers; w++ {
-		m.wg.Add(1)
 		go m.worker()
 	}
-	if m.shardingEnabled() {
-		m.wg.Add(1)
-		go m.poller()
-	}
+	go m.poller()
 	return m, nil
 }
 
@@ -466,13 +459,14 @@ func (m *Manager) SubmitCtx(ctx context.Context, spec Spec) (View, error) {
 		return View{}, ErrQueueFull
 	}
 	m.seq++
-	now := time.Now()
 	id := fmt.Sprintf("job-%06d", m.seq)
-	if m.shardingEnabled() {
+	if m.shard.Enabled {
 		// Node-qualified IDs keep submissions from different managers on
 		// one shared store from colliding.
 		id = fmt.Sprintf("job-%s-%06d", m.shard.Node, m.seq)
 	}
+	m.mu.Unlock()
+	now := time.Now()
 	j := &job{
 		id:         id,
 		spec:       spec,
@@ -481,37 +475,39 @@ func (m *Manager) SubmitCtx(ctx context.Context, spec Spec) (View, error) {
 		queuedAt:   now,
 		deployment: obs.DeploymentID(ctx),
 		prog:       Progress{Restarts: spec.Restarts},
-		sharded:    m.shardingEnabled(),
-		inQueue:    true,
 	}
+	lctx := obs.WithJobID(ctx, j.id)
+	// The job becomes visible only once its checkpoint is durable: the
+	// terminal transition is a CAS on the metadata blob, so a job that
+	// ran before that blob existed could never end.
+	if err := m.persist(j); err != nil {
+		m.log.ErrorContext(lctx, "checkpoint write failed", slog.String("error", err.Error()))
+		return View{}, fmt.Errorf("jobs: checkpoint %s: %w", j.id, err)
+	}
+	m.mu.Lock()
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
-	m.queue <- j
-	v := j.view()
 	m.mu.Unlock()
-
-	m.log.InfoContext(obs.WithJobID(ctx, j.id), "job submitted",
+	// The shard table goes in last: its presence is what makes other
+	// nodes adopt the job, so they never see a partial checkpoint.
+	if err := m.store.Put(shardTableBlob(j.id), marshalBlob(m.layout(j.id, spec.Restarts))); err != nil {
+		// The worker rebuilds a missing table on claim, so the job still
+		// runs; only cross-node discovery is delayed.
+		m.log.ErrorContext(lctx, "shard table write failed", slog.String("error", err.Error()))
+	}
+	m.log.InfoContext(lctx, "job submitted",
 		slog.String("scenario", spec.Scenario.Name),
 		slog.Int("restarts", spec.Restarts),
 		slog.Int("maxIters", spec.Options.MaxIters),
-		slog.Int("sensors", spec.Sensors),
-		slog.Bool("sharded", j.sharded))
+		slog.Int("sensors", spec.Sensors))
 	if spec.fleet() {
 		m.met.fleetJobs.Inc()
 		m.met.fleetSensors.Observe(float64(spec.Sensors))
 	}
-	m.persist(j, true)
-	if j.sharded {
-		// The shard table goes in last: its presence is what makes other
-		// nodes adopt the job, so they never see a partial checkpoint.
-		t := newShardTable(j.id, spec.Restarts, m.shard.ShardSize)
-		if err := m.store.Put(shardTableBlob(j.id), marshalBlob(t)); err != nil {
-			// The local worker loop rebuilds a missing table on claim, so
-			// the job still runs; only cross-node discovery is delayed.
-			m.log.ErrorContext(obs.WithJobID(ctx, j.id), "shard table write failed",
-				slog.String("error", err.Error()))
-		}
-	}
+	m.mu.Lock()
+	m.enqueueLocked(j)
+	v := j.view()
+	m.mu.Unlock()
 	return v, nil
 }
 
@@ -547,9 +543,9 @@ func (j *job) logCtx() context.Context {
 	return ctx
 }
 
-// Get returns a snapshot of one job. With sharding enabled the lookup
-// is cluster-aware: an ID this node has never seen is resolved against
-// the shared store, so any node answers for any sharded job.
+// Get returns a snapshot of one job. In a cluster (ShardConfig.Enabled)
+// the lookup is cluster-aware: an ID this node has never seen is
+// resolved against the shared store, so any node answers for any job.
 func (m *Manager) Get(id string) (View, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -568,11 +564,11 @@ func (m *Manager) Get(id string) (View, error) {
 	return View{}, ErrNotFound
 }
 
-// lookupShared adopts a sharded job present in the shared store but
-// unknown locally (submitted to another node). Nil when sharding is
-// off or the store has no such sharded job.
+// lookupShared adopts a job present in the shared store but unknown
+// locally (submitted to another node). Nil outside a cluster or when
+// the store has no such job.
 func (m *Manager) lookupShared(id string) *job {
-	if !m.shardingEnabled() {
+	if !m.shard.Enabled {
 		return nil
 	}
 	if _, err := m.store.Get(shardTableBlob(id)); err != nil {
@@ -594,9 +590,9 @@ func (m *Manager) List() []View {
 }
 
 // Plan returns the job's best plan so far — the final plan once done,
-// the best-so-far checkpoint for a running, paused or cancelled job.
-// Cluster-aware like Get: a sharded job's merged plan is served from
-// the shared store by any node.
+// the best over completed restarts for a queued, running or paused job,
+// and the best-so-far plan of a cancelled one. Cluster-aware like Get:
+// any node serves any job in the shared store.
 func (m *Manager) Plan(id string) (*coverage.Plan, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -607,20 +603,14 @@ func (m *Manager) Plan(id string) (*coverage.Plan, error) {
 		}
 	}
 	m.mu.Lock()
-	plan := j.plan
-	sharded := j.sharded
+	plan, final := j.plan, j.state.Terminal()
 	m.mu.Unlock()
-	if plan == nil && sharded {
-		// In-flight sharded job: the cluster-wide best so far is the
-		// winner over the currently terminal-or-partial shard records.
+	if plan == nil || !final {
+		// Until the job ends, its best plan is the winner over the shard
+		// records, whichever node wrote them.
 		if t, err := m.loadShardTable(id); err == nil {
-			plan = m.bestShardPlan(t)
-			if plan != nil {
-				m.mu.Lock()
-				if j.plan == nil {
-					j.plan = plan
-				}
-				m.mu.Unlock()
+			if p := m.bestShardPlan(t); p != nil {
+				plan = p
 			}
 		}
 	}
@@ -664,23 +654,13 @@ func (m *Manager) Cancel(id string) error {
 	}
 	switch j.state {
 	case StateQueued, StatePaused:
-		if j.sharded {
-			// Another node may be working this job right now: the terminal
-			// transition must go through the shared store's CAS so every
-			// node observes it. Running nodes stop at their next shard
-			// boundary.
-			j.userCancel = true
-			m.mu.Unlock()
-			m.log.InfoContext(j.logCtx(), "sharded job cancel requested")
-			return m.cancelSharded(j)
-		}
-		j.state = StateCancelled
+		// Another node may be working this job right now: the terminal
+		// transition goes through the store's CAS so every node observes
+		// it. Running nodes stop at their next shard boundary.
 		j.userCancel = true
-		j.finished = time.Now()
 		m.mu.Unlock()
-		m.log.InfoContext(j.logCtx(), "job cancelled before running")
-		m.persist(j, false)
-		return nil
+		m.log.InfoContext(j.logCtx(), "job cancel requested")
+		return m.cancelSharded(j)
 	case StateRunning:
 		j.userCancel = true
 		cancel := j.cancel
@@ -750,21 +730,13 @@ func (m *Manager) worker() {
 		case <-m.ctx.Done():
 			return
 		case j := <-m.queue:
-			m.mu.Lock()
-			sharded := j.sharded
-			m.mu.Unlock()
-			if sharded {
-				m.runShardedJob(j)
-			} else {
-				m.runJob(j)
-			}
+			m.runShardedJob(j)
 		}
 	}
 }
 
 // optimizeSpec runs one restart of a job — the single place that decides
-// between the single-sensor and the joint fleet optimizer, so the local
-// worker loop and the shard runner dispatch identically.
+// between the single-sensor and the joint fleet optimizer.
 func optimizeSpec(ctx context.Context, spec Spec, opts coverage.Options) (*coverage.Plan, error) {
 	if spec.fleet() {
 		return coverage.OptimizeFleetContext(ctx, spec.Scenario, spec.Objectives, opts,
@@ -776,7 +748,7 @@ func optimizeSpec(ctx context.Context, spec Spec, opts coverage.Options) (*cover
 // restartOptions builds one restart's options from the job's: the
 // restart's split seed, progress forwarded onto the job, and — with
 // metrics on — the iteration hook that feeds the iteration-time and
-// probe histograms. The local worker loop and the shard runner share it.
+// probe histograms.
 func (m *Manager) restartOptions(j *job, opts coverage.Options, seed uint64, restart int) coverage.Options {
 	opts.Seed = seed
 	opts.OnProgress = func(p coverage.Progress) {
@@ -801,99 +773,6 @@ func (m *Manager) restartOptions(j *job, opts coverage.Options, seed uint64, res
 	return opts
 }
 
-// runJob drives one job: restarts run sequentially with OptimizeBest's
-// seed split, the best plan is checkpointed after every completed
-// restart, and cancellation is classified as user cancel (terminal) or
-// shutdown (paused, resumable).
-func (m *Manager) runJob(j *job) {
-	m.mu.Lock()
-	j.inQueue = false
-	if j.state != StateQueued || m.ctx.Err() != nil {
-		// Cancelled while queued, or the pool is draining: leave the
-		// checkpointed state as-is.
-		m.mu.Unlock()
-		return
-	}
-	ctx, cancel := context.WithCancel(m.ctx)
-	j.cancel = cancel
-	j.state = StateRunning
-	j.started = time.Now()
-	wait := j.started.Sub(j.queuedAt).Seconds()
-	spec := j.spec
-	start := j.restartsDone
-	best := j.plan
-	m.mu.Unlock()
-	defer cancel()
-	if wait >= 0 {
-		m.met.queueWait.Observe(wait)
-	}
-	lctx := j.logCtx()
-	m.log.InfoContext(lctx, "job started",
-		slog.Int("fromRestart", start),
-		slog.Float64("queueWaitSec", wait))
-
-	// best holds the winner over *completed* restarts only. The paused
-	// checkpoint must exclude in-flight partial work: resuming re-runs the
-	// interrupted restart in full, and a partial plan that ties the full
-	// rerun on cost would otherwise survive the strict-< comparison with a
-	// different matrix than an uninterrupted OptimizeBest produces.
-	seeds := coverage.SplitSeeds(spec.Options.Seed, spec.Restarts)
-	for r := start; r < spec.Restarts; r++ {
-		if ctx.Err() != nil {
-			break
-		}
-		plan, err := optimizeSpec(ctx, spec, m.restartOptions(j, spec.Options, seeds[r], r))
-		if err != nil {
-			if ctx.Err() != nil {
-				// Interrupted mid-restart; plan is that run's best-so-far.
-				m.settleInterrupted(j, best, plan)
-				return
-			}
-			m.finish(j, StateFailed, best, err.Error())
-			return
-		}
-		// Strict < preserves OptimizeBest's first-wins tie-breaking.
-		if plan != nil && (best == nil || plan.Cost < best.Cost) {
-			best = plan
-		}
-		iters := 0
-		if plan != nil {
-			iters = plan.Iterations
-		}
-		m.completeRestart(j, r+1, best, iters)
-		if plan != nil {
-			m.log.InfoContext(lctx, "restart complete",
-				slog.Int("restart", r),
-				slog.Int("iterations", plan.Iterations),
-				slog.Float64("cost", plan.Cost))
-		}
-	}
-	if ctx.Err() != nil {
-		m.settleInterrupted(j, best, nil)
-		return
-	}
-	m.finish(j, StateDone, best, "")
-}
-
-// settleInterrupted routes a context-cancelled job: a user cancel is
-// terminal and keeps the freshest work (including the interrupted
-// restart's partial plan), while a shutdown parks the job as paused with
-// only completed-restart results so the resume reproduces an
-// uninterrupted run bit-for-bit.
-func (m *Manager) settleInterrupted(j *job, best, partial *coverage.Plan) {
-	m.mu.Lock()
-	user := j.userCancel
-	m.mu.Unlock()
-	if user {
-		if partial != nil && (best == nil || partial.Cost < best.Cost) {
-			best = partial
-		}
-		m.finish(j, StateCancelled, best, "")
-		return
-	}
-	m.pause(j, best)
-}
-
 // noteProgress records a sampled descent-trace point and fans it out to
 // the registered listener.
 func (m *Manager) noteProgress(j *job, restart int, p coverage.Progress) {
@@ -907,88 +786,6 @@ func (m *Manager) noteProgress(j *job, restart int, p coverage.Progress) {
 		p.Restart = restart
 		fn(j.id, p)
 	}
-}
-
-// completeRestart advances the job's checkpointable progress and writes
-// the periodic checkpoint. iters is the finished restart's iteration
-// count; the in-flight sample resets with it so view() never counts the
-// same restart twice.
-func (m *Manager) completeRestart(j *job, done int, best *coverage.Plan, iters int) {
-	m.mu.Lock()
-	j.restartsDone = done
-	j.itersDone += iters
-	j.plan = best
-	j.prog.RestartsDone = done
-	j.prog.Iteration = 0
-	if best != nil {
-		c := best.Cost
-		j.prog.BestCost = &c
-	}
-	m.mu.Unlock()
-	m.persist(j, false)
-}
-
-// finish moves the job to a terminal state and checkpoints it.
-func (m *Manager) finish(j *job, state State, best *coverage.Plan, errMsg string) {
-	m.mu.Lock()
-	j.state = state
-	j.finished = time.Now()
-	if !j.started.IsZero() {
-		j.ranSec += j.finished.Sub(j.started).Seconds()
-	}
-	ran := j.ranSec
-	j.plan = best
-	j.errMsg = errMsg
-	j.cancel = nil
-	if best != nil {
-		c := best.Cost
-		j.prog.BestCost = &c
-	}
-	m.mu.Unlock()
-	m.met.runSeconds.Observe(ran)
-	attrs := []any{
-		slog.String("state", string(state)),
-		slog.Float64("ranSec", ran),
-	}
-	if best != nil {
-		attrs = append(attrs, slog.Float64("cost", best.Cost))
-	}
-	if errMsg != "" {
-		attrs = append(attrs, slog.String("error", errMsg))
-		m.log.ErrorContext(j.logCtx(), "job finished", attrs...)
-	} else {
-		m.log.InfoContext(j.logCtx(), "job finished", attrs...)
-	}
-	m.persist(j, false)
-	if state == StateDone && best != nil {
-		m.mu.Lock()
-		fn := m.onDone
-		m.mu.Unlock()
-		if fn != nil {
-			fn(j.id, j.spec, best)
-		}
-	}
-}
-
-// pause parks an interrupted job so a restarted manager resumes it from
-// its last completed restart.
-func (m *Manager) pause(j *job, best *coverage.Plan) {
-	m.mu.Lock()
-	j.state = StatePaused
-	if !j.started.IsZero() {
-		j.ranSec += time.Since(j.started).Seconds()
-	}
-	j.plan = best
-	j.cancel = nil
-	if best != nil {
-		c := best.Cost
-		j.prog.BestCost = &c
-	}
-	done := j.restartsDone
-	m.mu.Unlock()
-	m.log.InfoContext(j.logCtx(), "job paused",
-		slog.Int("restartsDone", done))
-	m.persist(j, false)
 }
 
 // seqFromID recovers the numeric suffix of a job ID so a resumed manager

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -366,6 +368,16 @@ func TestResumeAfterShutdown(t *testing.T) {
 	if interrupted.State != StatePaused && interrupted.State != StateDone {
 		t.Fatalf("post-shutdown state = %s", interrupted.State)
 	}
+	// The running time of the completed restarts is on record, so the
+	// resumed job's wall clock keeps counting it.
+	tab, err := m1.loadShardTable(v.ID)
+	if err != nil {
+		t.Fatalf("shard table: %v", err)
+	}
+	s0 := m1.loadShardState(tab, 0)
+	if s0.Done == 0 || s0.Sec <= 0 {
+		t.Fatalf("shard 0 after shutdown: done %d in %v s, want completed restarts and their time", s0.Done, s0.Sec)
+	}
 
 	m2, err := New(Config{Workers: 1, Dir: dir})
 	if err != nil {
@@ -399,6 +411,9 @@ func TestResumeAfterShutdown(t *testing.T) {
 	got, _ := m2.Get(v.ID)
 	if got.Progress.RestartsDone != spec.Restarts {
 		t.Errorf("restartsDone = %d, want %d", got.Progress.RestartsDone, spec.Restarts)
+	}
+	if got.WallClockSec < s0.Sec {
+		t.Errorf("wallClockSec = %v, want at least the %v s run before the pause", got.WallClockSec, s0.Sec)
 	}
 }
 
@@ -614,43 +629,175 @@ func TestMaxJobWorkersClamp(t *testing.T) {
 
 // TestThroughputMetricsPersist runs a multi-restart job to completion and
 // checks that wall-clock and iterations/sec appear in the view and
-// survive a checkpoint round-trip.
+// survive a checkpoint round-trip, outside a cluster and in one.
 func TestThroughputMetricsPersist(t *testing.T) {
+	for _, shard := range []ShardConfig{{}, {Enabled: true, Node: "n1"}} {
+		dir := t.TempDir()
+		m, err := New(Config{Workers: 1, Dir: dir, Shard: shard})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		v, err := m.Submit(testSpec(t, 200, 2, 7))
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		waitFor(t, 30*time.Second, func() bool {
+			got, err := m.Get(v.ID)
+			return err == nil && got.State == StateDone
+		}, "job to finish")
+		got, err := m.Get(v.ID)
+		if err != nil {
+			t.Fatalf("Get: %v", err)
+		}
+		if got.WallClockSec <= 0 || got.ItersPerSec <= 0 || got.Started == nil {
+			t.Fatalf("cluster %v: done view metrics: wallClockSec=%v itersPerSec=%v started=%v, want both > 0 and a start",
+				shard.Enabled, got.WallClockSec, got.ItersPerSec, got.Started)
+		}
+		shutdown(t, m)
+
+		m2, err := New(Config{Workers: 1, Dir: dir, Shard: shard})
+		if err != nil {
+			t.Fatalf("New(resume): %v", err)
+		}
+		reloaded, err := m2.Get(v.ID)
+		shutdown(t, m2)
+		if err != nil {
+			t.Fatalf("Get(resume): %v", err)
+		}
+		if reloaded.WallClockSec != got.WallClockSec || reloaded.ItersPerSec != got.ItersPerSec ||
+			reloaded.Started == nil || !reloaded.Started.Equal(*got.Started) {
+			t.Errorf("cluster %v: metrics changed across checkpoint: %v/%v/%v, want %v/%v/%v", shard.Enabled,
+				reloaded.WallClockSec, reloaded.ItersPerSec, reloaded.Started,
+				got.WallClockSec, got.ItersPerSec, got.Started)
+		}
+	}
+}
+
+// slowMetaStore delays every job-metadata Put, widening the window in
+// which a worker could finish a job whose checkpoint is not written yet.
+type slowMetaStore struct{ Store }
+
+func (s slowMetaStore) Put(name string, blob []byte) error {
+	if strings.HasSuffix(name, ".job.json") {
+		time.Sleep(30 * time.Millisecond)
+	}
+	return s.Store.Put(name, blob)
+}
+
+// TestSubmitDurableBeforeRun: a job reaches the worker queue only once
+// its checkpoint is written, so the terminal CAS always finds the
+// metadata blob and a short job cannot stick in running.
+func TestSubmitDurableBeforeRun(t *testing.T) {
+	for _, shard := range []ShardConfig{{}, {Enabled: true, Node: "n1"}} {
+		fs, err := NewFSStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := slowMetaStore{fs}
+		m, err := New(Config{Workers: 1, Store: store, Shard: shard})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		v, err := m.Submit(testSpec(t, 5, 1, 3))
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		waitFor(t, 10*time.Second, func() bool {
+			got, err := m.Get(v.ID)
+			return err == nil && got.State == StateDone
+		}, fmt.Sprintf("cluster %v: 5-iteration job to finish", shard.Enabled))
+		shutdown(t, m)
+
+		m2, err := New(Config{Workers: 1, Store: store, Shard: shard})
+		if err != nil {
+			t.Fatalf("New(reload): %v", err)
+		}
+		got, err := m2.Get(v.ID)
+		shutdown(t, m2)
+		if err != nil || got.State != StateDone {
+			t.Errorf("cluster %v: reloaded job = %+v, %v; want done", shard.Enabled, got, err)
+		}
+	}
+}
+
+// TestResumeOldFormatCheckpoint: a paused checkpoint written before
+// every job ran on shards — metadata, scenario and best-so-far plan, no
+// shard blobs — resumes from its completed restarts: it runs only the
+// remaining ones, keeps the recorded running time, and ends on exactly
+// OptimizeBest's plan.
+func TestResumeOldFormatCheckpoint(t *testing.T) {
+	const k = 2
 	dir := t.TempDir()
-	m, err := New(Config{Workers: 1, Dir: dir})
+	spec := testSpec(t, 300, 6, 123)
+	store, err := NewFSStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial, err := coverage.OptimizeBest(spec.Scenario, spec.Objectives, spec.Options, k)
+	if err != nil {
+		t.Fatalf("OptimizeBest(%d): %v", k, err)
+	}
+	const id = "job-000001"
+	var scn, plan bytes.Buffer
+	if err := coverage.WriteScenario(&scn, spec.Scenario); err != nil {
+		t.Fatal(err)
+	}
+	if err := coverage.WritePlan(&plan, partial); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := json.MarshalIndent(jobEnvelope{Version: checkpointVersion, Kind: "job", Job: &jobMeta{
+		ID: id, State: StatePaused, Objectives: spec.Objectives, Options: spec.Options,
+		Restarts: spec.Restarts, RestartsDone: k, ItersDone: 600, RanSec: 1.5,
+		Created: time.Now(), Started: time.Now(),
+	}}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, blob := range map[string][]byte{
+		scenarioBlob(id): scn.Bytes(), planBlob(id): plan.Bytes(), jobBlob(id): meta,
+	} {
+		if err := store.Put(name, blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var mu sync.Mutex
+	var ran []int
+	m, err := New(Config{Workers: 1, Dir: dir,
+		testAfterShardRestart: func(_ string, _, restart int) {
+			mu.Lock()
+			ran = append(ran, restart)
+			mu.Unlock()
+		}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	v, err := m.Submit(testSpec(t, 200, 2, 7))
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	waitFor(t, 30*time.Second, func() bool {
-		got, err := m.Get(v.ID)
+	defer shutdown(t, m)
+	waitFor(t, 60*time.Second, func() bool {
+		got, err := m.Get(id)
 		return err == nil && got.State == StateDone
-	}, "job to finish")
-	got, err := m.Get(v.ID)
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	if got.WallClockSec <= 0 || got.ItersPerSec <= 0 {
-		t.Fatalf("done view metrics: wallClockSec=%v itersPerSec=%v, want both > 0",
-			got.WallClockSec, got.ItersPerSec)
-	}
-	shutdown(t, m)
+	}, "old-format job to finish")
 
-	m2, err := New(Config{Workers: 1, Dir: dir})
-	if err != nil {
-		t.Fatalf("New(resume): %v", err)
+	mu.Lock()
+	if want := []int{2, 3, 4, 5}; fmt.Sprint(ran) != fmt.Sprint(want) {
+		t.Errorf("restarts run after resume = %v, want %v", ran, want)
 	}
-	defer shutdown(t, m2)
-	reloaded, err := m2.Get(v.ID)
+	mu.Unlock()
+	got, err := m.Plan(id)
 	if err != nil {
-		t.Fatalf("Get(resume): %v", err)
+		t.Fatalf("Plan: %v", err)
 	}
-	if reloaded.WallClockSec != got.WallClockSec || reloaded.ItersPerSec != got.ItersPerSec {
-		t.Errorf("metrics changed across checkpoint: %v/%v, want %v/%v",
-			reloaded.WallClockSec, reloaded.ItersPerSec, got.WallClockSec, got.ItersPerSec)
+	want, err := coverage.OptimizeBest(spec.Scenario, spec.Objectives, spec.Options, spec.Restarts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPlansEqual(t, got, want, "resumed old-format job")
+	v, err := m.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Progress.RestartsDone != spec.Restarts || v.WallClockSec < 1.5 {
+		t.Errorf("view = %+v, want all %d restarts and the recorded 1.5 s counted", v, spec.Restarts)
 	}
 }
 

@@ -22,11 +22,11 @@ import (
 // usual status mapping (400 bad spec, 404 unknown job, 409 conflicting
 // state, 503 queue full or shutting down).
 //
-// When sharding is enabled (ShardConfig.Enabled) the read endpoints are
+// The plan endpoint serves the best shard plan so far for jobs still in
+// flight. In a cluster (ShardConfig.Enabled) the read endpoints are
 // cluster-aware: GET /jobs/{id} and GET /jobs/{id}/plan resolve jobs
 // submitted to any node sharing the store, adopting them on first
-// touch, and the plan endpoint serves the best shard plan so far for
-// jobs still in flight.
+// touch.
 func (m *Manager) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", m.handleHealth)

@@ -11,17 +11,18 @@ import (
 	"time"
 )
 
-// Distributed restart sharding.
+// Restart sharding: the one way every job runs.
 //
 // A multi-restart job is embarrassingly parallel across restarts:
 // coverage.SplitSeeds derives every restart's seed from the master
 // seed, so restart r produces identical bits no matter which process
 // runs it. Sharding cuts the restart range [0, Restarts) into
 // fixed-size shards and lets any manager sharing the Store claim and
-// run them. The only coordination is a per-shard lease claimed with
-// CompareAndSwap and a terminal job transition, also CAS — shard
-// progress and plans are written with plain Put by whichever node
-// holds the shard's lease.
+// run them. A manager outside a cluster cuts one shard of every
+// restart and runs it itself over the same protocol. The only
+// coordination is a per-shard lease claimed with CompareAndSwap and a
+// terminal job transition, also CAS — shard progress and plans are
+// written with plain Put by whichever node holds the shard's lease.
 //
 // Blob layout, next to the job's checkpoint triple:
 //
@@ -42,25 +43,28 @@ import (
 // the terminal job transition fires the done listener, so the plan
 // library absorbs each merged result exactly once cluster-wide.
 
-// ShardConfig tunes distributed restart sharding. The zero value
-// disables it; set Enabled (and give the manager a Store) to let this
-// manager claim restart-shards — its own submissions and any sharded
-// job another node parked in the shared store.
+// ShardConfig tunes the shard protocol. The zero value runs each job as
+// one shard on this manager; set Enabled (and give the manager a shared
+// Store) to join a cluster.
 type ShardConfig struct {
-	// Enabled turns sharding on. Requires a persistence backend; the
-	// manager falls back to single-process execution without one.
+	// Enabled joins a cluster on the manager's store: job IDs carry the
+	// node name, each job splits into ShardSize-restart shards, and this
+	// manager adopts and claims shards of jobs other nodes submitted.
+	// Without it each job is one shard of all its restarts, IDs are
+	// job-NNNNNN, and only this manager's own jobs run here.
 	Enabled bool
 	// Node identifies this manager in lease blobs and job IDs. Default
 	// "<hostname>-<pid>". Must be unique per live manager on a store.
 	Node string
-	// ShardSize is the number of restarts per shard (default 1 — the
-	// finest grain, the most even spread across nodes).
+	// ShardSize is the number of restarts per shard in a cluster
+	// (default 1 — the finest grain, the most even spread across nodes).
 	ShardSize int
 	// LeaseTTL is how long a claimed shard lease lives without renewal
 	// before other nodes may take it over (default 10s).
 	LeaseTTL time.Duration
 	// Poll is the store scan interval for discovering foreign jobs,
-	// expired leases, and mergeable work (default 1s).
+	// expired leases, mergeable work and jobs a full queue turned away
+	// (default 1s).
 	Poll time.Duration
 }
 
@@ -143,10 +147,21 @@ type shardState struct {
 	BestCost    *float64 `json:"bestCost,omitempty"`
 	BestRestart int      `json:"bestRestart"`
 	Iters       int      `json:"iters,omitempty"`
-	Error       string   `json:"error,omitempty"`
+	// Sec is the wall-clock time the completed restarts took, so a
+	// resumed job's running time still counts them. It is the one field
+	// two writers racing over a lost lease may disagree on.
+	Sec   float64 `json:"sec,omitempty"`
+	Error string  `json:"error,omitempty"`
 }
 
 func (s *shardState) terminal() bool { return s.State == shardDone || s.State == shardFailed }
+
+// pending is shard k's state before any restart ran.
+func (t *shardTable) pending(k int) *shardState {
+	lo, hi := t.bounds(k)
+	return &shardState{Version: shardVersion, Kind: "shard", Job: t.Job,
+		Shard: k, Lo: lo, Hi: hi, State: shardPending}
+}
 
 // shardLease is the CAS-contended claim on one shard. Expires is
 // wall-clock; nodes sharing a store need loosely synchronized clocks
@@ -185,6 +200,15 @@ func marshalBlob(v any) []byte {
 		panic(err)
 	}
 	return append(b, '\n')
+}
+
+// layout is the shard table of a new job: ShardSize restarts per shard
+// in a cluster, one shard of every restart outside one.
+func (m *Manager) layout(id string, restarts int) shardTable {
+	if m.shard.Enabled {
+		return newShardTable(id, restarts, m.shard.ShardSize)
+	}
+	return newShardTable(id, restarts, restarts)
 }
 
 // newShardTable lays out the shards for a spec.
@@ -232,11 +256,7 @@ func (m *Manager) loadShardTable(id string) (*shardTable, error) {
 // returns a fresh pending state; a torn or malformed blob is logged
 // and also treated as fresh — deterministic re-execution repairs it.
 func (m *Manager) loadShardState(t *shardTable, k int) *shardState {
-	lo, hi := t.bounds(k)
-	fresh := &shardState{
-		Version: shardVersion, Kind: "shard", Job: t.Job, Shard: k,
-		Lo: lo, Hi: hi, State: shardPending,
-	}
+	fresh := t.pending(k)
 	raw, err := m.store.Get(shardStateBlob(t.Job, k))
 	if errors.Is(err, fs.ErrNotExist) {
 		return fresh
@@ -250,8 +270,8 @@ func (m *Manager) loadShardState(t *shardTable, k int) *shardState {
 	var s shardState
 	if err := json.Unmarshal(raw, &s); err != nil ||
 		s.Version != shardVersion || s.Kind != "shard" || s.Job != t.Job ||
-		s.Shard != k || s.Lo != lo || s.Hi != hi ||
-		s.Done < 0 || s.Done > hi-lo ||
+		s.Shard != k || s.Lo != fresh.Lo || s.Hi != fresh.Hi ||
+		s.Done < 0 || s.Done > s.Hi-s.Lo ||
 		(s.State != shardPending && !s.terminal()) {
 		m.log.Error("skipping torn shard state; shard will re-run",
 			slog.String("job", t.Job), slog.Int("shard", k))

@@ -453,6 +453,95 @@ func TestLeaseTakeoverResume(t *testing.T) {
 	}
 }
 
+// TestHardKillLeaseOutsideCluster: a manager outside a cluster dies
+// hard holding its job's lease; the same store restarted under another
+// node name (a new process gets a new default name) sees that lease as
+// foreign and live, waits out LeaseTTL, takes the shard over and
+// finishes the job bit-exactly from its last durable restart.
+func TestHardKillLeaseOutsideCluster(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec(t, 60, 4, 606)
+	const ttl = 500 * time.Millisecond
+	node := func(name string) ShardConfig {
+		return ShardConfig{Node: name, LeaseTTL: ttl, Poll: 20 * time.Millisecond}
+	}
+
+	crashed := make(chan struct{})
+	release := make(chan struct{})
+	a, err := New(Config{Workers: 1, Dir: dir, Shard: node("a"),
+		testDropLeases: true,
+		testAfterShardRestart: func(_ string, _, restart int) {
+			if restart == 0 {
+				close(crashed)
+				<-release
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("New(a): %v", err)
+	}
+	v, err := a.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if v.ID != "job-000001" {
+		t.Errorf("job ID outside a cluster = %q, want job-000001", v.ID)
+	}
+	<-crashed
+	shutErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shutErr <- a.Shutdown(ctx)
+	}()
+	waitFor(t, 10*time.Second, func() bool { return a.ctx.Err() != nil },
+		"node a pool context to cancel")
+	close(release)
+	if err := <-shutErr; err != nil {
+		t.Fatalf("Shutdown(a): %v", err)
+	}
+	if l, _, err := a.readLease(v.ID, 0); err != nil || l == nil || l.Node != "a" || !l.live(time.Now()) {
+		t.Fatalf("lease after the kill = %+v, %v; want a live lease of node a", l, err)
+	}
+
+	var mu sync.Mutex
+	var resumed []int
+	breg := obs.NewRegistry()
+	b, err := New(Config{Workers: 1, Dir: dir, Shard: node("b"), Metrics: breg,
+		testAfterShardRestart: func(_ string, _, restart int) {
+			mu.Lock()
+			resumed = append(resumed, restart)
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatalf("New(b): %v", err)
+	}
+	defer shutdown(t, b)
+	waitFor(t, 60*time.Second, func() bool {
+		got, err := b.Get(v.ID)
+		return err == nil && got.State == StateDone
+	}, "restarted manager to finish the job")
+
+	want, err := coverage.OptimizeBest(spec.Scenario, spec.Objectives, spec.Options, spec.Restarts)
+	if err != nil {
+		t.Fatalf("OptimizeBest: %v", err)
+	}
+	plan, err := b.Plan(v.ID)
+	if err != nil {
+		t.Fatalf("Plan: %v", err)
+	}
+	assertPlansEqual(t, plan, want, "restarted manager")
+	mu.Lock()
+	if fmt.Sprint(resumed) != "[1 2 3]" {
+		t.Errorf("restarts run after the kill = %v, want [1 2 3]", resumed)
+	}
+	mu.Unlock()
+	if got := b.met.leaseTakeovers.Value(); got != 1 {
+		t.Errorf("lease takeovers = %v, want 1", got)
+	}
+}
+
 // grepMetric filters exposition text to lines mentioning prefix.
 func grepMetric(text, prefix string) string {
 	var out bytes.Buffer
@@ -482,10 +571,12 @@ func TestTornShardStateRecovered(t *testing.T) {
 		w := &Manager{cfg: Config{}, jobs: map[string]*job{}, store: seed, log: obs.Component(nil, "seed")}
 		j := &job{
 			id: "job-pre-000001", spec: spec, state: StateQueued,
-			created: time.Now(), sharded: true,
-			prog: Progress{Restarts: spec.Restarts},
+			created: time.Now(),
+			prog:    Progress{Restarts: spec.Restarts},
 		}
-		w.persist(j, true)
+		if err := w.persist(j); err != nil {
+			return View{}, err
+		}
 		tab := newShardTable(j.id, spec.Restarts, 1)
 		if err := seed.Put(shardTableBlob(j.id), marshalBlob(tab)); err != nil {
 			return View{}, err

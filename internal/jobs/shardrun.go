@@ -15,55 +15,64 @@ import (
 	"repro/coverage"
 )
 
-// This file is the manager side of the shard protocol: the worker loop
-// that claims and runs shards, the heartbeat that keeps a claim alive,
-// the poller that discovers foreign jobs and re-enqueues parked ones,
-// and the CAS-guarded merge that ends a sharded job exactly once
-// cluster-wide. The pure protocol pieces (blob formats, lease CAS,
-// winner reduction) live in shard.go.
+// This file is the manager side of the shard protocol, the one job
+// lifecycle: the worker loop that claims and runs shards, the heartbeat
+// that keeps a claim alive, the poller that discovers foreign jobs and
+// re-enqueues parked ones, and the CAS-guarded merge that ends a job
+// exactly once cluster-wide. The pure protocol pieces (blob formats,
+// lease CAS, winner reduction) live in shard.go.
 
-// shardingEnabled reports whether this manager participates in the
-// shard protocol (configured on, and a store to coordinate through).
-func (m *Manager) shardingEnabled() bool { return m.cas != nil }
-
-// runShardedJob drives one sharded job from this node's worker pool:
-// claim a shard, run it restart by restart with per-restart durable
-// progress, repeat until no shard is claimable. When every shard is
-// terminal the job merges; when other nodes still hold live leases the
-// job parks back to queued and the poller re-enqueues it once there is
-// something to do.
+// runShardedJob drives one job from this node's worker pool: claim a
+// shard, run it restart by restart with per-restart durable progress,
+// repeat until no shard is claimable. When every shard is terminal the
+// job merges; when other nodes still hold live leases the job parks
+// back to queued and the poller re-enqueues it once there is something
+// to do.
 func (m *Manager) runShardedJob(j *job) {
 	m.mu.Lock()
 	j.inQueue = false
 	if j.state != StateQueued || m.ctx.Err() != nil {
+		// Cancelled while queued, or the pool is draining: leave the
+		// checkpointed state as-is.
 		m.mu.Unlock()
 		return
 	}
-	ctx, cancel := m.startRunning(j)
+	ctx, cancel := context.WithCancel(m.ctx)
+	j.cancel = cancel
+	j.state = StateRunning
+	j.started = time.Now()
+	wait := j.started.Sub(j.queuedAt).Seconds()
 	m.mu.Unlock()
 	defer cancel()
+	if wait >= 0 {
+		m.met.queueWait.Observe(wait)
+	}
+	lctx := j.logCtx()
 
 	t, err := m.loadShardTable(j.id)
 	if errors.Is(err, fs.ErrNotExist) {
-		// Submit crashed between the checkpoint triple and the shard
-		// table, or the table blob was lost: rebuild it from the spec —
-		// the layout is a pure function of (id, restarts, shard size).
-		nt := newShardTable(j.id, j.spec.Restarts, m.shard.ShardSize)
-		if perr := m.store.Put(shardTableBlob(j.id), marshalBlob(nt)); perr != nil {
-			m.log.ErrorContext(j.logCtx(), "shard table rebuild failed",
-				slog.String("error", perr.Error()))
-			m.parkSharded(j)
-			return
+		// Submit failed to write the shard table, or the blob was lost:
+		// rebuild it from the spec — the layout is a pure function of
+		// (id, restarts, shard size).
+		nt := m.layout(j.id, j.spec.Restarts)
+		if err = m.store.Put(shardTableBlob(j.id), marshalBlob(nt)); err == nil {
+			t = &nt
 		}
-		t, err = &nt, nil
 	}
 	if err != nil {
-		m.log.ErrorContext(j.logCtx(), "shard table unreadable",
-			slog.String("error", err.Error()))
+		m.log.ErrorContext(lctx, "shard table unusable", slog.String("error", err.Error()))
 		m.parkSharded(j)
 		return
 	}
+	m.refreshShardProgress(j, t)
+	m.mu.Lock()
+	from := j.restartsDone
+	m.mu.Unlock()
+	m.log.InfoContext(lctx, "job started",
+		slog.Int("fromRestart", from),
+		slog.Float64("queueWaitSec", wait))
 
+	var partial *coverage.Plan
 	for ctx.Err() == nil {
 		if m.syncSharedMeta(j) {
 			return // another node cancelled or merged the job
@@ -82,22 +91,9 @@ func (m *Manager) runShardedJob(j *job) {
 		}
 		m.met.shardClaims.Inc()
 		m.met.claimSeconds.Observe(time.Since(claimStart).Seconds())
-		m.runOneShard(ctx, j, t, k, lease, state)
+		partial = m.runOneShard(ctx, j, t, k, lease, state)
 	}
-	m.settleShardedInterrupted(j)
-}
-
-// startRunning flips a queued job to running; callers hold mu.
-func (m *Manager) startRunning(j *job) (ctx context.Context, cancel func()) {
-	ctx, cancel = context.WithCancel(m.ctx)
-	j.cancel = cancel
-	j.state = StateRunning
-	j.started = time.Now()
-	wait := j.started.Sub(j.queuedAt).Seconds()
-	if wait >= 0 {
-		m.met.queueWait.Observe(wait)
-	}
-	return ctx, cancel
+	m.settleShardedInterrupted(j, t, partial)
 }
 
 // claimShard scans the table in shard order and returns the first
@@ -141,8 +137,10 @@ func (m *Manager) allShardsTerminal(t *shardTable) bool {
 // are deterministic functions of (job, shard, restarts-done), so even
 // the unavoidable instant between a takeover and the old holder
 // noticing cannot corrupt state: a stale write carries exactly the
-// bytes the new holder would produce at that point.
-func (m *Manager) runOneShard(ctx context.Context, j *job, t *shardTable, k int, h *heldLease, s *shardState) {
+// progress the new holder would record at that point. When the run is
+// cut short it returns the interrupted restart's best-so-far plan,
+// which a user cancel keeps.
+func (m *Manager) runOneShard(ctx context.Context, j *job, t *shardTable, k int, h *heldLease, s *shardState) *coverage.Plan {
 	shardCtx, cancelShard := context.WithCancel(ctx)
 	defer cancelShard()
 	lctx := j.logCtx()
@@ -200,43 +198,38 @@ func (m *Manager) runOneShard(ctx context.Context, j *job, t *shardTable, k int,
 		if _, err := m.readShardPlan(t.Job, k); err != nil {
 			m.log.ErrorContext(lctx, "shard plan unreadable; re-running shard",
 				slog.Int("shard", k), slog.String("error", err.Error()))
-			lo, hi := t.bounds(k)
-			*s = shardState{Version: shardVersion, Kind: "shard", Job: t.Job,
-				Shard: k, Lo: lo, Hi: hi, State: shardPending}
+			*s = *t.pending(k)
 		}
 	}
 
 	spec := j.spec
 	seeds := coverage.SplitSeeds(spec.Options.Seed, spec.Restarts)
+	last := time.Now()
 	for r := s.Lo + s.Done; r < s.Hi; r++ {
 		if shardCtx.Err() != nil {
-			return
+			return nil
 		}
 		plan, err := optimizeSpec(shardCtx, spec, m.restartOptions(j, spec.Options, seeds[r], r))
+		if shardCtx.Err() != nil {
+			// Interrupted mid-restart, or the lease was lost during the
+			// final stretch: nothing durable to record.
+			return plan
+		}
 		if err != nil {
-			if shardCtx.Err() != nil {
-				return // interrupted mid-restart; nothing durable to record
-			}
 			s.State = shardFailed
 			s.Error = err.Error()
 			m.putShardState(lctx, s)
 			m.met.shardsDone.Inc()
-			return
-		}
-		if shardCtx.Err() != nil {
-			return // lease lost during the final stretch: drop the result
+			return nil
 		}
 		// Strict < mirrors OptimizeBest's first-wins tie-breaking, so
 		// BestRestart is the lowest restart index in the shard achieving
 		// the shard minimum.
 		if plan != nil && (s.BestCost == nil || plan.Cost < *s.BestCost) {
-			var buf bytes.Buffer
-			if werr := coverage.WritePlan(&buf, plan); werr == nil {
-				if perr := m.store.Put(shardPlanBlob(t.Job, k), buf.Bytes()); perr != nil {
-					m.log.ErrorContext(lctx, "shard plan write failed",
-						slog.Int("shard", k), slog.String("error", perr.Error()))
-					return // do not advance Done past an unwritable plan
-				}
+			if err := m.putPlan(shardPlanBlob(t.Job, k), plan); err != nil {
+				m.log.ErrorContext(lctx, "shard plan write failed",
+					slog.Int("shard", k), slog.String("error", err.Error()))
+				return nil // do not advance Done past an unwritable plan
 			}
 			c := plan.Cost
 			s.BestCost = &c
@@ -246,6 +239,9 @@ func (m *Manager) runOneShard(ctx context.Context, j *job, t *shardTable, k int,
 		if plan != nil {
 			s.Iters += plan.Iterations
 		}
+		now := time.Now()
+		s.Sec += now.Sub(last).Seconds()
+		last = now
 		if s.Done == s.Hi-s.Lo {
 			s.State = shardDone
 		}
@@ -255,14 +251,16 @@ func (m *Manager) runOneShard(ctx context.Context, j *job, t *shardTable, k int,
 			fn(j.id, k, r)
 		}
 		if plan != nil {
-			m.log.InfoContext(lctx, "shard restart complete",
+			m.log.InfoContext(lctx, "restart complete",
 				slog.Int("shard", k), slog.Int("restart", r),
+				slog.Int("iterations", plan.Iterations),
 				slog.Float64("cost", plan.Cost))
 		}
 	}
 	if s.State == shardDone {
 		m.met.shardsDone.Inc()
 	}
+	return nil
 }
 
 // putShardState writes a shard's durable progress record (plain Put:
@@ -277,6 +275,15 @@ func (m *Manager) putShardState(lctx context.Context, s *shardState) {
 	}
 }
 
+// putPlan writes a plan blob in the coverage/persist envelope.
+func (m *Manager) putPlan(name string, plan *coverage.Plan) error {
+	var buf bytes.Buffer
+	if err := coverage.WritePlan(&buf, plan); err != nil {
+		return err
+	}
+	return m.store.Put(name, buf.Bytes())
+}
+
 // readShardPlan loads shard k's best plan blob.
 func (m *Manager) readShardPlan(id string, k int) (*coverage.Plan, error) {
 	raw, err := m.store.Get(shardPlanBlob(id, k))
@@ -287,14 +294,16 @@ func (m *Manager) readShardPlan(id string, k int) (*coverage.Plan, error) {
 }
 
 // refreshShardProgress recomputes the job's cluster-wide progress from
-// the shard states and updates the local record.
-func (m *Manager) refreshShardProgress(j *job, t *shardTable) {
+// the shard states, updates the local record, and returns the seconds
+// the completed restarts took.
+func (m *Manager) refreshShardProgress(j *job, t *shardTable) (sec float64) {
 	done, iters := 0, 0
 	var best *float64
 	for k := 0; k < t.Shards; k++ {
 		s := m.loadShardState(t, k)
 		done += s.Done
 		iters += s.Iters
+		sec += s.Sec
 		if s.BestCost != nil && (best == nil || *s.BestCost < *best) {
 			c := *s.BestCost
 			best = &c
@@ -305,7 +314,11 @@ func (m *Manager) refreshShardProgress(j *job, t *shardTable) {
 	j.itersDone = iters
 	j.prog.RestartsDone = done
 	j.prog.BestCost = best
+	// The finished restart's iterations moved into itersDone; drop the
+	// in-flight sample so view() does not count them twice.
+	j.prog.Iteration = 0
 	m.mu.Unlock()
+	return sec
 }
 
 // parkSharded returns a job this node cannot advance right now to the
@@ -324,34 +337,48 @@ func (m *Manager) parkSharded(j *job) {
 	m.mu.Unlock()
 }
 
-// settleShardedInterrupted routes a cancelled sharded run: a user
-// cancel becomes a cluster-wide terminal transition through CAS, a
-// shutdown parks the job locally — the store still says queued, so
-// any node (including a restarted this-one) picks the work back up.
-func (m *Manager) settleShardedInterrupted(j *job) {
+// settleShardedInterrupted routes a cancelled run. A user cancel is a
+// cluster-wide terminal transition through CAS that keeps the freshest
+// work: the best completed restart, or the interrupted restart's
+// partial plan when that is better. A shutdown parks the job locally as
+// paused with only completed restarts on record — the store still says
+// queued, so any node (including a restarted this-one) picks the work
+// back up and reproduces an uninterrupted run bit for bit.
+func (m *Manager) settleShardedInterrupted(j *job, t *shardTable, partial *coverage.Plan) {
 	m.mu.Lock()
 	user := j.userCancel
+	paused := !user && j.state == StateRunning
+	if paused {
+		j.state = StatePaused
+		j.ranSec += time.Since(j.started).Seconds()
+		j.started = time.Time{}
+		j.cancel = nil
+	}
+	done := j.restartsDone
 	m.mu.Unlock()
+	if paused {
+		m.log.InfoContext(j.logCtx(), "job paused", slog.Int("restartsDone", done))
+	}
 	if !user {
-		m.mu.Lock()
-		if j.state == StateRunning {
-			j.state = StatePaused
-			if !j.started.IsZero() {
-				j.ranSec += time.Since(j.started).Seconds()
-				j.started = time.Time{}
-			}
-			j.cancel = nil
-		}
-		m.mu.Unlock()
-		m.log.InfoContext(j.logCtx(), "sharded job parked by shutdown")
 		return
 	}
-	m.casJobTerminal(j, StateCancelled, "", nil)
+	plan := m.bestShardPlan(t)
+	if partial != nil && (plan == nil || partial.Cost < plan.Cost) {
+		plan = partial
+	}
+	if won, _ := m.casJobTerminal(j, StateCancelled, "", plan); won && plan != nil {
+		// Written only once the cancel has won: a node that lost to a
+		// merge must not overwrite the merged plan.
+		if err := m.putPlan(planBlob(j.id), plan); err != nil {
+			m.log.ErrorContext(j.logCtx(), "cancelled plan write failed",
+				slog.String("error", err.Error()))
+		}
+	}
 }
 
-// cancelSharded handles Cancel for a sharded job that no worker here
-// is currently running: the terminal transition must go through the
-// store so every node observes it.
+// cancelSharded handles Cancel for a job that no worker here is
+// currently running: the terminal transition must go through the store
+// so every node observes it.
 func (m *Manager) cancelSharded(j *job) error {
 	won, cur := m.casJobTerminal(j, StateCancelled, "", nil)
 	if !won && cur.Terminal() && cur != StateCancelled {
@@ -365,6 +392,8 @@ func (m *Manager) cancelSharded(j *job) error {
 // or another node has already made the job terminal. It returns
 // whether this node won, plus the job's (possibly foreign) final
 // state. The winner — and only the winner — may fire completion hooks.
+// The record it writes closes the running span, so the running time and
+// start it stores are exactly what this node's view shows.
 func (m *Manager) casJobTerminal(j *job, state State, errMsg string, plan *coverage.Plan) (bool, State) {
 	for attempt := 0; attempt < 16; attempt++ {
 		raw, err := m.store.Get(jobBlob(j.id))
@@ -382,21 +411,27 @@ func (m *Manager) casJobTerminal(j *job, state State, errMsg string, plan *cover
 			m.adoptTerminalMeta(j, env.Job)
 			return false, env.Job.State
 		}
+		meta := *env.Job
+		meta.State = state
+		meta.Finished = time.Now()
+		meta.Error = errMsg
 		m.mu.Lock()
-		env.Job.State = state
-		env.Job.Finished = time.Now()
-		env.Job.Error = errMsg
-		env.Job.RestartsDone = j.restartsDone
-		env.Job.ItersDone = j.itersDone
-		env.Job.RanSec = j.ranSec
+		meta.Started = j.started
+		meta.RestartsDone = j.restartsDone
+		meta.ItersDone = j.itersDone
+		meta.RanSec = j.ranSec
+		if j.state == StateRunning {
+			meta.RanSec += meta.Finished.Sub(j.started).Seconds()
+		}
 		m.mu.Unlock()
+		env.Job = &meta
 		blob, merr := json.MarshalIndent(env, "", "  ")
 		if merr != nil {
 			return false, j.state
 		}
 		err = m.cas.CompareAndSwap(jobBlob(j.id), raw, append(blob, '\n'))
 		if err == nil {
-			m.applyTerminalLocal(j, state, errMsg, plan, env.Job.Finished)
+			m.applyTerminalLocal(j, &meta, plan)
 			return true, state
 		}
 		if !errors.Is(err, ErrCASConflict) {
@@ -409,26 +444,49 @@ func (m *Manager) casJobTerminal(j *job, state State, errMsg string, plan *cover
 	return false, j.state
 }
 
-// applyTerminalLocal updates the in-memory record after a won terminal
-// CAS.
-func (m *Manager) applyTerminalLocal(j *job, state State, errMsg string, plan *coverage.Plan, at time.Time) {
-	m.mu.Lock()
-	j.state = state
-	j.finished = at
-	j.errMsg = errMsg
-	if !j.started.IsZero() {
-		j.ranSec += at.Sub(j.started).Seconds()
-		j.started = time.Time{}
-	}
+// setTerminal copies a terminal job record, and its plan when there is
+// one, into the local record and stops a worker that still runs the
+// job; callers hold mu.
+func (j *job) setTerminal(meta *jobMeta, plan *coverage.Plan) {
+	j.state = meta.State
+	j.started = meta.Started
+	j.finished = meta.Finished
+	j.errMsg = meta.Error
+	j.ranSec = meta.RanSec
+	j.restartsDone = meta.RestartsDone
+	j.itersDone = meta.ItersDone
+	j.prog.RestartsDone = meta.RestartsDone
 	if plan != nil {
 		j.plan = plan
 		c := plan.Cost
 		j.prog.BestCost = &c
 	}
-	j.cancel = nil
-	ran := j.ranSec
+	if j.cancel != nil {
+		j.cancel()
+		j.cancel = nil
+	}
+}
+
+// applyTerminalLocal updates the in-memory record after a won terminal
+// CAS.
+func (m *Manager) applyTerminalLocal(j *job, meta *jobMeta, plan *coverage.Plan) {
+	m.mu.Lock()
+	j.setTerminal(meta, plan)
 	m.mu.Unlock()
-	m.met.runSeconds.Observe(ran)
+	m.met.runSeconds.Observe(meta.RanSec)
+	attrs := []any{
+		slog.String("state", string(meta.State)),
+		slog.Float64("ranSec", meta.RanSec),
+	}
+	if plan != nil {
+		attrs = append(attrs, slog.Float64("cost", plan.Cost))
+	}
+	if meta.Error != "" {
+		attrs = append(attrs, slog.String("error", meta.Error))
+		m.log.ErrorContext(j.logCtx(), "job finished", attrs...)
+	} else {
+		m.log.InfoContext(j.logCtx(), "job finished", attrs...)
+	}
 }
 
 // adoptTerminalMeta syncs the local record with a terminal state some
@@ -441,19 +499,7 @@ func (m *Manager) adoptTerminalMeta(j *job, meta *jobMeta) {
 		}
 	}
 	m.mu.Lock()
-	j.state = meta.State
-	j.finished = meta.Finished
-	j.errMsg = meta.Error
-	j.restartsDone = meta.RestartsDone
-	j.itersDone = meta.ItersDone
-	j.prog.RestartsDone = meta.RestartsDone
-	if plan != nil {
-		j.plan = plan
-		c := plan.Cost
-		j.prog.BestCost = &c
-	}
-	j.cancel = nil
-	j.started = time.Time{}
+	j.setTerminal(meta, plan)
 	m.mu.Unlock()
 }
 
@@ -516,22 +562,17 @@ func (m *Manager) finishSharded(j *job, t *shardTable) {
 			// back to pending so it re-runs, and let the job continue.
 			m.log.ErrorContext(j.logCtx(), "winning shard plan unreadable; re-running shard",
 				slog.Int("shard", winner.Shard), slog.String("error", err.Error()))
-			lo, hi := t.bounds(winner.Shard)
-			m.putShardState(j.logCtx(), &shardState{
-				Version: shardVersion, Kind: "shard", Job: t.Job,
-				Shard: winner.Shard, Lo: lo, Hi: hi, State: shardPending,
-			})
+			m.putShardState(j.logCtx(), t.pending(winner.Shard))
 			m.parkSharded(j)
-			m.tryEnqueue(j)
+			m.mu.Lock()
+			m.enqueueLocked(j)
+			m.mu.Unlock()
 			return
 		}
 		plan = p
-		var buf bytes.Buffer
-		if err := coverage.WritePlan(&buf, plan); err == nil {
-			if perr := m.store.Put(planBlob(t.Job), buf.Bytes()); perr != nil {
-				m.log.ErrorContext(j.logCtx(), "merged plan write failed",
-					slog.String("error", perr.Error()))
-			}
+		if err := m.putPlan(planBlob(t.Job), plan); err != nil {
+			m.log.ErrorContext(j.logCtx(), "merged plan write failed",
+				slog.String("error", err.Error()))
 		}
 	}
 
@@ -552,7 +593,7 @@ func (m *Manager) finishSharded(j *job, t *shardTable) {
 			slog.Int("winningShard", winner.Shard),
 			slog.Int("winningRestart", winner.BestRestart))
 	}
-	m.log.InfoContext(j.logCtx(), "sharded job merged", attrs...)
+	m.log.InfoContext(j.logCtx(), "shards merged", attrs...)
 
 	// Best-effort lease cleanup; stale lease blobs for a terminal job
 	// are inert either way.
@@ -569,11 +610,9 @@ func (m *Manager) finishSharded(j *job, t *shardTable) {
 	}
 }
 
-// tryEnqueue puts a queued sharded job back on the local worker queue
-// without blocking; a full queue just waits for the next poll.
-func (m *Manager) tryEnqueue(j *job) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// enqueueLocked puts a queued job on the local worker queue without
+// blocking; a full queue leaves it to the next poll. Callers hold mu.
+func (m *Manager) enqueueLocked(j *job) {
 	if m.closed || j.state != StateQueued || j.inQueue {
 		return
 	}
@@ -585,8 +624,8 @@ func (m *Manager) tryEnqueue(j *job) {
 	}
 }
 
-// poller periodically scans the store: it adopts sharded jobs other
-// nodes submitted, refreshes cluster-wide progress of known ones, and
+// poller periodically scans the store: it adopts jobs other nodes
+// submitted, refreshes cluster-wide progress of known ones, and
 // re-enqueues any parked job with claimable work or a pending merge.
 func (m *Manager) poller() {
 	defer m.wg.Done()
@@ -620,13 +659,9 @@ func (m *Manager) pollShards() {
 			continue
 		}
 		m.mu.Lock()
-		terminal := j.state.Terminal()
-		running := j.state == StateRunning
+		busy := j.state.Terminal() || j.state == StateRunning
 		m.mu.Unlock()
-		if terminal || running {
-			continue
-		}
-		if m.syncSharedMeta(j) {
+		if busy || m.syncSharedMeta(j) {
 			continue
 		}
 		t, err := m.loadShardTable(id)
@@ -637,7 +672,9 @@ func (m *Manager) pollShards() {
 		depth += claimable
 		m.refreshShardProgress(j, t)
 		if claimable > 0 || open == 0 {
-			m.tryEnqueue(j)
+			m.mu.Lock()
+			m.enqueueLocked(j)
+			m.mu.Unlock()
 		}
 	}
 	m.met.shardQueueDepth.Set(float64(depth))
@@ -661,10 +698,11 @@ func (m *Manager) assessShards(t *shardTable) (claimable, open int) {
 	return claimable, open
 }
 
-// adoptSharded returns the local record for a sharded job id, loading
-// it from the store the first time this node sees it (a submission
-// from another node). Returns nil when the checkpoint cannot be read
-// yet — e.g. the submitter is mid-write; the next poll retries.
+// adoptSharded returns the local record for a job id. In a cluster it
+// loads the record from the store the first time this node sees the job
+// (a submission from another node); outside one, or when the checkpoint
+// cannot be read yet — e.g. the submitter is mid-write — it returns nil
+// and the next poll retries.
 func (m *Manager) adoptSharded(id string) *job {
 	m.mu.Lock()
 	if j, ok := m.jobs[id]; ok {
@@ -672,12 +710,14 @@ func (m *Manager) adoptSharded(id string) *job {
 		return j
 	}
 	m.mu.Unlock()
+	if !m.shard.Enabled {
+		return nil
+	}
 
 	j, err := m.loadJob(id)
 	if err != nil {
 		return nil
 	}
-	j.sharded = true
 	if !j.state.Terminal() {
 		j.state = StateQueued
 		j.queuedAt = time.Now()
@@ -694,6 +734,6 @@ func (m *Manager) adoptSharded(id string) *job {
 		m.seq = n
 	}
 	m.sortOrder()
-	m.log.Info("adopted sharded job from store", slog.String("job", id))
+	m.log.Info("adopted job from store", slog.String("job", id))
 	return j
 }

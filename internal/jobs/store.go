@@ -226,6 +226,48 @@ func (s *lockedCAS) CompareAndSwap(name string, old, new []byte) error {
 	return s.Put(name, new)
 }
 
+// memStore is the Store of a manager configured with neither Dir nor
+// Store: jobs run the same blob protocol in memory and vanish with the
+// process.
+type memStore struct {
+	mu    sync.Mutex
+	blobs map[string][]byte
+}
+
+func (s *memStore) Get(name string) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b, ok := s.blobs[name]
+	if !ok {
+		return nil, fmt.Errorf("jobs: %s: %w", name, fs.ErrNotExist)
+	}
+	return b, nil
+}
+
+func (s *memStore) Put(name string, blob []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.blobs[name] = bytes.Clone(blob)
+	return nil
+}
+
+func (s *memStore) List() ([]string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	names := make([]string, 0, len(s.blobs))
+	for name := range s.blobs {
+		names = append(names, name)
+	}
+	return names, nil
+}
+
+func (s *memStore) Delete(name string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.blobs, name)
+	return nil
+}
+
 // List returns every stored blob name (temp files from in-flight or
 // crashed Puts excluded).
 func (s *FSStore) List() ([]string, error) {
