@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_OUT ?= BENCH_run.json
 
-.PHONY: build test check race vet bench bench-compare conformance deploy-demo fleet-demo loadtest shardsmoke loc clean
+.PHONY: build test check race vet bench bench-compare conformance deploy-demo fleet-demo loadtest shardsmoke loc reach clean
 
 build:
 	$(GO) build ./...
@@ -75,6 +75,14 @@ loc:
 		n=0; [ -z "$$files" ] || n=$$(cat $$files | wc -l); \
 		printf '%7d %s\n' "$$n" "$$pkg"; \
 	done | awk '{ print; total += $$1 } END { printf "%7d total\n", total }'
+
+# reach prints the reachability ledger: every shipped entry point (the
+# examples, the CLIs, the smokes, the conformance run and the perfbench
+# workloads) runs once on coverage-instrumented binaries, and the
+# functions none of them ran are listed by package and file with counts.
+# Informational; it always exits 0.
+reach:
+	./scripts/reach.sh
 
 clean:
 	$(GO) clean ./...

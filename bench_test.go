@@ -305,15 +305,15 @@ func BenchmarkGradient(b *testing.B) {
 	}
 }
 
-// BenchmarkGradientAlloc measures the convenience Gradient path (fresh
-// Workspace per call), the pre-workspace baseline.
+// BenchmarkGradientAlloc measures GradientIn on a fresh Workspace per
+// call, the pre-workspace baseline.
 func BenchmarkGradientAlloc(b *testing.B) {
 	for _, size := range benchSizes {
 		model, p := benchModelSized(b, size.m)
 		b.Run(size.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := model.Gradient(p); err != nil {
+				if _, _, err := model.GradientIn(model.NewWorkspace(), p); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -467,12 +467,12 @@ func BenchmarkGradientFiniteDifference(b *testing.B) {
 		for k := 0; k < n; k++ {
 			for l := 0; l < n; l++ {
 				up := p.Clone()
-				up.Add(k, l, h)
+				up.Set(k, l, up.At(k, l)+h)
 				dn := p.Clone()
-				dn.Add(k, l, -h)
+				dn.Set(k, l, dn.At(k, l)-h)
 				// Renormalize rows to stay stochastic (zero-row-sum pairs).
-				up.Add(k, (l+1)%n, -h)
-				dn.Add(k, (l+1)%n, h)
+				up.Set(k, (l+1)%n, up.At(k, (l+1)%n)-h)
+				dn.Set(k, (l+1)%n, dn.At(k, (l+1)%n)+h)
 				evUp, err := model.Evaluate(up)
 				if err != nil {
 					b.Fatal(err)
@@ -499,11 +499,12 @@ func BenchmarkGradientFiniteDifference(b *testing.B) {
 func BenchmarkProbe(b *testing.B) {
 	for _, m := range []int{8, 32, 64} {
 		model, p := benchModelSized(b, m)
-		_, g, err := model.Gradient(p)
+		_, g, err := model.GradientIn(model.NewWorkspace(), p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		dir := cost.Project(g)
+		dir := mat.New(m, m)
+		cost.ProjectTo(dir, g)
 		mat.ScaleInPlace(-1, dir)
 		bound := math.Inf(1)
 		pd := p.Data()

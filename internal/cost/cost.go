@@ -242,22 +242,6 @@ func (m *Model) Evaluate(p *mat.Matrix) (*Evaluation, error) {
 	return m.EvaluateIn(m.NewWorkspace(), p)
 }
 
-// EvaluateSolved computes the cost breakdown from an existing chain
-// solution, avoiding a re-solve when the caller already has one.
-func (m *Model) EvaluateSolved(sol *markov.Solution) (*Evaluation, error) {
-	n := m.top.M()
-	ev := &Evaluation{
-		G:         make([]float64, n),
-		CBar:      make([]float64, n),
-		EBarI:     make([]float64, n),
-		CoverTime: make([]float64, n),
-	}
-	if err := m.evaluateInto(ev, make([]float64, n), sol, false); err != nil {
-		return nil, err
-	}
-	return ev, nil
-}
-
 // evaluateInto fills ev (whose G/CBar/EBarI slices must be sized to the
 // topology) with the cost breakdown at sol, using coverNum as scratch. It
 // performs no allocations on the success path.

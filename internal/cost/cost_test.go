@@ -48,7 +48,7 @@ func zeroRowSumDirection(src *rng.Source, n int) *mat.Matrix {
 			sum += x
 		}
 		for j := 0; j < n; j++ {
-			v.Add(i, j, -sum/float64(n))
+			v.Set(i, j, v.At(i, j)-sum/float64(n))
 		}
 	}
 	return v
@@ -197,22 +197,16 @@ func TestEvaluateRejectsNonErgodic(t *testing.T) {
 	}
 }
 
+// TestEvaluateSolvedDimensionMismatch: a model refuses a chain of
+// another dimension before solving it.
 func TestEvaluateSolvedDimensionMismatch(t *testing.T) {
 	top := topology.Topology2() // 3 PoIs
 	m, err := NewModel(top, Uniform(3, 1, 1))
 	if err != nil {
 		t.Fatalf("NewModel: %v", err)
 	}
-	chain, err := markov.New(uniformP(4))
-	if err != nil {
-		t.Fatalf("markov.New: %v", err)
-	}
-	sol, err := chain.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	if _, err := m.EvaluateSolved(sol); err == nil {
-		t.Error("expected dimension error")
+	if _, err := m.EvaluateIn(m.NewWorkspace(), uniformP(4)); !errors.Is(err, markov.ErrNotStochastic) {
+		t.Errorf("4-state chain on a 3-PoI model: err = %v, want ErrNotStochastic", err)
 	}
 }
 
@@ -254,6 +248,13 @@ func TestBarrierDerivFiniteDifference(t *testing.T) {
 	}
 }
 
+// project applies Eq. 11 through ProjectTo into a new matrix.
+func project(g *mat.Matrix) *mat.Matrix {
+	out := mat.New(g.Rows(), g.Cols())
+	ProjectTo(out, g)
+	return out
+}
+
 func TestProjectRowsSumToZero(t *testing.T) {
 	src := rng.New(201)
 	for trial := 0; trial < 50; trial++ {
@@ -264,22 +265,28 @@ func TestProjectRowsSumToZero(t *testing.T) {
 				g.Set(i, j, src.Norm(0, 3))
 			}
 		}
-		p := Project(g)
+		p := project(g)
 		for i, s := range mat.RowSums(p) {
 			if math.Abs(s) > 1e-9 {
 				t.Fatalf("trial %d: projected row %d sums to %v", trial, i, s)
 			}
 		}
 		// Idempotence.
-		if mat.MaxAbsDiff(Project(p), p) > 1e-12 {
+		if mat.MaxAbsDiff(project(p), p) > 1e-12 {
 			t.Fatalf("trial %d: projection not idempotent", trial)
+		}
+		// In place (dst == g) is the same projection.
+		inPlace := g.Clone()
+		ProjectTo(inPlace, inPlace)
+		if mat.MaxAbsDiff(inPlace, p) != 0 {
+			t.Fatalf("trial %d: in-place projection differs", trial)
 		}
 	}
 }
 
 func TestProjectConstantRowsVanish(t *testing.T) {
-	g := mat.Ones(3, 3)
-	p := Project(g)
+	g, _ := mat.NewFromRows([][]float64{{1, 1, 1}, {-2, -2, -2}, {0.5, 0.5, 0.5}})
+	p := project(g)
 	if mat.MaxAbs(p) > 1e-15 {
 		t.Errorf("projection of constant rows = %v", p)
 	}
@@ -333,7 +340,7 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 				const h = 1e-6
 				for trial := 0; trial < 10; trial++ {
 					p := randomErgodicP(src, top.M())
-					_, grad, err := m.Gradient(p)
+					_, grad, err := m.GradientIn(m.NewWorkspace(), p)
 					if err != nil {
 						t.Fatalf("Gradient: %v", err)
 					}
@@ -397,7 +404,7 @@ func flooredErgodicP(src *rng.Source, m, floored int, floor float64) *mat.Matrix
 			}
 			excess := p.At(i, minJ) - floor
 			p.Set(i, minJ, floor)
-			p.Add(i, maxJ, excess)
+			p.Set(i, maxJ, p.At(i, maxJ)+excess)
 		}
 	}
 	return p
@@ -445,7 +452,7 @@ func TestGradientAtMinProbFloorWithExtensions(t *testing.T) {
 			const h = 1e-10
 			for trial := 0; trial < 10; trial++ {
 				p := flooredErgodicP(src, top.M(), 2, minProb)
-				_, grad, err := m.Gradient(p)
+				_, grad, err := m.GradientIn(m.NewWorkspace(), p)
 				if err != nil {
 					t.Fatalf("Gradient: %v", err)
 				}
@@ -508,7 +515,7 @@ func TestGradientNonUniformWeights(t *testing.T) {
 	const h = 1e-6
 	for trial := 0; trial < 10; trial++ {
 		p := randomErgodicP(src, 4)
-		_, grad, err := m.Gradient(p)
+		_, grad, err := m.GradientIn(m.NewWorkspace(), p)
 		if err != nil {
 			t.Fatalf("Gradient: %v", err)
 		}
@@ -553,7 +560,7 @@ func TestGradientInBarrierRegion(t *testing.T) {
 		{0.3, 0.4, 0.3},
 		{0.3, 0.3, 0.4},
 	})
-	_, grad, err := m.Gradient(p)
+	_, grad, err := m.GradientIn(m.NewWorkspace(), p)
 	if err != nil {
 		t.Fatalf("Gradient: %v", err)
 	}

@@ -186,7 +186,7 @@ func referenceGradient(m *Model, sol *markov.Solution, ebar, c []float64, cphi f
 				s += c[i] * m.top.CoverTime(j, k, i)
 			}
 			s -= cphi * m.top.TravelTime(j, k)
-			dUdP.Add(j, k, sol.Pi[j]*s)
+			dUdP.Set(j, k, dUdP.At(j, k)+sol.Pi[j]*s)
 			dUdPi[j] += pd[j*n+k] * s
 		}
 	}
@@ -198,19 +198,19 @@ func referenceGradient(m *Model, sol *markov.Solution, ebar, c []float64, cphi f
 		denom := 1 - pd[i*n+i]
 		pi := sol.Pi[i]
 		dUdPi[i] -= e * ebar[i] / pi
-		dUdZ.Add(i, i, e/pi)
+		dUdZ.Set(i, i, dUdZ.At(i, i)+e/pi)
 		for j := 0; j < n; j++ {
 			if j == i {
 				continue
 			}
-			dUdZ.Add(j, i, -e*pd[i*n+j]/(pi*denom))
-			dUdP.Add(i, j, e*(zd[i*n+i]-zd[j*n+i])/(pi*denom))
+			dUdZ.Set(j, i, dUdZ.At(j, i)-e*pd[i*n+j]/(pi*denom))
+			dUdP.Set(i, j, dUdP.At(i, j)+e*(zd[i*n+i]-zd[j*n+i])/(pi*denom))
 		}
-		dUdP.Add(i, i, e*ebar[i]/denom)
+		dUdP.Set(i, i, dUdP.At(i, i)+e*ebar[i]/denom)
 	}
 	for j := 0; j < n; j++ {
 		for k := 0; k < n; k++ {
-			dUdP.Add(j, k, barrierDeriv(pd[j*n+k], m.w.Epsilon))
+			dUdP.Set(j, k, dUdP.At(j, k)+barrierDeriv(pd[j*n+k], m.w.Epsilon))
 		}
 	}
 	if m.w.EnergyWeight > 0 {
@@ -226,7 +226,7 @@ func referenceGradient(m *Model, sol *markov.Solution, ebar, c []float64, cphi f
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if j != i {
-					dUdP.Add(i, j, cd*sol.Pi[i]*m.top.Distance(i, j))
+					dUdP.Set(i, j, dUdP.At(i, j)+cd*sol.Pi[i]*m.top.Distance(i, j))
 					dUdPi[i] += cd * pd[i*n+j] * m.top.Distance(i, j)
 				}
 			}
@@ -236,15 +236,18 @@ func referenceGradient(m *Model, sol *markov.Solution, ebar, c []float64, cphi f
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if p := pd[i*n+j]; p > 0 {
-					dUdP.Add(i, j, lam*sol.Pi[i]*(math.Log(p)+1))
+					dUdP.Set(i, j, dUdP.At(i, j)+lam*sol.Pi[i]*(math.Log(p)+1))
 					dUdPi[i] += lam * p * math.Log(p)
 				}
 			}
 		}
 	}
-	zt := mat.Transpose(sol.Z)
-	tmp, _ := mat.Mul(dUdZ, zt)
-	term2a, _ := mat.Mul(zt, tmp)
+	// Every operand is n×n, so the shape checks cannot fail.
+	zt := mat.New(n, n)
+	_ = mat.TransposeTo(zt, sol.Z)
+	tmp, term2a := mat.New(n, n), mat.New(n, n)
+	_ = mat.MulTo(tmp, dUdZ, zt)
+	_ = mat.MulTo(term2a, zt, tmp)
 	colsum := make([]float64, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {

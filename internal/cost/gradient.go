@@ -8,29 +8,6 @@ import (
 	"repro/internal/mat"
 )
 
-// Gradient evaluates the cost at p and returns the evaluation together
-// with the unprojected gradient [D_P U] of Eq. 10:
-//
-//	[D_P U]_kl = Σ_i π_k z_li ∂U/∂π_i
-//	           + Σ_ij ∂U/∂z_ij (z_ik z_lj − π_k (Z²)_lj)
-//	           + ∂U/∂p_kl.
-//
-// The partials ∂U/∂π, ∂U/∂Z, ∂U/∂P treat π, Z and P as independent
-// variables; the chain rule through π(P) and Z(P) is supplied by
-// Schweitzer's perturbation formulas, which the contractions above
-// encode. With the exposure written in the closed form
-// Ē_i = (1 − π_i)/(π_i (1 − p_ii)), no term of U reads Z, so ∂U/∂Z ≡ 0
-// and the assembly reduces to π_k (Z·∂U/∂π)_l + ∂U/∂p_kl (DESIGN §5).
-// Callers typically project the result with Project before stepping so
-// the iterate stays row-stochastic.
-//
-// Each call builds fresh results; hot loops should hold a Workspace and
-// call GradientIn, which reuses one set of buffers and is bit-for-bit
-// identical.
-func (m *Model) Gradient(p *mat.Matrix) (*Evaluation, *mat.Matrix, error) {
-	return m.GradientIn(m.NewWorkspace(), p)
-}
-
 // gradTask adapts the fused per-row gradient pass to the par.Task
 // interface. It lives inside the Workspace so dispatching it converts a
 // long-lived pointer to an interface without allocating.
@@ -275,15 +252,6 @@ func (m *Model) gradientRows(ws *Workspace, ev *Evaluation, lo, hi int) {
 			dUdPi[i] += lam * rowEnt
 		}
 	}
-}
-
-// Project applies Eq. 11: it subtracts each row's mean so every row of the
-// result sums to zero, making the negated result a feasible descent
-// direction within the stochastic-matrix polytope's affine hull.
-func Project(g *mat.Matrix) *mat.Matrix {
-	out := mat.New(g.Rows(), g.Cols())
-	ProjectTo(out, g)
-	return out
 }
 
 // ProjectTo applies Eq. 11 into the caller-owned dst, which must share

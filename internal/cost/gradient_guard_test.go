@@ -70,7 +70,7 @@ func TestGradientNearAbsorbingRowFinite(t *testing.T) {
 		for j := 1; j < n; j++ {
 			p.Set(0, j, slack/float64(n-1))
 		}
-		_, grad, err := m.Gradient(p)
+		_, grad, err := m.GradientIn(m.NewWorkspace(), p)
 		if err != nil {
 			t.Fatalf("slack %g: Gradient: %v", slack, err)
 		}

@@ -134,11 +134,12 @@ const lineProbeUTol = 1e-8
 // model at p and the largest step that keeps P + δD inside the floor box.
 func searchDirection(t *testing.T, model *cost.Model, p *mat.Matrix) (*mat.Matrix, float64) {
 	t.Helper()
-	_, g, err := model.Gradient(p)
+	_, g, err := model.GradientIn(model.NewWorkspace(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := cost.Project(g)
+	d := mat.New(g.Rows(), g.Cols())
+	cost.ProjectTo(d, g)
 	mat.ScaleInPlace(-1, d)
 	bound := math.Inf(1)
 	pd := p.Data()

@@ -117,12 +117,12 @@ func TestSparseMatchesDenseCostAndGradient(t *testing.T) {
 			}
 			sws := m.NewWorkspace()
 			sws.SetSolver(markov.MethodSparse)
-			if sws.Solver() != markov.MethodSparse {
-				t.Fatalf("Solver() did not report the sparse method")
-			}
 			sev, sgrad, err := m.GradientIn(sws, p)
 			if err != nil {
 				t.Fatalf("sparse GradientIn: %v", err)
+			}
+			if got := sev.Sol.Method(); got != markov.MethodSparse {
+				t.Fatalf("sparse workspace solved with %v, want the sparse method", got)
 			}
 
 			uScale := math.Max(1, math.Abs(dev.Objective))

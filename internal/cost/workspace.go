@@ -79,9 +79,6 @@ func (ws *Workspace) SetSolver(method markov.Method) {
 	ws.solver.SetMethod(method)
 }
 
-// Solver returns the workspace's current markov backend.
-func (ws *Workspace) Solver() markov.Method { return ws.solver.Method() }
-
 // ensureGradient lazily allocates the gradient-side scratch.
 func (ws *Workspace) ensureGradient() {
 	if ws.grad != nil {
@@ -132,10 +129,22 @@ func (m *Model) ProbeIn(ws *Workspace, line *markov.Line, p *mat.Matrix, delta f
 	return &ws.ev, nil
 }
 
-// GradientIn evaluates the cost and assembles the unprojected Eq. 10
-// gradient using the workspace's buffers. Both returned values alias the
-// workspace and are valid until its next use. Results are bit-for-bit
-// identical to Gradient.
+// GradientIn evaluates the cost at p and assembles the unprojected
+// gradient [D_P U] of Eq. 10 using the workspace's buffers:
+//
+//	[D_P U]_kl = Σ_i π_k z_li ∂U/∂π_i
+//	           + Σ_ij ∂U/∂z_ij (z_ik z_lj − π_k (Z²)_lj)
+//	           + ∂U/∂p_kl.
+//
+// The partials ∂U/∂π, ∂U/∂Z, ∂U/∂P treat π, Z and P as independent
+// variables; the chain rule through π(P) and Z(P) is supplied by
+// Schweitzer's perturbation formulas, which the contractions above
+// encode. With the exposure written in the closed form
+// Ē_i = (1 − π_i)/(π_i (1 − p_ii)), no term of U reads Z, so ∂U/∂Z ≡ 0
+// and the assembly reduces to π_k (Z·∂U/∂π)_l + ∂U/∂p_kl (DESIGN §5).
+// Callers project the result with ProjectTo (Eq. 11) before stepping so
+// the iterate stays row-stochastic. Both returned values alias the
+// workspace and are valid until its next use.
 func (m *Model) GradientIn(ws *Workspace, p *mat.Matrix) (*Evaluation, *mat.Matrix, error) {
 	ev, err := m.EvaluateIn(ws, p)
 	if err != nil {
@@ -148,30 +157,21 @@ func (m *Model) GradientIn(ws *Workspace, p *mat.Matrix) (*Evaluation, *mat.Matr
 	return ev, g, nil
 }
 
-// GradientSolvedIn assembles the Eq. 10 gradient from an evaluation the
-// workspace already holds: ev must be the value returned by this
-// workspace's most recent EvaluateIn (or GradientIn), with no workspace
-// use in between. It skips the stationary re-solve that GradientIn
-// would repeat — the descent loops use it to reuse the accepted
-// line-search probe's solution for the next iteration's gradient, whose
-// Z it then forms from the same solver. The result is bit-for-bit
-// identical to calling GradientIn at the same matrix, because EvaluateIn
-// is deterministic: re-solving would rebuild exactly the doubles ev
-// already holds.
-func (m *Model) GradientSolvedIn(ws *Workspace, ev *Evaluation) (*mat.Matrix, error) {
-	return m.gradientInto(ws, ev)
-}
-
-// GradientWeightedSolvedIn is GradientSolvedIn with caller-supplied
-// objective couplings: coverCoef replaces the coverage coefficients
-// c_i = α_i G_i (with coverPhi = Σ_i c_i Φ̃_i for the caller's per-PoI
-// targets Φ̃), and beta replaces the model's exposure weights. Either may
-// be nil to keep the model's own term. The barrier, energy, and entropy
-// partials are unchanged. The fleet layer uses this to assemble each
-// sensor's slice of the stacked joint gradient: the coverage coupling
-// c_i = α_i G_i^fleet with responsibility-scaled targets, and β masked to
-// the PoIs whose min-over-sensors exposure this sensor owns. Like
-// GradientSolvedIn, ev must be this workspace's most recent evaluation.
+// GradientWeightedSolvedIn assembles the Eq. 10 gradient from an
+// evaluation the workspace already holds, with caller-supplied objective
+// couplings. ev must be the value returned by this workspace's most
+// recent EvaluateIn, ProbeIn or GradientIn, with no workspace use in
+// between: the stationary re-solve is skipped, and Z is formed from the
+// same solver. That is bit-for-bit what a re-solve would give, because
+// EvaluateIn is deterministic. coverCoef replaces the coverage
+// coefficients c_i = α_i G_i (with coverPhi = Σ_i c_i Φ̃_i for the
+// caller's per-PoI targets Φ̃), and beta replaces the model's exposure
+// weights. Either may be nil to keep the model's own term. The barrier,
+// energy, and entropy partials are unchanged. The fleet layer uses this
+// to assemble each sensor's slice of the stacked joint gradient: the
+// coverage coupling c_i = α_i G_i^fleet with responsibility-scaled
+// targets, and β masked to the PoIs whose min-over-sensors exposure this
+// sensor owns.
 func (m *Model) GradientWeightedSolvedIn(ws *Workspace, ev *Evaluation, coverCoef []float64, coverPhi float64, beta []float64) (*mat.Matrix, error) {
 	return m.gradientIntoWith(ws, ev, coverCoef, coverPhi, beta)
 }

@@ -68,7 +68,8 @@ func TestEvaluateInMatchesEvaluate(t *testing.T) {
 	}
 }
 
-// TestGradientInMatchesGradient does the same for the gradient path.
+// TestGradientInMatchesGradient does the same for the gradient path: a
+// reused workspace gives the bits of a fresh one.
 func TestGradientInMatchesGradient(t *testing.T) {
 	top := topology.Topology3()
 	w := Uniform(top.M(), 0.5, 2)
@@ -83,9 +84,9 @@ func TestGradientInMatchesGradient(t *testing.T) {
 	ws := m.NewWorkspace()
 	for trial := 0; trial < 20; trial++ {
 		p := randomErgodicP(src, top.M())
-		_, want, err := m.Gradient(p)
+		_, want, err := m.GradientIn(m.NewWorkspace(), p)
 		if err != nil {
-			t.Fatalf("Gradient: %v", err)
+			t.Fatalf("fresh GradientIn: %v", err)
 		}
 		_, got, err := m.GradientIn(ws, p)
 		if err != nil {
@@ -201,8 +202,8 @@ func TestEvaluateInLeavesZ2Unformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	mat.ScaleInPlace(2, ev.Sol.Z)
-	want, err := mat.Mul(ev.Sol.Z, ev.Sol.Z)
-	if err != nil {
+	want := mat.New(ev.Sol.Z.Rows(), ev.Sol.Z.Rows())
+	if err := mat.MulTo(want, ev.Sol.Z, ev.Sol.Z); err != nil {
 		t.Fatal(err)
 	}
 	got := ev.Sol.Z2().Data()

@@ -310,13 +310,15 @@ type Optimizer[S State[E], E any] struct {
 // every probe batch and gradient phase costs more than the parallel work
 // saves. It was set where the fan-out first won BenchmarkLineSearchStep
 // (Workers=2 against Workers=1, 2-vCPU Xeon VM, Go 1.24), before probes
-// became O(M²) line solves. With line probes the same sweep reads W2
-// slower than W1 at every measured size: +27% time at M24, +8% at M32,
-// +1% at M64 (DESIGN §8.5), so fan-out no longer pays back at any
-// measured size. The value stays until it is re-derived (ROADMAP item
-// 8), because changing it moves the perfbench field workload (M = 64),
-// which fans out today. Tests lower it to exercise the pooled paths on
-// small models.
+// became O(M²) line solves. With line probes that sweep reads W2 slower
+// than W1 up to M = 64 (+27% time at M24, +8% at M32, +1% at M64; DESIGN
+// §8.5), but end to end the batched probes cost nothing measurable: on
+// the perfbench field workload (M = 64), serial probes with the gradient
+// still fanned out read iters_per_s 0.93 of the batched search over 6
+// interleaved 10 s pairs and 1.00 over 16 more, inside the runs' spread.
+// Both searches stay, selected by M through this value, until an
+// end-to-end measurement separates them (ROADMAP item 2). Tests lower it
+// to exercise the pooled paths on small models.
 var minFanOutOrder = 24
 
 // NewIterationPool returns the pool one optimizer iteration over M-state

@@ -451,11 +451,12 @@ func TestLineSearchFindsDescent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
-	_, grad, err := m.Gradient(p)
+	_, grad, err := m.GradientIn(m.NewWorkspace(), p)
 	if err != nil {
-		t.Fatalf("Gradient: %v", err)
+		t.Fatalf("GradientIn: %v", err)
 	}
-	dir := cost.Project(grad)
+	dir := mat.New(grad.Rows(), grad.Cols())
+	cost.ProjectTo(dir, grad)
 	mat.ScaleInPlace(-1, dir)
 	primeSearch(t, opt, []*mat.Matrix{p}, []*mat.Matrix{dir})
 	step, u, ok := opt.lineSearch([]*mat.Matrix{p}, []*mat.Matrix{dir}, ev.U)
@@ -493,12 +494,13 @@ func TestLineSearchZeroAtMinimum(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
-	_, grad, err := m.Gradient(p)
+	_, grad, err := m.GradientIn(m.NewWorkspace(), p)
 	if err != nil {
-		t.Fatalf("Gradient: %v", err)
+		t.Fatalf("GradientIn: %v", err)
 	}
 	// Ascent direction: +projected gradient.
-	dir := cost.Project(grad)
+	dir := mat.New(grad.Rows(), grad.Cols())
+	cost.ProjectTo(dir, grad)
 	primeSearch(t, opt, []*mat.Matrix{p}, []*mat.Matrix{dir})
 	if step, _, ok := opt.lineSearch([]*mat.Matrix{p}, []*mat.Matrix{dir}, ev.U); ok && step > 0 {
 		// An ascent direction may still curve downward far away; accept

@@ -40,7 +40,7 @@ func zeroRowSumDirection(src *rng.Source, n int) *mat.Matrix {
 			sum += x
 		}
 		for j := 0; j < n; j++ {
-			v.Add(i, j, -sum/float64(n))
+			v.Set(i, j, v.At(i, j)-sum/float64(n))
 		}
 	}
 	return v

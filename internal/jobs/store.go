@@ -143,18 +143,22 @@ func (s *FSStore) Put(name string, blob []byte) error {
 	return nil
 }
 
+// casLock is the one lock file every CompareAndSwap in a directory
+// takes. It carries the temp suffix so List never surfaces it.
+const casLock = ".cas.lock" + tmpSuffix
+
 // CompareAndSwap implements the CASStore contract with an advisory
-// flock around read-compare-replace. The lock file carries the temp
-// suffix so List never surfaces it, and it is left in place forever:
-// unlinking a lock file while another process still holds its flock
-// would let a third process lock a fresh inode and break mutual
-// exclusion.
+// flock around read-compare-replace. All records of the directory share
+// one lock file, which is left in place forever: unlinking a lock file
+// while another process still holds its flock would let a third process
+// lock a fresh inode and break mutual exclusion. One file per directory
+// keeps that argument without leaving a file behind for every record.
 func (s *FSStore) CompareAndSwap(name string, old, new []byte) error {
 	p, err := s.path(name)
 	if err != nil {
 		return err
 	}
-	lock, err := os.OpenFile(p+".lock"+tmpSuffix, os.O_CREATE|os.O_RDWR, 0o644)
+	lock, err := os.OpenFile(filepath.Join(s.dir, casLock), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return err
 	}

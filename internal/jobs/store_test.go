@@ -1,8 +1,12 @@
 package jobs
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"io/fs"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -105,5 +109,76 @@ func TestManagerCustomStore(t *testing.T) {
 	got, err := m2.Get(v.ID)
 	if err != nil || got.State != StateDone {
 		t.Errorf("resumed job = %+v, %v; want done", got, err)
+	}
+}
+
+// TestFSStoreLockFilesBounded: CompareAndSwap's lock files do not pile
+// up per record. Jobs over an FSStore take leases and end with terminal
+// CASes on several records each; after one job runs to done (and a
+// DELETE is refused) and another is cancelled by DELETE mid-run, the
+// directory holds at most the one shared lock file.
+func TestFSStoreLockFilesBounded(t *testing.T) {
+	dir := t.TempDir()
+	m, err := New(Config{Workers: 1, Dir: dir})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	submit := func(spec Spec) string {
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("marshal spec: %v", err)
+		}
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST /jobs: %v", err)
+		}
+		defer resp.Body.Close()
+		var v View
+		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+			t.Fatalf("decode submit: %v", err)
+		}
+		return v.ID
+	}
+	del := func(id string) int {
+		req, err := http.NewRequest(http.MethodDelete, srv.URL+"/jobs/"+id, nil)
+		if err != nil {
+			t.Fatalf("build DELETE: %v", err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("DELETE: %v", err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	waitState := func(id string, cond func(View) bool, msg string) {
+		waitFor(t, 30*time.Second, func() bool {
+			v, err := m.Get(id)
+			return err == nil && cond(v)
+		}, msg)
+	}
+
+	done := submit(testSpec(t, 50, 2, 5))
+	waitState(done, func(v View) bool { return v.State == StateDone }, "short job to finish")
+	if code := del(done); code != http.StatusConflict {
+		t.Errorf("DELETE done job = %d, want 409", code)
+	}
+	long := submit(testSpec(t, 2000, 100000, 6))
+	waitState(long, func(v View) bool { return v.State == StateRunning && v.Progress.Iteration >= 1 },
+		"long job to report progress")
+	if code := del(long); code != http.StatusOK {
+		t.Errorf("DELETE running job = %d, want 200", code)
+	}
+	waitState(long, func(v View) bool { return v.State == StateCancelled }, "cancelled job to settle")
+	shutdown(t, m)
+
+	locks, err := filepath.Glob(filepath.Join(dir, "*.lock.tmp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(locks) > 1 {
+		t.Errorf("%d lock files left after two jobs, want at most 1: %v", len(locks), locks)
 	}
 }

@@ -2,9 +2,9 @@
 // optimizer is built on: stochastic-matrix validation, ergodicity checks,
 // stationary distributions, the fundamental matrix Z = (I - P + W)^{-1}
 // (Eq. 7), Meyer's group generalized inverse of I - P, mean first-passage
-// times (Eq. 8), the chain's entropy rate (§VII), and Schweitzer's
-// perturbation derivatives of π and Z with respect to the transition
-// matrix (the ingredients of the paper's Eq. 10).
+// times (Eq. 8), the chain's entropy rate (§VII), and π along a search
+// line P + δD by Schweitzer's perturbation identity (the line search of
+// the paper's V3).
 package markov
 
 import (
@@ -74,95 +74,8 @@ func CheckStochastic(p *mat.Matrix) error {
 // M returns the number of states.
 func (c *Chain) M() int { return c.p.Rows() }
 
-// P returns a copy of the transition matrix.
-func (c *Chain) P() *mat.Matrix { return c.p.Clone() }
-
 // At returns p_ij.
 func (c *Chain) At(i, j int) float64 { return c.p.At(i, j) }
-
-// IsIrreducible reports whether every state reaches every other state
-// through transitions with positive probability.
-func (c *Chain) IsIrreducible() bool {
-	n := c.M()
-	fwd := c.reachable(false)
-	bwd := c.reachable(true)
-	for i := 0; i < n; i++ {
-		if !fwd[i] || !bwd[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// reachable runs a BFS from state 0 over the positive-probability edge
-// graph (or its reverse) and returns the visited set.
-func (c *Chain) reachable(reverse bool) []bool {
-	n := c.M()
-	seen := make([]bool, n)
-	queue := make([]int, 0, n)
-	seen[0] = true
-	queue = append(queue, 0)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for v := 0; v < n; v++ {
-			var w float64
-			if reverse {
-				w = c.p.At(v, u)
-			} else {
-				w = c.p.At(u, v)
-			}
-			if w > edgeTol && !seen[v] {
-				seen[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
-	return seen
-}
-
-// Period returns the period of the chain (the gcd of all cycle lengths
-// through state 0). It requires the chain to be irreducible; for a
-// reducible chain the result is meaningful only for state 0's communicating
-// class.
-func (c *Chain) Period() int {
-	n := c.M()
-	// BFS levels from state 0; every edge (u, v) contributes
-	// gcd(level[u] + 1 - level[v]).
-	level := make([]int, n)
-	for i := range level {
-		level[i] = -1
-	}
-	level[0] = 0
-	queue := []int{0}
-	g := 0
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for v := 0; v < n; v++ {
-			if c.p.At(u, v) <= edgeTol {
-				continue
-			}
-			if level[v] == -1 {
-				level[v] = level[u] + 1
-				queue = append(queue, v)
-			} else {
-				g = gcd(g, abs(level[u]+1-level[v]))
-			}
-		}
-	}
-	if g == 0 {
-		// No cycle through state 0 was found (possible only for
-		// degenerate/absorbing structures); report period 1 by convention.
-		return 1
-	}
-	return g
-}
-
-// IsErgodic reports whether the chain is irreducible and aperiodic.
-func (c *Chain) IsErgodic() bool {
-	return c.IsIrreducible() && c.Period() == 1
-}
 
 func gcd(a, b int) int {
 	for b != 0 {

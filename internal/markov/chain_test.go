@@ -43,6 +43,35 @@ func randomErgodic(src *rng.Source, n int) *Chain {
 	return c
 }
 
+// identity returns the n-by-n identity matrix.
+func identity(n int) *mat.Matrix {
+	m := mat.New(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
+// mul returns the product a*b through mat.MulTo.
+func mul(t *testing.T, a, b *mat.Matrix) *mat.Matrix {
+	t.Helper()
+	out := mat.New(a.Rows(), b.Cols())
+	if err := mat.MulTo(out, a, b); err != nil {
+		t.Fatalf("MulTo: %v", err)
+	}
+	return out
+}
+
+// add returns a + b.
+func add(t *testing.T, a, b *mat.Matrix) *mat.Matrix {
+	t.Helper()
+	out := a.Clone()
+	if err := mat.AddInPlace(out, 1, b); err != nil {
+		t.Fatalf("AddInPlace: %v", err)
+	}
+	return out
+}
+
 func TestNewRejectsNonStochastic(t *testing.T) {
 	cases := []struct {
 		name string
@@ -80,79 +109,112 @@ func TestNewClonesInput(t *testing.T) {
 	}
 }
 
+// graph builds p from rows and a Solver sized for it, for the solver's
+// graph checks.
+func graph(t *testing.T, rows [][]float64) (*Solver, *mat.Matrix) {
+	t.Helper()
+	p, err := mat.NewFromRows(rows)
+	if err != nil {
+		t.Fatalf("build matrix: %v", err)
+	}
+	return NewSolver(p.Rows()), p
+}
+
 func TestIrreducible(t *testing.T) {
 	// Block-diagonal chain is reducible.
-	p, _ := mat.NewFromRows([][]float64{
+	s, p := graph(t, [][]float64{
 		{0.5, 0.5, 0, 0},
 		{0.5, 0.5, 0, 0},
 		{0, 0, 0.5, 0.5},
 		{0, 0, 0.5, 0.5},
 	})
-	c, err := New(p)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if c.IsIrreducible() {
+	if s.reachesAll(p, false) || s.reachesAll(p, true) {
 		t.Error("block-diagonal chain reported irreducible")
 	}
-	if c.IsErgodic() {
+	if s.ergodic(p) {
 		t.Error("block-diagonal chain reported ergodic")
 	}
-	if _, err := c.Solve(); !errors.Is(err, ErrNotErgodic) {
+	if _, err := s.Solve(p); !errors.Is(err, ErrNotErgodic) {
 		t.Errorf("Solve err = %v, want ErrNotErgodic", err)
 	}
 }
 
 func TestIrreducibleOneWay(t *testing.T) {
 	// State 1 is absorbing: reachable from 0 but not back.
-	p, _ := mat.NewFromRows([][]float64{{0.5, 0.5}, {0, 1}})
-	c, err := New(p)
-	if err != nil {
-		t.Fatalf("New: %v", err)
+	s, p := graph(t, [][]float64{{0.5, 0.5}, {0, 1}})
+	if !s.reachesAll(p, false) {
+		t.Error("state 0 does not reach the absorbing state")
 	}
-	if c.IsIrreducible() {
+	if s.reachesAll(p, true) {
 		t.Error("absorbing chain reported irreducible")
 	}
 }
 
 func TestPeriod(t *testing.T) {
 	// Deterministic 2-cycle has period 2.
-	p2, _ := mat.NewFromRows([][]float64{{0, 1}, {1, 0}})
-	c2, err := New(p2)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if got := c2.Period(); got != 2 {
+	s2, p2 := graph(t, [][]float64{{0, 1}, {1, 0}})
+	if got := s2.period(p2); got != 2 {
 		t.Errorf("2-cycle period = %d, want 2", got)
 	}
-	if c2.IsErgodic() {
+	if s2.ergodic(p2) {
 		t.Error("2-cycle reported ergodic")
 	}
-	if _, err := c2.Solve(); !errors.Is(err, ErrNotErgodic) {
+	if _, err := s2.Solve(p2); !errors.Is(err, ErrNotErgodic) {
 		t.Errorf("Solve err = %v, want ErrNotErgodic", err)
 	}
 
 	// A self-loop makes it aperiodic.
-	p1, _ := mat.NewFromRows([][]float64{{0.1, 0.9}, {1, 0}})
-	c1, err := New(p1)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if got := c1.Period(); got != 1 {
+	s1, p1 := graph(t, [][]float64{{0.1, 0.9}, {1, 0}})
+	if got := s1.period(p1); got != 1 {
 		t.Errorf("self-loop period = %d, want 1", got)
 	}
-	if !c1.IsErgodic() {
+	if !s1.ergodic(p1) {
 		t.Error("aperiodic irreducible chain reported non-ergodic")
 	}
 
 	// Deterministic 3-cycle has period 3.
-	p3, _ := mat.NewFromRows([][]float64{{0, 1, 0}, {0, 0, 1}, {1, 0, 0}})
-	c3, err := New(p3)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if got := c3.Period(); got != 3 {
+	s3, p3 := graph(t, [][]float64{{0, 1, 0}, {0, 0, 1}, {1, 0, 0}})
+	if got := s3.period(p3); got != 3 {
 		t.Errorf("3-cycle period = %d, want 3", got)
+	}
+}
+
+// TestSolverNonErgodicDiagnostics pins the detail of the Solver's
+// ErrNotErgodic: whether the chain is irreducible, and the period of
+// state 0's class, from the solver's own graph sweeps.
+func TestSolverNonErgodicDiagnostics(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		rows   [][]float64
+		detail string
+	}{
+		{"block-diagonal", [][]float64{
+			{0.5, 0.5, 0, 0}, {0.5, 0.5, 0, 0}, {0, 0, 0.5, 0.5}, {0, 0, 0.5, 0.5},
+		}, "irreducible=false period=1"},
+		{"absorbing", [][]float64{{0.5, 0.5}, {0, 1}}, "irreducible=false period=1"},
+		{"2-cycle", [][]float64{{0, 1}, {1, 0}}, "irreducible=true period=2"},
+		{"3-cycle", [][]float64{{0, 1, 0}, {0, 0, 1}, {1, 0, 0}}, "irreducible=true period=3"},
+		// State 0's class is the 2-cycle; the self-loop state is cut off.
+		{"2-cycle-and-self-loop", [][]float64{{0, 1, 0}, {1, 0, 0}, {0, 0, 1}}, "irreducible=false period=2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, method := range []Method{MethodDense, MethodSparse} {
+				s, p := graph(t, tc.rows)
+				s.SetMethod(method)
+				_, err := s.Solve(p)
+				if !errors.Is(err, ErrNotErgodic) {
+					t.Fatalf("%v: err = %v, want ErrNotErgodic", method, err)
+				}
+				if want := ErrNotErgodic.Error() + ": " + tc.detail; err.Error() != want {
+					t.Errorf("%v: err = %q, want %q", method, err, want)
+				}
+			}
+		})
+	}
+	// The self-loop on the cycle itself makes it ergodic: no error.
+	s, p := graph(t, [][]float64{{0.1, 0.9}, {1, 0}})
+	if _, err := s.Solve(p); err != nil {
+		t.Errorf("2-cycle with a self-loop on it: %v", err)
 	}
 }
 
@@ -179,8 +241,12 @@ func TestStationaryFixedPointProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: Solve: %v", trial, err)
 		}
-		if math.Abs(mat.SumVec(s.Pi)-1) > 1e-9 {
-			t.Fatalf("trial %d: Σπ = %v", trial, mat.SumVec(s.Pi))
+		var sum float64
+		for _, v := range s.Pi {
+			sum += v
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			t.Fatalf("trial %d: Σπ = %v", trial, sum)
 		}
 		piP, err := c.Step(s.Pi)
 		if err != nil {
@@ -224,20 +290,16 @@ func TestFundamentalMatrixIdentities(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Solve: %v", err)
 		}
-		id := mat.Identity(n)
+		id := identity(n)
 		imp, _ := mat.SubM(id, s.P)
-		zin, _ := mat.AddM(imp, s.W)
-		prod, _ := mat.Mul(s.Z, zin)
-		if mat.MaxAbsDiff(prod, id) > 1e-8 {
+		if prod := mul(t, s.Z, add(t, imp, s.W)); mat.MaxAbsDiff(prod, id) > 1e-8 {
 			t.Fatalf("trial %d: Z(I-P+W) != I", trial)
 		}
 		// WZ = W and ZW = W.
-		wz, _ := mat.Mul(s.W, s.Z)
-		if mat.MaxAbsDiff(wz, s.W) > 1e-8 {
+		if wz := mul(t, s.W, s.Z); mat.MaxAbsDiff(wz, s.W) > 1e-8 {
 			t.Fatalf("trial %d: WZ != W", trial)
 		}
-		zw, _ := mat.Mul(s.Z, s.W)
-		if mat.MaxAbsDiff(zw, s.W) > 1e-8 {
+		if zw := mul(t, s.Z, s.W); mat.MaxAbsDiff(zw, s.W) > 1e-8 {
 			t.Fatalf("trial %d: ZW != W", trial)
 		}
 	}
@@ -256,34 +318,27 @@ func TestGroupInverseAxioms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GroupInverse: %v", err)
 		}
-		a, _ := mat.SubM(mat.Identity(n), s.P)
+		a, _ := mat.SubM(identity(n), s.P)
 
 		// A A# A = A.
-		t1, _ := mat.Mul(a, aSharp)
-		t2, _ := mat.Mul(t1, a)
-		if mat.MaxAbsDiff(t2, a) > 1e-8 {
+		if t2 := mul(t, mul(t, a, aSharp), a); mat.MaxAbsDiff(t2, a) > 1e-8 {
 			t.Fatalf("trial %d: A A# A != A", trial)
 		}
 		// A# A A# = A#.
-		t3, _ := mat.Mul(aSharp, a)
-		t4, _ := mat.Mul(t3, aSharp)
-		if mat.MaxAbsDiff(t4, aSharp) > 1e-8 {
+		if t4 := mul(t, mul(t, aSharp, a), aSharp); mat.MaxAbsDiff(t4, aSharp) > 1e-8 {
 			t.Fatalf("trial %d: A# A A# != A#", trial)
 		}
 		// Commutation: A A# = A# A = I - W (Eq. 5).
-		aas, _ := mat.Mul(a, aSharp)
-		asa, _ := mat.Mul(aSharp, a)
-		if mat.MaxAbsDiff(aas, asa) > 1e-8 {
+		aas := mul(t, a, aSharp)
+		if asa := mul(t, aSharp, a); mat.MaxAbsDiff(aas, asa) > 1e-8 {
 			t.Fatalf("trial %d: A A# != A# A", trial)
 		}
-		imw, _ := mat.SubM(mat.Identity(n), s.W)
+		imw, _ := mat.SubM(identity(n), s.W)
 		if mat.MaxAbsDiff(aas, imw) > 1e-8 {
 			t.Fatalf("trial %d: A A# != I - W", trial)
 		}
 		// Z = I + P A# (Eq. 7).
-		pas, _ := mat.Mul(s.P, aSharp)
-		zAlt, _ := mat.AddM(mat.Identity(n), pas)
-		if mat.MaxAbsDiff(zAlt, s.Z) > 1e-8 {
+		if zAlt := add(t, identity(n), mul(t, s.P, aSharp)); mat.MaxAbsDiff(zAlt, s.Z) > 1e-8 {
 			t.Fatalf("trial %d: Z != I + P A#", trial)
 		}
 	}
@@ -497,147 +552,10 @@ func zeroRowSumDirection(src *rng.Source, n int) *mat.Matrix {
 			sum += x
 		}
 		for j := 0; j < n; j++ {
-			v.Add(i, j, -sum/float64(n))
+			v.Set(i, j, v.At(i, j)-sum/float64(n))
 		}
 	}
 	return v
-}
-
-// perturbChain returns the solution of P + h*V, which must remain
-// stochastic and ergodic for small h.
-func perturbChain(t *testing.T, p *mat.Matrix, v *mat.Matrix, h float64) *Solution {
-	t.Helper()
-	ph := p.Clone()
-	if err := mat.AddInPlace(ph, h, v); err != nil {
-		t.Fatalf("AddInPlace: %v", err)
-	}
-	c, err := New(ph)
-	if err != nil {
-		t.Fatalf("perturbed chain invalid: %v", err)
-	}
-	s, err := c.Solve()
-	if err != nil {
-		t.Fatalf("perturbed Solve: %v", err)
-	}
-	return s
-}
-
-// TestPerturbationLinearity: the Schweitzer derivatives are linear in the
-// direction, DPi(aV + bW) = a·DPi(V) + b·DPi(W) (and likewise DZ).
-func TestPerturbationLinearity(t *testing.T) {
-	src := rng.New(707)
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + src.IntN(5)
-		c := randomErgodic(src, n)
-		s, err := c.Solve()
-		if err != nil {
-			t.Fatalf("Solve: %v", err)
-		}
-		v := zeroRowSumDirection(src, n)
-		w := zeroRowSumDirection(src, n)
-		a, b := src.Norm(0, 2), src.Norm(0, 2)
-
-		comb := mat.Scale(a, v)
-		if err := mat.AddInPlace(comb, b, w); err != nil {
-			t.Fatal(err)
-		}
-		dComb, err := s.DPi(comb)
-		if err != nil {
-			t.Fatalf("DPi: %v", err)
-		}
-		dv, err := s.DPi(v)
-		if err != nil {
-			t.Fatalf("DPi: %v", err)
-		}
-		dw, err := s.DPi(w)
-		if err != nil {
-			t.Fatalf("DPi: %v", err)
-		}
-		for i := 0; i < n; i++ {
-			want := a*dv[i] + b*dw[i]
-			if math.Abs(dComb[i]-want) > 1e-9*(1+math.Abs(want)) {
-				t.Fatalf("trial %d: DPi not linear at %d: %v vs %v", trial, i, dComb[i], want)
-			}
-		}
-		dzComb, err := s.DZ(comb)
-		if err != nil {
-			t.Fatalf("DZ: %v", err)
-		}
-		dzv, err := s.DZ(v)
-		if err != nil {
-			t.Fatalf("DZ: %v", err)
-		}
-		dzw, err := s.DZ(w)
-		if err != nil {
-			t.Fatalf("DZ: %v", err)
-		}
-		lin := mat.Scale(a, dzv)
-		if err := mat.AddInPlace(lin, b, dzw); err != nil {
-			t.Fatal(err)
-		}
-		if d := mat.MaxAbsDiff(dzComb, lin); d > 1e-8*(1+mat.MaxAbs(lin)) {
-			t.Fatalf("trial %d: DZ not linear (diff %v)", trial, d)
-		}
-	}
-}
-
-// TestDPiMatchesFiniteDifference validates the Schweitzer derivative of π
-// against central finite differences along random tangent directions.
-func TestDPiMatchesFiniteDifference(t *testing.T) {
-	src := rng.New(109)
-	const h = 1e-6
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + src.IntN(5)
-		c := randomErgodic(src, n)
-		s, err := c.Solve()
-		if err != nil {
-			t.Fatalf("Solve: %v", err)
-		}
-		v := zeroRowSumDirection(src, n)
-		// Scale v so P ± hV stays well inside the simplex.
-		mat.ScaleInPlace(0.01/(mat.MaxAbs(v)+1e-12), v)
-
-		dpi, err := s.DPi(v)
-		if err != nil {
-			t.Fatalf("DPi: %v", err)
-		}
-		plus := perturbChain(t, s.P, v, h)
-		minus := perturbChain(t, s.P, v, -h)
-		for i := 0; i < n; i++ {
-			fd := (plus.Pi[i] - minus.Pi[i]) / (2 * h)
-			if math.Abs(fd-dpi[i]) > 1e-5*(1+math.Abs(fd)) {
-				t.Fatalf("trial %d: dπ_%d analytic %v, FD %v", trial, i, dpi[i], fd)
-			}
-		}
-	}
-}
-
-// TestDZMatchesFiniteDifference validates the Schweitzer derivative of Z.
-func TestDZMatchesFiniteDifference(t *testing.T) {
-	src := rng.New(110)
-	const h = 1e-6
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + src.IntN(4)
-		c := randomErgodic(src, n)
-		s, err := c.Solve()
-		if err != nil {
-			t.Fatalf("Solve: %v", err)
-		}
-		v := zeroRowSumDirection(src, n)
-		mat.ScaleInPlace(0.01/(mat.MaxAbs(v)+1e-12), v)
-
-		dz, err := s.DZ(v)
-		if err != nil {
-			t.Fatalf("DZ: %v", err)
-		}
-		plus := perturbChain(t, s.P, v, h)
-		minus := perturbChain(t, s.P, v, -h)
-		fd, _ := mat.SubM(plus.Z, minus.Z)
-		mat.ScaleInPlace(1/(2*h), fd)
-		if d := mat.MaxAbsDiff(dz, fd); d > 1e-4*(1+mat.MaxAbs(fd)) {
-			t.Fatalf("trial %d: dZ mismatch %v", trial, d)
-		}
-	}
 }
 
 func TestStepDistribution(t *testing.T) {
@@ -648,14 +566,5 @@ func TestStepDistribution(t *testing.T) {
 	}
 	if math.Abs(out[0]-0.5) > 1e-12 || math.Abs(out[1]-0.5) > 1e-12 {
 		t.Errorf("Step = %v, want [0.5 0.5]", out)
-	}
-}
-
-func TestPReturnsCopy(t *testing.T) {
-	c := twoState(t, 0.5, 0.5)
-	p := c.P()
-	p.Set(0, 0, 0.9)
-	if c.At(0, 0) != 0.5 {
-		t.Error("P returned internal storage")
 	}
 }

@@ -55,7 +55,7 @@ func TestEstimateSmoothingKeepsPositive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if !c.IsErgodic() {
+	if !NewSolver(c.M()).ergodic(c.p) {
 		t.Error("smoothed estimate not ergodic")
 	}
 }
@@ -190,7 +190,7 @@ func TestEstimateFeedsChainConstructor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New rejected smoothed estimate: %v", err)
 	}
-	if !c.IsErgodic() {
+	if !NewSolver(c.M()).ergodic(c.p) {
 		t.Fatal("smoothed estimate is not ergodic")
 	}
 	sol, err := c.Solve()

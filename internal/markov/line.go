@@ -93,9 +93,8 @@ func (l *Line) stationaryAt(pi []float64, delta float64, ws *mat.ShiftedScratch)
 // point's only up to rounding (DESIGN §8.2).
 //
 // The returned Solution reports MethodDense: its Fundamental forms W, Z
-// and R from p through the dense branch, with no sparse handle, whatever
-// the Solver's backend. No allocations occur on the success path after
-// the first call.
+// and R from p through the dense branch whatever the Solver's backend.
+// No allocations occur on the success path after the first call.
 func (s *Solver) SolveLine(l *Line, p *mat.Matrix, delta float64) (*Solution, error) {
 	if l.n != s.n {
 		return nil, fmt.Errorf("%w: line of order %d for a %d-state solver", ErrDirection, l.n, s.n)

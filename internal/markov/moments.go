@@ -8,8 +8,8 @@ import (
 
 // FirstPassageMoments holds the first two moments of the first-passage
 // times of an ergodic chain: Mean[i][j] is E[T_j | X_0 = i] (equal to the
-// solution's R) and Second[i][j] is E[T_j² | X_0 = i], from which
-// Variance derives. The diagonal entries are the return-time moments.
+// solution's R) and Second[i][j] is E[T_j² | X_0 = i]; the variance is
+// Second − Mean². The diagonal entries are the return-time moments.
 //
 // The paper's exposure objective uses only the mean (Eq. 3); the second
 // moment enables variance-aware scheduling — bounding not just the
@@ -18,23 +18,6 @@ import (
 type FirstPassageMoments struct {
 	Mean   *mat.Matrix
 	Second *mat.Matrix
-}
-
-// Variance returns Var[T_j | X_0 = i] = Second − Mean².
-func (m *FirstPassageMoments) Variance() *mat.Matrix {
-	n := m.Mean.Rows()
-	out := mat.New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			mu := m.Mean.At(i, j)
-			v := m.Second.At(i, j) - mu*mu
-			if v < 0 {
-				v = 0 // numeric guard
-			}
-			out.Set(i, j, v)
-		}
-	}
-	return out
 }
 
 // Moments computes the first and second moments of all first-passage

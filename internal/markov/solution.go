@@ -48,10 +48,6 @@ type Solution struct {
 	// solves and re-arms z2Once on each one.
 	z2     *mat.Matrix
 	z2Once sync.Once
-
-	// sparse holds the factorization handle of a sparse fundamental
-	// stage, nil otherwise and after Clone. Access via Sparse().
-	sparse *SparseFactors
 }
 
 // ErrNoFundamental is returned by Fundamental for a copied Solution whose
@@ -98,7 +94,6 @@ func (s *Solution) unform() {
 	s.fundOnce = sync.Once{}
 	s.fundErr = nil
 	s.z2Once = sync.Once{}
-	s.sparse = nil
 }
 
 // Z2 returns Z·Z, the square the perturbation formula for dZ/dt needs.
@@ -232,45 +227,4 @@ func (s *Solution) ConditionNumber() (float64, error) {
 		return 0, err
 	}
 	return mat.MaxAbs(aSharp), nil
-}
-
-// DPi returns the directional derivative of the stationary distribution
-// along a perturbation direction V with zero row sums:
-// dπ = π V Z (Schweitzer; the paper's component form dπ_i/dt =
-// Σ_{k,l} π_k z_li V_kl).
-func (s *Solution) DPi(v *mat.Matrix) ([]float64, error) {
-	if err := s.Fundamental(); err != nil {
-		return nil, err
-	}
-	pv, err := mat.VecMul(s.Pi, v)
-	if err != nil {
-		return nil, err
-	}
-	return mat.VecMul(pv, s.Z)
-}
-
-// DZ returns the directional derivative of the fundamental matrix along a
-// zero-row-sum direction V: dZ = Z V Z - W V Z² (Schweitzer; the paper's
-// component form dz_ij/dt = Σ_{kl} [z_ik z_lj - π_k (Z²)_lj] V_kl).
-func (s *Solution) DZ(v *mat.Matrix) (*mat.Matrix, error) {
-	if err := s.Fundamental(); err != nil {
-		return nil, err
-	}
-	zv, err := mat.Mul(s.Z, v)
-	if err != nil {
-		return nil, err
-	}
-	zvz, err := mat.Mul(zv, s.Z)
-	if err != nil {
-		return nil, err
-	}
-	wv, err := mat.Mul(s.W, v)
-	if err != nil {
-		return nil, err
-	}
-	wvz2, err := mat.Mul(wv, s.Z2())
-	if err != nil {
-		return nil, err
-	}
-	return mat.SubM(zvz, wvz2)
 }

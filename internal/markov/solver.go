@@ -130,11 +130,10 @@ func (s *Solver) begin(p *mat.Matrix) error {
 	// Re-arm the lazy stages for this solve; their buffers are kept.
 	s.sol.unform()
 	if !s.ergodic(p) {
-		// Error path only: rebuild the diagnostic detail with the Chain
-		// helpers (these allocate, which is fine off the hot path).
-		c := &Chain{p: p}
+		// Error path only: rerun the full graph sweeps for the detail.
+		irreducible := s.reachesAll(p, false) && s.reachesAll(p, true)
 		return fmt.Errorf("%w: irreducible=%v period=%d",
-			ErrNotErgodic, c.IsIrreducible(), c.Period())
+			ErrNotErgodic, irreducible, s.period(p))
 	}
 	return nil
 }
@@ -249,8 +248,8 @@ func (s *Solver) stationary(p *mat.Matrix) error {
 }
 
 // ergodic reports whether p's positive-probability graph is irreducible
-// and aperiodic, using the Solver's scratch buffers. It mirrors
-// Chain.IsErgodic exactly but allocates nothing.
+// and aperiodic, using the Solver's scratch buffers; it allocates
+// nothing.
 func (s *Solver) ergodic(p *mat.Matrix) bool {
 	if positive(p) {
 		// Every edge present, self-loops included: the graph is complete,
@@ -304,8 +303,12 @@ func (s *Solver) reachesAll(p *mat.Matrix, reverse bool) bool {
 	return len(s.queue) == n
 }
 
-// period returns the gcd of cycle lengths through state 0, as in
-// Chain.Period, using the Solver's scratch.
+// period returns the period of p's chain: the gcd of cycle lengths
+// through state 0, from BFS levels (every edge (u, v) contributes
+// level[u] + 1 − level[v]), using the Solver's scratch. It requires an
+// irreducible chain; for a reducible one the result is meaningful only
+// for state 0's communicating class, and a graph with no cycle through
+// state 0 reports period 1 by convention.
 func (s *Solver) period(p *mat.Matrix) int {
 	n := s.n
 	for i := range s.level {
@@ -351,11 +354,9 @@ func checkPositive(pi []float64) error {
 // Clone returns a deep copy of the Solution, detaching it from whatever
 // Solver buffers back it. Use it to retain a Solution past the next solve
 // on the owning Solver. The backend marker is kept; Z² is not copied or
-// formed, the clone's Z2 forms it on request. The sparse factorization
-// handle, when present, is not carried over: it aliases solver-owned
-// factor storage. W, Z and R are copied when the fundamental stage was
-// formed; otherwise the clone has no solver to form them from, and its
-// Fundamental reports ErrNoFundamental.
+// formed, the clone's Z2 forms it on request. W, Z and R are copied when
+// the fundamental stage was formed; otherwise the clone has no solver to
+// form them from, and its Fundamental reports ErrNoFundamental.
 func (s *Solution) Clone() *Solution {
 	out := &Solution{}
 	s.CopyTo(out)
@@ -365,8 +366,8 @@ func (s *Solution) Clone() *Solution {
 // CopyTo overwrites dst with a copy of s under Clone's rules, reusing
 // dst's buffers where their shapes match, so retaining a stream of
 // solutions in one destination allocates nothing. dst's Z² is re-armed
-// (its buffer kept) rather than copied, and dst takes no sparse handle.
-// dst must not be a Solver's own solution.
+// (its buffer kept) rather than copied. dst must not be a Solver's own
+// solution.
 func (s *Solution) CopyTo(dst *Solution) {
 	dst.P = copyMatrix(dst.P, s.P)
 	dst.Pi = append(dst.Pi[:0], s.Pi...)

@@ -50,40 +50,6 @@ const SparseTol = 1e-8
 // SetMethod selects the solver backend for subsequent Solve calls.
 func (s *Solver) SetMethod(m Method) { s.method = m }
 
-// Method returns the solver's current backend.
-func (s *Solver) Method() Method { return s.method }
-
-// SparseFactors exposes the factorization behind a sparse fundamental
-// stage so downstream consumers can solve against A = I − P + W and its
-// transpose at factor-fill cost instead of re-deriving dense O(M³)
-// products from Z.
-type SparseFactors struct {
-	lr  *mat.LowRankSolver
-	nnz int // factor fill, for diagnostics
-}
-
-// SolveTranspose solves Aᵀ x = b, where A = I − P + W is the system whose
-// inverse is the fundamental matrix Z; equivalently x = Zᵀ b up to the
-// factorization's accuracy. x must not alias b.
-func (f *SparseFactors) SolveTranspose(x, b []float64) error {
-	return f.lr.SolveVecTransTo(x, b)
-}
-
-// Solve solves A x = b (x = Z b up to factorization accuracy). x must
-// not alias b.
-func (f *SparseFactors) Solve(x, b []float64) error {
-	return f.lr.SolveVecTo(x, b)
-}
-
-// FactorNNZ returns the stored entries of the underlying sparse LU.
-func (f *SparseFactors) FactorNNZ() int { return f.nnz }
-
-// Sparse returns the sparse factorization handle once a MethodSparse
-// solution's fundamental stage has run on the sparse factorization, nil
-// otherwise (including after Clone, which detaches from solver-owned
-// state).
-func (s *Solution) Sparse() *SparseFactors { return s.sparse }
-
 // sparseScratch holds the sparse path's per-solve assembly buffers plus
 // the cached factorization machinery. Both the fill-reducing ordering
 // (which depends only on the support pattern) and the SparseLU's flat
@@ -91,11 +57,8 @@ func (s *Solution) Sparse() *SparseFactors { return s.sparse }
 // ordering) are reused across solves: line-search probes and successive
 // descent iterates keep P's support, so after the first solve a sparse
 // Solve allocates nothing and only pays the assembly and elimination
-// flops. The stationary system's CSR storage, the Woodbury solver and
-// the factors handle are reused the same way.
-// Consequence: a Solution's SparseFactors handle is backed by
-// solver-owned storage and is invalidated by the solver's next Solve,
-// exactly like the Solution itself (Clone detaches, dropping the handle).
+// flops. The stationary system's CSR storage and the Woodbury solver are
+// reused the same way.
 type sparseScratch struct {
 	rcols [][]int32
 	rvals [][]float64
@@ -109,7 +72,6 @@ type sparseScratch struct {
 	sys     mat.Sparse   // the stationary system S, rebuilt per solve
 	lu      mat.SparseLU // factor storage, reused across Refactor calls
 	lr      mat.LowRankSolver
-	factors SparseFactors
 }
 
 // stationarySparse is the MethodSparse stationary stage. One sparse LU
@@ -241,7 +203,5 @@ func (s *Solver) fundamentalSparse() error {
 	if err := lr.SolveMultiTo(zd, zd, n); err != nil {
 		return err
 	}
-	sp.factors = SparseFactors{lr: lr, nnz: sp.lu.NNZ()}
-	s.sol.sparse = &sp.factors
 	return nil
 }

@@ -30,7 +30,7 @@ func sameBits(a, b *mat.Matrix) bool {
 func TestStagesComposeToSolve(t *testing.T) {
 	for _, method := range []Method{MethodDense, MethodSparse} {
 		for _, p := range []*mat.Matrix{
-			randomErgodic(rng.New(21), 9).P(),
+			randomErgodic(rng.New(21), 9).p,
 			sparseRingP(rng.New(22), 48, 3),
 		} {
 			n := p.Rows()
@@ -44,14 +44,14 @@ func TestStagesComposeToSolve(t *testing.T) {
 			s := NewSolver(n)
 			s.SetMethod(method)
 			// A full solve of another chain first, so stale buffers exist.
-			if _, err := s.Solve(randomErgodic(rng.New(23), n).P()); err != nil {
+			if _, err := s.Solve(randomErgodic(rng.New(23), n).p); err != nil {
 				t.Fatal(err)
 			}
 			got, err := s.SolveStationary(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.W != nil || got.Z != nil || got.R != nil || got.Sparse() != nil {
+			if got.W != nil || got.Z != nil || got.R != nil {
 				t.Fatalf("%v M=%d: the stationary stage exposes fundamental-stage state", method, n)
 			}
 			if got.Method() != want.Method() {
@@ -73,9 +73,6 @@ func TestStagesComposeToSolve(t *testing.T) {
 					t.Errorf("%v M=%d: %s differs from Solve", method, n, m.name)
 				}
 			}
-			if (got.Sparse() != nil) != (method == MethodSparse) {
-				t.Errorf("%v M=%d: sparse handle %v after the fundamental stage", method, n, got.Sparse())
-			}
 		}
 	}
 }
@@ -86,9 +83,9 @@ func TestStagesComposeToSolve(t *testing.T) {
 // and reports ErrNoFundamental instead of forming anything. A copy of a
 // formed solution carries its Z.
 func TestCopyOfUnformedSolution(t *testing.T) {
-	p := randomErgodic(rng.New(31), 7).P()
+	p := randomErgodic(rng.New(31), 7).p
 	s := NewSolver(7)
-	full, err := s.Solve(randomErgodic(rng.New(32), 7).P())
+	full, err := s.Solve(randomErgodic(rng.New(32), 7).p)
 	if err != nil {
 		t.Fatal(err)
 	}

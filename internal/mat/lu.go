@@ -20,8 +20,7 @@ var ErrSingular = errors.New("mat: singular matrix")
 type LU struct {
 	lu    *Matrix
 	pivot []int
-	sign  float64   // +1 or -1 with the parity of the permutation
-	col   []float64 // per-column scratch for SolveTo/InverseTo
+	col   []float64 // per-column scratch for InverseTo
 	batch []float64 // packed multi-column scratch, lazily sized n*luBatchCols
 	scale []float64 // per-row input max magnitudes for the pivot guard
 }
@@ -37,13 +36,13 @@ type LU struct {
 const MinPivotRatio = 1e-14
 
 // luBatchCols is the number of right-hand-side columns substituted
-// together by the blocked SolveTo/InverseTo path: each batch streams the
+// together by the blocked InverseTo path: each batch streams the
 // factored matrix once instead of once per column. Batching changes no
 // bits — the columns are arithmetically independent, and every column
 // undergoes exactly the op sequence of the per-column substitute.
 const luBatchCols = 8
 
-// luBatchCutover is the order below which SolveTo/InverseTo keep the
+// luBatchCutover is the order below which InverseTo keeps the
 // straight-line per-column code: for small systems the factored matrix is
 // cache-resident anyway and the packing traffic would only add overhead.
 const luBatchCutover = 48
@@ -54,7 +53,6 @@ func NewLU(n int) *LU {
 	return &LU{
 		lu:    New(n, n),
 		pivot: make([]int, n),
-		sign:  1,
 		col:   make([]float64, n),
 		scale: make([]float64, n),
 	}
@@ -85,7 +83,6 @@ func (f *LU) Refactor(a *Matrix) error {
 		return fmt.Errorf("%w: refactor %dx%d into LU of order %d", ErrDimension, a.rows, a.cols, n)
 	}
 	copy(f.lu.data, a.data)
-	f.sign = 1
 	d := f.lu.data
 	for i := range f.pivot {
 		f.pivot[i] = i
@@ -130,7 +127,6 @@ func (f *LU) Refactor(a *Matrix) error {
 				rowk[j], rowp[j] = rowp[j], v
 			}
 			f.pivot[p], f.pivot[k] = f.pivot[k], f.pivot[p]
-			f.sign = -f.sign
 			f.scale[p], f.scale[k] = f.scale[k], f.scale[p]
 		}
 		// Eliminate below the pivot over row subslices: the same
@@ -200,52 +196,6 @@ func (f *LU) substitute(x []float64, first int) {
 		}
 		x[i] = s / d[i*n+i]
 	}
-}
-
-// Solve solves A X = B column by column.
-func (f *LU) Solve(b *Matrix) (*Matrix, error) {
-	out := New(f.lu.rows, b.cols)
-	if err := f.SolveTo(out, b); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SolveTo solves A X = B into the caller-owned dst, which must have B's
-// shape and must not alias B. No allocations occur on the success path.
-func (f *LU) SolveTo(dst, b *Matrix) error {
-	n := f.lu.rows
-	if b.rows != n {
-		return fmt.Errorf("%w: solve with rhs %dx%d, want %d rows", ErrDimension, b.rows, b.cols, n)
-	}
-	if dst.rows != b.rows || dst.cols != b.cols {
-		return fmt.Errorf("%w: solve into %dx%d, want %dx%d", ErrDimension, dst.rows, dst.cols, b.rows, b.cols)
-	}
-	if n >= luBatchCutover && b.cols > 1 {
-		for j0 := 0; j0 < b.cols; j0 += luBatchCols {
-			nb := min(luBatchCols, b.cols-j0)
-			x := f.batchScratch(nb)
-			for i := 0; i < n; i++ {
-				brow := b.data[f.pivot[i]*b.cols+j0:]
-				copy(x[i*nb:(i+1)*nb], brow[:nb])
-			}
-			f.substituteBatch(x, nb, 0)
-			for i := 0; i < n; i++ {
-				copy(dst.data[i*b.cols+j0:i*b.cols+j0+nb], x[i*nb:(i+1)*nb])
-			}
-		}
-		return nil
-	}
-	for j := 0; j < b.cols; j++ {
-		for i := 0; i < n; i++ {
-			f.col[i] = b.data[f.pivot[i]*b.cols+j]
-		}
-		f.substitute(f.col, 0)
-		for i := 0; i < n; i++ {
-			dst.data[i*b.cols+j] = f.col[i]
-		}
-	}
-	return nil
 }
 
 // batchScratch returns the packed nb-column scratch block, allocating it
@@ -346,46 +296,4 @@ func (f *LU) InverseTo(dst *Matrix) error {
 		}
 	}
 	return nil
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	n := f.lu.rows
-	det := f.sign
-	for i := 0; i < n; i++ {
-		det *= f.lu.data[i*n+i]
-	}
-	return det
-}
-
-// Inverse returns A^{-1} for a square matrix A, or ErrSingular.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(Identity(a.rows))
-}
-
-// SolveLinear solves A x = b directly (factor + solve) for convenience at
-// call sites that need a single solve.
-func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveVec(b)
-}
-
-// Det returns the determinant of a square matrix, or 0 when the matrix is
-// exactly singular (a zero pivot short-circuits the factorization).
-func Det(a *Matrix) (float64, error) {
-	f, err := Factor(a)
-	if err != nil {
-		if errors.Is(err, ErrSingular) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	return f.Det(), nil
 }

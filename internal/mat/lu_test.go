@@ -20,12 +20,22 @@ func TestFactorSingular(t *testing.T) {
 	}
 }
 
+// solveLinear factors a and solves a x = b through the production
+// Factor and SolveVec path.
+func solveLinear(a *Matrix, b []float64) ([]float64, error) {
+	f, err := Factor(a)
+	if err != nil {
+		return nil, err
+	}
+	return f.SolveVec(b)
+}
+
 func TestSolveKnownSystem(t *testing.T) {
 	// 2x + y = 5; x + 3y = 10 -> x = 1, y = 3.
 	a, _ := NewFromRows([][]float64{{2, 1}, {1, 3}})
-	x, err := SolveLinear(a, []float64{5, 10})
+	x, err := solveLinear(a, []float64{5, 10})
 	if err != nil {
-		t.Fatalf("SolveLinear: %v", err)
+		t.Fatalf("solve: %v", err)
 	}
 	if math.Abs(x[0]-1) > 1e-12 || math.Abs(x[1]-3) > 1e-12 {
 		t.Errorf("x = %v, want [1 3]", x)
@@ -35,9 +45,9 @@ func TestSolveKnownSystem(t *testing.T) {
 func TestSolveRequiresPivoting(t *testing.T) {
 	// Leading zero forces a row swap.
 	a, _ := NewFromRows([][]float64{{0, 1}, {1, 0}})
-	x, err := SolveLinear(a, []float64{2, 3})
+	x, err := solveLinear(a, []float64{2, 3})
 	if err != nil {
-		t.Fatalf("SolveLinear: %v", err)
+		t.Fatalf("solve: %v", err)
 	}
 	if math.Abs(x[0]-3) > 1e-12 || math.Abs(x[1]-2) > 1e-12 {
 		t.Errorf("x = %v, want [3 2]", x)
@@ -46,13 +56,17 @@ func TestSolveRequiresPivoting(t *testing.T) {
 
 func TestInverseKnown(t *testing.T) {
 	a, _ := NewFromRows([][]float64{{4, 7}, {2, 6}})
-	inv, err := Inverse(a)
+	f, err := Factor(a)
 	if err != nil {
-		t.Fatalf("Inverse: %v", err)
+		t.Fatalf("Factor: %v", err)
+	}
+	inv := New(2, 2)
+	if err := f.InverseTo(inv); err != nil {
+		t.Fatalf("InverseTo: %v", err)
 	}
 	want, _ := NewFromRows([][]float64{{0.6, -0.7}, {-0.2, 0.4}})
 	if !EqualApprox(inv, want, 1e-12) {
-		t.Errorf("Inverse = %v, want %v", inv, want)
+		t.Errorf("InverseTo = %v, want %v", inv, want)
 	}
 }
 
@@ -63,18 +77,21 @@ func TestInverseRandomProperty(t *testing.T) {
 		a := randomMatrix(r, n, 5)
 		// Shift the diagonal to keep the matrix comfortably non-singular.
 		for i := 0; i < n; i++ {
-			a.Add(i, i, float64(n)*6)
+			a.Set(i, i, a.At(i, i)+float64(n)*6)
 		}
-		inv, err := Inverse(a)
+		f, err := Factor(a)
 		if err != nil {
-			t.Fatalf("trial %d: Inverse: %v", trial, err)
+			t.Fatalf("trial %d: Factor: %v", trial, err)
 		}
-		prod, _ := Mul(a, inv)
-		if MaxAbsDiff(prod, Identity(n)) > 1e-8 {
-			t.Fatalf("trial %d: A*A^{-1} != I (diff %v)", trial, MaxAbsDiff(prod, Identity(n)))
+		inv := New(n, n)
+		if err := f.InverseTo(inv); err != nil {
+			t.Fatalf("trial %d: InverseTo: %v", trial, err)
 		}
-		prod2, _ := Mul(inv, a)
-		if MaxAbsDiff(prod2, Identity(n)) > 1e-8 {
+		prod := mul(t, a, inv)
+		if MaxAbsDiff(prod, identity(n)) > 1e-8 {
+			t.Fatalf("trial %d: A*A^{-1} != I (diff %v)", trial, MaxAbsDiff(prod, identity(n)))
+		}
+		if MaxAbsDiff(mul(t, inv, a), identity(n)) > 1e-8 {
 			t.Fatalf("trial %d: A^{-1}*A != I", trial)
 		}
 	}
@@ -87,79 +104,29 @@ func TestSolveMatrixRHS(t *testing.T) {
 		t.Fatalf("Factor: %v", err)
 	}
 	b, _ := NewFromRows([][]float64{{2, 4}, {4, 8}})
-	x, err := f.Solve(b)
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
+	// A matrix right-hand side is solved as A⁻¹B, the way the
+	// fundamental matrix is formed.
+	inv := New(2, 2)
+	if err := f.InverseTo(inv); err != nil {
+		t.Fatalf("InverseTo: %v", err)
 	}
+	x := mul(t, inv, b)
 	want, _ := NewFromRows([][]float64{{1, 2}, {1, 2}})
 	if !EqualApprox(x, want, 1e-12) {
-		t.Errorf("Solve = %v, want %v", x, want)
+		t.Errorf("A⁻¹B = %v, want %v", x, want)
 	}
 }
 
 func TestSolveVecDimensionMismatch(t *testing.T) {
-	a := Identity(2)
-	f, err := Factor(a)
+	f, err := Factor(identity(2))
 	if err != nil {
 		t.Fatalf("Factor: %v", err)
 	}
 	if _, err := f.SolveVec([]float64{1, 2, 3}); !errors.Is(err, ErrDimension) {
 		t.Errorf("err = %v, want ErrDimension", err)
 	}
-	if _, err := f.Solve(New(3, 1)); !errors.Is(err, ErrDimension) {
-		t.Errorf("matrix rhs err = %v, want ErrDimension", err)
-	}
-}
-
-func TestDetKnown(t *testing.T) {
-	a, _ := NewFromRows([][]float64{{1, 2}, {3, 4}})
-	d, err := Det(a)
-	if err != nil {
-		t.Fatalf("Det: %v", err)
-	}
-	if math.Abs(d-(-2)) > 1e-12 {
-		t.Errorf("Det = %v, want -2", d)
-	}
-}
-
-func TestDetSingularIsZero(t *testing.T) {
-	a, _ := NewFromRows([][]float64{{1, 2}, {2, 4}})
-	d, err := Det(a)
-	if err != nil {
-		t.Fatalf("Det: %v", err)
-	}
-	if d != 0 {
-		t.Errorf("Det = %v, want 0", d)
-	}
-}
-
-func TestDetPermutationSign(t *testing.T) {
-	// A pure row swap has determinant -1.
-	a, _ := NewFromRows([][]float64{{0, 1}, {1, 0}})
-	d, err := Det(a)
-	if err != nil {
-		t.Fatalf("Det: %v", err)
-	}
-	if math.Abs(d-(-1)) > 1e-12 {
-		t.Errorf("Det = %v, want -1", d)
-	}
-}
-
-func TestDetProductProperty(t *testing.T) {
-	r := rand.New(rand.NewPCG(13, 17))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + r.IntN(5)
-		a := randomMatrix(r, n, 2)
-		b := randomMatrix(r, n, 2)
-		ab, _ := Mul(a, b)
-		da, _ := Det(a)
-		db, _ := Det(b)
-		dab, _ := Det(ab)
-		// Relative tolerance because determinants can be large.
-		scale := math.Max(1, math.Abs(dab))
-		if math.Abs(dab-da*db)/scale > 1e-9 {
-			t.Fatalf("trial %d: det(AB)=%v det(A)det(B)=%v", trial, dab, da*db)
-		}
+	if err := f.InverseTo(New(3, 3)); !errors.Is(err, ErrDimension) {
+		t.Errorf("inverse into wrong shape err = %v, want ErrDimension", err)
 	}
 }
 
@@ -184,7 +151,7 @@ func TestFactorTinyButWellConditioned(t *testing.T) {
 	// A uniformly tiny matrix is perfectly conditioned; the scaled
 	// threshold must not reject it the way an absolute floor would.
 	n := 6
-	a := Identity(n)
+	a := identity(n)
 	for i, v := range a.Data() {
 		a.Data()[i] = v * 1e-20
 	}
@@ -210,15 +177,15 @@ func TestSolveResidualProperty(t *testing.T) {
 		n := 1 + r.IntN(10)
 		a := randomMatrix(r, n, 3)
 		for i := 0; i < n; i++ {
-			a.Add(i, i, float64(n)*4)
+			a.Set(i, i, a.At(i, i)+float64(n)*4)
 		}
 		b := make([]float64, n)
 		for i := range b {
 			b[i] = 10 * (2*r.Float64() - 1)
 		}
-		x, err := SolveLinear(a, b)
+		x, err := solveLinear(a, b)
 		if err != nil {
-			t.Fatalf("trial %d: SolveLinear: %v", trial, err)
+			t.Fatalf("trial %d: solve: %v", trial, err)
 		}
 		ax, _ := MulVec(a, x)
 		for i := range b {

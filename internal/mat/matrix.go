@@ -60,33 +60,6 @@ func NewFromRows(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
-// Identity returns the n-by-n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
-	return m
-}
-
-// Ones returns a matrix of the given shape with every entry set to one.
-func Ones(rows, cols int) *Matrix {
-	m := New(rows, cols)
-	for i := range m.data {
-		m.data[i] = 1
-	}
-	return m
-}
-
-// Diag returns a square matrix with the given diagonal entries.
-func Diag(d []float64) *Matrix {
-	m := New(len(d), len(d))
-	for i, v := range d {
-		m.data[i*len(d)+i] = v
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -105,12 +78,6 @@ func (m *Matrix) Set(i, j int, v float64) {
 	m.data[i*m.cols+j] = v
 }
 
-// Add increments the element at row i, column j by v.
-func (m *Matrix) Add(i, j int, v float64) {
-	m.checkIndex(i, j)
-	m.data[i*m.cols+j] += v
-}
-
 func (m *Matrix) checkIndex(i, j int) {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("mat: index (%d,%d) out of range for %dx%d matrix", i, j, m.rows, m.cols))
@@ -124,18 +91,6 @@ func (m *Matrix) Row(i int) []float64 {
 	}
 	out := make([]float64, m.cols)
 	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: column %d out of range for %dx%d matrix", j, m.rows, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
 	return out
 }
 

@@ -56,26 +56,32 @@ func TestNewFromRowsCopies(t *testing.T) {
 	}
 }
 
-func TestIdentity(t *testing.T) {
-	id := Identity(3)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if got := id.At(i, j); got != want {
-				t.Errorf("I(%d,%d) = %v, want %v", i, j, got, want)
-			}
-		}
+// identity returns the n-by-n identity matrix.
+func identity(n int) *Matrix {
+	m := New(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
 	}
+	return m
 }
 
-func TestDiag(t *testing.T) {
-	d := Diag([]float64{2, 5})
-	if d.At(0, 0) != 2 || d.At(1, 1) != 5 || d.At(0, 1) != 0 {
-		t.Errorf("Diag produced %v", d)
+// mul returns the product a*b through MulTo.
+func mul(t *testing.T, a, b *Matrix) *Matrix {
+	t.Helper()
+	out := New(a.Rows(), b.Cols())
+	if err := MulTo(out, a, b); err != nil {
+		t.Fatalf("MulTo: %v", err)
 	}
+	return out
+}
+
+// transpose returns aᵀ through TransposeTo.
+func transpose(a *Matrix) *Matrix {
+	out := New(a.Cols(), a.Rows())
+	if err := TransposeTo(out, a); err != nil {
+		panic(err)
+	}
+	return out
 }
 
 func TestSetAtRoundTrip(t *testing.T) {
@@ -84,9 +90,9 @@ func TestSetAtRoundTrip(t *testing.T) {
 	if m.At(0, 1) != 7.5 {
 		t.Errorf("round trip = %v, want 7.5", m.At(0, 1))
 	}
-	m.Add(0, 1, 0.5)
-	if m.At(0, 1) != 8 {
-		t.Errorf("after Add = %v, want 8", m.At(0, 1))
+	m.Set(0, 1, 8)
+	if m.At(0, 1) != 8 || m.At(1, 0) != 0 {
+		t.Errorf("after second Set = %v", m)
 	}
 }
 
@@ -97,13 +103,8 @@ func TestRowColCopies(t *testing.T) {
 	if m.At(0, 0) != 1 {
 		t.Error("Row returned a view, want a copy")
 	}
-	c := m.Col(1)
-	if c[0] != 2 || c[1] != 4 {
-		t.Errorf("Col(1) = %v, want [2 4]", c)
-	}
-	c[0] = 42
-	if m.At(0, 1) != 2 {
-		t.Error("Col returned a view, want a copy")
+	if r := m.Row(1); r[0] != 3 || r[1] != 4 {
+		t.Errorf("Row(1) = %v, want [3 4]", r)
 	}
 }
 
@@ -133,13 +134,13 @@ func TestCopyFrom(t *testing.T) {
 func TestAddSubScale(t *testing.T) {
 	a, _ := NewFromRows([][]float64{{1, 2}, {3, 4}})
 	b, _ := NewFromRows([][]float64{{5, 6}, {7, 8}})
-	sum, err := AddM(a, b)
-	if err != nil {
-		t.Fatalf("AddM: %v", err)
+	sum := a.Clone()
+	if err := AddInPlace(sum, 1, b); err != nil {
+		t.Fatalf("AddInPlace: %v", err)
 	}
 	want, _ := NewFromRows([][]float64{{6, 8}, {10, 12}})
 	if !EqualApprox(sum, want, 0) {
-		t.Errorf("AddM = %v", sum)
+		t.Errorf("AddInPlace = %v", sum)
 	}
 	diff, err := SubM(b, a)
 	if err != nil {
@@ -149,16 +150,17 @@ func TestAddSubScale(t *testing.T) {
 	if !EqualApprox(diff, wantDiff, 0) {
 		t.Errorf("SubM = %v", diff)
 	}
-	sc := Scale(2, a)
+	sc := a.Clone()
+	ScaleInPlace(2, sc)
 	wantSc, _ := NewFromRows([][]float64{{2, 4}, {6, 8}})
 	if !EqualApprox(sc, wantSc, 0) {
-		t.Errorf("Scale = %v", sc)
+		t.Errorf("ScaleInPlace = %v", sc)
 	}
 }
 
 func TestAddDimensionMismatch(t *testing.T) {
-	if _, err := AddM(New(2, 2), New(2, 3)); !errors.Is(err, ErrDimension) {
-		t.Errorf("AddM err = %v, want ErrDimension", err)
+	if err := AddInPlace(New(2, 2), 1, New(2, 3)); !errors.Is(err, ErrDimension) {
+		t.Errorf("AddInPlace err = %v, want ErrDimension", err)
 	}
 	if _, err := SubM(New(2, 2), New(3, 2)); !errors.Is(err, ErrDimension) {
 		t.Errorf("SubM err = %v, want ErrDimension", err)
@@ -168,48 +170,43 @@ func TestAddDimensionMismatch(t *testing.T) {
 func TestMulKnown(t *testing.T) {
 	a, _ := NewFromRows([][]float64{{1, 2}, {3, 4}})
 	b, _ := NewFromRows([][]float64{{5, 6}, {7, 8}})
-	p, err := Mul(a, b)
-	if err != nil {
-		t.Fatalf("Mul: %v", err)
-	}
+	p := mul(t, a, b)
 	want, _ := NewFromRows([][]float64{{19, 22}, {43, 50}})
 	if !EqualApprox(p, want, 1e-12) {
-		t.Errorf("Mul = %v, want %v", p, want)
+		t.Errorf("MulTo = %v, want %v", p, want)
 	}
 }
 
 func TestMulIdentity(t *testing.T) {
 	a, _ := NewFromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
-	p, err := Mul(a, Identity(3))
-	if err != nil {
-		t.Fatalf("Mul: %v", err)
-	}
-	if !EqualApprox(p, a, 0) {
+	if p := mul(t, a, identity(3)); !EqualApprox(p, a, 0) {
 		t.Error("A*I != A")
 	}
-	p2, err := Mul(Identity(3), a)
-	if err != nil {
-		t.Fatalf("Mul: %v", err)
-	}
-	if !EqualApprox(p2, a, 0) {
+	if p2 := mul(t, identity(3), a); !EqualApprox(p2, a, 0) {
 		t.Error("I*A != A")
 	}
 }
 
 func TestMulDimensionMismatch(t *testing.T) {
-	if _, err := Mul(New(2, 3), New(2, 3)); !errors.Is(err, ErrDimension) {
-		t.Errorf("Mul err = %v, want ErrDimension", err)
+	if err := MulTo(New(2, 3), New(2, 3), New(2, 3)); !errors.Is(err, ErrDimension) {
+		t.Errorf("MulTo err = %v, want ErrDimension", err)
+	}
+	if err := MulTo(New(2, 2), New(2, 3), New(3, 3)); !errors.Is(err, ErrDimension) {
+		t.Errorf("MulTo into wrong shape err = %v, want ErrDimension", err)
 	}
 }
 
 func TestTranspose(t *testing.T) {
 	a, _ := NewFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	at := Transpose(a)
-	if at.Rows() != 3 || at.Cols() != 2 {
-		t.Fatalf("shape = %dx%d, want 3x2", at.Rows(), at.Cols())
+	at := New(3, 2)
+	if err := TransposeTo(at, a); err != nil {
+		t.Fatalf("TransposeTo: %v", err)
 	}
 	if at.At(2, 1) != 6 || at.At(0, 1) != 4 {
-		t.Errorf("Transpose = %v", at)
+		t.Errorf("TransposeTo = %v", at)
+	}
+	if err := TransposeTo(New(2, 3), a); !errors.Is(err, ErrDimension) {
+		t.Errorf("TransposeTo into wrong shape err = %v, want ErrDimension", err)
 	}
 }
 
@@ -243,9 +240,6 @@ func TestDotAndNorms(t *testing.T) {
 		t.Errorf("Dot err = %v, want ErrDimension", err)
 	}
 	a, _ := NewFromRows([][]float64{{3, 4}})
-	if n := FrobeniusNorm(a); math.Abs(n-5) > 1e-12 {
-		t.Errorf("FrobeniusNorm = %v, want 5", n)
-	}
 	if n := MaxAbs(a); n != 4 {
 		t.Errorf("MaxAbs = %v, want 4", n)
 	}
@@ -272,20 +266,10 @@ func TestRowSumsAndSumVec(t *testing.T) {
 	if rs[0] != 3 || rs[1] != 7 {
 		t.Errorf("RowSums = %v, want [3 7]", rs)
 	}
-	if s := SumVec([]float64{1, 2, 3}); s != 6 {
-		t.Errorf("SumVec = %v, want 6", s)
-	}
-}
-
-func TestOuterOnesRow(t *testing.T) {
-	w := OuterOnesRow([]float64{0.25, 0.75}, 3)
-	if w.Rows() != 3 || w.Cols() != 2 {
-		t.Fatalf("shape = %dx%d", w.Rows(), w.Cols())
-	}
-	for i := 0; i < 3; i++ {
-		if w.At(i, 0) != 0.25 || w.At(i, 1) != 0.75 {
-			t.Errorf("row %d = %v", i, w.Row(i))
-		}
+	// A row vector's only row sum is the sum of the vector.
+	v, _ := NewFromRows([][]float64{{1, 2, 3}})
+	if s := RowSums(v); len(s) != 1 || s[0] != 6 {
+		t.Errorf("RowSums of a row vector = %v, want [6]", s)
 	}
 }
 
@@ -346,10 +330,8 @@ func TestMulAssociativityProperty(t *testing.T) {
 		a := randomMatrix(r, n, 2)
 		b := randomMatrix(r, n, 2)
 		c := randomMatrix(r, n, 2)
-		ab, _ := Mul(a, b)
-		left, _ := Mul(ab, c)
-		bc, _ := Mul(b, c)
-		right, _ := Mul(a, bc)
+		left := mul(t, mul(t, a, b), c)
+		right := mul(t, a, mul(t, b, c))
 		if MaxAbsDiff(left, right) > 1e-9 {
 			t.Fatalf("trial %d: (AB)C != A(BC), diff %v", trial, MaxAbsDiff(left, right))
 		}
@@ -362,7 +344,7 @@ func TestTransposeInvolutionProperty(t *testing.T) {
 	f := func(vals [9]float64) bool {
 		m := New(3, 3)
 		copy(m.Data(), vals[:])
-		return EqualApprox(Transpose(Transpose(m)), m, 0)
+		return EqualApprox(transpose(transpose(m)), m, 0)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -376,9 +358,8 @@ func TestTransposeProductProperty(t *testing.T) {
 		n := 1 + r.IntN(5)
 		a := randomMatrix(r, n, 3)
 		b := randomMatrix(r, n, 3)
-		ab, _ := Mul(a, b)
-		left := Transpose(ab)
-		right, _ := Mul(Transpose(b), Transpose(a))
+		left := transpose(mul(t, a, b))
+		right := mul(t, transpose(b), transpose(a))
 		if MaxAbsDiff(left, right) > 1e-9 {
 			t.Fatalf("trial %d: (AB)^T != B^T A^T", trial)
 		}

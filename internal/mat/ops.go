@@ -5,18 +5,6 @@ import (
 	"math"
 )
 
-// AddM returns a + b.
-func AddM(a, b *Matrix) (*Matrix, error) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return nil, fmt.Errorf("%w: add %dx%d and %dx%d", ErrDimension, a.rows, a.cols, b.rows, b.cols)
-	}
-	out := New(a.rows, a.cols)
-	for i := range a.data {
-		out.data[i] = a.data[i] + b.data[i]
-	}
-	return out, nil
-}
-
 // SubM returns a - b.
 func SubM(a, b *Matrix) (*Matrix, error) {
 	if a.rows != b.rows || a.cols != b.cols {
@@ -27,15 +15,6 @@ func SubM(a, b *Matrix) (*Matrix, error) {
 		out.data[i] = a.data[i] - b.data[i]
 	}
 	return out, nil
-}
-
-// Scale returns s * a as a new matrix.
-func Scale(s float64, a *Matrix) *Matrix {
-	out := New(a.rows, a.cols)
-	for i := range a.data {
-		out.data[i] = s * a.data[i]
-	}
-	return out
 }
 
 // ScaleInPlace multiplies every entry of a by s.
@@ -54,15 +33,6 @@ func AddInPlace(a *Matrix, s float64, b *Matrix) error {
 		a.data[i] += s * b.data[i]
 	}
 	return nil
-}
-
-// Mul returns the matrix product a*b.
-func Mul(a, b *Matrix) (*Matrix, error) {
-	out := New(a.rows, b.cols)
-	if err := MulTo(out, a, b); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // MulTo computes the matrix product a*b into the caller-owned dst, which
@@ -136,13 +106,6 @@ func MulToRows(dst, a, b *Matrix, lo, hi int) error {
 		}
 	}
 	return nil
-}
-
-// Transpose returns the transpose of a.
-func Transpose(a *Matrix) *Matrix {
-	out := New(a.cols, a.rows)
-	_ = TransposeTo(out, a)
-	return out
 }
 
 // TransposeTo writes the transpose of a into the caller-owned dst, which
@@ -230,15 +193,6 @@ func FrobeniusInner(a, b *Matrix) (float64, error) {
 	return s, nil
 }
 
-// FrobeniusNorm returns the Frobenius norm sqrt(sum a_ij^2).
-func FrobeniusNorm(a *Matrix) float64 {
-	var s float64
-	for _, v := range a.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // MaxAbs returns the largest absolute entry of the matrix (the max norm).
 func MaxAbs(a *Matrix) float64 {
 	var m float64
@@ -263,15 +217,6 @@ func RowSums(a *Matrix) []float64 {
 	return out
 }
 
-// SumVec returns the sum of the vector entries.
-func SumVec(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
 // NormVec2 returns the Euclidean norm of x.
 func NormVec2(x []float64) float64 {
 	var s float64
@@ -279,14 +224,4 @@ func NormVec2(x []float64) float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// OuterOnesRow returns the matrix whose every row equals the given row
-// vector; used to build W (all rows equal to the stationary distribution).
-func OuterOnesRow(row []float64, rows int) *Matrix {
-	out := New(rows, len(row))
-	for i := 0; i < rows; i++ {
-		copy(out.data[i*len(row):(i+1)*len(row)], row)
-	}
-	return out
 }

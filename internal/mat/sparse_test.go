@@ -1,7 +1,7 @@
 package mat
 
 import (
-	"math"
+	"errors"
 	"testing"
 
 	"repro/internal/rng"
@@ -20,20 +20,54 @@ func randomSparseDense(src *rng.Source, n int, density float64) *Matrix {
 	return a
 }
 
+// maskedSparse loads the entries of a where mask is nonzero — explicit
+// zeros included — into a CSR matrix through SetRows, the way the markov
+// solver assembles its systems.
+func maskedSparse(a, mask *Matrix) *Sparse {
+	rows, cols := a.Rows(), a.Cols()
+	rc := make([][]int32, rows)
+	rv := make([][]float64, rows)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if mask.At(i, j) != 0 {
+				rc[i] = append(rc[i], int32(j))
+				rv[i] = append(rv[i], a.At(i, j))
+			}
+		}
+	}
+	var s Sparse
+	if err := s.SetRows(rows, cols, rc, rv); err != nil {
+		panic(err)
+	}
+	return &s
+}
+
+// sparseOf loads a's nonzero entries into a CSR matrix.
+func sparseOf(a *Matrix) *Sparse { return maskedSparse(a, a) }
+
+// denseOf reads s back through Row into a dense matrix.
+func denseOf(s *Sparse) *Matrix {
+	out := New(s.rows, s.cols)
+	for i := 0; i < s.rows; i++ {
+		cols, vals := s.Row(i)
+		for k, c := range cols {
+			out.Set(i, int(c), vals[k])
+		}
+	}
+	return out
+}
+
 func TestSparseRoundTrip(t *testing.T) {
 	src := rng.New(1)
 	for _, n := range []int{1, 3, 8, 33} {
 		a := randomSparseDense(src, n, 0.2)
-		s := FromDense(a, 0)
-		back := s.Dense()
+		s := sparseOf(a)
+		back := denseOf(s)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if back.At(i, j) != a.At(i, j) {
 					t.Fatalf("n=%d: round trip changed (%d,%d): %g != %g",
 						n, i, j, back.At(i, j), a.At(i, j))
-				}
-				if s.At(i, j) != a.At(i, j) {
-					t.Fatalf("n=%d: At(%d,%d) = %g, want %g", n, i, j, s.At(i, j), a.At(i, j))
 				}
 			}
 		}
@@ -43,8 +77,8 @@ func TestSparseRoundTrip(t *testing.T) {
 				nnz++
 			}
 		}
-		if s.NNZ() != nnz {
-			t.Fatalf("n=%d: NNZ = %d, want %d", n, s.NNZ(), nnz)
+		if len(s.vals) != nnz {
+			t.Fatalf("n=%d: %d stored entries, want %d", n, len(s.vals), nnz)
 		}
 	}
 }
@@ -52,127 +86,54 @@ func TestSparseRoundTrip(t *testing.T) {
 func TestSparseFromDenseMask(t *testing.T) {
 	a, _ := NewFromRows([][]float64{{1, 0, 2}, {0, 0, 0}, {3, 4, 0}})
 	mask, _ := NewFromRows([][]float64{{1, 1, 0}, {0, 1, 0}, {1, 0, 0}})
-	s, err := FromDenseMask(a, mask)
-	if err != nil {
-		t.Fatalf("FromDenseMask: %v", err)
-	}
+	s := maskedSparse(a, mask)
 	// Support follows the mask: explicit zero at (0,1) and (1,1), entry
 	// (0,2)=2 and (2,1)=4 dropped because the mask is zero there.
-	if s.NNZ() != 4 {
-		t.Fatalf("NNZ = %d, want 4 (mask support)", s.NNZ())
+	if len(s.vals) != 4 {
+		t.Fatalf("%d stored entries, want 4 (mask support)", len(s.vals))
 	}
-	if s.At(0, 1) != 0 || s.At(0, 0) != 1 || s.At(2, 0) != 3 {
-		t.Fatalf("masked values wrong: %v %v %v", s.At(0, 1), s.At(0, 0), s.At(2, 0))
+	cols, vals := s.Row(0)
+	if len(cols) != 2 || cols[0] != 0 || cols[1] != 1 || vals[0] != 1 || vals[1] != 0 {
+		t.Fatalf("row 0 = %v %v, want columns [0 1] values [1 0]", cols, vals)
 	}
-	if s.At(0, 2) != 0 || s.At(2, 1) != 0 {
-		t.Fatalf("entries outside mask kept")
+	if cols, vals := s.Row(1); len(cols) != 1 || cols[0] != 1 || vals[0] != 0 {
+		t.Fatalf("row 1 = %v %v, want an explicit zero at column 1", cols, vals)
 	}
-	cols, _ := s.Row(0)
-	if len(cols) != 2 || cols[0] != 0 || cols[1] != 1 {
-		t.Fatalf("row 0 support = %v, want [0 1]", cols)
-	}
-	if _, err := FromDenseMask(a, New(2, 3)); err == nil {
-		t.Fatalf("mismatched mask accepted")
-	}
-}
-
-func TestSparseMulVec(t *testing.T) {
-	src := rng.New(2)
-	n := 17
-	a := randomSparseDense(src, n, 0.3)
-	s := FromDense(a, 0)
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = src.Float64() - 0.5
-	}
-	got := make([]float64, n)
-	want := make([]float64, n)
-	if err := s.MulVecTo(got, x); err != nil {
-		t.Fatalf("MulVecTo: %v", err)
-	}
-	if err := MulVecTo(want, a, x); err != nil {
-		t.Fatalf("dense MulVecTo: %v", err)
-	}
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("spmv[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-	// Transposed product against the dense transpose.
-	if err := s.MulVecTransTo(got, x); err != nil {
-		t.Fatalf("MulVecTransTo: %v", err)
-	}
-	at := New(n, n)
-	if err := TransposeTo(at, a); err != nil {
-		t.Fatalf("TransposeTo: %v", err)
-	}
-	if err := MulVecTo(want, at, x); err != nil {
-		t.Fatalf("dense tranposed MulVecTo: %v", err)
-	}
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("spmv-t[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-	if err := s.MulVecTo(got, x[:n-1]); err == nil {
-		t.Fatalf("dimension mismatch accepted")
-	}
-}
-
-func TestSparseTranspose(t *testing.T) {
-	src := rng.New(3)
-	a := randomSparseDense(src, 21, 0.25)
-	s := FromDense(a, 0)
-	tr := s.Transpose()
-	for i := 0; i < 21; i++ {
-		cols, _ := tr.Row(i)
-		prev := int32(-1)
-		for _, c := range cols {
-			if c <= prev {
-				t.Fatalf("transpose row %d not strictly ascending: %v", i, cols)
-			}
-			prev = c
-		}
-		for j := 0; j < 21; j++ {
-			if tr.At(i, j) != a.At(j, i) {
-				t.Fatalf("transpose (%d,%d) = %g, want %g", i, j, tr.At(i, j), a.At(j, i))
-			}
-		}
-	}
-	// Double transpose is the identity.
-	back := tr.Transpose().Dense()
-	for i, v := range back.Data() {
-		if v != a.Data()[i] {
-			t.Fatalf("double transpose changed entry %d", i)
-		}
+	if cols, vals := s.Row(2); len(cols) != 1 || cols[0] != 0 || vals[0] != 3 {
+		t.Fatalf("row 2 = %v %v, want [0] [3]", cols, vals)
 	}
 }
 
 func TestNewSparseFromRowsValidates(t *testing.T) {
-	if _, err := NewSparseFromRows(2, 2, [][]int32{{0, 0}, {}}, [][]float64{{1, 2}, {}}); err == nil {
-		t.Fatalf("duplicate column accepted")
+	var s Sparse
+	if err := s.SetRows(2, 2, [][]int32{{0, 0}, {}}, [][]float64{{1, 2}, {}}); !errors.Is(err, ErrDimension) {
+		t.Fatalf("duplicate column: err = %v, want ErrDimension", err)
 	}
-	if _, err := NewSparseFromRows(2, 2, [][]int32{{1, 0}, {}}, [][]float64{{1, 2}, {}}); err == nil {
-		t.Fatalf("descending columns accepted")
+	if err := s.SetRows(2, 2, [][]int32{{1, 0}, {}}, [][]float64{{1, 2}, {}}); !errors.Is(err, ErrDimension) {
+		t.Fatalf("descending columns: err = %v, want ErrDimension", err)
 	}
-	if _, err := NewSparseFromRows(2, 2, [][]int32{{2}, {}}, [][]float64{{1}, {}}); err == nil {
-		t.Fatalf("out-of-range column accepted")
+	if err := s.SetRows(2, 2, [][]int32{{2}, {}}, [][]float64{{1}, {}}); !errors.Is(err, ErrDimension) {
+		t.Fatalf("out-of-range column: err = %v, want ErrDimension", err)
 	}
-	if _, err := NewSparseFromRows(2, 2, [][]int32{{0}}, [][]float64{{1}}); err == nil {
-		t.Fatalf("short row set accepted")
+	if err := s.SetRows(2, 2, [][]int32{{0}}, [][]float64{{1}}); !errors.Is(err, ErrDimension) {
+		t.Fatalf("short row set: err = %v, want ErrDimension", err)
 	}
-	s, err := NewSparseFromRows(2, 3, [][]int32{{0, 2}, {1}}, [][]float64{{1, 2}, {3}})
-	if err != nil {
+	if err := s.SetRows(2, 2, [][]int32{{0, 1}, {}}, [][]float64{{1}, {}}); !errors.Is(err, ErrDimension) {
+		t.Fatalf("column/value count mismatch: err = %v, want ErrDimension", err)
+	}
+	// A valid load after failed ones reuses the storage and is complete.
+	if err := s.SetRows(2, 3, [][]int32{{0, 2}, {1}}, [][]float64{{1, 2}, {3}}); err != nil {
 		t.Fatalf("valid input rejected: %v", err)
 	}
-	if s.At(0, 2) != 2 || s.At(1, 1) != 3 {
-		t.Fatalf("values misplaced")
+	want, _ := NewFromRows([][]float64{{1, 0, 2}, {0, 3, 0}})
+	if got := denseOf(&s); !EqualApprox(got, want, 0) {
+		t.Fatalf("values misplaced:\n%v", got)
 	}
 }
 
 // FuzzSparseRoundTrip checks dense→sparse→dense is lossless for random
-// support masks and values (the CI fuzz-smoke target for the sparse
-// path).
+// support masks and values, explicit zeros inside the support included
+// (the CI fuzz-smoke target for the sparse path).
 func FuzzSparseRoundTrip(f *testing.F) {
 	f.Add(uint64(1), 4)
 	f.Add(uint64(42), 9)
@@ -185,24 +146,22 @@ func FuzzSparseRoundTrip(f *testing.F) {
 		a := New(n, n)
 		mask := New(n, n)
 		ad, md := a.Data(), mask.Data()
+		stored := 0
 		for i := range ad {
 			if src.Float64() < 0.3 {
 				md[i] = 1
+				stored++
 				// Keep some explicit zeros inside the support.
 				if src.Float64() < 0.8 {
 					ad[i] = src.Float64()*2 - 1
 				}
 			}
 		}
-		s, err := FromDenseMask(a, mask)
-		if err != nil {
-			t.Fatalf("FromDenseMask: %v", err)
+		s := maskedSparse(a, mask)
+		if len(s.vals) != stored {
+			t.Fatalf("%d stored entries, want the mask's %d", len(s.vals), stored)
 		}
-		back := New(n, n)
-		if err := s.ToDense(back); err != nil {
-			t.Fatalf("ToDense: %v", err)
-		}
-		bd := back.Data()
+		bd := denseOf(s).Data()
 		for i := range ad {
 			want := ad[i]
 			if md[i] == 0 {
@@ -212,13 +171,9 @@ func FuzzSparseRoundTrip(f *testing.F) {
 				t.Fatalf("entry %d: %g != %g", i, bd[i], want)
 			}
 		}
-		// FromDense (value support) round trip on the same matrix.
-		s2 := FromDense(a, 0)
-		back2 := s2.Dense()
-		for i := range ad {
-			if back2.Data()[i] != ad[i] {
-				t.Fatalf("FromDense round trip changed entry %d", i)
-			}
+		// The value support (no explicit zeros) round-trips too.
+		if back := denseOf(sparseOf(a)); !EqualApprox(back, a, 0) {
+			t.Fatalf("value-support round trip changed entries")
 		}
 	})
 }

@@ -7,9 +7,9 @@ import (
 	"slices"
 )
 
-// DefaultSparsePivotRatio is the scaled pivot-magnitude floor for
-// FactorSparse: a diagonal pivot whose magnitude falls below this ratio
-// of its row's largest input magnitude aborts the no-pivoting
+// DefaultSparsePivotRatio is the scaled pivot-magnitude floor of
+// SparseLU.Refactor: a diagonal pivot whose magnitude falls below this
+// ratio of its row's largest input magnitude aborts the no-pivoting
 // factorization with ErrSingular, mirroring the dense LU's near-singular
 // guard. Callers (the markov sparse path) treat that as "fall back to the
 // dense pivoted solver", so the threshold only needs to catch genuinely
@@ -18,7 +18,7 @@ const DefaultSparsePivotRatio = 1e-12
 
 // SparseLU is a sparse LU factorization PᵀAP = LU without numerical
 // pivoting, where P is a fill-reducing symmetric permutation (minimum
-// degree or reverse Cuthill–McKee, near-dense rows pinned last). L has an
+// degree, near-dense rows pinned last; see FillOrder). L has an
 // implicit unit diagonal; U's diagonal is stored separately. The factor
 // rows live in flat CSR arrays so that Refactor can rebuild the
 // factorization without reallocating — the markov sparse path refactors
@@ -51,36 +51,20 @@ type SparseLU struct {
 	touched []int32
 }
 
-// FactorSparse computes a sparse LU factorization of the square matrix a.
-// pivotRatio scales the near-singular rejection threshold (see
-// DefaultSparsePivotRatio; pass 0 for the default). The factorization
-// rejects — rather than silently amplifies — rows whose diagonal pivot
-// collapses relative to the row's input magnitude.
-func FactorSparse(a *Sparse, pivotRatio float64) (*SparseLU, error) {
-	return FactorSparseOrdered(a, nil, pivotRatio)
-}
-
-// FactorSparseOrdered is FactorSparse with a caller-supplied elimination
-// order (perm[k] = original index of ordered position k). The symbolic
-// analysis — FillOrder or RCMOrder — depends only on the sparsity
-// pattern, so callers that factor a sequence of matrices with identical
-// support (line-search probes, successive descent iterates) can compute
-// the ordering once and amortize it. A nil perm computes FillOrder(a)
-// internally.
-func FactorSparseOrdered(a *Sparse, perm []int, pivotRatio float64) (*SparseLU, error) {
-	f := &SparseLU{}
-	if err := f.Refactor(a, perm, pivotRatio); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// Refactor recomputes the factorization of a into f, reusing f's factor
-// storage. After the first factorization on a given support, subsequent
-// Refactor calls allocate nothing: the fill pattern of a fixed support
-// under a fixed ordering is itself fixed, so the flat arrays are already
-// the right size. perm and pivotRatio behave as in FactorSparseOrdered.
-// On error f is left unusable and must be refactored before solving.
+// Refactor computes the factorization of the square matrix a into f,
+// reusing f's factor storage; a zero SparseLU is ready for it. After the
+// first factorization on a given support, subsequent Refactor calls
+// allocate nothing: the fill pattern of a fixed support under a fixed
+// ordering is itself fixed, so the flat arrays are already the right
+// size. perm is the elimination order (perm[k] = original index of
+// ordered position k); the symbolic analysis depends only on the
+// sparsity pattern, so callers that factor a sequence of matrices with
+// identical support compute it once. A nil perm computes FillOrder(a).
+// pivotRatio scales the near-singular rejection threshold (0 selects
+// DefaultSparsePivotRatio): the factorization rejects — rather than
+// silently amplifies — rows whose diagonal pivot collapses relative to
+// the row's input magnitude. On error f is left unusable and must be
+// refactored before solving.
 func (f *SparseLU) Refactor(a *Sparse, perm []int, pivotRatio float64) error {
 	if a.rows != a.cols {
 		return fmt.Errorf("%w: sparse LU of %dx%d", ErrDimension, a.rows, a.cols)
@@ -198,15 +182,6 @@ func (f *SparseLU) Refactor(a *Sparse, perm []int, pivotRatio float64) error {
 	return nil
 }
 
-// NNZ returns the number of stored factor entries (L + U + diagonal),
-// the fill diagnostic behind the dense↔sparse crossover documentation.
-func (f *SparseLU) NNZ() int {
-	return int(f.lptr[f.n]) + int(f.uptr[f.n]) + f.n
-}
-
-// Order returns the matrix order.
-func (f *SparseLU) Order() int { return f.n }
-
 // SolveVecTo solves A x = b into the caller-owned x, which must not
 // alias b. No allocations occur.
 func (f *SparseLU) SolveVecTo(x, b []float64) error {
@@ -293,63 +268,12 @@ func (f *SparseLU) multiBuf(k int) []float64 {
 	return f.ym[:f.n*k]
 }
 
-// SolveMultiTo solves A X = B for k right-hand sides at once. x and b
-// are n×k row-major blocks — entry (i, r) lives at i*k+r, so column r is
-// one right-hand side — and may alias each other. Streaming every
-// right-hand side through one traversal of the factor amortizes the
-// index decoding that dominates repeated SolveVecTo calls and turns the
-// inner update into a contiguous k-wide AXPY. The permutation gather is
-// fused into the forward sweep and the scatter into the backward one, so
-// each block crosses memory exactly twice.
-func (f *SparseLU) SolveMultiTo(x, b []float64, k int) error {
-	n := f.n
-	if k <= 0 || len(b) != n*k || len(x) != n*k {
-		return fmt.Errorf("%w: sparse multi-solve with %d rhs of %d into %d, want %d", ErrDimension, k, len(b), len(x), n*k)
-	}
-	y := f.multiBuf(k)
-	// Forward: L Y = PB (unit diagonal). Row kk of PB is read exactly
-	// once, when the sweep reaches it, so the gather folds in here.
-	for kk := 0; kk < n; kk++ {
-		row := y[kk*k : (kk+1)*k]
-		copy(row, b[f.perm[kk]*k:(f.perm[kk]+1)*k])
-		cols := f.lcol[f.lptr[kk]:f.lptr[kk+1]]
-		vals := f.lval[f.lptr[kk]:f.lptr[kk+1]]
-		for i, c := range cols {
-			v := vals[i]
-			src := y[int(c)*k : (int(c)+1)*k]
-			for r := range row {
-				row[r] -= v * src[r]
-			}
-		}
-	}
-	// Back: U Y = Y. Row kk is final once its own update runs (its
-	// dependencies all have larger ordered indices), so the scatter to
-	// x[perm[kk]] folds in here; every row of b was consumed in the
-	// forward sweep, so x may alias b.
-	for kk := n - 1; kk >= 0; kk-- {
-		cols := f.ucol[f.uptr[kk]:f.uptr[kk+1]]
-		vals := f.uval[f.uptr[kk]:f.uptr[kk+1]]
-		row := y[kk*k : (kk+1)*k]
-		for i, c := range cols {
-			v := vals[i]
-			src := y[int(c)*k : (int(c)+1)*k]
-			for r := range row {
-				row[r] -= v * src[r]
-			}
-		}
-		d := f.udiag[kk]
-		out := x[f.perm[kk]*k : (f.perm[kk]+1)*k]
-		for r := range row {
-			row[r] /= d
-			out[r] = row[r]
-		}
-	}
-	return nil
-}
-
-// SolveMultiTransTo solves Aᵀ X = B for k right-hand sides at once, with
-// the same n×k row-major block layout as SolveMultiTo. x and b may
-// alias.
+// SolveMultiTransTo solves Aᵀ X = B for k right-hand sides at once. x
+// and b are n×k row-major blocks — entry (i, r) lives at i*k+r, so
+// column r is one right-hand side — and may alias each other. Streaming
+// every right-hand side through one traversal of the factor amortizes
+// the index decoding that dominates repeated single solves and turns the
+// inner update into a contiguous k-wide AXPY.
 func (f *SparseLU) SolveMultiTransTo(x, b []float64, k int) error {
 	n := f.n
 	if k <= 0 || len(b) != n*k || len(x) != n*k {
@@ -400,12 +324,13 @@ func (f *SparseLU) SolveMultiTransTo(x, b []float64, k int) error {
 // sparsity pattern: vertices are eliminated lowest-degree-first with
 // explicit clique formation on a bitset adjacency, which tracks the fill
 // a factorization would actually create. On the 2D geometric supports
-// the markov sparse path factors, this cuts fill 2–4× versus RCMOrder.
+// the markov sparse path factors, this cuts fill 2–4× versus a
+// bandwidth-reducing reverse Cuthill–McKee ordering.
 // Near-dense rows (degree ≥ n/2 — the normalization row of the
 // stationary system) are excluded from the elimination graph and pinned
 // last, where they add no fill to any other row. The ordering depends
-// only on the pattern, so callers may reuse it across
-// FactorSparseOrdered calls on matrices with identical support.
+// only on the pattern, so callers may reuse it across Refactor calls on
+// matrices with identical support.
 func FillOrder(a *Sparse) []int {
 	n := a.rows
 	words := (n + 63) / 64
@@ -487,7 +412,7 @@ func FillOrder(a *Sparse) []int {
 			}
 		}
 	}
-	// Dense vertices eliminate last, in index order, as in RCMOrder.
+	// Dense vertices eliminate last, in index order.
 	for i := 0; i < n; i++ {
 		if dense[i] {
 			order = append(order, i)
@@ -496,218 +421,69 @@ func FillOrder(a *Sparse) []int {
 	return order
 }
 
-// RCMOrder returns a reverse Cuthill–McKee ordering of a's symmetrized
-// sparsity pattern. Near-dense rows (degree ≥ n/2 — the rank-one-shifted
-// last row of the Markov systems) are excluded from the BFS and pinned to
-// the end of the ordering, where their elimination adds no fill to any
-// other row. The ordering depends only on the pattern, so callers may
-// reuse it across FactorSparseOrdered calls on matrices with identical
-// support. Prefer FillOrder, which tracks actual fill instead of
-// bandwidth; RCMOrder remains for comparison and as a cheaper symbolic
-// pass on very large instances.
-func RCMOrder(a *Sparse) []int {
-	n := a.rows
-	// Symmetrized adjacency, diagonal excluded.
-	deg := make([]int, n)
-	for i := 0; i < n; i++ {
-		cols, _ := a.Row(i)
-		for _, c := range cols {
-			if int(c) != i {
-				deg[i]++
-				deg[c]++
-			}
-		}
-	}
-	adjPtr := make([]int, n+1)
-	for i := 0; i < n; i++ {
-		adjPtr[i+1] = adjPtr[i] + deg[i]
-	}
-	adj := make([]int32, adjPtr[n])
-	next := make([]int, n)
-	copy(next, adjPtr[:n])
-	for i := 0; i < n; i++ {
-		cols, _ := a.Row(i)
-		for _, c := range cols {
-			if int(c) != i {
-				adj[next[i]] = c
-				next[i]++
-				adj[next[c]] = int32(i)
-				next[c]++
-			}
-		}
-	}
-
-	dense := make([]bool, n)
-	for i := 0; i < n; i++ {
-		if deg[i] >= n/2 && n > 4 {
-			dense[i] = true
-		}
-	}
-
-	order := make([]int, 0, n)
-	visited := make([]bool, n)
-	// Cuthill–McKee BFS over the sparse vertices, lowest-degree start.
-	nbr := make([]int, 0, n)
-	for {
-		// Symmetrized degrees reach 2(n−1), so the sentinel must sit above
-		// that, not at n+1.
-		start, startDeg := -1, 2*n
-		for i := 0; i < n; i++ {
-			if !visited[i] && !dense[i] && deg[i] < startDeg {
-				start, startDeg = i, deg[i]
-			}
-		}
-		if start < 0 {
-			break
-		}
-		visited[start] = true
-		queue := []int{start}
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			nbr = nbr[:0]
-			for _, vc := range adj[adjPtr[u]:adjPtr[u+1]] {
-				v := int(vc)
-				if !visited[v] && !dense[v] {
-					visited[v] = true
-					nbr = append(nbr, v)
-				}
-			}
-			slices.SortFunc(nbr, func(a, b int) int { return deg[a] - deg[b] })
-			queue = append(queue, nbr...)
-		}
-		order = append(order, queue...)
-	}
-	// Reverse (the "R" in RCM), then append the dense vertices in index
-	// order so they eliminate last.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	for i := 0; i < n; i++ {
-		if dense[i] {
-			order = append(order, i)
-		}
-	}
-	return order
-}
-
-// LowRankSolver solves (A + U·Vᵀ) x = b and its transpose by the
-// Sherman–Morrison–Woodbury identity over a reused sparse factorization
-// of A:
+// LowRankSolver solves (Bᵀ + U·Vᵀ) X = C by the Sherman–Morrison–
+// Woodbury identity over a reused sparse factorization of B: with
+// A = Bᵀ,
 //
 //	(A + UVᵀ)⁻¹ = A⁻¹ − A⁻¹U (I + VᵀA⁻¹U)⁻¹ VᵀA⁻¹.
 //
 // The base factorization is shared, so a rank-r update costs r sparse
 // solves up front and one sparse solve plus O(nr) per subsequent
-// right-hand side — this is how the markov sparse path absorbs the
-// rank-one W = 1πᵀ densification of I − P + W, and how line-search
-// probes that perturb only a handful of transition rows can reuse the
-// factorization of the unperturbed system instead of refactoring.
+// right-hand side. This is how the markov sparse path derives the
+// fundamental-matrix system I − P + W from the factorization of its
+// transposed stationary system, absorbing the rank-one W = 1πᵀ
+// densification and the replaced normalization row as a rank-2 update.
 type LowRankSolver struct {
-	base  *SparseLU
-	trans bool // base factors Aᵀ: swap the base solve directions
-	r     int
-	u, v  [][]float64 // the update columns, copied
-	w     [][]float64 // w_i = A⁻¹ u_i
-	wt    [][]float64 // wt_i = A⁻ᵀ v_i
-	capm  *Matrix     // the capacitance matrix I + VᵀW
-	capT  *Matrix     // its transpose
-	capl  *LU         // dense LU of capm
-	capt  *LU         // dense LU of capT, for SolveVecTransTo
-	s, t  []float64   // rank-sized scratch
-	y     []float64   // order-sized scratch
-	sm    []float64   // rank×k multi-rhs scratch, grown on demand
+	base *SparseLU
+	n, r int
+	v    [][]float64 // the v update columns, copied
+	w    [][]float64 // w_i = A⁻¹ u_i
+	capm *Matrix     // the capacitance matrix I + VᵀW
+	capl *LU         // dense LU of capm
+	s, t []float64   // rank-sized scratch
+	sm   []float64   // rank×k multi-rhs scratch, grown on demand
 }
 
-// bSolve and bSolveT solve against the conceptual base matrix A,
-// honoring the trans flag (base holds a factorization of Aᵀ when set).
-func (lr *LowRankSolver) bSolve(x, b []float64) error {
-	if lr.trans {
-		return lr.base.SolveVecTransTo(x, b)
-	}
-	return lr.base.SolveVecTo(x, b)
-}
-
-func (lr *LowRankSolver) bSolveT(x, b []float64) error {
-	if lr.trans {
-		return lr.base.SolveVecTo(x, b)
-	}
-	return lr.base.SolveVecTransTo(x, b)
-}
-
-func (lr *LowRankSolver) bSolveMulti(x, b []float64, k int) error {
-	if lr.trans {
-		return lr.base.SolveMultiTransTo(x, b, k)
-	}
-	return lr.base.SolveMultiTo(x, b, k)
-}
-
-// NewLowRankSolver builds a Woodbury solver for A + Σᵢ uᵢvᵢᵀ over the
-// given base factorization of A. It returns ErrSingular when the
-// capacitance matrix I + VᵀA⁻¹U is singular (the updated matrix is
-// singular even though A is not).
-func NewLowRankSolver(base *SparseLU, u, v [][]float64) (*LowRankSolver, error) {
-	lr := &LowRankSolver{}
-	if err := lr.reset(base, false, u, v); err != nil {
-		return nil, err
-	}
-	return lr, nil
-}
-
-// RefactorTrans loads lr as a Woodbury solver for a base matrix that is
-// the TRANSPOSE of the factored one: it then solves
-// (Bᵀ + Σᵢ uᵢvᵢᵀ) x = b over the factorization base of B. The markov
+// RefactorTrans loads lr as a Woodbury solver for A + Σᵢ uᵢvᵢᵀ, where
+// A = Bᵀ is the TRANSPOSE of the matrix B that base factors. The markov
 // sparse path uses this to derive the fundamental-matrix system from the
 // already-factored stationary system instead of paying for a second
 // sparse factorization. lr may be a zero LowRankSolver or one loaded
 // before; its buffers are reused while the order and rank stay the same,
 // so a solver that re-derives its update for every solve allocates
-// nothing in steady state. It returns ErrSingular as NewLowRankSolver
-// does; on error lr is left unusable until the next successful call.
+// nothing in steady state. It returns ErrSingular when the capacitance
+// matrix I + VᵀA⁻¹U is singular (the updated matrix is singular even
+// though A is not); on error lr is left unusable until the next
+// successful call.
 func (lr *LowRankSolver) RefactorTrans(base *SparseLU, u, v [][]float64) error {
-	return lr.reset(base, true, u, v)
-}
-
-// reset loads the base factorization and update columns into lr,
-// allocating only when the order or rank changed since the last load.
-func (lr *LowRankSolver) reset(base *SparseLU, trans bool, u, v [][]float64) error {
 	r := len(u)
 	if len(v) != r || r == 0 {
 		return fmt.Errorf("%w: %d update u-columns, %d v-columns", ErrDimension, len(u), len(v))
 	}
 	n := base.n
-	if lr.r != r || len(lr.y) != n {
+	if lr.r != r || lr.n != n {
 		*lr = LowRankSolver{
+			n:    n,
 			r:    r,
-			u:    make([][]float64, r),
 			v:    make([][]float64, r),
 			w:    make([][]float64, r),
-			wt:   make([][]float64, r),
 			capm: New(r, r),
-			capT: New(r, r),
 			capl: NewLU(r),
-			capt: NewLU(r),
 			s:    make([]float64, r),
 			t:    make([]float64, r),
-			y:    make([]float64, n),
 		}
 		for i := 0; i < r; i++ {
-			lr.u[i] = make([]float64, n)
 			lr.v[i] = make([]float64, n)
 			lr.w[i] = make([]float64, n)
-			lr.wt[i] = make([]float64, n)
 		}
 	}
-	lr.base, lr.trans = base, trans
+	lr.base = base
 	for i := 0; i < r; i++ {
 		if len(u[i]) != n || len(v[i]) != n {
 			return fmt.Errorf("%w: update column of %d/%d for order %d", ErrDimension, len(u[i]), len(v[i]), n)
 		}
-		copy(lr.u[i], u[i])
 		copy(lr.v[i], v[i])
-		if err := lr.bSolve(lr.w[i], lr.u[i]); err != nil {
-			return err
-		}
-		if err := lr.bSolveT(lr.wt[i], lr.v[i]); err != nil {
+		if err := base.SolveVecTransTo(lr.w[i], u[i]); err != nil {
 			return err
 		}
 	}
@@ -721,74 +497,18 @@ func (lr *LowRankSolver) reset(base *SparseLU, trans bool, u, v [][]float64) err
 			lr.capm.Set(i, j, d+dot)
 		}
 	}
-	if err := lr.capl.Refactor(lr.capm); err != nil {
-		return err
-	}
-	if err := TransposeTo(lr.capT, lr.capm); err != nil {
-		return err
-	}
-	return lr.capt.Refactor(lr.capT)
+	return lr.capl.Refactor(lr.capm)
 }
 
-// SolveVecTo solves (A + UVᵀ) x = b into x, which must not alias b.
-// No allocations occur.
-func (lr *LowRankSolver) SolveVecTo(x, b []float64) error {
-	if err := lr.bSolve(x, b); err != nil {
+// SolveMultiTo solves (A + UVᵀ) X = C for k right-hand sides in the n×k
+// row-major block layout of SparseLU.SolveMultiTransTo; x and c may
+// alias. After the base solve it applies the rank-r Woodbury correction
+// to the block in place: x −= W · cap⁻¹ · (Vᵀ x).
+func (lr *LowRankSolver) SolveMultiTo(x, c []float64, k int) error {
+	if err := lr.base.SolveMultiTransTo(x, c, k); err != nil {
 		return err
 	}
-	for i := 0; i < lr.r; i++ {
-		dot, _ := Dot(lr.v[i], x)
-		lr.s[i] = dot
-	}
-	if err := lr.capl.SolveVecTo(lr.t, lr.s); err != nil {
-		return err
-	}
-	for i := 0; i < lr.r; i++ {
-		ti := lr.t[i]
-		if ti == 0 {
-			continue
-		}
-		wi := lr.w[i]
-		for j := range x {
-			x[j] -= ti * wi[j]
-		}
-	}
-	return nil
-}
-
-// SolveVecTransTo solves (A + UVᵀ)ᵀ x = b into x, which must not alias
-// b: (Aᵀ + VUᵀ)⁻¹ = A⁻ᵀ − A⁻ᵀV (I + VᵀA⁻¹U)⁻ᵀ UᵀA⁻ᵀ. No allocations
-// occur.
-func (lr *LowRankSolver) SolveVecTransTo(x, b []float64) error {
-	if err := lr.bSolveT(x, b); err != nil {
-		return err
-	}
-	for i := 0; i < lr.r; i++ {
-		dot, _ := Dot(lr.u[i], x)
-		lr.s[i] = dot
-	}
-	if err := lr.capt.SolveVecTo(lr.t, lr.s); err != nil {
-		return err
-	}
-	for i := 0; i < lr.r; i++ {
-		ti := lr.t[i]
-		if ti == 0 {
-			continue
-		}
-		wi := lr.wt[i]
-		for j := range x {
-			x[j] -= ti * wi[j]
-		}
-	}
-	return nil
-}
-
-// woodburyCorrect applies the rank-r Woodbury correction to a solved
-// n×k block in place: x -= W · cap⁻¹ · (Cᵀ x), where C columns are the
-// probe vectors (v for forward solves, u for transpose ones) and W the
-// matching presolved update images.
-func (lr *LowRankSolver) woodburyCorrect(x []float64, k int, c, w [][]float64, capl *LU) error {
-	n := len(lr.y)
+	n := lr.n
 	if cap(lr.sm) < 2*lr.r*k {
 		lr.sm = make([]float64, 2*lr.r*k)
 	}
@@ -799,12 +519,12 @@ func (lr *LowRankSolver) woodburyCorrect(x []float64, k int, c, w [][]float64, c
 	}
 	for i := 0; i < lr.r; i++ {
 		si := s[i*k : (i+1)*k]
-		ci := c[i]
+		vi := lr.v[i]
 		for j := 0; j < n; j++ {
-			if cij := ci[j]; cij != 0 {
+			if vij := vi[j]; vij != 0 {
 				row := x[j*k : (j+1)*k]
 				for r := range si {
-					si[r] += cij * row[r]
+					si[r] += vij * row[r]
 				}
 			}
 		}
@@ -813,7 +533,7 @@ func (lr *LowRankSolver) woodburyCorrect(x []float64, k int, c, w [][]float64, c
 		for i := 0; i < lr.r; i++ {
 			lr.s[i] = s[i*k+r]
 		}
-		if err := capl.SolveVecTo(lr.t, lr.s); err != nil {
+		if err := lr.capl.SolveVecTo(lr.t, lr.s); err != nil {
 			return err
 		}
 		for i := 0; i < lr.r; i++ {
@@ -821,7 +541,7 @@ func (lr *LowRankSolver) woodburyCorrect(x []float64, k int, c, w [][]float64, c
 		}
 	}
 	for i := 0; i < lr.r; i++ {
-		wi := w[i]
+		wi := lr.w[i]
 		ti := t[i*k : (i+1)*k]
 		for j := 0; j < n; j++ {
 			if wij := wi[j]; wij != 0 {
@@ -833,13 +553,4 @@ func (lr *LowRankSolver) woodburyCorrect(x []float64, k int, c, w [][]float64, c
 		}
 	}
 	return nil
-}
-
-// SolveMultiTo solves (A + UVᵀ) X = B for k right-hand sides in the n×k
-// row-major block layout of SparseLU.SolveMultiTo. x and b may alias.
-func (lr *LowRankSolver) SolveMultiTo(x, b []float64, k int) error {
-	if err := lr.bSolveMulti(x, b, k); err != nil {
-		return err
-	}
-	return lr.woodburyCorrect(x, k, lr.v, lr.w, lr.capl)
 }

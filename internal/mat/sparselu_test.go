@@ -28,6 +28,22 @@ func diagDominantSparse(src *rng.Source, n int, density float64) *Matrix {
 	return a
 }
 
+// factorSparse factors a's nonzero pattern with SparseLU.Refactor under
+// the default fill-reducing order.
+func factorSparse(a *Matrix, pivotRatio float64) (*SparseLU, error) {
+	var f SparseLU
+	if err := f.Refactor(sparseOf(a), nil, pivotRatio); err != nil {
+		return nil, err
+	}
+	return &f, nil
+}
+
+// lowRankSolve solves one right-hand side through lr's block solve.
+func lowRankSolve(lr *LowRankSolver, x, b []float64) error {
+	copy(x, b)
+	return lr.SolveMultiTo(x, x, 1)
+}
+
 func TestFactorSparseSolvesLikeDense(t *testing.T) {
 	src := rng.New(4)
 	for _, tc := range []struct {
@@ -37,16 +53,13 @@ func TestFactorSparseSolvesLikeDense(t *testing.T) {
 		{1, 1}, {5, 0.6}, {24, 0.2}, {80, 0.06}, {80, 0.5},
 	} {
 		a := diagDominantSparse(src, tc.n, tc.density)
-		sp := FromDense(a, 0)
-		f, err := FactorSparse(sp, 0)
+		f, err := factorSparse(a, 0)
 		if err != nil {
-			t.Fatalf("n=%d: FactorSparse: %v", tc.n, err)
+			t.Fatalf("n=%d: Refactor: %v", tc.n, err)
 		}
-		if f.Order() != tc.n {
-			t.Fatalf("Order = %d, want %d", f.Order(), tc.n)
-		}
-		if f.NNZ() < tc.n {
-			t.Fatalf("NNZ = %d below order %d", f.NNZ(), tc.n)
+		// Stored factor entries: L + U + diagonal.
+		if fill := int(f.lptr[f.n]) + int(f.uptr[f.n]) + f.n; fill < tc.n {
+			t.Fatalf("fill = %d below order %d", fill, tc.n)
 		}
 		dl, err := Factor(a)
 		if err != nil {
@@ -70,8 +83,7 @@ func TestFactorSparseSolvesLikeDense(t *testing.T) {
 			}
 		}
 		// Transpose solve against the densely factored transpose.
-		at := Transpose(a)
-		dt, err := Factor(at)
+		dt, err := Factor(transpose(a))
 		if err != nil {
 			t.Fatalf("dense Factor(aᵀ): %v", err)
 		}
@@ -86,11 +98,35 @@ func TestFactorSparseSolvesLikeDense(t *testing.T) {
 				t.Fatalf("n=%d dens=%g: xT[%d] = %g, want %g", tc.n, tc.density, i, got[i], want[i])
 			}
 		}
+		// The three-column block solve agrees with three single solves.
+		const k = 3
+		bm := make([]float64, tc.n*k)
+		for i := range bm {
+			bm[i] = src.Float64() - 0.5
+		}
+		xm := make([]float64, len(bm))
+		if err := f.SolveMultiTransTo(xm, bm, k); err != nil {
+			t.Fatalf("sparse multi-solve-T: %v", err)
+		}
+		col := make([]float64, tc.n)
+		for r := 0; r < k; r++ {
+			for i := range col {
+				col[i] = bm[i*k+r]
+			}
+			if err := f.SolveVecTransTo(got, col); err != nil {
+				t.Fatalf("sparse solve-T: %v", err)
+			}
+			for i := range got {
+				if math.Abs(xm[i*k+r]-got[i]) > 1e-12*(1+math.Abs(got[i])) {
+					t.Fatalf("n=%d: block column %d row %d = %g, single solve %g", tc.n, r, i, xm[i*k+r], got[i])
+				}
+			}
+		}
 	}
 }
 
 // TestFactorSparseDenseRowPinned checks the Markov shape specifically:
-// sparse rows plus one dense last row (the e_nπᵀ shift). The RCM ordering
+// sparse rows plus one dense last row (the normalization row). FillOrder
 // pins the dense row last so the factor fill stays near the input fill.
 func TestFactorSparseDenseRowPinned(t *testing.T) {
 	src := rng.New(6)
@@ -104,15 +140,14 @@ func TestFactorSparseDenseRowPinned(t *testing.T) {
 		sum += last[j]
 	}
 	last[n-1] = sum + 1
-	sp := FromDense(a, 0)
-	f, err := FactorSparse(sp, 0)
+	f, err := factorSparse(a, 0)
 	if err != nil {
-		t.Fatalf("FactorSparse: %v", err)
+		t.Fatalf("Refactor: %v", err)
 	}
 	// Fill should stay well under dense (n² = 3600); with the dense row
-	// pinned last it is input-fill plus modest BFS-band fill.
-	if f.NNZ() > n*n/2 {
-		t.Fatalf("fill %d suggests the dense row was not pinned (dense would be %d)", f.NNZ(), n*n)
+	// pinned last it is input fill plus modest elimination fill.
+	if fill := int(f.lptr[f.n]) + int(f.uptr[f.n]) + f.n; fill > n*n/2 {
+		t.Fatalf("fill %d suggests the dense row was not pinned (dense would be %d)", fill, n*n)
 	}
 	dl, err := Factor(a)
 	if err != nil {
@@ -139,33 +174,36 @@ func TestFactorSparseDenseRowPinned(t *testing.T) {
 func TestFactorSparseRejectsSingular(t *testing.T) {
 	// Zero row: rowMax == 0.
 	zr, _ := NewFromRows([][]float64{{1, 0, 0}, {0, 0, 0}, {0, 0, 1}})
-	if _, err := FactorSparse(FromDense(zr, 0), 0); !errors.Is(err, ErrSingular) {
+	if _, err := factorSparse(zr, 0); !errors.Is(err, ErrSingular) {
 		t.Fatalf("zero row: err = %v, want ErrSingular", err)
 	}
 	// Exactly dependent rows: the second pivot cancels to zero.
 	dep, _ := NewFromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := FactorSparse(FromDense(dep, 0), 0); !errors.Is(err, ErrSingular) {
+	if _, err := factorSparse(dep, 0); !errors.Is(err, ErrSingular) {
 		t.Fatalf("dependent rows: err = %v, want ErrSingular", err)
 	}
 	// Near-dependent rows: pivot collapses below the scaled threshold.
 	near, _ := NewFromRows([][]float64{{1, 2}, {2, 4 + 4e-16}})
-	if _, err := FactorSparse(FromDense(near, 0), 1e-12); !errors.Is(err, ErrSingular) {
+	if _, err := factorSparse(near, 1e-12); !errors.Is(err, ErrSingular) {
 		t.Fatalf("near-dependent rows: err = %v, want ErrSingular", err)
 	}
 	// Rectangular input.
-	if _, err := FactorSparse(FromDense(New(2, 3), 0), 0); !errors.Is(err, ErrDimension) {
+	var f SparseLU
+	if err := f.Refactor(sparseOf(New(2, 3)), nil, 0); !errors.Is(err, ErrDimension) {
 		t.Fatalf("rectangular: err = %v, want ErrDimension", err)
 	}
 }
 
+// TestLowRankSolverMatchesDense solves A + u₁v₁ᵀ + u₂v₂ᵀ over the sparse
+// factorization of Aᵀ — the transposed base RefactorTrans takes — against
+// a dense factorization of the updated matrix.
 func TestLowRankSolverMatchesDense(t *testing.T) {
 	src := rng.New(8)
 	n := 40
 	a := diagDominantSparse(src, n, 0.15)
-	sp := FromDense(a, 0)
-	base, err := FactorSparse(sp, 0)
+	base, err := factorSparse(transpose(a), 0)
 	if err != nil {
-		t.Fatalf("FactorSparse: %v", err)
+		t.Fatalf("Refactor(Aᵀ): %v", err)
 	}
 
 	// Rank-2 update A + u₁v₁ᵀ + u₂v₂ᵀ with small random columns (small so
@@ -178,9 +216,9 @@ func TestLowRankSolverMatchesDense(t *testing.T) {
 		v[0][i] = 0.1 * (src.Float64() - 0.5)
 		v[1][i] = 0.1 * (src.Float64() - 0.5)
 	}
-	lr, err := NewLowRankSolver(base, u, v)
-	if err != nil {
-		t.Fatalf("NewLowRankSolver: %v", err)
+	var lr LowRankSolver
+	if err := lr.RefactorTrans(base, u, v); err != nil {
+		t.Fatalf("RefactorTrans: %v", err)
 	}
 
 	// Dense reference: B = A + Σ uᵢvᵢᵀ factored directly.
@@ -195,17 +233,13 @@ func TestLowRankSolverMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dense Factor(B): %v", err)
 	}
-	dt, err := Factor(Transpose(bm))
-	if err != nil {
-		t.Fatalf("dense Factor(Bᵀ): %v", err)
-	}
 
 	rhs := make([]float64, n)
 	for i := range rhs {
 		rhs[i] = src.Float64() - 0.5
 	}
 	got, want := make([]float64, n), make([]float64, n)
-	if err := lr.SolveVecTo(got, rhs); err != nil {
+	if err := lowRankSolve(&lr, got, rhs); err != nil {
 		t.Fatalf("low-rank solve: %v", err)
 	}
 	if err := dl.SolveVecTo(want, rhs); err != nil {
@@ -216,30 +250,19 @@ func TestLowRankSolverMatchesDense(t *testing.T) {
 			t.Fatalf("x[%d] = %g, want %g", i, got[i], want[i])
 		}
 	}
-	if err := lr.SolveVecTransTo(got, rhs); err != nil {
-		t.Fatalf("low-rank solve-T: %v", err)
-	}
-	if err := dt.SolveVecTo(want, rhs); err != nil {
-		t.Fatalf("dense solve-T: %v", err)
-	}
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-			t.Fatalf("xT[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
 }
 
 // TestLowRankSolverRowPerturbation exercises the line-search probe
 // pattern: k rows of A change, expressed as Σ e_{rᵢ}·δᵢᵀ over the
-// unperturbed factorization, so the probe reuses the base LU instead of
-// refactoring.
+// unperturbed factorization (of Aᵀ), so the probe reuses the base LU
+// instead of refactoring.
 func TestLowRankSolverRowPerturbation(t *testing.T) {
 	src := rng.New(12)
 	n := 50
 	a := diagDominantSparse(src, n, 0.12)
-	base, err := FactorSparse(FromDense(a, 0), 0)
+	base, err := factorSparse(transpose(a), 0)
 	if err != nil {
-		t.Fatalf("FactorSparse: %v", err)
+		t.Fatalf("Refactor(Aᵀ): %v", err)
 	}
 
 	rows := []int{3, 17, 41}
@@ -258,9 +281,9 @@ func TestLowRankSolverRowPerturbation(t *testing.T) {
 			pd[r*n+j] += delta
 		}
 	}
-	lr, err := NewLowRankSolver(base, u, v)
-	if err != nil {
-		t.Fatalf("NewLowRankSolver: %v", err)
+	var lr LowRankSolver
+	if err := lr.RefactorTrans(base, u, v); err != nil {
+		t.Fatalf("RefactorTrans: %v", err)
 	}
 	dl, err := Factor(pert)
 	if err != nil {
@@ -271,7 +294,7 @@ func TestLowRankSolverRowPerturbation(t *testing.T) {
 		b[i] = src.Float64() - 0.5
 	}
 	got, want := make([]float64, n), make([]float64, n)
-	if err := lr.SolveVecTo(got, b); err != nil {
+	if err := lowRankSolve(&lr, got, b); err != nil {
 		t.Fatalf("low-rank probe solve: %v", err)
 	}
 	if err := dl.SolveVecTo(want, b); err != nil {
@@ -286,15 +309,19 @@ func TestLowRankSolverRowPerturbation(t *testing.T) {
 
 func TestLowRankSolverRejectsBadShapes(t *testing.T) {
 	a := diagDominantSparse(rng.New(14), 5, 0.5)
-	base, err := FactorSparse(FromDense(a, 0), 0)
+	base, err := factorSparse(a, 0)
 	if err != nil {
-		t.Fatalf("FactorSparse: %v", err)
+		t.Fatalf("Refactor: %v", err)
 	}
-	if _, err := NewLowRankSolver(base, nil, nil); !errors.Is(err, ErrDimension) {
+	var lr LowRankSolver
+	if err := lr.RefactorTrans(base, nil, nil); !errors.Is(err, ErrDimension) {
 		t.Fatalf("rank 0: err = %v, want ErrDimension", err)
 	}
-	if _, err := NewLowRankSolver(base, [][]float64{make([]float64, 4)}, [][]float64{make([]float64, 5)}); !errors.Is(err, ErrDimension) {
+	if err := lr.RefactorTrans(base, [][]float64{make([]float64, 4)}, [][]float64{make([]float64, 5)}); !errors.Is(err, ErrDimension) {
 		t.Fatalf("short column: err = %v, want ErrDimension", err)
+	}
+	if err := lr.RefactorTrans(base, [][]float64{make([]float64, 5)}, nil); !errors.Is(err, ErrDimension) {
+		t.Fatalf("unpaired column: err = %v, want ErrDimension", err)
 	}
 }
 
@@ -306,9 +333,9 @@ func TestLowRankSolverRefactorTransReuse(t *testing.T) {
 	src := rng.New(12)
 	n := 30
 	a := diagDominantSparse(src, n, 0.2)
-	base, err := FactorSparse(FromDense(a, 0), 0)
+	base, err := factorSparse(a, 0)
 	if err != nil {
-		t.Fatalf("FactorSparse: %v", err)
+		t.Fatalf("Refactor: %v", err)
 	}
 	update := func() (u, v [][]float64) {
 		u = [][]float64{make([]float64, n), make([]float64, n)}
@@ -337,7 +364,7 @@ func TestLowRankSolverRefactorTransReuse(t *testing.T) {
 			t.Fatalf("round %d: fresh RefactorTrans: %v", round, err)
 		}
 		// Dense reference: Aᵀ + Σ uᵣvᵣᵀ factored directly.
-		bm := Transpose(a)
+		bm := transpose(a)
 		bd := bm.Data()
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -349,10 +376,10 @@ func TestLowRankSolverRefactorTransReuse(t *testing.T) {
 			t.Fatalf("dense Factor: %v", err)
 		}
 		got, again, want := make([]float64, n), make([]float64, n), make([]float64, n)
-		if err := reused.SolveVecTo(got, rhs); err != nil {
+		if err := lowRankSolve(&reused, got, rhs); err != nil {
 			t.Fatalf("round %d: reused solve: %v", round, err)
 		}
-		if err := fresh.SolveVecTo(again, rhs); err != nil {
+		if err := lowRankSolve(&fresh, again, rhs); err != nil {
 			t.Fatalf("round %d: fresh solve: %v", round, err)
 		}
 		if err := dl.SolveVecTo(want, rhs); err != nil {
