@@ -97,7 +97,7 @@ type IterationEvent struct {
 	// Accepted reports whether the candidate move was kept.
 	Accepted bool `json:"accepted"`
 	// Probes counts the line-search cost evaluations behind the step
-	// choice; scheduling-dependent (see descent.IterRecord.Probes).
+	// choice; equal for every Workers value (see descent.IterRecord.Probes).
 	Probes int `json:"probes"`
 }
 
@@ -145,10 +145,10 @@ type Options struct {
 	// (default DefaultProgressEvery).
 	ProgressEvery int `json:"progressEvery,omitempty"`
 	// Workers is the number of OS-level workers one optimizer iteration may
-	// occupy (gradient assembly and line-search probes are partitioned
-	// across them), for single-sensor and fleet searches alike: both run
-	// the same descent loop. Results are bit-for-bit identical for every
-	// value. Zero selects GOMAXPROCS; one forces the serial path.
+	// occupy (the gradient assembly is partitioned across them), for
+	// single-sensor and fleet searches alike: both run the same descent
+	// loop. Results are bit-for-bit identical for every value. Zero selects
+	// GOMAXPROCS; one forces the serial path.
 	// Scenarios with fewer than 24 PoIs, where fan-out costs more than it
 	// saves, run every iteration on one goroutine whatever Workers says; there
 	// Workers instead bounds how many restarts of a best-of search

@@ -37,18 +37,19 @@ func benchOptimizer(b *testing.B, m, workers int) (*singleOptimizer, []*mat.Matr
 // BenchmarkLineSearchStep measures the line-search half of one V3
 // iteration — the iterate's evaluation and gradient, the search lines
 // built from the Z the gradient forms, then the full search (geometric
-// bracketing plus conservative trisection, a few dozen probes) —
-// serially (W1) and fanned out across a two-worker pool (W2) at every
-// size, with the fan-out threshold lifted so W2 always forks. Every op
-// re-primes the iterate, so no op starts from the previous op's last
-// probe and W1 and W2 time the same work. This is the descent hot
+// bracketing plus conservative trisection, a few dozen probes) — with no
+// pool (W1) and with the gradient fanned out across a two-worker pool
+// (W2) at every size, the fan-out threshold lifted so W2 always forks.
+// The probes run serially on both sides; only the gradient differs.
+// Every op re-primes the iterate, so no op starts from the previous op's
+// last probe and W1 and W2 time the same work. This is the descent hot
 // loop's dominant cost, it runs allocation-free, and the W2/W1 ratio per
 // size is the crossover minFanOutOrder is set from.
 func BenchmarkLineSearchStep(b *testing.B) {
 	prev := minFanOutOrder
 	minFanOutOrder = 0
 	defer func() { minFanOutOrder = prev }()
-	for _, m := range []int{4, 8, 16, 24, 32, 64} {
+	for _, m := range []int{4, 8, 16, 24, 32, 48, 64, 128} {
 		for _, workers := range []int{1, 2} {
 			opt, p, dir, curU := benchOptimizer(b, m, workers)
 			b.Run(fmt.Sprintf("M%d/W%d", m, workers), func(b *testing.B) {

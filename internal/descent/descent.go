@@ -133,8 +133,9 @@ type Options struct {
 	// Tolerance is the relative improvement threshold for stall counting.
 	Tolerance float64
 	// Workers is the number of OS-level workers one iteration may occupy:
-	// the gradient assembly, its O(M³) contractions, and the line-search
-	// probes are row- or probe-partitioned across them. Results are
+	// the gradient assembly and its O(M³) contractions are row-partitioned
+	// across them; the line search runs its probes one after another on
+	// the calling goroutine. Results, probe counts included, are
 	// bit-for-bit identical for every value — parallelism here changes
 	// scheduling, never arithmetic order. Zero selects GOMAXPROCS; one
 	// forces the exact serial code path (no pool, no extra goroutines).
@@ -234,9 +235,8 @@ type IterRecord struct {
 	Accepted bool
 	// Probes counts the line-search cost evaluations behind this
 	// iteration's step choice (always 0 for the Basic variant's fixed
-	// step). The count is scheduling-dependent: the batched search may
-	// evaluate probes past the serial cutoff, so it can differ across
-	// Workers settings even though the chosen step is bit-identical.
+	// step). The search is one serial scan whatever Workers says, so the
+	// count is exact and equal across Workers settings.
 	Probes int
 }
 
@@ -277,28 +277,20 @@ type Optimizer[S State[E], E any] struct {
 	src  *rng.Source
 	k, m int
 
-	st   S             // evaluation state of iterates, candidates and serial probes
+	st   S             // evaluation state of iterates, candidates and probes
 	grad []*mat.Matrix // gradient blocks (V4 perturbs them in place)
 	dir  []*mat.Matrix // projected (negated) descent direction
 	cand []*mat.Matrix // line-search / acceptance candidate stack
 
 	// lines are the current iteration's per-sensor search lines, built
 	// from the iterate's evaluation right after its gradient and only
-	// read by the line-search probes, serial and batched. Nil for Basic,
-	// which runs no line search.
+	// read by the line-search probes. Nil for Basic, which runs no line
+	// search.
 	lines []*markov.Line
 
-	// Parallel machinery, nil/empty when NewIterationPool gives no pool
-	// (Workers <= 1, or M below the fan-out crossover). Each pool worker
-	// owns a private evaluation state and candidate stack so probe
-	// batches share nothing mutable; probeDelta/probeU are the batched
-	// line search's step grid and results.
-	pool       *par.Pool
-	probeSt    []S
-	probeCand  [][]*mat.Matrix
-	probeDelta []float64
-	probeU     []float64
-	ptask      probeTask[S, E]
+	// pool fans out the state's gradient; nil when NewIterationPool gives
+	// no pool (Workers <= 1, or M below the fan-out crossover).
+	pool *par.Pool
 
 	// probes counts φ evaluations of the current iteration's line search;
 	// reset on lineSearch entry, reported via IterRecord.Probes.
@@ -306,19 +298,15 @@ type Optimizer[S State[E], E any] struct {
 }
 
 // minFanOutOrder is the chain order M from which one optimizer iteration
-// fans out across a worker pool. Below it the fork/join handshake of
-// every probe batch and gradient phase costs more than the parallel work
-// saves. It was set where the fan-out first won BenchmarkLineSearchStep
-// (Workers=2 against Workers=1, 2-vCPU Xeon VM, Go 1.24), before probes
-// became O(M²) line solves. With line probes that sweep reads W2 slower
-// than W1 up to M = 64 (+27% time at M24, +8% at M32, +1% at M64; DESIGN
-// §8.5), but end to end the batched probes cost nothing measurable: on
-// the perfbench field workload (M = 64), serial probes with the gradient
-// still fanned out read iters_per_s 0.93 of the batched search over 6
-// interleaved 10 s pairs and 1.00 over 16 more, inside the runs' spread.
-// Both searches stay, selected by M through this value, until an
-// end-to-end measurement separates them (ROADMAP item 2). Tests lower it
-// to exercise the pooled paths on small models.
+// fans its gradient out across a worker pool; the line search always
+// runs on the calling goroutine. Below it the fork/join handshake of
+// every gradient phase costs more than the parallel work saves. It was
+// set where the fan-out first won BenchmarkLineSearchStep (Workers=2
+// against Workers=1, 2-vCPU Xeon VM, Go 1.24). Re-measured with the
+// gradient the only fan-out (median of five runs, DESIGN §8.4), W2 reads
+// +11% time at M = 24, +4% at M = 32, −3% at M = 48 and −30% at M = 64;
+// it won at both 24 and 32 in one of the five runs, so the value stays.
+// Tests lower it to exercise the pooled gradient on small models.
 var minFanOutOrder = 24
 
 // NewIterationPool returns the pool one optimizer iteration over M-state
@@ -377,18 +365,6 @@ func NewOptimizer[S State[E], E any](obj Objective[S], opts Options) (*Optimizer
 		pool: NewIterationPool(opts.Workers, m),
 	}
 	o.st = obj.NewState(opts.Solver, o.pool)
-	if o.pool != nil {
-		w := o.pool.Workers()
-		o.probeSt = make([]S, w)
-		o.probeCand = make([][]*mat.Matrix, w)
-		for i := 0; i < w; i++ {
-			o.probeSt[i] = obj.NewState(opts.Solver, nil)
-			o.probeCand[i] = newStack(k, m)
-		}
-		o.probeDelta = make([]float64, 0, lsMaxProbes)
-		o.probeU = make([]float64, lsMaxProbes)
-		o.ptask.o = o
-	}
 	if opts.Variant != Basic {
 		o.lines = make([]*markov.Line, k)
 		for s := range o.lines {
@@ -420,7 +396,7 @@ func newStack(k, m int) []*mat.Matrix {
 // allocates nothing starts every collection inside the next model
 // build, and the peak live heap of perfbench's 64-PoI field workload
 // read 5.8 MB in some runs and 10-11.7 MB in others on a 2-vCPU VM
-// (DESIGN.md §8.5); with a clone per improvement it reads 5.8-6.4 MB.
+// (DESIGN.md §8.4); with a clone per improvement it reads 5.8-6.4 MB.
 // The results are identical either way.
 func (o *Optimizer[S, E]) keepBest(res *Result[E], ps []*mat.Matrix) {
 	if o.pool != nil {
@@ -842,10 +818,6 @@ func (o *Optimizer[S, E]) lineSearch(p, dir []*mat.Matrix, curU float64) (float6
 	if bound <= 0 {
 		return 0, curU, false
 	}
-	target := improvementTarget(curU)
-	if o.pool.Workers() > 1 {
-		return o.lineSearchBatched(p, dir, curU, bound, target)
-	}
 
 	// Phase 1: geometric scan δ_k = bound / 4^k. The scan stops once the
 	// incumbent has been left behind by two scales (φ is locally unimodal
@@ -865,7 +837,7 @@ func (o *Optimizer[S, E]) lineSearch(p, dir []*mat.Matrix, curU float64) (float6
 			}
 		}
 	}
-	if bestStep == 0 || bestU >= target {
+	if bestStep == 0 || bestU >= improvementTarget(curU) {
 		return 0, curU, false
 	}
 
@@ -895,120 +867,23 @@ func (o *Optimizer[S, E]) lineSearch(p, dir []*mat.Matrix, curU float64) (float6
 	return bestStep, bestU, true
 }
 
-// Line-search shape constants, shared by the serial and batched paths so
-// both walk the identical step grid.
+// Line-search shape constants.
 const (
 	// lsShrink is the geometric scan's scale factor.
 	lsShrink = 4.0
-	// lsMaxProbes caps the phase-1 grid (and sizes the probe buffers).
+	// lsMaxProbes caps the phase-1 grid.
 	lsMaxProbes = 48
 )
 
-// lineSearchBatched is the line search with probe evaluations fanned out
-// across the pool. φ(δ) is a pure function of δ — every probe builds its
-// candidate in a worker-private stack and evaluates it in a
-// worker-private state — so evaluating a batch ahead of the serial
-// decision point changes no values. The selection logic below then
-// replays the serial scan in grid order over the batch results (including
-// the two-scale worse-streak cutoff, which just discards any probes past
-// the serial break), so the chosen step, cost, and ok flag are bit-for-bit
-// the serial ones.
-func (o *Optimizer[S, E]) lineSearchBatched(p, dir []*mat.Matrix, curU, bound, target float64) (float64, float64, bool) {
-	deltas := o.probeDelta[:0]
-	for k, delta := 0, bound; k < lsMaxProbes && delta > 1e-18*bound; k, delta = k+1, delta/lsShrink {
-		deltas = append(deltas, delta)
-	}
-	width := o.pool.Workers()
-	bestStep, bestU := 0.0, curU
-	worseStreak := 0
-scan:
-	for start := 0; start < len(deltas); start += width {
-		end := min(start+width, len(deltas))
-		o.evalProbes(p, dir, deltas[start:end], start)
-		for idx := start; idx < end; idx++ {
-			if u := o.probeU[idx]; u < bestU {
-				bestStep, bestU = deltas[idx], u
-				worseStreak = 0
-			} else if bestStep > 0 {
-				worseStreak++
-				if worseStreak >= 2 {
-					break scan
-				}
-			}
-		}
-	}
-	if bestStep == 0 || bestU >= target {
-		return 0, curU, false
-	}
-
-	// Phase 2: both trisection probes of each round are independent, so
-	// they evaluate concurrently; the bracket update is unchanged.
-	lo := bestStep / lsShrink
-	hi := math.Min(bound, bestStep*lsShrink)
-	tol := o.opts.LineSearchTol * (hi - lo)
-	pair := o.probeDelta[:2]
-	for hi-lo > tol {
-		m1 := lo + (hi-lo)/3
-		m2 := hi - (hi-lo)/3
-		pair[0], pair[1] = m1, m2
-		o.evalProbes(p, dir, pair, 0)
-		u1 := o.probeU[0]
-		u2 := o.probeU[1]
-		if u1 < bestU {
-			bestStep, bestU = m1, u1
-		}
-		if u2 < bestU {
-			bestStep, bestU = m2, u2
-		}
-		if u1 <= u2 {
-			hi = m2
-		} else {
-			lo = m1
-		}
-	}
-	return bestStep, bestU, true
-}
-
-// probeTask evaluates a batch of line-search probes; probe k of the batch
-// lands in probeU[base+k]. It lives inside the Optimizer so dispatching it
-// does not allocate.
-type probeTask[S State[E], E any] struct {
-	o      *Optimizer[S, E]
-	p, dir []*mat.Matrix
-	ds     []float64
-	base   int
-}
-
-func (t *probeTask[S, E]) Run(w, lo, hi int) {
-	o := t.o
-	for k := lo; k < hi; k++ {
-		o.probeU[t.base+k] = phiIn(o.probeSt[w], o.probeCand[w], o.lines, t.p, t.dir, t.ds[k])
-	}
-}
-
-// evalProbes computes φ(δ) for every δ in ds across the pool, writing
-// results to probeU[base:base+len(ds)].
-func (o *Optimizer[S, E]) evalProbes(p, dir []*mat.Matrix, ds []float64, base int) {
-	o.probes += len(ds)
-	o.ptask.p, o.ptask.dir, o.ptask.ds, o.ptask.base = p, dir, ds, base
-	o.pool.Run(len(ds), &o.ptask)
-}
-
 // phi computes φ(δ) = U(P + δ·dir) on the search lines into the
-// optimizer's candidate stack and state, allocating nothing.
+// optimizer's candidate stack and state, allocating nothing. Infeasible
+// or non-ergodic probes evaluate to +Inf.
 func (o *Optimizer[S, E]) phi(p, dir []*mat.Matrix, delta float64) float64 {
 	o.probes++
-	return phiIn(o.st, o.cand, o.lines, p, dir, delta)
-}
-
-// phiIn is phi against an explicit state and candidate stack, so batched
-// probes can run in worker-private storage; the lines are shared and
-// only read. Infeasible or non-ergodic probes evaluate to +Inf.
-func phiIn[S State[E], E any](st S, cand []*mat.Matrix, lines []*markov.Line, p, dir []*mat.Matrix, delta float64) float64 {
-	if err := stepTo(cand, p, dir, delta); err != nil {
+	if err := stepTo(o.cand, p, dir, delta); err != nil {
 		return math.Inf(1)
 	}
-	u, err := st.Probe(lines, cand, delta)
+	u, err := o.st.Probe(o.lines, o.cand, delta)
 	if err != nil {
 		return math.Inf(1)
 	}

@@ -140,9 +140,10 @@ func TestGoldenTraces(t *testing.T) {
 	}
 }
 
-// TestGoldenTracesWithWorkers replays the goldens with the line-search
-// probes and gradient fanned out over four workers: the fan-out must
-// not change a single bit of the trajectory.
+// TestGoldenTracesWithWorkers replays the goldens with Workers: 4, which
+// must not change a single bit of the trajectory. The golden model is
+// below the fan-out threshold, so no pool is attached here;
+// TestWorkersDeterminism forces one.
 func TestGoldenTracesWithWorkers(t *testing.T) {
 	model := goldenModel(t)
 	for _, tc := range goldenVariants {

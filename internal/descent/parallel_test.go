@@ -14,8 +14,8 @@ import (
 
 // forceFanOut drops the fan-out threshold for the rest of the test, so
 // multi-worker optimizers over the small test models take the pooled
-// gradient and batched line-search paths that minFanOutOrder would
-// otherwise skip. Tests in this package do not run in parallel.
+// gradient path that minFanOutOrder would otherwise skip. Tests in this
+// package do not run in parallel.
 func forceFanOut(t *testing.T) {
 	t.Helper()
 	prev := minFanOutOrder
@@ -53,28 +53,27 @@ func testModel16(t *testing.T) *cost.Model {
 	return model
 }
 
-// traceKey folds a full Result — trace scalars, counters, and the final
-// matrix — into exact bit patterns so two runs can be compared for
-// byte-identical behavior.
+// traceKey folds a full Result — trace scalars, probe counts, counters,
+// and the final matrix — into exact bit patterns so two runs can be
+// compared for byte-identical behavior.
 func traceKey(t *testing.T, res *singleResult) string {
 	t.Helper()
 	key := fmt.Sprintf("iters=%d conv=%v local=%v acc=%d rej=%d u=%#x p=%#x",
 		res.Iters, res.Converged, res.LocalOptimum, res.Accepted, res.Rejected,
 		math.Float64bits(res.Eval.U), pHash(res))
 	for _, rec := range res.Trace {
-		key += fmt.Sprintf("|%d:%#x:%#x:%#x:%#x:%#x:%v",
+		key += fmt.Sprintf("|%d:%#x:%#x:%#x:%#x:%#x:%v:%d",
 			rec.Iter, math.Float64bits(rec.U), math.Float64bits(rec.Objective),
 			math.Float64bits(rec.DeltaC), math.Float64bits(rec.EBar),
-			math.Float64bits(rec.Step), rec.Accepted)
+			math.Float64bits(rec.Step), rec.Accepted, rec.Probes)
 	}
 	return key
 }
 
 // TestWorkersDeterminism runs every variant with Workers: 1 (the exact
 // serial path, no pool) and Workers: 4 (parallel gradient rows, pooled
-// contractions, batched line-search probes) and requires byte-identical
-// traces and final iterates. This is the tentpole contract: parallelism
-// changes scheduling, never arithmetic.
+// contractions) and requires byte-identical traces, probe counts and
+// final iterates: parallelism changes scheduling, never arithmetic.
 func TestWorkersDeterminism(t *testing.T) {
 	forceFanOut(t)
 	model := testModel16(t)
@@ -132,7 +131,7 @@ func TestFanOutThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.pool != nil || opt.probeSt != nil {
+	if opt.pool != nil {
 		t.Fatal("16-PoI optimizer attached a pool below the fan-out threshold")
 	}
 }
@@ -310,9 +309,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// searchObjectives are the objectives the batched line search is held
-// to serial-identical steps on: the 16-PoI test model as one sensor, and
-// a fleet of two sensors over it.
+// searchObjectives are the objectives the line-search tests run on: the
+// 16-PoI test model as one sensor, and a fleet of two sensors over it.
 func searchObjectives(t *testing.T) (one, two Objective[*fleet.State]) {
 	t.Helper()
 	model := testModel16(t)
@@ -325,39 +323,4 @@ func searchObjectives(t *testing.T) (one, two Objective[*fleet.State]) {
 		t.Fatal(err)
 	}
 	return fm1, fm2
-}
-
-// TestBatchedLineSearchMatchesSerial compares the serial and batched line
-// searches directly on the same inputs: same step, same cost, same flag,
-// bit for bit, for a single sensor and for a K = 2 fleet.
-func TestBatchedLineSearchMatchesSerial(t *testing.T) {
-	forceFanOut(t)
-	one, two := searchObjectives(t)
-	t.Run("single", func(t *testing.T) { batchedMatchesSerial(t, one) })
-	t.Run("fleet-k2", func(t *testing.T) { batchedMatchesSerial(t, two) })
-}
-
-func batchedMatchesSerial[S State[E], E any](t *testing.T, obj Objective[S]) {
-	serial, err := NewOptimizer(obj, Options{Variant: Adaptive, Seed: 1, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched, err := NewOptimizer(obj, Options{Variant: Adaptive, Seed: 1, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { batched.pool.Stop() })
-	p, dir, curU := searchInputs(t, serial)
-	primeSearch(t, batched, p, dir)
-
-	s1, u1, ok1 := serial.lineSearch(p, dir, curU)
-	s2, u2, ok2 := batched.lineSearch(p, dir, curU)
-	requireForked(t, batched)
-	if !ok1 || s1 <= 0 {
-		t.Fatalf("serial search found no step (%v, %v)", s1, ok1)
-	}
-	if math.Float64bits(s1) != math.Float64bits(s2) ||
-		math.Float64bits(u1) != math.Float64bits(u2) || ok1 != ok2 {
-		t.Errorf("serial (%v, %v, %v) != batched (%v, %v, %v)", s1, u1, ok1, s2, u2, ok2)
-	}
 }

@@ -314,19 +314,15 @@ func (s *poolSpy) NewState(solver markov.Method, pool *par.Pool) *State {
 	return s.Model.NewState(solver, pool)
 }
 
-// sameTrace compares two traces record by record; Probes only when
-// withProbes is set, since the batched line search of a pooled
-// iteration may evaluate probes past the serial cutoff.
-func sameTrace(t *testing.T, a, b []descent.IterRecord, label string, withProbes bool) {
+// sameTrace compares two traces record by record, probe counts
+// included.
+func sameTrace(t *testing.T, a, b []descent.IterRecord, label string) {
 	t.Helper()
 	if len(a) != len(b) {
 		t.Fatalf("%s: trace lengths %d vs %d", label, len(a), len(b))
 	}
 	for i := range a {
 		ra, rb := a[i], b[i]
-		if !withProbes {
-			ra.Probes, rb.Probes = 0, 0
-		}
 		if ra != rb {
 			t.Fatalf("%s: trace[%d] differs:\n  %+v\n  %+v", label, i, ra, rb)
 		}
@@ -358,7 +354,7 @@ func TestOptimizeDeterministic(t *testing.T) {
 		Workers:     1,
 	}
 	a, b := optimize(t, cm, 2, opts), optimize(t, cm, 2, opts)
-	sameTrace(t, a.Trace, b.Trace, "repeat run", true)
+	sameTrace(t, a.Trace, b.Trace, "repeat run")
 	sameStack(t, a.Ps, b.Ps, "repeat run")
 	if a.Eval.U != b.Eval.U {
 		t.Fatalf("best U %v vs %v", a.Eval.U, b.Eval.U)
@@ -367,11 +363,10 @@ func TestOptimizeDeterministic(t *testing.T) {
 
 // TestOptimizeWorkersBitIdentical is the fleet golden-trace discipline:
 // the joint descent must produce bit-identical traces and matrices for
-// every Workers count, because parallelism only moves line-search probes
-// to worker-private states and row-partitions the gradient assembly. The
-// field has 24 PoIs, the smallest M at which descent.NewIterationPool
-// lets an iteration fan out, so the multi-worker runs really take the
-// pooled path.
+// every Workers count, probe counts included, because parallelism only
+// row-partitions the gradient assembly. The field has 24 PoIs, the
+// smallest M at which descent.NewIterationPool lets an iteration fan
+// out, so the multi-worker runs really take the pooled path.
 func TestOptimizeWorkersBitIdentical(t *testing.T) {
 	cm := field24(t)
 	base := descent.Options{
@@ -395,7 +390,7 @@ func TestOptimizeWorkersBitIdentical(t *testing.T) {
 			t.Fatalf("workers=%d: the fleet optimizer never fanned out", w)
 		}
 		label := "workers=" + string(rune('0'+w))
-		sameTrace(t, ref.Trace, got.Trace, label, false)
+		sameTrace(t, ref.Trace, got.Trace, label)
 		sameStack(t, ref.Ps, got.Ps, label)
 		if ref.Eval.U != got.Eval.U {
 			t.Fatalf("workers=%d: best U %v vs %v", w, got.Eval.U, ref.Eval.U)

@@ -14,7 +14,11 @@
 #   4. both plans deploy through POST /deployments on the same
 #      instance and advance 200 lockstep steps, the fleet deployment
 #      reporting its 3 sensors and 3 positions;
-#   5. the fleet metrics are exposed and the process drains cleanly
+#   5. GET /jobs?status=done lists both jobs; GET /deployments lists
+#      the fleet deployment and GET /deployments/{id} returns it;
+#      DELETE /deployments/{id} stops it, and a later advance is
+#      refused with 409;
+#   6. the fleet metrics are exposed and the process drains cleanly
 #      on SIGTERM.
 #
 # Environment:
@@ -66,6 +70,16 @@ done
 BASE="http://$addr"
 echo "fleetsmoke: serve up: $BASE"
 
+# call <method> <path> <status> <outfile> [body]: one request whose
+# response body goes to <outfile>; fails unless the HTTP status is
+# <status>.
+call() {
+	c_method=$1 c_path=$2 c_want=$3 c_out=$4
+	c_code=$(curl -sS -X "$c_method" -o "$c_out" -w '%{http_code}' ${5:+-d "$5"} "$BASE$c_path") ||
+		fail "$c_method $c_path: request failed"
+	[ "$c_code" = "$c_want" ] || fail "$c_method $c_path: status $c_code, want $c_want: $(cat "$c_out")"
+}
+
 # submit_and_wait <kind> <outfile>: submit the fleetdemo-emitted spec,
 # wait for completion, download the plan envelope.
 submit_and_wait() {
@@ -74,6 +88,7 @@ submit_and_wait() {
 		curl -fsS -X POST "$BASE/jobs" -d @- |
 		sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')
 	[ -n "$sw_id" ] || fail "$sw_kind submit returned no job id"
+	JOB_IDS="$JOB_IDS $sw_id"
 	echo "fleetsmoke: submitted $sw_kind job $sw_id"
 	sw_t=0
 	while :; do
@@ -87,6 +102,7 @@ submit_and_wait() {
 	curl -fsS "$BASE/jobs/$sw_id/plan" >"$sw_out" || fail "cannot fetch $sw_kind plan"
 }
 
+JOB_IDS=""
 submit_and_wait single "$WORK/single_plan.json"
 submit_and_wait fleet "$WORK/fleet_plan.json"
 
@@ -114,6 +130,7 @@ deploy_and_advance() {
 	curl -fsS -X POST "$BASE/deployments/$da_id/advance" -d '{"steps": 200}' >"$da_out" ||
 		fail "cannot advance $da_kind deployment $da_id"
 	grep -q '"step": 201,' "$da_out" || fail "$da_kind deployment $da_id is not at step 201"
+	DEPLOYMENT_ID=$da_id
 	echo "fleetsmoke: $da_kind deployment $da_id advanced to step 201"
 }
 
@@ -129,6 +146,28 @@ grep -q '^fleet_jobs_total 1$' "$WORK/metrics.txt" ||
 	fail "fleet_jobs_total != 1 in /metrics"
 grep -q '^fleet_deployments_total 1$' "$WORK/metrics.txt" ||
 	fail "fleet_deployments_total != 1 in /metrics"
+
+# The list, get and stop paths of both services.
+call GET "/jobs?status=done" 200 "$WORK/jobs_done.json"
+for id in $JOB_IDS; do
+	grep -q "\"id\": *\"$id\"" "$WORK/jobs_done.json" ||
+		fail "GET /jobs?status=done does not list job $id"
+done
+call GET /deployments 200 "$WORK/deployments.json"
+grep -q "\"id\": *\"$DEPLOYMENT_ID\"" "$WORK/deployments.json" ||
+	fail "GET /deployments does not list deployment $DEPLOYMENT_ID"
+call GET "/deployments/$DEPLOYMENT_ID" 200 "$WORK/deployment.json"
+grep -q "\"id\": *\"$DEPLOYMENT_ID\"" "$WORK/deployment.json" ||
+	fail "GET /deployments/$DEPLOYMENT_ID returned another deployment"
+grep -q '"state": *"active"' "$WORK/deployment.json" ||
+	fail "deployment $DEPLOYMENT_ID is not active before the stop"
+call DELETE "/deployments/$DEPLOYMENT_ID" 200 "$WORK/stopped.json"
+grep -q '"state": *"stopped"' "$WORK/stopped.json" ||
+	fail "DELETE /deployments/$DEPLOYMENT_ID did not report the stopped state"
+call POST "/deployments/$DEPLOYMENT_ID/advance" 409 "$WORK/advance_stopped.json" '{"steps": 1}'
+grep -q '"error"' "$WORK/advance_stopped.json" ||
+	fail "advance of stopped deployment $DEPLOYMENT_ID returned no error body"
+echo "fleetsmoke: listed both jobs, stopped deployment $DEPLOYMENT_ID"
 
 kill $PIDS 2>/dev/null || true
 rc=0
