@@ -490,12 +490,15 @@ func BenchmarkGradientFiniteDifference(b *testing.B) {
 // BenchmarkProbe measures one line-search probe — the cost at
 // P + δ·D — two ways: "direct" evaluates it with a stationary solve of
 // the probed matrix (EvaluateIn, one factorization), "line" on a search
-// line through P along D (ProbeIn, one O(M²) shifted Hessenberg solve;
-// the once-per-search line build is outside the timed loop). The
-// direction is the projected steepest descent at a floored random
-// iterate, and δ a sixteenth of the feasibility bound. Under "sparse"
-// the direct solve factors with the sparse LU and the line is built
-// from the sparse fundamental stage.
+// line through P along D (ProbeIn: one O(M²) shifted Hessenberg solve
+// and one dense pass over the line's coverage tables). "build" times the
+// once-per-search line build the probes share (cost.Line.Reset: B = D·Z,
+// its Hessenberg reduction and the coverage tables, Z already formed),
+// so a search of N probes costs build + N × line. The direction is the
+// projected steepest descent at a floored random iterate, and δ a
+// sixteenth of the feasibility bound. Under "sparse" the direct solve
+// factors with the sparse LU and the line is built from the sparse
+// fundamental stage. The build and line rows must not allocate.
 func BenchmarkProbe(b *testing.B) {
 	for _, m := range []int{8, 32, 64} {
 		model, p := benchModelSized(b, m)
@@ -521,16 +524,40 @@ func BenchmarkProbe(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, method := range []markov.Method{markov.MethodDense, markov.MethodSparse} {
-			ws := model.NewWorkspace()
+			// base keeps P's solution, with Z formed by the first Reset,
+			// for the build row; ws is overwritten by every probe.
+			base, ws := model.NewWorkspace(), model.NewWorkspace()
+			base.SetSolver(method)
 			ws.SetSolver(method)
-			ev, err := model.EvaluateIn(ws, p)
+			ev, err := model.EvaluateIn(base, p)
 			if err != nil {
 				b.Fatal(err)
 			}
-			line := markov.NewLine(m)
-			if err := line.Reset(ev.Sol, dir); err != nil {
-				b.Fatal(err)
+			line := model.NewLine()
+			build := func() {
+				if err := line.Reset(ev.Sol, dir); err != nil {
+					b.Fatal(err)
+				}
 			}
+			probe := func() {
+				if _, err := model.ProbeIn(ws, line, cand, delta); err != nil {
+					b.Fatal(err)
+				}
+			}
+			build()
+			probe()
+			if a := testing.AllocsPerRun(5, build); a != 0 {
+				b.Fatalf("M%d/%v: line build allocates %v times per op", m, method, a)
+			}
+			if a := testing.AllocsPerRun(5, probe); a != 0 {
+				b.Fatalf("M%d/%v: line probe allocates %v times per op", m, method, a)
+			}
+			b.Run(fmt.Sprintf("M%d/%v/build", m, method), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					build()
+				}
+			})
 			b.Run(fmt.Sprintf("M%d/%v/direct", m, method), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -542,9 +569,7 @@ func BenchmarkProbe(b *testing.B) {
 			b.Run(fmt.Sprintf("M%d/%v/line", m, method), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := model.ProbeIn(ws, line, cand, delta); err != nil {
-						b.Fatal(err)
-					}
+					probe()
 				}
 			})
 		}

@@ -301,15 +301,65 @@ func TestOptimizeMatchesOneSensorFleet(t *testing.T) {
 	}
 }
 
+// TestOptimizeFleetAdaptive runs the V2+V3 variant on a K = 2 fleet
+// through the one descent loop: every iteration before the last takes a
+// positive accepted step and the joint cost never rises, and the run
+// stops before its budget at the first line search that finds Δt* = 0,
+// recorded as a zero step that leaves the stack unchanged. The V1
+// variant is accepted for a fleet as well.
+func TestOptimizeFleetAdaptive(t *testing.T) {
+	// With an entropy reward the adaptive search on a three-PoI line
+	// stops within a few dozen iterations; at the fleet objectives alone
+	// it is still creeping down after thousands.
+	scn, err := LineScenario("line-3", 3, []float64{1.0 / 3, 1.0 / 3, 1.0 / 3})
+	if err != nil {
+		t.Fatalf("LineScenario: %v", err)
+	}
+	obj := Objectives{Alpha: 1, Beta: 1e-3, EntropyWeight: 0.1}
+	const budget = 500
+	var events []IterationEvent
+	opts := Options{Algorithm: AdaptiveDescent, MaxIters: budget, Seed: 1,
+		OnIteration: func(e IterationEvent) { events = append(events, e) }}
+	plan, err := OptimizeFleet(scn, obj, opts, 2, nil)
+	if err != nil {
+		t.Fatalf("OptimizeFleet adaptive: %v", err)
+	}
+	if len(events) == 0 || !plan.Converged || plan.Iterations >= budget {
+		t.Fatalf("%d events, converged %v after %d iterations: want a stop before %d",
+			len(events), plan.Converged, plan.Iterations, budget)
+	}
+	last := events[len(events)-1]
+	if last.Iteration != plan.Iterations || last.Step != 0 || last.Accepted || last.Probes == 0 {
+		t.Errorf("last event %+v: want iteration %d with Δt* = 0 from a search, not accepted", last, plan.Iterations)
+	}
+	for i, e := range events[:len(events)-1] {
+		if !e.Accepted || !(e.Step > 0) {
+			t.Errorf("iteration %d: step %v accepted %v before the stop", e.Iteration, e.Step, e.Accepted)
+		}
+		if i > 0 && e.Cost > events[i-1].Cost {
+			t.Errorf("iteration %d: U rose %v -> %v", e.Iteration, events[i-1].Cost, e.Cost)
+		}
+	}
+	if last.Cost != events[max(0, len(events)-2)].Cost || plan.Cost != last.Cost {
+		t.Errorf("stop changed U: %v -> %v, plan %v", events[max(0, len(events)-2)].Cost, last.Cost, plan.Cost)
+	}
+	t.Logf("adaptive K = 2: %d iterations, U %v", plan.Iterations, plan.Cost)
+
+	basic, err := OptimizeFleet(scn, obj, Options{Algorithm: BasicDescent, MaxIters: 50, Seed: 1}, 2, nil)
+	if err != nil {
+		t.Fatalf("OptimizeFleet basic: %v", err)
+	}
+	if math.IsNaN(basic.Cost) || math.IsInf(basic.Cost, 0) {
+		t.Errorf("basic fleet cost %v", basic.Cost)
+	}
+}
+
 func TestOptimizeFleetRejects(t *testing.T) {
 	scn, err := PaperTopology(2)
 	if err != nil {
 		t.Fatalf("PaperTopology: %v", err)
 	}
 	obj := fleetObjectives()
-	if _, err := OptimizeFleet(scn, obj, Options{Algorithm: BasicDescent}, 2, nil); err == nil {
-		t.Error("BasicDescent accepted for a fleet")
-	}
 	if _, err := OptimizeFleet(scn, obj, Options{Solver: "qr"}, 2, nil); err == nil {
 		t.Error("unknown solver accepted")
 	}

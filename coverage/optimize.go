@@ -375,13 +375,6 @@ func optimize(ctx context.Context, scn Scenario, obj Objectives, opts Options, f
 		if err := opts.validateInitialFleet(len(scn.PoIs), fs.sensors); err != nil {
 			return nil, err
 		}
-		// The fleet search is always the perturbed variant — the stacked
-		// landscape has at least as many local optima as the
-		// single-sensor one — so Basic/Adaptive selections are rejected
-		// rather than silently reinterpreted.
-		if opts.Algorithm != PerturbedDescent {
-			return nil, fmt.Errorf("%w: fleet optimization supports only the perturbed variant", ErrObjectives)
-		}
 		initial = opts.InitialMatrices
 		sensors, responsibility = fs.sensors, fs.responsibility
 	}

@@ -18,8 +18,10 @@
 //
 // π, and for the gradient Z, come from package markov. The cost itself
 // needs only π, so an evaluation runs the chain solve's stationary stage
-// and leaves Z to the gradient. A line-search probe (ProbeIn) takes π
-// from a markov.Line through the iterate instead of a factorization.
+// and leaves Z to the gradient. A line-search probe (ProbeIn) runs on a
+// search Line through the iterate: π from a markov.Line instead of a
+// factorization, and the coverage and energy sums from tables affine in
+// the step.
 package cost
 
 import (
@@ -106,10 +108,10 @@ type Model struct {
 	// nonzero cover time live in covIdx/covVal[covPtr[j*m+k]:covPtr[j*m+k+1]].
 	// Geometric topologies cover only the PoIs near the j→k path, so these
 	// lists hold a small multiple of M² entries where a dense table of
-	// the coverage coefficients would hold M³. Built lazily on the first
-	// evaluation (see coverLists): every evaluation builds its CoverTime
-	// numerator from them, and every gradient folds its coverage partials
-	// over them.
+	// the coverage coefficients would hold M³. Built lazily on first use
+	// (see coverLists): every evaluation builds its CoverTime numerator
+	// from them, every search line its coverage tables, and every
+	// gradient folds its coverage partials over them.
 	covPtr  []int
 	covIdx  []int32
 	covVal  []float64
@@ -220,7 +222,6 @@ type Evaluation struct {
 	// TotalTime is Σ_{j,k} π_j p_jk T_jk, the mean time per transition.
 	TotalTime float64
 	// Energy is the mean travel distance per transition D (§VII).
-	// A probe evaluation (ProbeIn) leaves it zero when EnergyWeight is.
 	Energy float64
 	// Entropy is the chain's entropy rate H (§VII). A probe evaluation
 	// leaves it zero when EntropyWeight is.
@@ -242,42 +243,27 @@ func (m *Model) Evaluate(p *mat.Matrix) (*Evaluation, error) {
 	return m.EvaluateIn(m.NewWorkspace(), p)
 }
 
-// evaluateInto fills ev (whose G/CBar/EBarI slices must be sized to the
-// topology) with the cost breakdown at sol, using coverNum as scratch. It
-// performs no allocations on the success path.
-//
-// A probe evaluation computes the energy D and the entropy rate H only
-// when their weights are nonzero: U reads them only through EnergyTerm
-// and EntropyTerm, which are exact zeros otherwise, so skipping them
-// changes no bit of U, and the entropy rate's M² logarithms are a large
-// share of a line-search probe.
-func (m *Model) evaluateInto(ev *Evaluation, coverNum []float64, sol *markov.Solution, probe bool) error {
+// evaluateInto fills ev (whose G/CBar/EBarI/CoverTime slices must be
+// sized to the topology) with the cost breakdown at sol. It performs no
+// allocations on the success path.
+func (m *Model) evaluateInto(ev *Evaluation, sol *markov.Solution) error {
 	n := m.top.M()
 	if len(sol.Pi) != n {
 		return fmt.Errorf("%w: solution for %d states, topology has %d",
 			ErrWeights, len(sol.Pi), n)
 	}
-	g, cb, eb, ct := ev.G, ev.CBar, ev.EBarI, ev.CoverTime
-	if ct == nil {
-		ct = make([]float64, n)
-	}
-	*ev = Evaluation{Sol: sol, G: g, CBar: cb, EBarI: eb, CoverTime: ct}
-	for i := range coverNum {
-		coverNum[i] = 0
-	}
-	p := sol.P
+	coverNum := ev.CoverTime
+	clear(coverNum)
 
-	// Coverage: G_i = Σ_{j,k} π_j p_jk (T_{jk,i} − Φ_i T_jk); C̄_i from
-	// Eq. 2. One sweep over the transitions in ascending (j, k) builds
-	// TotalTime and the CoverTime numerator, the latter from the sparse
-	// cover lists: a PoI a transition does not cover would add w·(+0) to
-	// a sum that only ever holds non-negative values, so skipping it
-	// changes no bits (DESIGN §8.2). G is then the same sum regrouped,
-	// G_i = CoverTime_i − Φ_i·TotalTime, so no M³ coefficient table is
-	// ever built.
+	// Coverage: one sweep over the transitions in ascending (j, k) builds
+	// TotalTime = Σ π_j p_jk T_jk and the CoverTime numerator
+	// Σ_{j,k} π_j p_jk T_{jk,i}, the latter from the sparse cover lists:
+	// a PoI a transition does not cover would add w·(+0) to a sum that
+	// only ever holds non-negative values, so skipping it changes no bits
+	// (DESIGN §8.2).
 	covPtr, covIdx, covVal := m.coverLists()
-	var totalTime float64 // Σ π_j p_jk T_jk
-	pd := p.Data()
+	var totalTime float64
+	pd := sol.P.Data()
 	for j := 0; j < n; j++ {
 		pij := sol.Pi[j]
 		prow := pd[j*n : (j+1)*n]
@@ -297,13 +283,33 @@ func (m *Model) evaluateInto(ev *Evaluation, coverNum []float64, sol *markov.Sol
 			}
 		}
 	}
-	ev.TotalTime = totalTime
+	return m.finish(ev, sol, totalTime, m.energy(sol), true, nil)
+}
+
+// finish completes a cost breakdown whose CoverTime numerator holds
+// Σ_{j,k} π_j p_jk T_{jk,i}, given TotalTime and the energy D at sol:
+// everything else it reads from sol's P and π. The entropy rate, the
+// one term a search line does not tabulate, is computed when withEntropy
+// is set or its weight is nonzero: U reads it only through EntropyTerm, an exact
+// zero otherwise, and its M² logarithms would be a large share of a
+// line-search probe. A non-nil edge lists, ascending, the only entries
+// of P that can lie outside the barrier's zero band (Line.edge); nil
+// scans every entry.
+func (m *Model) finish(ev *Evaluation, sol *markov.Solution, totalTime, energy float64, withEntropy bool, edge []int32) error {
+	n := m.top.M()
+	g, cb, eb, ct := ev.G, ev.CBar, ev.EBarI, ev.CoverTime
+	*ev = Evaluation{Sol: sol, G: g, CBar: cb, EBarI: eb, CoverTime: ct,
+		TotalTime: totalTime, Energy: energy}
+	pd := sol.P.Data()
+
+	// Coverage: G_i = Σ_{j,k} π_j p_jk (T_{jk,i} − Φ_i T_jk) regrouped as
+	// CoverTime_i − Φ_i·TotalTime, so no M³ coefficient table is ever
+	// built; C̄_i from Eq. 2.
 	for i := 0; i < n; i++ {
-		g[i] = coverNum[i] - m.top.TargetAt(i)*totalTime
-		ct[i] = coverNum[i]
-		ev.CBar[i] = coverNum[i] / totalTime
-		ev.CoverageTerm += 0.5 * m.w.Alpha[i] * ev.G[i] * ev.G[i]
-		ev.DeltaC += ev.G[i] * ev.G[i]
+		g[i] = ct[i] - m.top.TargetAt(i)*totalTime
+		cb[i] = ct[i] / totalTime
+		ev.CoverageTerm += 0.5 * m.w.Alpha[i] * g[i] * g[i]
+		ev.DeltaC += g[i] * g[i]
 	}
 
 	// Exposure: Ē_i = Σ_{j≠i} p_ij R_ji / (1 − p_ii) (Eq. 3), which by
@@ -318,9 +324,9 @@ func (m *Model) evaluateInto(ev *Evaluation, coverNum []float64, sol *markov.Sol
 			return fmt.Errorf("%w: p_%d%d = 1", markov.ErrNotErgodic, i, i)
 		}
 		pi := sol.Pi[i]
-		ev.EBarI[i] = (1 - pi) / (pi * denom)
-		ev.ExposureTerm += 0.5 * m.w.Beta[i] * ev.EBarI[i] * ev.EBarI[i]
-		sumE2 += ev.EBarI[i] * ev.EBarI[i]
+		eb[i] = (1 - pi) / (pi * denom)
+		ev.ExposureTerm += 0.5 * m.w.Beta[i] * eb[i] * eb[i]
+		sumE2 += eb[i] * eb[i]
 	}
 	ev.EBar = math.Sqrt(sumE2)
 
@@ -328,22 +334,27 @@ func (m *Model) evaluateInto(ev *Evaluation, coverNum []float64, sol *markov.Sol
 	// adding +0 to the non-negative sum changes no bit, so only the
 	// entries outside that band call it.
 	eps := m.w.Epsilon
-	for _, v := range pd {
-		if v > eps && v < 1-eps {
-			continue
+	if edge == nil {
+		for _, v := range pd {
+			if v > eps && v < 1-eps {
+				continue
+			}
+			ev.Penalty += barrier(v, eps)
 		}
-		ev.Penalty += barrier(v, eps)
+	} else {
+		for _, k := range edge {
+			if v := pd[k]; !(v > eps && v < 1-eps) {
+				ev.Penalty += barrier(v, eps)
+			}
+		}
 	}
 
 	// §VII extensions.
-	if !probe || m.w.EnergyWeight > 0 {
-		ev.Energy = m.energy(sol)
-	}
 	if m.w.EnergyWeight > 0 {
-		d := ev.Energy - m.w.EnergyTarget
+		d := energy - m.w.EnergyTarget
 		ev.EnergyTerm = 0.5 * m.w.EnergyWeight * d * d
 	}
-	if !probe || m.w.EntropyWeight > 0 {
+	if withEntropy || m.w.EntropyWeight > 0 {
 		ev.Entropy = sol.EntropyRate()
 	}
 	if m.w.EntropyWeight > 0 {

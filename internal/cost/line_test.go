@@ -1,17 +1,22 @@
 package cost_test
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"testing"
 
+	"repro/coverage"
+	"repro/internal/conformance"
 	"repro/internal/cost"
 	"repro/internal/descent"
 	"repro/internal/fleet"
+	"repro/internal/geom"
 	"repro/internal/markov"
 	"repro/internal/mat"
 	"repro/internal/mcmc"
 	"repro/internal/rng"
+	"repro/internal/route"
 	"repro/internal/topology"
 )
 
@@ -96,8 +101,10 @@ func twoClusters(m int, floor float64, seed uint64) *mat.Matrix {
 
 // lineFixtures are the base points of the oracle: a random start, the
 // floored Metropolis warm start of the 64-PoI field, an iterate the
-// descent reached from it, and two-cluster chains coupled only through
-// floor entries of 1e-4 and 1e-7.
+// descent reached from it, two-cluster chains coupled only through floor
+// entries of 1e-4 and 1e-7, a random start under energy and entropy
+// weights, and a random start of one scenario per conformance/v1 family
+// under that family's objectives (corpusFixtures).
 func lineFixtures(t *testing.T) []lineFixture {
 	t.Helper()
 	small := randomField(t, 16, 1, 1)
@@ -117,13 +124,100 @@ func lineFixtures(t *testing.T) []lineFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []lineFixture{
+	top := topology.Topology3()
+	w := cost.Uniform(top.M(), 1, 0.1)
+	w.EnergyWeight, w.EnergyTarget, w.EntropyWeight = 0.5, 0.3, 0.05
+	extended, err := cost.NewModel(top, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fxs := []lineFixture{
 		{"random", small, descent.RandomInit(rng.New(3), 16, descent.DefaultMinProb), 1e-12},
 		{"metropolis-field", field, warm, 1e-12},
 		{"descended-field", field, res.P, 1e-12},
 		{"clusters-floor-1e-4", small, twoClusters(16, 1e-4, 5), 1e-10},
 		{"clusters-floor-1e-7", small, twoClusters(16, 1e-7, 6), 1e-7},
+		{"entropy-energy", extended, descent.RandomInit(rng.New(2), top.M(), descent.DefaultMinProb), 1e-12},
 	}
+	for i, c := range corpusFixtures(t) {
+		m := c.model.Topology().M()
+		p := descent.RandomInit(rng.New(uint64(100+i)), m, descent.DefaultMinProb)
+		fxs = append(fxs, lineFixture{"corpus-" + c.name, c.model, p, 1e-12})
+	}
+	return fxs
+}
+
+// corpusModel is one conformance/v1 family's representative: the name
+// of its case and the single-sensor cost model of its scenario under its
+// objectives.
+type corpusModel struct {
+	name  string
+	model *cost.Model
+}
+
+// corpusFixtures loads the conformance/v1 corpus and returns one case per
+// family: the one with the most PoIs, an obstacle case first. The cost
+// model is built the way the coverage facade builds it (package
+// defaults for range, speed and pause; uniform α and β; the energy
+// weights). A case using an objective this helper does not translate
+// fails the test rather than being approximated.
+func corpusFixtures(t *testing.T) []corpusModel {
+	t.Helper()
+	corpora, err := conformance.LoadDir("../../coverage/testdata/corpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []corpusModel
+	for _, c := range corpora {
+		best := c.Cases[0]
+		for _, cs := range c.Cases[1:] {
+			if len(cs.Scenario.Obstacles) > len(best.Scenario.Obstacles) ||
+				len(cs.Scenario.Obstacles) == len(best.Scenario.Obstacles) && len(cs.Scenario.PoIs) > len(best.Scenario.PoIs) {
+				best = cs
+			}
+		}
+		out = append(out, corpusModel{c.Family + "/" + best.Name, corpusCostModel(t, best.Scenario, best.Objectives)})
+	}
+	return out
+}
+
+// corpusCostModel builds the cost model of a corpus scenario.
+func corpusCostModel(t *testing.T, scn coverage.Scenario, obj coverage.Objectives) *cost.Model {
+	t.Helper()
+	if obj.PerPoIAlpha != nil || obj.PerPoIBeta != nil || obj.Epsilon != 0 || obj.EntropyWeight != 0 {
+		t.Fatalf("%s: objectives %+v not translated", scn.Name, obj)
+	}
+	pois := make([]topology.PoI, len(scn.PoIs))
+	for i, p := range scn.PoIs {
+		pois[i] = topology.PoI{Pos: geom.Point{X: p.X, Y: p.Y}, Pause: cmp.Or(p.Pause, coverage.DefaultPause)}
+	}
+	cfg := topology.Config{
+		Name: scn.Name, PoIs: pois, Target: scn.Target,
+		Range: cmp.Or(scn.Range, coverage.DefaultRange),
+		Speed: cmp.Or(scn.Speed, coverage.DefaultSpeed),
+	}
+	if len(scn.Obstacles) > 0 {
+		rects := make([]route.Rect, len(scn.Obstacles))
+		for i, o := range scn.Obstacles {
+			rects[i] = route.Rect{MinX: o.MinX, MinY: o.MinY, MaxX: o.MaxX, MaxY: o.MaxY}
+		}
+		planner, err := route.New(rects, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Router = planner
+	}
+	top, err := topology.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := cost.Uniform(top.M(), obj.Alpha, obj.Beta)
+	w.EnergyWeight, w.EnergyTarget = obj.EnergyWeight, obj.EnergyTarget
+	model, err := cost.NewModel(top, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return model
 }
 
 // lineProbeUTol bounds the relative disagreement of a probe's U with a
@@ -166,11 +260,13 @@ func probeDeltas(bound float64) []float64 {
 }
 
 // TestLineProbeMatchesDirectSolve is the oracle of the line layer: at
-// every probe of the line search's grid, π from the line's shifted
-// Hessenberg solve matches the dense stationary solve of the same matrix
-// within the fixture's bound, U matches a direct evaluation within
-// lineProbeUTol, and the two paths fail on exactly the same probes. The
-// line is built from both the dense and the sparse fundamental stage.
+// every probe of the line search's grid, a probe on a cost.Line (π from
+// the line's shifted Hessenberg solve, CoverTime, TotalTime and the
+// energy from its affine tables) matches a direct evaluation of the same
+// matrix: π within the fixture's bound, U within lineProbeUTol, the
+// barrier bit for bit (the probe scans only the line's edge entries),
+// and the two paths fail on exactly the same probes. The line is built from both
+// the dense and the sparse fundamental stage.
 func TestLineProbeMatchesDirectSolve(t *testing.T) {
 	for _, fx := range lineFixtures(t) {
 		for _, method := range []markov.Method{markov.MethodDense, markov.MethodSparse} {
@@ -183,16 +279,15 @@ func TestLineProbeMatchesDirectSolve(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				line := markov.NewLine(n)
+				line := fx.model.NewLine()
 				if err := line.Reset(sol, dir); err != nil {
 					t.Fatal(err)
 				}
 
-				direct, probe := markov.NewSolver(n), markov.NewSolver(n)
 				wsDirect, wsProbe := fx.model.NewWorkspace(), fx.model.NewWorkspace()
 				cand := mat.New(n, n)
 				var worstPi, worstU float64
-				failures := 0
+				failures, barriers := 0, 0
 				for _, delta := range probeDeltas(bound) {
 					if err := cand.CopyFrom(fx.p); err != nil {
 						t.Fatal(err)
@@ -200,8 +295,8 @@ func TestLineProbeMatchesDirectSolve(t *testing.T) {
 					if err := mat.AddInPlace(cand, delta, dir); err != nil {
 						t.Fatal(err)
 					}
-					want, errD := direct.SolveStationary(cand)
-					got, errL := probe.SolveLine(line, cand, delta)
+					evD, errD := fx.model.EvaluateIn(wsDirect, cand)
+					evL, errL := fx.model.ProbeIn(wsProbe, line, cand, delta)
 					if (errD == nil) != (errL == nil) {
 						t.Fatalf("δ=%g: direct err %v, line err %v", delta, errD, errL)
 					}
@@ -209,22 +304,21 @@ func TestLineProbeMatchesDirectSolve(t *testing.T) {
 						failures++
 						continue
 					}
-					for i, w := range want.Pi {
-						worstPi = max(worstPi, math.Abs(got.Pi[i]-w)/w)
-					}
-					evD, err := fx.model.EvaluateIn(wsDirect, cand)
-					if err != nil {
-						t.Fatal(err)
-					}
-					evL, err := fx.model.ProbeIn(wsProbe, line, cand, delta)
-					if err != nil {
-						t.Fatal(err)
+					for i, w := range evD.Sol.Pi {
+						worstPi = max(worstPi, math.Abs(evL.Sol.Pi[i]-w)/w)
 					}
 					worstU = max(worstU, math.Abs(evL.U-evD.U)/math.Abs(evD.U))
+					if math.Float64bits(evL.Penalty) != math.Float64bits(evD.Penalty) {
+						t.Errorf("δ=%g: probe barrier %v, direct %v", delta, evL.Penalty, evD.Penalty)
+					}
+					if evD.Penalty != 0 {
+						barriers++
+					}
 				}
 				if failures == 0 {
 					t.Fatal("no probe past the bound failed")
 				}
+				t.Logf("%d probes with a nonzero barrier", barriers)
 				if worstPi > fx.piTol {
 					t.Errorf("max relative π error %.3g, want ≤ %.0e", worstPi, fx.piTol)
 				}
@@ -237,9 +331,90 @@ func TestLineProbeMatchesDirectSolve(t *testing.T) {
 	}
 }
 
+// TestFleetProbeMatchesEvaluate is the oracle one layer up: for every
+// corpus family's scenario as a K = 2 fleet, at every probe of the line
+// search's grid along the joint steepest-descent direction, State.Probe
+// matches State.Evaluate of the same stack within lineProbeUTol, and the
+// two fail on exactly the same probes, dense and sparse.
+func TestFleetProbeMatchesEvaluate(t *testing.T) {
+	for i, c := range corpusFixtures(t) {
+		for _, method := range []markov.Method{markov.MethodDense, markov.MethodSparse} {
+			t.Run(fmt.Sprintf("%s/%v", c.name, method), func(t *testing.T) {
+				fm, err := fleet.NewModel(c.model, 2, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := c.model.Topology().M()
+				src := rng.New(uint64(200 + i))
+				ps := []*mat.Matrix{
+					descent.RandomInit(src, m, descent.DefaultMinProb),
+					descent.RandomInit(src, m, descent.DefaultMinProb),
+				}
+				st, direct := fm.NewState(method, nil), fm.NewState(method, nil)
+				if _, err := st.Evaluate(ps); err != nil {
+					t.Fatal(err)
+				}
+				grads := []*mat.Matrix{mat.New(m, m), mat.New(m, m)}
+				if err := st.Gradient(grads); err != nil {
+					t.Fatal(err)
+				}
+				bound := math.Inf(1)
+				for s, g := range grads {
+					cost.ProjectTo(g, g)
+					mat.ScaleInPlace(-1, g)
+					pd := ps[s].Data()
+					for k, v := range g.Data() {
+						switch {
+						case v > 0:
+							bound = min(bound, (1-descent.DefaultMinProb-pd[k])/v)
+						case v < 0:
+							bound = min(bound, (descent.DefaultMinProb-pd[k])/v)
+						}
+					}
+				}
+				if err := st.Line(grads); err != nil {
+					t.Fatal(err)
+				}
+				cand := []*mat.Matrix{mat.New(m, m), mat.New(m, m)}
+				var worstU float64
+				failures := 0
+				for _, delta := range probeDeltas(bound) {
+					for s := range cand {
+						if err := cand[s].CopyFrom(ps[s]); err != nil {
+							t.Fatal(err)
+						}
+						if err := mat.AddInPlace(cand[s], delta, grads[s]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					uD, errD := direct.Evaluate(cand)
+					uL, errL := st.Probe(cand, delta)
+					if (errD == nil) != (errL == nil) {
+						t.Fatalf("δ=%g: direct err %v, probe err %v", delta, errD, errL)
+					}
+					if errD != nil {
+						failures++
+						continue
+					}
+					worstU = max(worstU, math.Abs(uL-uD)/math.Abs(uD))
+				}
+				if failures == 0 {
+					t.Fatal("no probe past the bound failed")
+				}
+				if worstU > lineProbeUTol {
+					t.Errorf("max relative U error %.3g, want ≤ %.0e", worstU, lineProbeUTol)
+				}
+				t.Logf("max relative U error %.2g", worstU)
+			})
+		}
+	}
+}
+
 // TestProbeSkipsZeroWeightExtensions checks that a probe leaves the
-// energy and entropy rate at zero when their weights are, and computes
-// them like a direct evaluation when they are not.
+// entropy rate at zero when its weight is, and computes it like a direct
+// evaluation when it is not. The energy, which the line tables make
+// affine, is computed on every probe and agrees with a direct
+// evaluation either way.
 func TestProbeSkipsZeroWeightExtensions(t *testing.T) {
 	top := topology.Topology3()
 	m := top.M()
@@ -259,7 +434,7 @@ func TestProbeSkipsZeroWeightExtensions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		line := markov.NewLine(m)
+		line := model.NewLine()
 		if err := line.Reset(ev.Sol, dir); err != nil {
 			t.Fatal(err)
 		}
@@ -276,14 +451,16 @@ func TestProbeSkipsZeroWeightExtensions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if d := math.Abs(got.Energy-want.Energy) / math.Abs(want.Energy); d > lineProbeUTol {
+			t.Errorf("energy: probe %v, direct %v", got.Energy, want.Energy)
+		}
 		if !ext {
-			if got.Energy != 0 || got.Entropy != 0 || got.EnergyTerm != 0 || got.EntropyTerm != 0 {
-				t.Errorf("zero-weight probe computed D = %v, H = %v", got.Energy, got.Entropy)
+			if got.Entropy != 0 || got.EnergyTerm != 0 || got.EntropyTerm != 0 {
+				t.Errorf("zero-weight probe computed H = %v, energy term %v", got.Entropy, got.EnergyTerm)
 			}
 			continue
 		}
 		for name, pair := range map[string][2]float64{
-			"energy":  {got.Energy, want.Energy},
 			"entropy": {got.Entropy, want.Entropy},
 			"U":       {got.U, want.U},
 		} {

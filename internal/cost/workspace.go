@@ -20,10 +20,9 @@ import (
 // restarts never share); Evaluation.Clone detaches a result that must
 // survive longer.
 type Workspace struct {
-	n        int
-	solver   *markov.Solver
-	ev       Evaluation
-	coverNum []float64
+	n      int
+	solver *markov.Solver
+	ev     Evaluation
 
 	// pool, when set, row-partitions the gradient's partial-derivative
 	// phase across its workers. Results are bit-for-bit identical with
@@ -59,7 +58,6 @@ func (m *Model) NewWorkspace() *Workspace {
 			EBarI:     make([]float64, n),
 			CoverTime: make([]float64, n),
 		},
-		coverNum: make([]float64, n),
 	}
 }
 
@@ -103,27 +101,7 @@ func (m *Model) EvaluateIn(ws *Workspace, p *mat.Matrix) (*Evaluation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.evaluateInto(&ws.ev, ws.coverNum, sol, false); err != nil {
-		return nil, err
-	}
-	return &ws.ev, nil
-}
-
-// ProbeIn evaluates a line-search probe: the cost at p = P + δ·D, where
-// line runs through P along D (markov.Line). π comes from the line's
-// O(M²) shifted solve instead of a factorization of p, and the energy and
-// entropy rate are computed only when their weights are nonzero;
-// otherwise the fold is EvaluateIn's. U agrees with EvaluateIn at p to
-// rounding, not bit for bit (DESIGN §8.2). The returned Evaluation
-// aliases the workspace like EvaluateIn's; its Sol forms Z through the
-// dense branch on request. line is only read, so workspaces may probe
-// one line concurrently.
-func (m *Model) ProbeIn(ws *Workspace, line *markov.Line, p *mat.Matrix, delta float64) (*Evaluation, error) {
-	sol, err := ws.solver.SolveLine(line, p, delta)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.evaluateInto(&ws.ev, ws.coverNum, sol, true); err != nil {
+	if err := m.evaluateInto(&ws.ev, sol); err != nil {
 		return nil, err
 	}
 	return &ws.ev, nil

@@ -136,7 +136,8 @@ func TestEvaluationCloneDetaches(t *testing.T) {
 }
 
 // TestWorkspaceZeroAllocSteadyState is the tentpole regression test: once
-// warm, an evaluation and a gradient through a Workspace allocate nothing.
+// warm, an evaluation, a gradient, a search line's build and a probe on
+// it through a Workspace allocate nothing.
 func TestWorkspaceZeroAllocSteadyState(t *testing.T) {
 	top := topology.Topology3()
 	w := Uniform(top.M(), 1, 1)
@@ -166,6 +167,51 @@ func TestWorkspaceZeroAllocSteadyState(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("GradientIn allocates %v times per call in steady state, want 0", allocs)
+	}
+
+	// A search line's build and its probes: Reset against a solution
+	// whose Z is formed, then ProbeIn at a point on the line.
+	_, g, err := m.GradientIn(ws, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := top.M()
+	d := mat.New(n, n)
+	ProjectTo(d, g)
+	var scale float64
+	for _, v := range d.Data() {
+		scale = math.Max(scale, math.Abs(v))
+	}
+	delta := 1e-3 / scale
+	cand := p.Clone()
+	if err := mat.AddInPlace(cand, -delta, d); err != nil {
+		t.Fatal(err)
+	}
+	base := m.NewWorkspace()
+	ev, err := m.EvaluateIn(base, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := m.NewLine()
+	if err := line.Reset(ev.Sol, d); err != nil { // forms Z
+		t.Fatal(err)
+	}
+	if _, err := m.ProbeIn(ws, line, cand, -delta); err != nil { // allocates the shifted-solve scratch
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := line.Reset(ev.Sol, d); err != nil {
+			t.Error(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Line.Reset allocates %v times per call in steady state, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := m.ProbeIn(ws, line, cand, -delta); err != nil {
+			t.Error(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("ProbeIn allocates %v times per call in steady state, want 0", allocs)
 	}
 }
 

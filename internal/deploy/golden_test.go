@@ -26,16 +26,16 @@ import (
 // other byte counts.
 var goldenDigests = map[string]map[string]string{
 	"single": {
-		"views":      "96d7bedd039db69479cd648790d7630ae0693cdd22fa2c6fb15f8b5074efeaf3",
-		"checkpoint": "3a3dc55620bd4b35c94b8836761d1106c4d0abfb01b2e52d32f74fcad68e0581",
+		"views":      "09b9f17bb1284736f2f683cfe6857b72ef3c96476c74c1f1f2cb067bd1cf7c20",
+		"checkpoint": "00b825c7d4ffe67a74ef13048d012fce9b0b00134870327ee3ec753874a74608",
 		"reopt":      "1afdd2e1627ba0a304a22fc8eec632b90985d6f5fa590c82e17508d9a84b86cf",
-		"resumed":    "42b5ebf1f77823c29dd86c76221d0c38ada14b75465a8b45918c1413000db4af",
+		"resumed":    "76af6fcbb1e281f177b0998f4704d83a57706172fc1be33811257a0ac4b924e8",
 	},
 	"fleet": {
-		"views":      "d87036bea4ba86807875199eb48c996c7a7b49310729e5cf5405fc2ba3aedd94",
-		"checkpoint": "3685c9b0da169af1f2d2d382a68fdb5e4ae3b056cb1b36531280d68b0673b177",
-		"reopt":      "87effa58f8982ea936a6816ee5b1f6c3d3f1a57cde0df4256cbf2404fbe56570",
-		"resumed":    "180bb912f79e1f5758a3d54fa72ba70fa8c669b2efc94fa96f952a9b6abc33b1",
+		"views":      "44c462626e2c67de39c13db364fcecb1848d3cc477a54467559faf6844aaecf7",
+		"checkpoint": "faa3d0f669fbe8c1b58cfd7793fd387cf8a99249f3df2852736bbfbc84211a75",
+		"reopt":      "cf7658d8cb853bc5a48e50e40a967d576b0f4e43261a4fdf5876a5941ac1d299",
+		"resumed":    "19eb8d13f7edc3c8fe1b33bb443406f2984fb53f2bc652ce2ed7f32d538905d6",
 	},
 }
 

@@ -61,7 +61,7 @@ func BenchmarkLineSearchStep(b *testing.B) {
 					if err := opt.st.Gradient(opt.grad); err != nil {
 						b.Fatal(err)
 					}
-					if err := opt.st.Line(opt.lines, dir); err != nil {
+					if err := opt.st.Line(dir); err != nil {
 						b.Fatal(err)
 					}
 					step, _, ok := opt.lineSearch(p, dir, curU)

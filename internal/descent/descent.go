@@ -282,12 +282,6 @@ type Optimizer[S State[E], E any] struct {
 	dir  []*mat.Matrix // projected (negated) descent direction
 	cand []*mat.Matrix // line-search / acceptance candidate stack
 
-	// lines are the current iteration's per-sensor search lines, built
-	// from the iterate's evaluation right after its gradient and only
-	// read by the line-search probes. Nil for Basic, which runs no line
-	// search.
-	lines []*markov.Line
-
 	// pool fans out the state's gradient; nil when NewIterationPool gives
 	// no pool (Workers <= 1, or M below the fan-out crossover).
 	pool *par.Pool
@@ -306,6 +300,9 @@ type Optimizer[S State[E], E any] struct {
 // gradient the only fan-out (median of five runs, DESIGN §8.4), W2 reads
 // +11% time at M = 24, +4% at M = 32, −3% at M = 48 and −30% at M = 64;
 // it won at both 24 and 32 in one of the five runs, so the value stays.
+// With the probes' coverage tables W2 wins at no size up to 128: the
+// gradient's row partials are under 1% of the op there, and the line
+// build and the fundamental stage run serially (DESIGN §8.4).
 // Tests lower it to exercise the pooled gradient on small models.
 var minFanOutOrder = 24
 
@@ -365,12 +362,6 @@ func NewOptimizer[S State[E], E any](obj Objective[S], opts Options) (*Optimizer
 		pool: NewIterationPool(opts.Workers, m),
 	}
 	o.st = obj.NewState(opts.Solver, o.pool)
-	if opts.Variant != Basic {
-		o.lines = make([]*markov.Line, k)
-		for s := range o.lines {
-			o.lines[s] = markov.NewLine(m)
-		}
-	}
 	return o, nil
 }
 
@@ -574,7 +565,7 @@ func (o *Optimizer[S, E]) RunContext(ctx context.Context) (*Result[E], error) {
 			// The state still holds p's evaluation with its fundamental
 			// matrices formed by the gradient: build the search lines
 			// from it before the first probe overwrites it.
-			if err := o.st.Line(o.lines, o.dir); err != nil {
+			if err := o.st.Line(o.dir); err != nil {
 				return nil, fmt.Errorf("descent: iteration %d: search line: %w", iter, err)
 			}
 			var ok bool
@@ -805,12 +796,13 @@ func maxFeasibleStep(ps, dirs []*mat.Matrix, floor float64) float64 {
 // chosen step, the cost at that step, and false when no positive step
 // improves on curU (the paper's Δt* = 0 case).
 //
-// Every probe evaluates on o.lines (State.Probe), which the caller has
-// built through p along dir (State.Line): π along P + δ·dir is one O(M²)
-// solve against a Hessenberg reduction made once per search. A probe's
-// U therefore agrees with a direct evaluation of the same stack to
-// rounding only; the caller evaluates the chosen step directly. The
-// search only reads the lines and p, so it is a pure function of its
+// Every probe evaluates on the state's search lines (State.Probe), which
+// the caller has built through p along dir (State.Line): π along
+// P + δ·dir is one O(M²) solve against a Hessenberg reduction made once
+// per search, and the coverage and energy folds read tables built with
+// it. A probe's U therefore agrees with a direct evaluation of the same
+// stack to rounding only; the caller evaluates the chosen step directly.
+// The search only reads the lines and p, so it is a pure function of its
 // arguments and the lines.
 func (o *Optimizer[S, E]) lineSearch(p, dir []*mat.Matrix, curU float64) (float64, float64, bool) {
 	o.probes = 0
@@ -883,7 +875,7 @@ func (o *Optimizer[S, E]) phi(p, dir []*mat.Matrix, delta float64) float64 {
 	if err := stepTo(o.cand, p, dir, delta); err != nil {
 		return math.Inf(1)
 	}
-	u, err := o.st.Probe(o.lines, o.cand, delta)
+	u, err := o.st.Probe(o.cand, delta)
 	if err != nil {
 		return math.Inf(1)
 	}

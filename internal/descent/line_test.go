@@ -189,13 +189,13 @@ func (s *lowFirstProbeState) Evaluate(ps []*mat.Matrix) (float64, error) {
 	return u, err
 }
 
-func (s *lowFirstProbeState) Line(lines []*markov.Line, dir []*mat.Matrix) error {
+func (s *lowFirstProbeState) Line(dir []*mat.Matrix) error {
 	s.base, s.fresh = s.last, true
-	return s.State.Line(lines, dir)
+	return s.State.Line(dir)
 }
 
-func (s *lowFirstProbeState) Probe(lines []*markov.Line, ps []*mat.Matrix, delta float64) (float64, error) {
-	u, err := s.State.Probe(lines, ps, delta)
+func (s *lowFirstProbeState) Probe(ps []*mat.Matrix, delta float64) (float64, error) {
+	u, err := s.State.Probe(ps, delta)
 	s.last = u
 	if err == nil && s.fresh {
 		u = math.Min(u, s.base-s.bias*math.Abs(s.base))

@@ -33,14 +33,15 @@ type State[E any] interface {
 	// Gradient writes the unprojected gradient blocks ∂U/∂P^(s) at the
 	// last evaluation into dst, one block per sensor.
 	Gradient(dst []*mat.Matrix) error
-	// Line builds lines[s], sensor s's search line through the last
+	// Line builds the state's search lines, sensor s's through the last
 	// evaluation along the zero-row-sum direction dir[s], forming the
-	// evaluation's fundamental matrices if Gradient has not.
-	Line(lines []*markov.Line, dir []*mat.Matrix) error
-	// Probe evaluates the stack ps, each ps[s] the point at δ on
-	// lines[s], which becomes the state's last evaluation, and returns
-	// its penalized cost U. It only reads the lines.
-	Probe(lines []*markov.Line, ps []*mat.Matrix, delta float64) (float64, error)
+	// evaluation's fundamental matrices if Gradient has not. They replace
+	// the lines of any earlier search.
+	Line(dir []*mat.Matrix) error
+	// Probe evaluates the stack ps, each ps[s] the point at δ on sensor
+	// s's search line, which becomes the state's last evaluation, and
+	// returns its penalized cost U. The lines stay as Line built them.
+	Probe(ps []*mat.Matrix, delta float64) (float64, error)
 	// CopyTo copies the last evaluation into dst, reusing its buffers;
 	// Clone copies it into a fresh one.
 	CopyTo(dst E)

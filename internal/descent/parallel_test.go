@@ -251,7 +251,7 @@ func primeSearch[S State[E], E any](tb testing.TB, opt *Optimizer[S, E], p, dir 
 	if _, err := opt.st.Evaluate(p); err != nil {
 		tb.Fatal(err)
 	}
-	if err := opt.st.Line(opt.lines, dir); err != nil {
+	if err := opt.st.Line(dir); err != nil {
 		tb.Fatal(err)
 	}
 }

@@ -220,8 +220,9 @@ func (fm *Model) newEvaluation() *Evaluation {
 func (fm *Model) Shape() (k, m int) { return fm.k, fm.m }
 
 // State is a private evaluation state of the joint objective: one
-// cost.Workspace per sensor and the joint breakdown of the stack it
-// evaluated last. A State is not safe for concurrent use.
+// cost.Workspace per sensor, the joint breakdown of the stack it
+// evaluated last, and the per-sensor search lines its probes fold on.
+// A State is not safe for concurrent use.
 type State struct {
 	fm  *Model
 	ws  []*cost.Workspace
@@ -230,6 +231,10 @@ type State struct {
 
 	coverCoef []float64 // c_i = α_i G_i^fleet
 	betaMask  []float64 // β masked to one sensor's owned PoIs
+
+	// lines are the per-sensor search lines of the current line search,
+	// allocated by the first Line call.
+	lines []*cost.Line
 }
 
 // NewState returns a fresh evaluation state whose chain solves use the
@@ -301,26 +306,42 @@ func (st *State) Gradient(dst []*mat.Matrix) error {
 	return nil
 }
 
-// Line builds lines[s], sensor s's search line through its last
-// evaluation along dir[s] (markov.Line).
-func (st *State) Line(lines []*markov.Line, dir []*mat.Matrix) error {
+// Line builds sensor s's search line through its last evaluation along
+// dir[s] (cost.Line), forming the evaluation's fundamental matrices if
+// Gradient has not. The state allocates its K lines on the first call,
+// so an evaluate-only state never holds them.
+func (st *State) Line(dir []*mat.Matrix) error {
+	fm := st.fm
+	if len(dir) != fm.k {
+		return fmt.Errorf("%w: %d directions for %d sensors", ErrModel, len(dir), fm.k)
+	}
+	if st.lines == nil {
+		st.lines = make([]*cost.Line, fm.k)
+		for s := range st.lines {
+			st.lines[s] = fm.cm.NewLine()
+		}
+	}
 	for s, ev := range st.evs {
-		if err := lines[s].Reset(ev.Sol, dir[s]); err != nil {
+		if err := st.lines[s].Reset(ev.Sol, dir[s]); err != nil {
 			return fmt.Errorf("fleet: sensor %d line: %w", s, err)
 		}
 	}
 	return nil
 }
 
-// Probe evaluates the stack ps, ps[s] the point at δ on lines[s], like
-// Evaluate but with each sensor's π from its line (cost.Model.ProbeIn).
-func (st *State) Probe(lines []*markov.Line, ps []*mat.Matrix, delta float64) (float64, error) {
+// Probe evaluates the stack ps, ps[s] the point at δ on sensor s's line
+// from the last Line call, like Evaluate but with each sensor's cost
+// folded on its line (cost.Model.ProbeIn).
+func (st *State) Probe(ps []*mat.Matrix, delta float64) (float64, error) {
 	fm := st.fm
-	if len(ps) != fm.k || len(lines) != fm.k {
-		return 0, fmt.Errorf("%w: %d matrices and %d lines for %d sensors", ErrModel, len(ps), len(lines), fm.k)
+	if len(ps) != fm.k {
+		return 0, fmt.Errorf("%w: %d matrices for %d sensors", ErrModel, len(ps), fm.k)
+	}
+	if st.lines == nil {
+		return 0, fmt.Errorf("%w: probe before any search line", ErrModel)
 	}
 	for s, p := range ps {
-		ev, err := fm.cm.ProbeIn(st.ws[s], lines[s], p, delta)
+		ev, err := fm.cm.ProbeIn(st.ws[s], st.lines[s], p, delta)
 		if err != nil {
 			return 0, fmt.Errorf("fleet: sensor %d: %w", s, err)
 		}

@@ -75,18 +75,18 @@ func TestFleetSubmitValidation(t *testing.T) {
 		t.Errorf("negative responsibility err = %v, want ErrSpec", err)
 	}
 
-	// Option errors surface at run time (as for single-sensor jobs):
-	// BasicDescent has no fleet variant, so the job fails cleanly.
-	badAlgo := fleetSpec(t, 2, 100, 1, 1)
-	badAlgo.Options.Algorithm = coverage.BasicDescent
-	v, err := m.Submit(badAlgo)
+	// Option errors surface at run time (as for single-sensor jobs): an
+	// unknown solver fails the job cleanly.
+	badSolver := fleetSpec(t, 2, 100, 1, 1)
+	badSolver.Options.Solver = "bogus"
+	v, err := m.Submit(badSolver)
 	if err != nil {
-		t.Fatalf("Submit badAlgo: %v", err)
+		t.Fatalf("Submit badSolver: %v", err)
 	}
 	waitFor(t, 30*time.Second, func() bool {
 		got, _ := m.Get(v.ID)
 		return got.State == StateFailed
-	}, "fleet job with unsupported algorithm to fail")
+	}, "fleet job with unknown solver to fail")
 	got, _ := m.Get(v.ID)
 	if got.Error == "" {
 		t.Errorf("failed fleet job carries no error message")

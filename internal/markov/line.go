@@ -25,9 +25,7 @@ var ErrDirection = errors.New("markov: invalid line direction")
 // is one O(M²) shifted Hessenberg solve u·(I − δH) = c and π(δ) = u·Qᵀ.
 // The line search probes a few dozen δ along one direction, so this
 // replaces a factorization per probe by one reduction per search.
-//
-// After Reset a Line is read-only: any number of Solvers may solve
-// against it concurrently.
+// Solving against a Line only reads it.
 type Line struct {
 	n int
 	h *mat.Hessenberg
