@@ -490,10 +490,12 @@ func BenchmarkGradientFiniteDifference(b *testing.B) {
 // BenchmarkProbe measures one line-search probe — the cost at
 // P + δ·D — two ways: "direct" evaluates it with a stationary solve of
 // the probed matrix (EvaluateIn, one factorization), "line" on a search
-// line through P along D (ProbeIn: one O(M²) shifted Hessenberg solve
-// and one dense pass over the line's coverage tables). "build" times the
+// line through P along D (ProbeIn: P + δ·D formed in one pass inside the
+// line's certified range, one O(M²) shifted Hessenberg solve and one
+// dense pass over the line's coverage tables). "build" times the
 // once-per-search line build the probes share (cost.Line.Reset: B = D·Z,
-// its Hessenberg reduction and the coverage tables, Z already formed),
+// its Hessenberg reduction, the certificate and the coverage tables, Z
+// already formed),
 // so a search of N probes costs build + N × line. The direction is the
 // projected steepest descent at a floored random iterate, and δ a
 // sixteenth of the feasibility bound. Under "sparse" the direct solve
@@ -540,7 +542,7 @@ func BenchmarkProbe(b *testing.B) {
 				}
 			}
 			probe := func() {
-				if _, err := model.ProbeIn(ws, line, cand, delta); err != nil {
+				if _, err := model.ProbeIn(ws, line, delta); err != nil {
 					b.Fatal(err)
 				}
 			}

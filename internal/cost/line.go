@@ -2,7 +2,6 @@ package cost
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/markov"
 	"repro/internal/mat"
@@ -30,30 +29,34 @@ type Line struct {
 	time0, time1     []float64
 	energy0, energy1 []float64
 	// edge lists, ascending, the entries of P + δ·D that can leave the
-	// barrier's zero band (ε, 1−ε) for some δ in [0, reach], where reach
-	// is the largest δ that keeps every entry in [0, 1]. A probe in that
-	// range passes only these entries to the barrier; every other entry
-	// stays inside the band, where the barrier is +0.
-	edge  []int32
-	reach float64
+	// barrier's zero band (ε, 1−ε) for some δ in the markov.Line's
+	// certified range [0, δ_c]. A probe in that range passes only these
+	// entries to the barrier; every other entry stays inside the band,
+	// where the barrier is +0.
+	edge []int32
 }
 
-// NewLine returns a search line for the model's chains with all buffers
-// preallocated: 2·M² + 6·M floats beside the markov.Line.
+// NewLine returns a search line for the model's chains with all float
+// buffers carved from one allocation: the markov.Line's
+// (markov.LineLen) and 2·M² + 4·M for the tables.
 func (m *Model) NewLine() *Line {
 	n := m.top.M()
-	return &Line{
-		m:       m,
-		n:       n,
-		pi:      markov.NewLine(n),
-		cover0:  make([]float64, n*n),
-		cover1:  make([]float64, n*n),
-		time0:   make([]float64, n),
-		time1:   make([]float64, n),
-		energy0: make([]float64, n),
-		energy1: make([]float64, n),
-		edge:    make([]int32, 0, n*n),
+	buf := make([]float64, markov.LineLen(n)+2*n*n+4*n)
+	take := func(k int) []float64 {
+		s := buf[:k:k]
+		buf = buf[k:]
+		return s
 	}
+	l := &Line{
+		m:    m,
+		n:    n,
+		pi:   markov.NewLine(n, take(markov.LineLen(n))),
+		edge: make([]int32, 0, n*n),
+	}
+	l.cover0, l.cover1 = take(n*n), take(n*n)
+	l.time0, l.time1 = take(n), take(n)
+	l.energy0, l.energy1 = take(n), take(n)
+	return l
 }
 
 // edgeMargin is the distance from the barrier band's ends inside which
@@ -107,26 +110,22 @@ func (l *Line) Reset(sol *markov.Solution, d *mat.Matrix) error {
 	return nil
 }
 
-// resetEdge finds reach and the entries that can leave the barrier band
-// on [0, reach]. An entry is affine in δ, so it stays inside the band on
-// the whole range when both ends of the range are inside by edgeMargin.
+// resetEdge finds the entries that can leave the barrier band on the
+// certified range [0, δ_c]; an empty range lists none, since no probe
+// reads the list then. An entry is affine in δ, so it stays inside the
+// band on the whole range when both ends of the range are inside by
+// edgeMargin.
 func (l *Line) resetEdge(pd, dd []float64) {
-	reach := math.Inf(1)
-	for k, d := range dd {
-		switch {
-		case d < 0:
-			reach = min(reach, -pd[k]/d)
-		case d > 0:
-			reach = min(reach, (1-pd[k])/d)
-		}
-	}
-	l.reach = reach
-	lo, hi := l.m.w.Epsilon+edgeMargin, 1-l.m.w.Epsilon-edgeMargin
 	l.edge = l.edge[:0]
+	dc := l.pi.Certified()
+	if dc < 0 {
+		return
+	}
+	lo, hi := l.m.w.Epsilon+edgeMargin, 1-l.m.w.Epsilon-edgeMargin
 	for k, p := range pd {
 		end := p
 		if d := dd[k]; d != 0 {
-			end = p + reach*d
+			end = p + dc*d
 		}
 		if !(min(p, end) > lo && max(p, end) < hi) {
 			l.edge = append(l.edge, int32(k))
@@ -134,23 +133,25 @@ func (l *Line) resetEdge(pd, dd []float64) {
 	}
 }
 
-// ProbeIn evaluates a line-search probe: the cost at p = P + δ·D, a point
-// on line. π comes from the line's O(M²) shifted solve instead of a
-// factorization of p, with every check of a direct solve
-// (markov.Solver.SolveLine), and CoverTime, TotalTime and the energy
-// from the line's affine tables instead of the cover lists. The
-// exposure, the barrier and the entropy rate read p itself; the entropy
-// rate is computed only when its weight is nonzero, and the barrier
-// reads only the entries that can leave its zero band on the line
-// (bit for bit the full scan: every other entry adds +0). U agrees with
-// EvaluateIn at p to rounding, not bit for bit (DESIGN §8.2). The
-// returned Evaluation aliases the workspace like EvaluateIn's; its Sol
-// forms Z through the dense branch on request.
-func (m *Model) ProbeIn(ws *Workspace, line *Line, p *mat.Matrix, delta float64) (*Evaluation, error) {
+// ProbeIn evaluates a line-search probe: the cost at P + δ·D, the point
+// at δ on line. π comes from the line's O(M²) shifted solve instead of
+// a factorization, with the probed matrix formed by the line and
+// checked like a direct solve's wherever the line's certificate does
+// not already prove it passes (markov.Solver.SolveLine), and
+// CoverTime, TotalTime and the energy from the line's affine tables
+// instead of the cover lists. The exposure, the barrier and the entropy
+// rate read the probed matrix; the entropy rate is computed only when
+// its weight is nonzero, and the barrier reads only the entries that
+// can leave its zero band on the line (bit for bit the full scan: every
+// other entry adds +0). U agrees with EvaluateIn at the same matrix to
+// rounding, not bit for bit (DESIGN §8.2). The returned Evaluation
+// aliases the workspace like EvaluateIn's; its Sol holds the probed
+// matrix and forms Z through the dense branch on request.
+func (m *Model) ProbeIn(ws *Workspace, line *Line, delta float64) (*Evaluation, error) {
 	if line.m != m {
 		return nil, fmt.Errorf("%w: search line of another model", ErrWeights)
 	}
-	sol, err := ws.solver.SolveLine(line.pi, p, delta)
+	sol, err := ws.solver.SolveLine(line.pi, delta)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +172,7 @@ func (m *Model) ProbeIn(ws *Workspace, line *Line, p *mat.Matrix, delta float64)
 		}
 	}
 	var edge []int32 // nil: the barrier scans every entry
-	if delta >= 0 && delta <= line.reach {
+	if delta >= 0 && delta <= line.pi.Certified() {
 		edge = line.edge
 	}
 	if err := m.finish(ev, sol, totalTime, energy, false, edge); err != nil {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/markov"
 	"repro/internal/mat"
 	"repro/internal/mcmc"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/route"
 	"repro/internal/topology"
@@ -296,7 +297,7 @@ func TestLineProbeMatchesDirectSolve(t *testing.T) {
 						t.Fatal(err)
 					}
 					evD, errD := fx.model.EvaluateIn(wsDirect, cand)
-					evL, errL := fx.model.ProbeIn(wsProbe, line, cand, delta)
+					evL, errL := fx.model.ProbeIn(wsProbe, line, delta)
 					if (errD == nil) != (errL == nil) {
 						t.Fatalf("δ=%g: direct err %v, line err %v", delta, errD, errL)
 					}
@@ -388,7 +389,7 @@ func TestFleetProbeMatchesEvaluate(t *testing.T) {
 						}
 					}
 					uD, errD := direct.Evaluate(cand)
-					uL, errL := st.Probe(cand, delta)
+					uL, errL := st.Probe(delta)
 					if (errD == nil) != (errL == nil) {
 						t.Fatalf("δ=%g: direct err %v, probe err %v", delta, errD, errL)
 					}
@@ -406,6 +407,57 @@ func TestFleetProbeMatchesEvaluate(t *testing.T) {
 				}
 				t.Logf("max relative U error %.2g", worstU)
 			})
+		}
+	}
+}
+
+// keptState is a fleet objective that keeps the last state it hands
+// out, so a test can read the state's counters after a descent run.
+type keptState struct {
+	*fleet.Model
+	st *fleet.State
+}
+
+func (o *keptState) NewState(method markov.Method, pool *par.Pool) *fleet.State {
+	o.st = o.Model.NewState(method, pool)
+	return o.st
+}
+
+// TestCorpusSearchCertified runs one V3 iteration — a full line search
+// from a floored random start — for every corpus family's scenario,
+// dense and sparse, as a one-sensor and a two-sensor fleet, and
+// requires every probe to lie in its line's certified range: none may
+// scan its matrix again (markov.Solver.LineScans).
+func TestCorpusSearchCertified(t *testing.T) {
+	for i, c := range corpusFixtures(t) {
+		for _, k := range []int{1, 2} {
+			for _, method := range []markov.Method{markov.MethodDense, markov.MethodSparse} {
+				t.Run(fmt.Sprintf("%s/K%d/%v", c.name, k, method), func(t *testing.T) {
+					fm, err := fleet.NewModel(c.model, k, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					obj := &keptState{Model: fm}
+					opt, err := descent.NewOptimizer(obj, descent.Options{
+						Variant: descent.Adaptive, MaxIters: 1, Seed: uint64(300 + i),
+						Solver: method, Workers: 1, RecordTrace: true,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := opt.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					probes := res.Trace[0].Probes
+					if probes == 0 {
+						t.Fatal("the iteration ran no probe")
+					}
+					if n := obj.st.LineScans(); n != 0 {
+						t.Errorf("%d of %d probes scanned their matrix, want 0", n, probes)
+					}
+				})
+			}
 		}
 	}
 }
@@ -447,7 +499,7 @@ func TestProbeSkipsZeroWeightExtensions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := model.ProbeIn(ws, line, cand, delta)
+		got, err := model.ProbeIn(ws, line, delta)
 		if err != nil {
 			t.Fatal(err)
 		}

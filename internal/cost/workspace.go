@@ -77,6 +77,11 @@ func (ws *Workspace) SetSolver(method markov.Method) {
 	ws.solver.SetMethod(method)
 }
 
+// LineScans returns the number of the workspace's probes whose matrix
+// fell outside its line's certified range and was scanned
+// (markov.Solver.LineScans).
+func (ws *Workspace) LineScans() int { return ws.solver.LineScans() }
+
 // ensureGradient lazily allocates the gradient-side scratch.
 func (ws *Workspace) ensureGradient() {
 	if ws.grad != nil {

@@ -183,10 +183,6 @@ func TestWorkspaceZeroAllocSteadyState(t *testing.T) {
 		scale = math.Max(scale, math.Abs(v))
 	}
 	delta := 1e-3 / scale
-	cand := p.Clone()
-	if err := mat.AddInPlace(cand, -delta, d); err != nil {
-		t.Fatal(err)
-	}
 	base := m.NewWorkspace()
 	ev, err := m.EvaluateIn(base, p)
 	if err != nil {
@@ -196,7 +192,7 @@ func TestWorkspaceZeroAllocSteadyState(t *testing.T) {
 	if err := line.Reset(ev.Sol, d); err != nil { // forms Z
 		t.Fatal(err)
 	}
-	if _, err := m.ProbeIn(ws, line, cand, -delta); err != nil { // allocates the shifted-solve scratch
+	if _, err := m.ProbeIn(ws, line, -delta); err != nil { // allocates the shifted-solve scratch
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -207,7 +203,7 @@ func TestWorkspaceZeroAllocSteadyState(t *testing.T) {
 		t.Errorf("Line.Reset allocates %v times per call in steady state, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := m.ProbeIn(ws, line, cand, -delta); err != nil {
+		if _, err := m.ProbeIn(ws, line, -delta); err != nil {
 			t.Error(err)
 		}
 	}); allocs != 0 {

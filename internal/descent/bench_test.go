@@ -14,7 +14,7 @@ import (
 // positioned at a random iterate, with its projected steepest-descent
 // direction, ready for line-search probing. The caller decides whether
 // the fan-out threshold applies.
-func benchOptimizer(b *testing.B, m, workers int) (*singleOptimizer, []*mat.Matrix, []*mat.Matrix, float64) {
+func benchOptimizer(b testing.TB, m, workers int) (*singleOptimizer, []*mat.Matrix, []*mat.Matrix, float64) {
 	b.Helper()
 	top, err := topology.Random(rng.New(uint64(m)), topology.RandomConfig{
 		M: m, Width: 40 * float64(m), Height: 40 * float64(m),
@@ -72,5 +72,22 @@ func BenchmarkLineSearchStep(b *testing.B) {
 			})
 			opt.pool.Stop()
 		}
+	}
+}
+
+// TestLineSearchStepCertified runs BenchmarkLineSearchStep's M = 64
+// search once and requires every probe to lie in its line's certified
+// range: a probe that scans its matrix again (markov.Solver.LineScans)
+// is the slow path the certificate exists to skip.
+func TestLineSearchStepCertified(t *testing.T) {
+	opt, p, dir, curU := benchOptimizer(t, 64, 1) // lines built at p
+	if _, _, ok := opt.lineSearch(p, dir, curU); !ok {
+		t.Fatal("line search found no step")
+	}
+	if opt.probes == 0 {
+		t.Fatal("line search ran no probe")
+	}
+	if n := opt.st.LineScans(); n != 0 {
+		t.Errorf("%d of %d probes scanned their matrix, want 0", n, opt.probes)
 	}
 }

@@ -280,7 +280,7 @@ type Optimizer[S State[E], E any] struct {
 	st   S             // evaluation state of iterates, candidates and probes
 	grad []*mat.Matrix // gradient blocks (V4 perturbs them in place)
 	dir  []*mat.Matrix // projected (negated) descent direction
-	cand []*mat.Matrix // line-search / acceptance candidate stack
+	cand []*mat.Matrix // acceptance candidate stack
 
 	// pool fans out the state's gradient; nil when NewIterationPool gives
 	// no pool (Workers <= 1, or M below the fan-out crossover).
@@ -818,7 +818,7 @@ func (o *Optimizer[S, E]) lineSearch(p, dir []*mat.Matrix, curU float64) (float6
 	bestStep, bestU := 0.0, curU
 	worseStreak := 0
 	for k, delta := 0, bound; k < lsMaxProbes && delta > 1e-18*bound; k, delta = k+1, delta/lsShrink {
-		u := o.phi(p, dir, delta)
+		u := o.phi(delta)
 		if u < bestU {
 			bestStep, bestU = delta, u
 			worseStreak = 0
@@ -841,8 +841,8 @@ func (o *Optimizer[S, E]) lineSearch(p, dir []*mat.Matrix, curU float64) (float6
 	for hi-lo > tol {
 		m1 := lo + (hi-lo)/3
 		m2 := hi - (hi-lo)/3
-		u1 := o.phi(p, dir, m1)
-		u2 := o.phi(p, dir, m2)
+		u1 := o.phi(m1)
+		u2 := o.phi(m2)
 		if u1 < bestU {
 			bestStep, bestU = m1, u1
 		}
@@ -868,14 +868,11 @@ const (
 )
 
 // phi computes φ(δ) = U(P + δ·dir) on the search lines into the
-// optimizer's candidate stack and state, allocating nothing. Infeasible
-// or non-ergodic probes evaluate to +Inf.
-func (o *Optimizer[S, E]) phi(p, dir []*mat.Matrix, delta float64) float64 {
+// optimizer's state, allocating nothing; the lines form the probed
+// stack. Infeasible or non-ergodic probes evaluate to +Inf.
+func (o *Optimizer[S, E]) phi(delta float64) float64 {
 	o.probes++
-	if err := stepTo(o.cand, p, dir, delta); err != nil {
-		return math.Inf(1)
-	}
-	u, err := o.st.Probe(o.cand, delta)
+	u, err := o.st.Probe(delta)
 	if err != nil {
 		return math.Inf(1)
 	}

@@ -57,7 +57,7 @@ func probesMatchEvaluate[S State[E], E any](t *testing.T, obj Objective[S]) {
 	check(step, u)
 	bound := maxFeasibleStep(p, dir, opt.opts.MinProb)
 	for k, delta := 0, bound; k < 20; k, delta = k+1, delta/lsShrink {
-		check(delta, opt.phi(p, dir, delta))
+		check(delta, opt.phi(delta))
 	}
 }
 
@@ -194,8 +194,8 @@ func (s *lowFirstProbeState) Line(dir []*mat.Matrix) error {
 	return s.State.Line(dir)
 }
 
-func (s *lowFirstProbeState) Probe(ps []*mat.Matrix, delta float64) (float64, error) {
-	u, err := s.State.Probe(ps, delta)
+func (s *lowFirstProbeState) Probe(delta float64) (float64, error) {
+	u, err := s.State.Probe(delta)
 	s.last = u
 	if err == nil && s.fresh {
 		u = math.Min(u, s.base-s.bias*math.Abs(s.base))

@@ -38,10 +38,11 @@ type State[E any] interface {
 	// evaluation's fundamental matrices if Gradient has not. They replace
 	// the lines of any earlier search.
 	Line(dir []*mat.Matrix) error
-	// Probe evaluates the stack ps, each ps[s] the point at δ on sensor
-	// s's search line, which becomes the state's last evaluation, and
-	// returns its penalized cost U. The lines stay as Line built them.
-	Probe(ps []*mat.Matrix, delta float64) (float64, error)
+	// Probe evaluates the stack at δ on the search lines, sensor s's
+	// point P^(s) + δ·dir[s] formed by its line, which becomes the
+	// state's last evaluation, and returns its penalized cost U. The
+	// lines stay as Line built them.
+	Probe(delta float64) (float64, error)
 	// CopyTo copies the last evaluation into dst, reusing its buffers;
 	// Clone copies it into a fresh one.
 	CopyTo(dst E)

@@ -329,19 +329,17 @@ func (st *State) Line(dir []*mat.Matrix) error {
 	return nil
 }
 
-// Probe evaluates the stack ps, ps[s] the point at δ on sensor s's line
-// from the last Line call, like Evaluate but with each sensor's cost
-// folded on its line (cost.Model.ProbeIn).
-func (st *State) Probe(ps []*mat.Matrix, delta float64) (float64, error) {
+// Probe evaluates the stack at δ on the search lines of the last Line
+// call, sensor s's point P^(s) + δ·D^(s) formed by its line, like
+// Evaluate but with each sensor's cost folded on its line
+// (cost.Model.ProbeIn).
+func (st *State) Probe(delta float64) (float64, error) {
 	fm := st.fm
-	if len(ps) != fm.k {
-		return 0, fmt.Errorf("%w: %d matrices for %d sensors", ErrModel, len(ps), fm.k)
-	}
 	if st.lines == nil {
 		return 0, fmt.Errorf("%w: probe before any search line", ErrModel)
 	}
-	for s, p := range ps {
-		ev, err := fm.cm.ProbeIn(st.ws[s], st.lines[s], p, delta)
+	for s, line := range st.lines {
+		ev, err := fm.cm.ProbeIn(st.ws[s], line, delta)
 		if err != nil {
 			return 0, fmt.Errorf("fleet: sensor %d: %w", s, err)
 		}
@@ -349,6 +347,17 @@ func (st *State) Probe(ps []*mat.Matrix, delta float64) (float64, error) {
 	}
 	st.combine()
 	return st.ev.U, nil
+}
+
+// LineScans returns the number of probes, summed over the sensors, whose
+// matrix fell outside its line's certified range and was scanned
+// (markov.Solver.LineScans).
+func (st *State) LineScans() int {
+	n := 0
+	for _, ws := range st.ws {
+		n += ws.LineScans()
+	}
+	return n
 }
 
 // CopyTo copies the last joint evaluation into dst, reusing its slices.

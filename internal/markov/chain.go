@@ -50,25 +50,40 @@ func New(p *mat.Matrix) (*Chain, error) {
 // CheckStochastic verifies that p is square, entries lie in [0, 1], and
 // every row sums to 1 within StochasticTol.
 func CheckStochastic(p *mat.Matrix) error {
+	_, err := scanStochastic(p)
+	return err
+}
+
+// rowSumTol is the distance from 1 that CheckStochastic allows a row's
+// computed sum.
+const rowSumTol = 1e-6
+
+// scanStochastic is CheckStochastic's one pass over p: it returns the
+// first violation in row-major order (an entry before its row's sum)
+// and, when there is none, whether every entry is a graph edge
+// (> edgeTol), which makes the chain ergodic (Solver.ergodic).
+func scanStochastic(p *mat.Matrix) (positive bool, err error) {
 	if !p.IsSquare() {
-		return fmt.Errorf("%w: shape %dx%d", ErrNotStochastic, p.Rows(), p.Cols())
+		return false, fmt.Errorf("%w: shape %dx%d", ErrNotStochastic, p.Rows(), p.Cols())
 	}
 	n := p.Rows()
 	pd := p.Data()
+	positive = true
 	for i := 0; i < n; i++ {
 		row := pd[i*n : (i+1)*n]
 		var sum float64
 		for j, v := range row {
-			if v < -StochasticTol || v > 1+StochasticTol || math.IsNaN(v) {
-				return fmt.Errorf("%w: p[%d][%d] = %v", ErrNotStochastic, i, j, v)
+			if !(v >= -StochasticTol && v <= 1+StochasticTol) {
+				return false, fmt.Errorf("%w: p[%d][%d] = %v", ErrNotStochastic, i, j, v)
 			}
+			positive = positive && v > edgeTol
 			sum += v
 		}
-		if math.Abs(sum-1) > 1e-6 {
-			return fmt.Errorf("%w: row %d sums to %v", ErrNotStochastic, i, sum)
+		if math.Abs(sum-1) > rowSumTol {
+			return false, fmt.Errorf("%w: row %d sums to %v", ErrNotStochastic, i, sum)
 		}
 	}
-	return nil
+	return positive, nil
 }
 
 // M returns the number of states.

@@ -37,6 +37,9 @@ type Solver struct {
 	sp *sparseScratch
 	// Shifted-solve scratch of SolveLine, allocated on its first call.
 	lineWs *mat.ShiftedScratch
+	// lineScans counts the SolveLine probes outside their line's
+	// certified range (LineScans).
+	lineScans int
 
 	// Graph-check scratch for the ergodicity test.
 	seen  []bool
@@ -117,25 +120,33 @@ func (s *Solver) SolveStationary(p *mat.Matrix) (*Solution, error) {
 
 // begin opens a stationary stage for p: it checks p's shape, that it is
 // stochastic and that it is ergodic, and re-arms the solution's lazy
-// stages.
+// stages. One scan checks the entries and row sums and finds whether
+// every entry is an edge, which decides ergodicity without the graph
+// sweeps.
 func (s *Solver) begin(p *mat.Matrix) error {
 	n := s.n
 	if p.Rows() != n || p.Cols() != n {
 		return fmt.Errorf("%w: solver for %d states got %dx%d",
 			ErrNotStochastic, n, p.Rows(), p.Cols())
 	}
-	if err := CheckStochastic(p); err != nil {
+	positive, err := scanStochastic(p)
+	if err != nil {
 		return err
 	}
 	// Re-arm the lazy stages for this solve; their buffers are kept.
 	s.sol.unform()
-	if !s.ergodic(p) {
-		// Error path only: rerun the full graph sweeps for the detail.
-		irreducible := s.reachesAll(p, false) && s.reachesAll(p, true)
-		return fmt.Errorf("%w: irreducible=%v period=%d",
-			ErrNotErgodic, irreducible, s.period(p))
+	if !positive && !s.ergodic(p) {
+		return s.notErgodic(p)
 	}
 	return nil
+}
+
+// notErgodic is the error of a chain whose graph fails the ergodicity
+// test; it reruns the full graph sweeps for the detail.
+func (s *Solver) notErgodic(p *mat.Matrix) error {
+	irreducible := s.reachesAll(p, false) && s.reachesAll(p, true)
+	return fmt.Errorf("%w: irreducible=%v period=%d",
+		ErrNotErgodic, irreducible, s.period(p))
 }
 
 // fundamental is the fundamental stage of the Solver's current solution:
@@ -249,29 +260,15 @@ func (s *Solver) stationary(p *mat.Matrix) error {
 
 // ergodic reports whether p's positive-probability graph is irreducible
 // and aperiodic, using the Solver's scratch buffers; it allocates
-// nothing.
+// nothing. A p whose every entry is an edge (scanStochastic) is ergodic
+// without it: the graph is complete, so irreducible, and a self-loop
+// makes it aperiodic. The descent's probability floor keeps every
+// iterate and probe there.
 func (s *Solver) ergodic(p *mat.Matrix) bool {
-	if positive(p) {
-		// Every edge present, self-loops included: the graph is complete,
-		// so irreducible, and a self-loop makes it aperiodic. The descent's
-		// probability floor keeps every iterate and probe here, which
-		// skips the three graph sweeps below.
-		return true
-	}
 	if !s.reachesAll(p, false) || !s.reachesAll(p, true) {
 		return false
 	}
 	return s.period(p) == 1
-}
-
-// positive reports whether every entry of p is a graph edge (> edgeTol).
-func positive(p *mat.Matrix) bool {
-	for _, v := range p.Data() {
-		if !(v > edgeTol) {
-			return false
-		}
-	}
-	return true
 }
 
 // reachesAll runs a BFS from state 0 over the positive-probability edge

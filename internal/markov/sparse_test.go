@@ -233,8 +233,9 @@ func fillRows(src *rng.Source, n int, keep func(i, j int) bool) *mat.Matrix {
 // TestErgodicShortcutAgreesWithGraphCheck is the property behind the
 // Solver's O(M²) ergodicity shortcut: on every chain family — strictly
 // positive, floored, sparse-support, periodic and reducible — the
-// shortcut-taking check returns what the BFS irreducibility and period
-// sweeps return, and the shortcut fires exactly on the positive ones.
+// shortcut-taking check (the stochasticity scan's positivity, then the
+// sweeps) returns what the BFS irreducibility and period sweeps return,
+// and the shortcut fires exactly on the positive ones.
 func TestErgodicShortcutAgreesWithGraphCheck(t *testing.T) {
 	src := rng.New(53)
 	families := []struct {
@@ -294,10 +295,14 @@ func TestErgodicShortcutAgreesWithGraphCheck(t *testing.T) {
 					}
 					s := NewSolver(p.Rows())
 					graph := s.reachesAll(p, false) && s.reachesAll(p, true) && s.period(p) == 1
-					if got := s.ergodic(p); got != graph {
+					positive, err := scanStochastic(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := positive || s.ergodic(p); got != graph {
 						t.Fatalf("n=%d trial %d: ergodic = %v, graph check = %v", n, trial, got, graph)
 					}
-					if got := positive(p); got != f.positive {
+					if got := positive; got != f.positive {
 						t.Fatalf("n=%d trial %d: positive = %v, want %v", n, trial, got, f.positive)
 					}
 				}

@@ -10,18 +10,7 @@ import (
 )
 
 // sameBits reports whether two matrices hold identical float64 bits.
-func sameBits(a, b *mat.Matrix) bool {
-	ad, bd := a.Data(), b.Data()
-	if len(ad) != len(bd) {
-		return false
-	}
-	for i := range ad {
-		if math.Float64bits(ad[i]) != math.Float64bits(bd[i]) {
-			return false
-		}
-	}
-	return true
-}
+func sameBits(a, b *mat.Matrix) bool { return sameFloats(a.Data(), b.Data()) }
 
 // TestStagesComposeToSolve checks that the stationary stage followed by
 // the fundamental stage yields exactly the bits of Solve, on both

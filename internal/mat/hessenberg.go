@@ -13,11 +13,11 @@ import (
 // y·Q·(I − δ·H)·Qᵀ = c is a Hessenberg solve plus two reflector sweeps
 // (Laub's technique for frequency responses).
 //
-// A Hessenberg built with NewHessenberg owns all of its storage; Reduce
-// reuses it and allocates nothing. After Reduce the value is read-only
-// for ShiftedSolveTo, ApplyQ and ApplyQT, so any number of goroutines may
-// solve against one reduction concurrently, each with its own
-// ShiftedScratch.
+// A Hessenberg owns the storage NewHessenberg gave it; Reduce reuses it
+// and allocates nothing. After Reduce the value
+// is read-only for ShiftedSolveTo, ApplyQ and ApplyQT, so any number of
+// goroutines may solve against one reduction concurrently, each with
+// its own ShiftedScratch.
 type Hessenberg struct {
 	n int
 	// r holds H transposed about the anti-diagonal,
@@ -32,15 +32,24 @@ type Hessenberg struct {
 	w   []float64 // reduction scratch
 }
 
-// NewHessenberg returns a reduction for n-by-n matrices with all buffers
-// preallocated.
-func NewHessenberg(n int) *Hessenberg {
+// HessenbergLen is the number of floats a reduction of order n keeps.
+func HessenbergLen(n int) int { return 2*n*n + 2*n }
+
+// NewHessenberg returns a reduction for n-by-n matrices whose buffers
+// are the first HessenbergLen(n) floats of buf, or a fresh allocation
+// when buf is nil. It panics if a non-nil buf is too short.
+func NewHessenberg(n int, buf []float64) *Hessenberg {
+	nn, size := n*n, HessenbergLen(n)
+	if buf == nil {
+		buf = make([]float64, size)
+	}
+	buf = buf[:size:size]
 	return &Hessenberg{
 		n:   n,
-		r:   make([]float64, n*n),
-		v:   make([]float64, n*n),
-		tau: make([]float64, n),
-		w:   make([]float64, n),
+		r:   buf[:nn:nn],
+		v:   buf[nn : 2*nn : 2*nn],
+		tau: buf[2*nn : 2*nn+n : 2*nn+n],
+		w:   buf[2*nn+n:],
 	}
 }
 

@@ -55,7 +55,7 @@ func TestHessenbergReconstructs(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			b := randomDense(r, n)
 			orig := b.Clone()
-			h := NewHessenberg(n)
+			h := NewHessenberg(n, nil)
 			if err := h.Reduce(b); err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +97,7 @@ func TestShiftedSolveResidual(t *testing.T) {
 	for _, n := range hessenbergOrders {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			b := randomDense(r, n)
-			h := NewHessenberg(n)
+			h := NewHessenberg(n, nil)
 			if err := h.Reduce(b); err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +131,7 @@ func TestShiftedSolveResidual(t *testing.T) {
 
 // TestShiftedSolveKnown pins the 1×1 and a pivoting 2×2 case by hand.
 func TestShiftedSolveKnown(t *testing.T) {
-	h := NewHessenberg(1)
+	h := NewHessenberg(1, nil)
 	b, _ := NewFromRows([][]float64{{4}})
 	if err := h.Reduce(b); err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestShiftedSolveKnown(t *testing.T) {
 
 	// I − 1·B = [[0, 1], [1, 0]]: the first pivot is zero, so the
 	// adjacent rows must swap. u·[[0,1],[1,0]] = [2, 3] → u = [3, 2].
-	h = NewHessenberg(2)
+	h = NewHessenberg(2, nil)
 	b, _ = NewFromRows([][]float64{{1, -1}, {-1, 1}})
 	if err := h.Reduce(b); err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestShiftedSolveRejectsSingularShift(t *testing.T) {
 // the shift δ/2, off the spectrum, to solve.
 func expectSingular(t *testing.T, b *Matrix, delta float64, n int) {
 	t.Helper()
-	h := NewHessenberg(n)
+	h := NewHessenberg(n, nil)
 	if err := h.Reduce(b); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestHessenbergZeroAllocs(t *testing.T) {
 	const n = 32
 	r := rand.New(rand.NewPCG(1, 8))
 	b := randomDense(r, n)
-	h := NewHessenberg(n)
+	h := NewHessenberg(n, nil)
 	ws := NewShiftedScratch(n)
 	c := make([]float64, n)
 	c[3] = 1
@@ -249,7 +249,7 @@ func TestHessenbergZeroAllocs(t *testing.T) {
 }
 
 func TestHessenbergDimensionErrors(t *testing.T) {
-	h := NewHessenberg(3)
+	h := NewHessenberg(3, nil)
 	if err := h.Reduce(New(3, 2)); !errors.Is(err, ErrDimension) {
 		t.Errorf("Reduce 3x2: err = %v, want ErrDimension", err)
 	}

@@ -43,6 +43,17 @@ func New(rows, cols int) *Matrix {
 	}
 }
 
+// NewOn returns a rows×cols matrix over the first rows·cols floats of
+// buf, which it reads and writes in place of an allocation of its own.
+// It panics if a dimension is negative or buf is too short, like New.
+func NewOn(rows, cols int, buf []float64) *Matrix {
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("mat: negative dimension %dx%d", rows, cols))
+	}
+	n := rows * cols
+	return &Matrix{rows: rows, cols: cols, data: buf[:n:n]}
+}
+
 // NewFromRows builds a matrix from a slice of equal-length rows, copying
 // the data. It returns an error if the rows are ragged or empty.
 func NewFromRows(rows [][]float64) (*Matrix, error) {
