@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_OUT ?= BENCH_run.json
 
-.PHONY: build test check race vet bench bench-compare conformance deploy-demo fleet-demo loadtest shardsmoke loc reach clean
+.PHONY: build test check race vet bench bench-compare conformance deploy-demo fleet-demo loadtest shardsmoke loc reach placement clean
 
 build:
 	$(GO) build ./...
@@ -83,6 +83,14 @@ loc:
 # Informational; it always exits 0.
 reach:
 	./scripts/reach.sh
+
+# placement prints how much of the dense-kernel and gradient benchmark
+# rows is code placement: builds of one commit (default HEAD, exported
+# with git archive) that differ only in a padding function ahead of the
+# mat kernels, run interleaved, with the min/median/max and spread per
+# row. Informational; scripts/placement.sh describes the method.
+placement:
+	./scripts/placement.sh
 
 clean:
 	$(GO) clean ./...

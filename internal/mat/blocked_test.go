@@ -46,15 +46,22 @@ func referenceMulRows(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// TestMulToTiledBitIdentical checks the k-tiled large-matrix path against
-// the straight-line kernel bit for bit, across sizes straddling the tile
-// cutover and including non-square shapes.
+// TestMulToTiledBitIdentical checks MulToRows with one k tile (inner
+// dimension up to mulTileK) and with several, four k per pass over the
+// output row in either, against the straight-line kernel bit for bit:
+// sizes straddling the tile cutover, non-square shapes, deterministic
+// operands and specialOperands' zeros, −0, NaN and ±Inf.
 func TestMulToTiledBitIdentical(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
+		{1, 1, 1},
+		{5, 3, 4},
 		{8, 8, 8},
+		{9, 13, 7},
 		{mulTileK - 1, mulTileK - 1, mulTileK - 1},
 		{mulTileK, mulTileK, mulTileK},
 		{mulTileK + 1, mulTileK + 1, mulTileK + 1},
+		{12, mulTileK + 3, 9},
+		{20, 2*mulTileK + 6, 65},
 		{130, 130, 130},
 		{9, 100, 33},
 		{100, 70, 5},
@@ -64,16 +71,20 @@ func TestMulToTiledBitIdentical(t *testing.T) {
 		b := New(sh.k, sh.n)
 		fillDeterministic(a, uint64(sh.m*1000+sh.k))
 		fillDeterministic(b, uint64(sh.k*1000+sh.n))
-		got := New(sh.m, sh.n)
-		want := New(sh.m, sh.n)
-		if err := MulTo(got, a, b); err != nil {
-			t.Fatalf("MulTo %dx%dx%d: %v", sh.m, sh.k, sh.n, err)
-		}
-		referenceMulRows(want, a, b, 0, sh.m)
-		for i := range want.data {
-			if math.Float64bits(got.data[i]) != math.Float64bits(want.data[i]) {
-				t.Fatalf("MulTo %dx%dx%d: entry %d = %x, want %x",
-					sh.m, sh.k, sh.n, i, math.Float64bits(got.data[i]), math.Float64bits(want.data[i]))
+		sa, sb := specialOperands(sh.m, sh.k, sh.n, uint64(sh.m*131+sh.k))
+		for _, op := range []struct {
+			name string
+			a, b *Matrix
+		}{{"deterministic", a, b}, {"special", sa, sb}} {
+			got := New(sh.m, sh.n)
+			want := New(sh.m, sh.n)
+			if err := MulTo(got, op.a, op.b); err != nil {
+				t.Fatalf("MulTo %dx%dx%d: %v", sh.m, sh.k, sh.n, err)
+			}
+			referenceMulRows(want, op.a, op.b, 0, sh.m)
+			if i := sameBits(got.data, want.data); i >= 0 {
+				t.Errorf("MulTo %dx%dx%d %s: entry %d = %x, want %x", sh.m, sh.k, sh.n, op.name,
+					i, math.Float64bits(got.data[i]), math.Float64bits(want.data[i]))
 			}
 		}
 	}

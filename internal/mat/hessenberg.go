@@ -101,39 +101,8 @@ func (h *Hessenberg) Reduce(b *Matrix) error {
 		a[(k+1)*n+k] = beta
 		h.tau[k] = tau
 
-		// Left: rows k+1.. of columns k+1.. ← (I − τ v vᵀ)·A.
-		w := h.w[k+1 : n]
-		for j := range w {
-			w[j] = 0
-		}
-		for i, vi := range vk {
-			row := a[(k+1+i)*n+k+1 : (k+2+i)*n]
-			row = row[:len(w)]
-			for j, x := range row {
-				w[j] += vi * x
-			}
-		}
-		for i, vi := range vk {
-			row := a[(k+1+i)*n+k+1 : (k+2+i)*n]
-			row = row[:len(w)]
-			f := tau * vi
-			for j, x := range w {
-				row[j] -= f * x
-			}
-		}
-		// Right: every row's columns k+1.. ← A·(I − τ v vᵀ).
-		for r := 0; r < n; r++ {
-			row := a[r*n+k+1 : (r+1)*n]
-			row = row[:len(vk)]
-			var s float64
-			for j, vj := range vk {
-				s += row[j] * vj
-			}
-			s *= tau
-			for j, vj := range vk {
-				row[j] -= s * vj
-			}
-		}
+		h.reflectLeft(k, tau)
+		h.reflectRight(k, tau)
 	}
 	// Transpose about the anti-diagonal in place: (i, j) ↔ (n−1−j, n−1−i).
 	for i := 0; i < n; i++ {
@@ -143,6 +112,104 @@ func (h *Hessenberg) Reduce(b *Matrix) error {
 		}
 	}
 	return nil
+}
+
+// reflectLeft applies reflector k from the left to rows k+1.. of
+// columns k+1.. of the working matrix: A ← (I − τ v vᵀ)·A, through
+// w = vᵀA. Each pass takes four reflector rows, but every w[j] still
+// adds its terms one at a time in ascending row order, from +0, and
+// every entry of A takes its one update, so the bits are those of the
+// one-row loop (DESIGN §8.2).
+func (h *Hessenberg) reflectLeft(k int, tau float64) {
+	n, a := h.n, h.r
+	vk := h.v[k*n+k+1 : (k+1)*n]
+	w := h.w[k+1 : n]
+	row := func(i int) []float64 {
+		r := a[(k+1+i)*n+k+1 : (k+2+i)*n]
+		return r[:len(w)]
+	}
+	for j := range w {
+		w[j] = 0
+	}
+	i := 0
+	for ; i+4 <= len(vk); i += 4 {
+		r0, r1, r2, r3 := row(i), row(i+1), row(i+2), row(i+3)
+		v0, v1, v2, v3 := vk[i], vk[i+1], vk[i+2], vk[i+3]
+		for j := range w {
+			w[j] = w[j] + v0*r0[j] + v1*r1[j] + v2*r2[j] + v3*r3[j]
+		}
+	}
+	for ; i < len(vk); i++ {
+		r := row(i)
+		vi := vk[i]
+		for j := range w {
+			w[j] += vi * r[j]
+		}
+	}
+	i = 0
+	for ; i+4 <= len(vk); i += 4 {
+		r0, r1, r2, r3 := row(i), row(i+1), row(i+2), row(i+3)
+		f0, f1, f2, f3 := tau*vk[i], tau*vk[i+1], tau*vk[i+2], tau*vk[i+3]
+		for j, x := range w {
+			r0[j] -= f0 * x
+			r1[j] -= f1 * x
+			r2[j] -= f2 * x
+			r3[j] -= f3 * x
+		}
+	}
+	for ; i < len(vk); i++ {
+		r := row(i)
+		f := tau * vk[i]
+		for j, x := range w {
+			r[j] -= f * x
+		}
+	}
+}
+
+// reflectRight applies reflector k from the right to columns k+1.. of
+// every row: A ← A·(I − τ v vᵀ). Four rows run together, each with its
+// own dot product s = Σ_j a_rj·v_j in ascending j, so a pass carries
+// four independent dependency chains and each row's bits are the
+// one-row loop's.
+func (h *Hessenberg) reflectRight(k int, tau float64) {
+	n, a := h.n, h.r
+	vk := h.v[k*n+k+1 : (k+1)*n]
+	row := func(r int) []float64 {
+		x := a[r*n+k+1 : (r+1)*n]
+		return x[:len(vk)]
+	}
+	r := 0
+	for ; r+4 <= n; r += 4 {
+		r0, r1, r2, r3 := row(r), row(r+1), row(r+2), row(r+3)
+		var s0, s1, s2, s3 float64
+		for j, vj := range vk {
+			s0 += r0[j] * vj
+			s1 += r1[j] * vj
+			s2 += r2[j] * vj
+			s3 += r3[j] * vj
+		}
+		s0 *= tau
+		s1 *= tau
+		s2 *= tau
+		s3 *= tau
+		for j, vj := range vk {
+			r0[j] -= s0 * vj
+			r1[j] -= s1 * vj
+			r2[j] -= s2 * vj
+			r3[j] -= s3 * vj
+		}
+	}
+	for ; r < n; r++ {
+		x := row(r)
+		var s float64
+		for j, vj := range vk {
+			s += x[j] * vj
+		}
+		s *= tau
+		for j, vj := range vk {
+			x[j] -= s * vj
+		}
+	}
 }
 
 // ApplyQ overwrites the row vector x with x·Q.

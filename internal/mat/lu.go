@@ -129,26 +129,51 @@ func (f *LU) Refactor(a *Matrix) error {
 			f.pivot[p], f.pivot[k] = f.pivot[k], f.pivot[p]
 			f.scale[p], f.scale[k] = f.scale[k], f.scale[p]
 		}
-		// Eliminate below the pivot over row subslices: the same
-		// d[i][j] -= l*d[k][j] sequence as the indexed loop, without the
-		// per-element index arithmetic.
+		// Eliminate below the pivot four rows per pass over the pivot
+		// row's tail: each entry takes its one d[i][j] -= l*d[k][j], so
+		// the bits are the one-row loop's (DESIGN §8.2). A row whose
+		// multiplier is exactly 0 is left as it is, in either loop.
 		inv := 1 / rowk[k]
 		tail := rowk[k+1:]
-		for i := k + 1; i < n; i++ {
-			rowi := d[i*n+k : (i+1)*n]
-			l := rowi[0] * inv
-			rowi[0] = l
-			if l == 0 {
+		row := func(i int) []float64 {
+			r := d[i*n+k+1 : (i+1)*n]
+			return r[:len(tail)]
+		}
+		i := k + 1
+		for ; i+4 <= n; i += 4 {
+			l0, l1, l2, l3 := d[i*n+k]*inv, d[(i+1)*n+k]*inv, d[(i+2)*n+k]*inv, d[(i+3)*n+k]*inv
+			d[i*n+k], d[(i+1)*n+k], d[(i+2)*n+k], d[(i+3)*n+k] = l0, l1, l2, l3
+			if l0 == 0 || l1 == 0 || l2 == 0 || l3 == 0 {
+				for q := i; q < i+4; q++ {
+					eliminate(row(q), tail, d[q*n+k])
+				}
 				continue
 			}
-			ri := rowi[1:]
-			ri = ri[:len(tail)]
+			r0, r1, r2, r3 := row(i), row(i+1), row(i+2), row(i+3)
 			for j, v := range tail {
-				ri[j] -= l * v
+				r0[j] -= l0 * v
+				r1[j] -= l1 * v
+				r2[j] -= l2 * v
+				r3[j] -= l3 * v
 			}
+		}
+		for ; i < n; i++ {
+			d[i*n+k] *= inv
+			eliminate(row(i), tail, d[i*n+k])
 		}
 	}
 	return nil
+}
+
+// eliminate subtracts l·tail from row, unless l is exactly 0.
+func eliminate(row, tail []float64, l float64) {
+	if l == 0 {
+		return
+	}
+	row = row[:len(tail)]
+	for j, v := range tail {
+		row[j] -= l * v
+	}
 }
 
 // SolveVec solves A x = b for a single right-hand side.
@@ -222,27 +247,41 @@ func (f *LU) substituteBatch(x []float64, nb, first int) {
 	n := f.lu.rows
 	d := f.lu.data
 	for i := first + 1; i < n; i++ {
-		xi := x[i*nb : (i+1)*nb]
-		for j := first; j < i; j++ {
-			l := d[i*n+j]
-			xj := x[j*nb : (j+1)*nb]
-			for c := range xi {
-				xi[c] -= l * xj[c]
-			}
-		}
+		subRows(x[i*nb:(i+1)*nb], d[i*n+first:i*n+i], x[first*nb:])
 	}
 	for i := n - 1; i >= 0; i-- {
 		xi := x[i*nb : (i+1)*nb]
-		for j := i + 1; j < n; j++ {
-			u := d[i*n+j]
-			xj := x[j*nb : (j+1)*nb]
-			for c := range xi {
-				xi[c] -= u * xj[c]
-			}
-		}
+		subRows(xi, d[i*n+i+1:(i+1)*n], x[(i+1)*nb:])
 		dii := d[i*n+i]
 		for c := range xi {
 			xi[c] /= dii
+		}
+	}
+}
+
+// subRows subtracts Σ_j l[j]·(row j of x) from xi, for j ascending,
+// where row j of x is x[j·len(xi) : (j+1)·len(xi)]. Four j go per pass
+// over xi, and each xi[c] still takes its subtractions one at a time in
+// ascending j, so the bits are the one-j loop's.
+func subRows(xi, l, x []float64) {
+	nb := len(xi)
+	row := func(j int) []float64 {
+		r := x[j*nb : (j+1)*nb]
+		return r[:len(xi)]
+	}
+	j := 0
+	for ; j+4 <= len(l); j += 4 {
+		l0, l1, l2, l3 := l[j], l[j+1], l[j+2], l[j+3]
+		x0, x1, x2, x3 := row(j), row(j+1), row(j+2), row(j+3)
+		for c := range xi {
+			xi[c] = xi[c] - l0*x0[c] - l1*x1[c] - l2*x2[c] - l3*x3[c]
+		}
+	}
+	for ; j < len(l); j++ {
+		lj := l[j]
+		xj := row(j)
+		for c := range xi {
+			xi[c] -= lj * xj[c]
 		}
 	}
 }

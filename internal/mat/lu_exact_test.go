@@ -107,11 +107,56 @@ func sameBits(a, b []float64) int {
 	return -1
 }
 
+// zeroMultiplierSystem builds a regular n-by-n matrix that factors
+// without row swaps and whose elimination meets an exact zero multiplier
+// in each position of a row pair: at column 0 rows 2 and 3 (the second
+// of pair (1, 2), the first of pair (3, 4)) are +0 and −0, and at
+// column 1 row 4 is 0 and stays 0 after column 0's update.
+func zeroMultiplierSystem(n int, seed uint64) *Matrix {
+	a := New(n, n)
+	fillDeterministic(a, seed)
+	for i := 0; i < n; i++ {
+		a.data[i*n+i] = 4 * float64(n)
+	}
+	if n > 4 {
+		a.data[2*n] = 0
+		a.data[3*n] = math.Copysign(0, -1)
+		a.data[4*n] = 0
+		a.data[4*n+1] = 0
+	}
+	return a
+}
+
 // TestLUMatchesReferenceLoops checks Refactor and InverseTo bit for bit against the unsliced elimination and the per-column, row-0
 // substitution, on orders below and above luBatchCutover whose
 // factorizations swap rows — so the identity columns' unit entries land
-// out of order and InverseTo's per-batch starting row varies.
+// out of order and InverseTo's per-batch starting row varies — and, at
+// odd and even orders, on systems with zero multipliers in either row of
+// the two-row elimination.
 func TestLUMatchesReferenceLoops(t *testing.T) {
+	for _, n := range []int{5, 8, 9, 33, luBatchCutover + 1, 64} {
+		a := zeroMultiplierSystem(n, uint64(n)*7)
+		f, err := Factor(a)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		wantLU, _ := referenceFactor(a)
+		if i := sameBits(f.lu.data, wantLU); i >= 0 {
+			t.Fatalf("n=%d zero multipliers: Refactor entry %d = %x, want %x", n, i,
+				math.Float64bits(f.lu.data[i]), math.Float64bits(wantLU[i]))
+		}
+		if f.lu.data[2*n] != 0 || !math.Signbit(f.lu.data[3*n]) || f.lu.data[4*n+1] != 0 {
+			t.Fatalf("n=%d: the fixture lost its zero multipliers", n)
+		}
+		gotInv, wantInv := New(n, n), New(n, n)
+		if err := f.InverseTo(gotInv); err != nil {
+			t.Fatalf("n=%d InverseTo: %v", n, err)
+		}
+		referenceSolveTo(f, wantInv, identity(n))
+		if i := sameBits(gotInv.data, wantInv.data); i >= 0 {
+			t.Fatalf("n=%d zero multipliers: InverseTo entry %d differs from the reference loops", n, i)
+		}
+	}
 	for _, n := range []int{5, 17, luBatchCutover, 64, 97} {
 		a := swappedSystem(n, uint64(n)*31)
 		f := NewLU(n)

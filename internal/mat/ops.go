@@ -43,8 +43,8 @@ func MulTo(dst, a, b *Matrix) error {
 
 // mulTileK is the number of b rows processed per tile in large products:
 // the tile is revisited for every dst row, so keeping it L1/L2-resident
-// cuts memory traffic roughly by the tile count. Products whose inner
-// dimension fits in one tile take the straight-line path.
+// cuts memory traffic roughly by the tile count. A product whose inner
+// dimension fits in one tile makes one pass over its rows.
 const mulTileK = 64
 
 // MulToRows computes rows [lo, hi) of the product a*b into the matching
@@ -73,39 +73,55 @@ func MulToRows(dst, a, b *Matrix, lo, hi int) error {
 	}
 	// ikj loop order keeps the inner loop streaming over contiguous rows of
 	// b and dst, which matters once M grows past cache lines.
-	if b.rows <= mulTileK {
-		for i := lo; i < hi; i++ {
-			arow := a.data[i*a.cols : (i+1)*a.cols]
-			orow := dst.data[i*b.cols : (i+1)*b.cols]
-			for k, aik := range arow {
-				if aik == 0 {
-					continue
-				}
-				brow := b.data[k*b.cols : (k+1)*b.cols]
-				for j, bkj := range brow {
-					orow[j] += aik * bkj
-				}
-			}
-		}
-		return nil
-	}
 	for k0 := 0; k0 < b.rows; k0 += mulTileK {
 		k1 := min(k0+mulTileK, b.rows)
 		for i := lo; i < hi; i++ {
-			aseg := a.data[i*a.cols+k0 : i*a.cols+k1]
-			orow := dst.data[i*b.cols : (i+1)*b.cols]
-			for kk, aik := range aseg {
-				if aik == 0 {
-					continue
-				}
-				brow := b.data[(k0+kk)*b.cols : (k0+kk+1)*b.cols]
-				for j, bkj := range brow {
-					orow[j] += aik * bkj
-				}
-			}
+			accumRows(dst.data[i*b.cols:(i+1)*b.cols], a.data[i*a.cols+k0:i*a.cols+k1], b.data[k0*b.cols:])
 		}
 	}
 	return nil
+}
+
+// accumRows adds Σ_k as[k]·(row k of b) into orow, for k ascending,
+// where row k of b is b[k·len(orow) : (k+1)·len(orow)]; a zero as[k]
+// adds nothing. Four k go per pass over orow when all four are nonzero:
+// each orow[j] still adds its terms one at a time in ascending k, so the
+// bits are the one-k loop's (DESIGN §8.2). A group with a zero takes the
+// one-k loop, which keeps the skip exactly where it was.
+func accumRows(orow, as, b []float64) {
+	n := len(orow)
+	brow := func(k int) []float64 {
+		r := b[k*n : (k+1)*n]
+		return r[:len(orow)]
+	}
+	k := 0
+	for ; k+4 <= len(as); k += 4 {
+		a0, a1, a2, a3 := as[k], as[k+1], as[k+2], as[k+3]
+		if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+			accumRowsSkip(orow, as[k:k+4], b[k*n:])
+			continue
+		}
+		b0, b1, b2, b3 := brow(k), brow(k+1), brow(k+2), brow(k+3)
+		for j := range orow {
+			orow[j] = orow[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+		}
+	}
+	accumRowsSkip(orow, as[k:], b[k*n:])
+}
+
+// accumRowsSkip is accumRows one k at a time.
+func accumRowsSkip(orow, as, b []float64) {
+	n := len(orow)
+	for k, aik := range as {
+		if aik == 0 {
+			continue
+		}
+		r := b[k*n : (k+1)*n]
+		r = r[:len(orow)]
+		for j := range orow {
+			orow[j] += aik * r[j]
+		}
+	}
 }
 
 // TransposeTo writes the transpose of a into the caller-owned dst, which

@@ -153,7 +153,8 @@ func New(cfg Config) (*Topology, error) {
 
 // build fills the derived tables. With a Router, travel follows the
 // planned polyline: distances, move times, and pass-through coverage are
-// accumulated leg by leg.
+// accumulated leg by leg. Each leg's length and travel time are computed
+// once per transition and read for every PoI.
 func (t *Topology) build(router Router) error {
 	m := len(t.pois)
 	t.travel = make([][]float64, m)
@@ -162,6 +163,11 @@ func (t *Topology) build(router Router) error {
 	t.dist = make([][]float64, m)
 	t.passes = make([][][]PassEvent, m)
 	t.paths = make([][][]geom.Point, m)
+	type leg struct {
+		seg  geom.Segment
+		time float64
+	}
+	var legs []leg
 	for j := 0; j < m; j++ {
 		t.travel[j] = make([]float64, m)
 		t.moveT[j] = make([]float64, m)
@@ -192,8 +198,12 @@ func (t *Topology) build(router Router) error {
 			t.paths[j][k] = path
 
 			var dist float64
-			for leg := 1; leg < len(path); leg++ {
-				dist += geom.Dist(path[leg-1], path[leg])
+			legs = legs[:0]
+			for i := 1; i < len(path); i++ {
+				seg := geom.Segment{A: path[i-1], B: path[i]}
+				length := seg.Length()
+				dist += length
+				legs = append(legs, leg{seg: seg, time: length / t.speed})
 			}
 			moveTime := dist / t.speed
 			t.dist[j][k] = dist
@@ -209,12 +219,10 @@ func (t *Topology) build(router Router) error {
 					continue
 				}
 				var offset float64 // time at the start of the current leg
-				for leg := 1; leg < len(path); leg++ {
-					seg := geom.Segment{A: path[leg-1], B: path[leg]}
-					legTime := seg.Length() / t.speed
-					if iv, ok := geom.CoverageInterval(seg, t.pois[i].Pos, t.r); ok {
-						enter := offset + iv.Lo*legTime
-						exit := offset + iv.Hi*legTime
+				for _, l := range legs {
+					if iv, ok := geom.CoverageInterval(l.seg, t.pois[i].Pos, t.r); ok {
+						enter := offset + iv.Lo*l.time
+						exit := offset + iv.Hi*l.time
 						t.cover[j][k][i] += exit - enter
 						// Merge with a window that ends exactly where this
 						// one begins (the path grazed a leg boundary inside
@@ -229,7 +237,7 @@ func (t *Topology) build(router Router) error {
 							})
 						}
 					}
-					offset += legTime
+					offset += l.time
 				}
 			}
 			t.passes[j][k] = append(t.passes[j][k], PassEvent{

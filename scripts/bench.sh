@@ -210,6 +210,8 @@ go test -run '^$' -benchmem -benchtime 300ms -count "$count" \
 	. >"$tmp"
 go test -run '^$' -benchmem -benchtime 300ms -count "$count" \
 	-bench 'BenchmarkLineSearchStep' ./internal/descent/ >>"$tmp"
+go test -run '^$' -benchmem -benchtime 300ms -count "$count" \
+	-bench 'BenchmarkKernels' ./internal/mat/ >>"$tmp"
 
 summarize "$tmp" "$out"
 
