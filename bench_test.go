@@ -656,29 +656,36 @@ func BenchmarkOptimizerIteration(b *testing.B) {
 }
 
 // BenchmarkOptimizeBest measures a whole best-of search through the
-// public API: three perturbed restarts on Topology 3, and a K=2 fleet
-// search with two restarts. Below 24 PoIs Workers bounds the restarts
-// in flight, so W2 against W1 is the restart fan-out's speedup on a host
-// with two or more cores.
+// public API: three perturbed restarts on Topology 3, a K=2 fleet search
+// with two restarts, and four 20-iteration restarts on the 64-PoI
+// random-geometric field of the benchmark's field workload. Workers
+// bounds the restarts in flight at every size, so W2 against W1 is the
+// restart fan-out's speedup on a host with two or more cores.
 func BenchmarkOptimizeBest(b *testing.B) {
 	scn, err := coverage.PaperTopology(3)
 	if err != nil {
 		b.Fatal(err)
 	}
+	field := fieldScenario(b, 64)
 	obj := coverage.Objectives{Alpha: 1, Beta: 1e-4}
+	fieldObj := coverage.Objectives{Alpha: 1, Beta: 0.01}
 	searches := []struct {
-		name string
-		run  func(coverage.Options) (*coverage.Plan, error)
+		name  string
+		iters int
+		run   func(coverage.Options) (*coverage.Plan, error)
 	}{
-		{"", func(o coverage.Options) (*coverage.Plan, error) { return coverage.OptimizeBest(scn, obj, o, 3) }},
-		{"fleet/", func(o coverage.Options) (*coverage.Plan, error) {
+		{"", 400, func(o coverage.Options) (*coverage.Plan, error) { return coverage.OptimizeBest(scn, obj, o, 3) }},
+		{"fleet/", 400, func(o coverage.Options) (*coverage.Plan, error) {
 			return coverage.OptimizeFleetBest(scn, obj, o, 2, nil, 2)
+		}},
+		{"field64/", 20, func(o coverage.Options) (*coverage.Plan, error) {
+			return coverage.OptimizeBest(field, fieldObj, o, 4)
 		}},
 	}
 	for _, search := range searches {
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%sW%d", search.name, workers), func(b *testing.B) {
-				opts := coverage.Options{MaxIters: 400, Seed: 7, Workers: workers}
+				opts := coverage.Options{MaxIters: search.iters, Seed: 7, Workers: workers}
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := search.run(opts); err != nil {
@@ -688,6 +695,29 @@ func BenchmarkOptimizeBest(b *testing.B) {
 			})
 		}
 	}
+}
+
+// fieldScenario returns the m-PoI random-geometric field the benchmark's
+// field workload poses at m = 64.
+func fieldScenario(b *testing.B, m int) coverage.Scenario {
+	b.Helper()
+	top, err := topology.Random(rng.New(uint64(m)), topology.RandomConfig{
+		M: m, Width: 40 * float64(m), Height: 40 * float64(m),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	scn := coverage.Scenario{
+		Name:   fmt.Sprintf("field-%d", m),
+		Target: top.Target(),
+		Range:  top.Range(),
+		Speed:  top.Speed(),
+	}
+	for i := 0; i < m; i++ {
+		q := top.PoIAt(i)
+		scn.PoIs = append(scn.PoIs, coverage.PoI{X: q.Pos.X, Y: q.Pos.Y, Pause: q.Pause})
+	}
+	return scn
 }
 
 // BenchmarkRoutePlanning measures the visibility-graph path planner on a

@@ -58,7 +58,7 @@ func run(args []string, ready chan<- string) error {
 		addr       = fs.String("addr", ":8080", "listen address")
 		workers    = fs.Int("workers", 2, "worker pool size")
 		queue      = fs.Int("queue", 16, "pending-job queue depth")
-		jobWorkers = fs.Int("max-job-workers", 1, "cap on each job's descent parallelism (options.workers); 0 = uncapped")
+		jobWorkers = fs.Int("max-job-workers", 1, "cap on each job's options.workers, the restarts one optimize call runs at once (a shard runs one restart per call, so this bounds nothing yet); 0 = uncapped")
 		profile    = fs.Bool("pprof", false, "expose net/http/pprof handlers under /debug/pprof/")
 		dir        = fs.String("checkpoint-dir", "", "job and deployment checkpoint directory (empty disables persistence)")
 		planCache  = fs.Int("plan-cache", plans.DefaultCapacity, "in-memory plan-library LRU capacity")

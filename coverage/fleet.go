@@ -94,9 +94,9 @@ func OptimizeFleetBest(scn Scenario, obj Objectives, opts Options, sensors int, 
 // cancellation; the per-restart seeds are SplitSeeds(opts.Seed, restarts),
 // so running OptimizeFleetContext with seed SplitSeeds(seed, n)[r]
 // reproduces restart r bit-for-bit. Restarts run as in
-// OptimizeBestContext: concurrently below 24 PoIs, up to
-// Options.Workers at once, with the same plan and hook events for every
-// Workers value, and the same cancellation contract.
+// OptimizeBestContext: up to Options.Workers at once, with the same plan
+// and hook events for every Workers value, and the same cancellation
+// contract.
 func OptimizeFleetBestContext(ctx context.Context, scn Scenario, obj Objectives, opts Options, sensors int, responsibility [][]float64, restarts int) (*Plan, error) {
 	if restarts <= 0 {
 		return nil, fmt.Errorf("%w: %d restarts", ErrObjectives, restarts)

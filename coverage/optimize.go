@@ -97,7 +97,8 @@ type IterationEvent struct {
 	// Accepted reports whether the candidate move was kept.
 	Accepted bool `json:"accepted"`
 	// Probes counts the line-search cost evaluations behind the step
-	// choice; equal for every Workers value (see descent.IterRecord.Probes).
+	// choice (see descent.IterRecord.Probes); equal for every Workers
+	// value.
 	Probes int `json:"probes"`
 }
 
@@ -144,16 +145,12 @@ type Options struct {
 	// ProgressEvery is the OnProgress sampling cadence in iterations
 	// (default DefaultProgressEvery).
 	ProgressEvery int `json:"progressEvery,omitempty"`
-	// Workers is the number of OS-level workers one optimizer iteration may
-	// occupy (the gradient assembly is partitioned across them), for
-	// single-sensor and fleet searches alike: both run the same descent
-	// loop. Results are bit-for-bit identical for every value. Zero selects
-	// GOMAXPROCS; one forces the serial path.
-	// Scenarios with fewer than 24 PoIs, where fan-out costs more than it
-	// saves, run every iteration on one goroutine whatever Workers says; there
-	// Workers instead bounds how many restarts of a best-of search
-	// (OptimizeBest, OptimizeFleetBest) run at once, again with
-	// identical results.
+	// Workers bounds how many restarts of a best-of search (OptimizeBest,
+	// OptimizeFleetBest) run at once, each on its own goroutine; one
+	// optimizer iteration always runs on a single goroutine. Plans and hook
+	// events are bit-for-bit identical for every value. Zero selects
+	// GOMAXPROCS; one runs the restarts one after another. A single-restart
+	// search ignores it.
 	Workers int `json:"workers,omitempty"`
 	// Solver selects the linear-algebra backend: "" or "dense" for the
 	// bit-exact dense reference, "sparse" for the factor-fill path that
@@ -284,6 +281,9 @@ func (o Options) descentOptions(initial [][][]float64) (descent.Options, error) 
 		}
 		stack = append(stack, m)
 	}
+	if o.Workers < 0 {
+		return descent.Options{}, fmt.Errorf("coverage: negative workers %d", o.Workers)
+	}
 	var solver markov.Method
 	switch o.Solver {
 	case "", "dense":
@@ -300,7 +300,6 @@ func (o Options) descentOptions(initial [][][]float64) (descent.Options, error) 
 		NoiseStdDev: o.NoiseStdDev,
 		RecordTrace: o.RecordTrace,
 		Initial:     stack,
-		Workers:     o.Workers,
 		Solver:      solver,
 	}, nil
 }
@@ -386,7 +385,7 @@ func optimize(ctx context.Context, scn Scenario, obj Objectives, opts Options, f
 	if err != nil {
 		return nil, fmt.Errorf("coverage: %w", err)
 	}
-	res, err := bestOf(ctx, opts, len(scn.PoIs), seeds, func(ctx context.Context, seed uint64, hook func(descent.IterRecord)) (*result, error) {
+	res, err := bestOf(ctx, opts, seeds, func(ctx context.Context, seed uint64, hook func(descent.IterRecord)) (*result, error) {
 		d := dopts
 		d.Seed = seed
 		if hook != nil {
@@ -515,9 +514,8 @@ func SplitSeeds(seed uint64, restarts int) []uint64 {
 // ctx.Err(); the plan is nil when nothing completed. Uncancelled runs
 // are bit-for-bit identical to OptimizeBest.
 //
-// Below 24 PoIs, where an iteration runs on one goroutine, up to
-// Options.Workers restarts run at once. The plan and the sequence of
-// hook events are the same for every Workers value.
+// Up to Options.Workers restarts run at once. The plan and the sequence
+// of hook events are the same for every Workers value.
 func OptimizeBestContext(ctx context.Context, scn Scenario, obj Objectives, opts Options, restarts int) (*Plan, error) {
 	if restarts <= 0 {
 		return nil, fmt.Errorf("%w: %d restarts", ErrObjectives, restarts)

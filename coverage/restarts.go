@@ -20,18 +20,17 @@ type restart func(ctx context.Context, seed uint64, hook func(descent.IterRecord
 
 // bestOf runs one restart per seed and returns the lowest-cost result,
 // reducing in restart order with strict < so the first restart wins a
-// tie. The restarts of a search over m PoIs run concurrently when
-// descent.NewRestartFan allows it; the result and the hook stream are
-// bit for bit what running them one after another produces. On a
-// non-cancellation error bestOf returns the error of the lowest-indexed
-// restart that failed. On cancellation it starts no further restart and
-// returns the best result across the restarts that made progress (nil
-// when none did) with the error.
-func bestOf(ctx context.Context, opts Options, m int, seeds []uint64, run restart) (*result, error) {
+// tie. Up to opts.Workers restarts run at once (descent.NewRestartFan);
+// the result and the hook stream are bit for bit what running them one
+// after another produces. On a non-cancellation error bestOf returns
+// the error of the lowest-indexed restart that failed. On cancellation
+// it starts no further restart and returns the best result across the
+// restarts that made progress (nil when none did) with the error.
+func bestOf(ctx context.Context, opts Options, seeds []uint64, run restart) (*result, error) {
 	n := len(seeds)
 	results := make([]*result, n)
 	hooks := newHookStream(opts, n)
-	err := newRestartFan(opts.Workers, m, n).Run(ctx, n, func(r int) error {
+	err := newRestartFan(opts.Workers, n).Run(ctx, n, func(r int) error {
 		res, err := run(ctx, seeds[r], hooks.hook(r))
 		results[r] = res
 		hooks.finish(r, err != nil)

@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/descent"
 	"repro/internal/fleet"
+	"repro/internal/rng"
+	"repro/internal/topology"
 )
 
 // keepFans records every restart fan the best-of searches build for the
@@ -18,8 +20,8 @@ func keepFans(t *testing.T) *[]*descent.Fan {
 	t.Helper()
 	var fans []*descent.Fan
 	prev := newRestartFan
-	newRestartFan = func(workers, m, n int) *descent.Fan {
-		f := prev(workers, m, n)
+	newRestartFan = func(workers, n int) *descent.Fan {
+		f := prev(workers, n)
 		fans = append(fans, f)
 		return f
 	}
@@ -55,24 +57,29 @@ func (l *hookLog) install(opts *Options) {
 	}
 }
 
-// TestBestOfWorkersBitIdentical runs a single-sensor and a fleet best-of
-// search with Workers 1 and 4. The restarts of the second run overlap
-// (the fan's in-flight peak reaches 2), yet the plans are bit-identical
-// and the OnIteration/OnProgress streams, including Restart and Probes,
-// are deep-equal to the sequential ones.
+// TestBestOfWorkersBitIdentical runs single-sensor and K = 2 fleet
+// best-of searches with Workers 1 and 4, on Topology 3 and on a 24-PoI
+// field. The restarts of the second run overlap (the fan's in-flight
+// peak reaches 2) and share one cost model, yet the plans are
+// bit-identical and the OnIteration/OnProgress streams, including
+// Restart and Probes, are deep-equal to the sequential ones.
 func TestBestOfWorkersBitIdentical(t *testing.T) {
 	scn, err := PaperTopology(3)
 	if err != nil {
 		t.Fatalf("PaperTopology: %v", err)
 	}
+	field := fieldScenario(t, 24)
 	obj := Objectives{Alpha: 1, Beta: 1e-4}
 	for _, tc := range []struct {
 		name     string
 		restarts int
+		iters    int
 		optimize func(Options) (*Plan, error)
 	}{
-		{"single", 3, func(o Options) (*Plan, error) { return OptimizeBest(scn, obj, o, 3) }},
-		{"fleet", 2, func(o Options) (*Plan, error) { return OptimizeFleetBest(scn, obj, o, 2, nil, 2) }},
+		{"single", 3, 120, func(o Options) (*Plan, error) { return OptimizeBest(scn, obj, o, 3) }},
+		{"fleet", 2, 120, func(o Options) (*Plan, error) { return OptimizeFleetBest(scn, obj, o, 2, nil, 2) }},
+		{"field24/single", 3, 30, func(o Options) (*Plan, error) { return OptimizeBest(field, obj, o, 3) }},
+		{"field24/fleet", 2, 30, func(o Options) (*Plan, error) { return OptimizeFleetBest(field, obj, o, 2, nil, 2) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fans := keepFans(t)
@@ -80,7 +87,7 @@ func TestBestOfWorkersBitIdentical(t *testing.T) {
 			var streams [][]any
 			for _, workers := range []int{1, 4} {
 				log := &hookLog{t: t}
-				opts := Options{MaxIters: 120, Seed: 21, Workers: workers}
+				opts := Options{MaxIters: tc.iters, Seed: 21, Workers: workers}
 				log.install(&opts)
 				plan, err := tc.optimize(opts)
 				if err != nil {
@@ -114,6 +121,24 @@ func TestBestOfWorkersBitIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fieldScenario returns an m-PoI random-geometric field, the geometry
+// of the benchmark's field workload at m = 64.
+func fieldScenario(t *testing.T, m int) Scenario {
+	t.Helper()
+	top, err := topology.Random(rng.New(uint64(m)), topology.RandomConfig{
+		M: m, Width: 40 * float64(m), Height: 40 * float64(m),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scn := Scenario{Name: "field", Target: top.Target(), Range: top.Range(), Speed: top.Speed()}
+	for i := 0; i < m; i++ {
+		q := top.PoIAt(i)
+		scn.PoIs = append(scn.PoIs, PoI{X: q.Pos.X, Y: q.Pos.Y, Pause: q.Pause})
+	}
+	return scn
 }
 
 // lastRestart returns the restart of the stream's last event.
@@ -166,7 +191,7 @@ func TestBestOfOutOfOrderFinish(t *testing.T) {
 				}
 				got = append(got, ev.Restart)
 			}}
-			best, err := bestOf(context.Background(), opts, 4, []uint64{0, 1, 2}, run)
+			best, err := bestOf(context.Background(), opts, []uint64{0, 1, 2}, run)
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}
@@ -184,5 +209,17 @@ func TestBestOfOutOfOrderFinish(t *testing.T) {
 				t.Errorf("delivered restarts %v, want %v", got, want)
 			}
 		})
+	}
+}
+
+// TestBestOfRejectsNegativeWorkers checks that a negative Workers is an
+// options error, not a silently sequential search.
+func TestBestOfRejectsNegativeWorkers(t *testing.T) {
+	scn, err := PaperTopology(3)
+	if err != nil {
+		t.Fatalf("PaperTopology: %v", err)
+	}
+	if _, err := OptimizeBest(scn, Objectives{Alpha: 1, Beta: 1e-4}, Options{MaxIters: 5, Workers: -1}, 2); err == nil {
+		t.Error("Workers: -1 accepted")
 	}
 }

@@ -140,7 +140,8 @@ type Generator struct {
 type Matrix struct {
 	// Solvers lists linear-algebra backends ("dense", "sparse").
 	Solvers []string `json:"solvers"`
-	// Workers lists per-iteration worker counts (≥ 1 each).
+	// Workers lists worker counts (≥ 1 each): how many restarts of a
+	// best-of case run at once.
 	Workers []int `json:"workers"`
 	// Shards lists restart shard splits (≥ 2 each) for InvBitExact over
 	// OverShards; empty when no sharded comparison is requested.

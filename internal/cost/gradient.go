@@ -8,30 +8,9 @@ import (
 	"repro/internal/mat"
 )
 
-// gradTask adapts the fused per-row gradient pass to the par.Task
-// interface. It lives inside the Workspace so dispatching it converts a
-// long-lived pointer to an interface without allocating.
-type gradTask struct {
-	m  *Model
-	ws *Workspace
-	ev *Evaluation
-}
-
-func (t *gradTask) Run(_, lo, hi int) {
-	t.m.gradientRows(t.ws, t.ev, lo, hi)
-}
-
 // gradientInto assembles [D_P U] from a completed evaluation into the
 // workspace's gradient buffer. It performs no allocations on the success
 // path.
-//
-// The partial-derivative phase is row-partitioned: each worker owns rows
-// [lo, hi) of dUdP and dUdPi, so no two workers touch the same float64
-// slot and every slot receives its additions in exactly the serial
-// order. That owner-computes split — rather than per-worker shards merged
-// at the end — is what keeps the parallel gradient bit-for-bit identical
-// to the serial one: merging shards would reassociate floating-point
-// sums.
 func (m *Model) gradientInto(ws *Workspace, ev *Evaluation) (*mat.Matrix, error) {
 	return m.gradientIntoWith(ws, ev, nil, 0, nil)
 }
@@ -60,7 +39,7 @@ func (m *Model) gradientIntoWith(ws *Workspace, ev *Evaluation, coverCoef []floa
 		}
 	}
 	// The π chain rule and the exposure row constants read Z: form it
-	// once, before the fan-out.
+	// once, before the row pass.
 	if err := sol.Fundamental(); err != nil {
 		return nil, err
 	}
@@ -72,10 +51,10 @@ func (m *Model) gradientIntoWith(ws *Workspace, ev *Evaluation, coverCoef []floa
 	}
 	ws.dUdP.Zero()
 
-	// Shared precompute: the coverage coefficients c_i = α_i G_i are read
-	// by every worker (each row j folds over all i), so they are built once
-	// up front rather than per worker, with the travel-time coefficient
-	// cphi = Σ_i c_i Φ_i the cover-list fold subtracts.
+	// Shared precompute: every row j folds the coverage coefficients
+	// c_i = α_i G_i over all i, so they are built once up front, with the
+	// travel-time coefficient cphi = Σ_i c_i Φ_i the cover-list fold
+	// subtracts.
 	carr := ws.carr
 	ws.anyCover = false
 	for i := 0; i < n; i++ {
@@ -99,17 +78,9 @@ func (m *Model) gradientIntoWith(ws *Workspace, ev *Evaluation, coverCoef []floa
 		} else {
 			ws.cphi = coverPhi
 		}
-		m.coverLists() // build outside the worker fan-out
 	}
 
-	ws.gtask.m = m
-	ws.gtask.ws = ws
-	ws.gtask.ev = ev
-	if ws.pool.Workers() == 1 {
-		ws.gtask.Run(0, 0, n)
-	} else {
-		ws.pool.Run(n, &ws.gtask)
-	}
+	m.gradientRows(ws, ev, 0, n)
 
 	// Eq. 10 with ∂U/∂Z ≡ 0: [D_P U]_kl = π_k (Z·dUdPi)_l + dUdP_kl.
 	if err := mat.MulVecTo(ws.q, sol.Z, dUdPi); err != nil {
@@ -132,11 +103,9 @@ func (m *Model) gradientIntoWith(ws *Workspace, ev *Evaluation, coverCoef []floa
 // gradientRows accumulates every partial-derivative term owned by rows
 // [lo, hi): rows of dUdP and entries of dUdPi.
 //
-// Bit-for-bit discipline: each dUdP/dUdPi slot must see exactly the
-// additions of the serial loops, in the same order, with the same
-// expression shapes, whatever the span. The zero-coefficient skip
-// (e_i = 0) is preserved exactly: adding 0.0 is not a bitwise no-op
-// (−0.0 + 0.0 = +0.0).
+// The golden traces pin the order of every slot's additions and the
+// expression shapes. The zero-coefficient skip (e_i = 0) is kept
+// exactly: adding 0.0 is not a bitwise no-op (−0.0 + 0.0 = +0.0).
 func (m *Model) gradientRows(ws *Workspace, ev *Evaluation, lo, hi int) {
 	n := m.top.M()
 	sol := ev.Sol
@@ -150,7 +119,7 @@ func (m *Model) gradientRows(ws *Workspace, ev *Evaluation, lo, hi int) {
 	// and the dUdPi fold is Σ_k p_jk S_jk. The per-(j,k) dot runs over
 	// the nonzero cover list instead of all M PoIs.
 	if ws.anyCover {
-		covPtr, covIdx, covVal := m.covPtr, m.covIdx, m.covVal
+		covPtr, covIdx, covVal := m.coverLists()
 		cphi := ws.cphi
 		for j := lo; j < hi; j++ {
 			pij := sol.Pi[j]

@@ -15,7 +15,6 @@ import (
 	"repro/internal/markov"
 	"repro/internal/mat"
 	"repro/internal/mcmc"
-	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/route"
 	"repro/internal/topology"
@@ -351,7 +350,7 @@ func TestFleetProbeMatchesEvaluate(t *testing.T) {
 					descent.RandomInit(src, m, descent.DefaultMinProb),
 					descent.RandomInit(src, m, descent.DefaultMinProb),
 				}
-				st, direct := fm.NewState(method, nil), fm.NewState(method, nil)
+				st, direct := fm.NewState(method), fm.NewState(method)
 				if _, err := st.Evaluate(ps); err != nil {
 					t.Fatal(err)
 				}
@@ -418,8 +417,8 @@ type keptState struct {
 	st *fleet.State
 }
 
-func (o *keptState) NewState(method markov.Method, pool *par.Pool) *fleet.State {
-	o.st = o.Model.NewState(method, pool)
+func (o *keptState) NewState(method markov.Method) *fleet.State {
+	o.st = o.Model.NewState(method)
 	return o.st
 }
 
@@ -440,7 +439,7 @@ func TestCorpusSearchCertified(t *testing.T) {
 					obj := &keptState{Model: fm}
 					opt, err := descent.NewOptimizer(obj, descent.Options{
 						Variant: descent.Adaptive, MaxIters: 1, Seed: uint64(300 + i),
-						Solver: method, Workers: 1, RecordTrace: true,
+						Solver: method, RecordTrace: true,
 					})
 					if err != nil {
 						t.Fatal(err)

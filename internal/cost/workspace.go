@@ -3,7 +3,6 @@ package cost
 import (
 	"repro/internal/markov"
 	"repro/internal/mat"
-	"repro/internal/par"
 )
 
 // Workspace owns every buffer one evaluation/gradient pass needs: the
@@ -24,11 +23,6 @@ type Workspace struct {
 	solver *markov.Solver
 	ev     Evaluation
 
-	// pool, when set, row-partitions the gradient's partial-derivative
-	// phase across its workers. Results are bit-for-bit identical with
-	// any pool width, including none.
-	pool *par.Pool
-
 	// Gradient scratch, allocated on first GradientIn so evaluate-only
 	// workspaces stay small.
 	dUdPi []float64
@@ -40,10 +34,9 @@ type Workspace struct {
 	// beta is the exposure-weight vector the current gradient pass reads:
 	// the model's own β on the standard path, a caller override on the
 	// weighted path (the fleet layer masks β to the argmin sensor).
-	beta  []float64
-	dUdP  *mat.Matrix
-	grad  *mat.Matrix
-	gtask gradTask
+	beta []float64
+	dUdP *mat.Matrix
+	grad *mat.Matrix
 }
 
 // NewWorkspace returns a Workspace sized for the model's topology.
@@ -59,13 +52,6 @@ func (m *Model) NewWorkspace() *Workspace {
 			CoverTime: make([]float64, n),
 		},
 	}
-}
-
-// SetPool attaches a worker pool for the gradient assembly. A nil pool
-// (the default) keeps the whole pass on the calling goroutine. The
-// workspace does not own the pool; the caller stops it.
-func (ws *Workspace) SetPool(p *par.Pool) {
-	ws.pool = p
 }
 
 // SetSolver selects the markov backend for the workspace's chain solves.

@@ -10,11 +10,10 @@ import (
 	"repro/internal/topology"
 )
 
-// benchOptimizer builds an M-PoI model and a workers-wide optimizer
-// positioned at a random iterate, with its projected steepest-descent
-// direction, ready for line-search probing. The caller decides whether
-// the fan-out threshold applies.
-func benchOptimizer(b testing.TB, m, workers int) (*singleOptimizer, []*mat.Matrix, []*mat.Matrix, float64) {
+// benchOptimizer builds an M-PoI model and an optimizer positioned at a
+// random iterate, with its projected steepest-descent direction, ready
+// for line-search probing.
+func benchOptimizer(b testing.TB, m int) (*singleOptimizer, []*mat.Matrix, []*mat.Matrix, float64) {
 	b.Helper()
 	top, err := topology.Random(rng.New(uint64(m)), topology.RandomConfig{
 		M: m, Width: 40 * float64(m), Height: 40 * float64(m),
@@ -26,7 +25,7 @@ func benchOptimizer(b testing.TB, m, workers int) (*singleOptimizer, []*mat.Matr
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt, err := newSingle(model, Options{Variant: Adaptive, MaxIters: 1, Seed: 1, Workers: workers})
+	opt, err := newSingle(model, Options{Variant: Adaptive, MaxIters: 1, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -37,41 +36,31 @@ func benchOptimizer(b testing.TB, m, workers int) (*singleOptimizer, []*mat.Matr
 // BenchmarkLineSearchStep measures the line-search half of one V3
 // iteration — the iterate's evaluation and gradient, the search lines
 // built from the Z the gradient forms, then the full search (geometric
-// bracketing plus conservative trisection, a few dozen probes) — with no
-// pool (W1) and with the gradient fanned out across a two-worker pool
-// (W2) at every size, the fan-out threshold lifted so W2 always forks.
-// The probes run serially on both sides; only the gradient differs.
-// Every op re-primes the iterate, so no op starts from the previous op's
-// last probe and W1 and W2 time the same work. This is the descent hot
-// loop's dominant cost, it runs allocation-free, and the W2/W1 ratio per
-// size is the crossover minFanOutOrder is set from.
+// bracketing plus conservative trisection, a few dozen probes). Every op
+// re-primes the iterate, so no op starts from the previous op's last
+// probe. This is the descent hot loop's dominant cost, and it runs
+// allocation-free.
 func BenchmarkLineSearchStep(b *testing.B) {
-	prev := minFanOutOrder
-	minFanOutOrder = 0
-	defer func() { minFanOutOrder = prev }()
 	for _, m := range []int{4, 8, 16, 24, 32, 48, 64, 128} {
-		for _, workers := range []int{1, 2} {
-			opt, p, dir, curU := benchOptimizer(b, m, workers)
-			b.Run(fmt.Sprintf("M%d/W%d", m, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := opt.st.Evaluate(p); err != nil {
-						b.Fatal(err)
-					}
-					if err := opt.st.Gradient(opt.grad); err != nil {
-						b.Fatal(err)
-					}
-					if err := opt.st.Line(dir); err != nil {
-						b.Fatal(err)
-					}
-					step, _, ok := opt.lineSearch(p, dir, curU)
-					if !ok && step != 0 {
-						b.Fatal("inconsistent line search result")
-					}
+		opt, p, dir, curU := benchOptimizer(b, m)
+		b.Run(fmt.Sprintf("M%d", m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := opt.st.Evaluate(p); err != nil {
+					b.Fatal(err)
 				}
-			})
-			opt.pool.Stop()
-		}
+				if err := opt.st.Gradient(opt.grad); err != nil {
+					b.Fatal(err)
+				}
+				if err := opt.st.Line(dir); err != nil {
+					b.Fatal(err)
+				}
+				step, _, ok := searchAt(opt, p, dir, curU)
+				if !ok && step != 0 {
+					b.Fatal("inconsistent line search result")
+				}
+			}
+		})
 	}
 }
 
@@ -80,8 +69,8 @@ func BenchmarkLineSearchStep(b *testing.B) {
 // range: a probe that scans its matrix again (markov.Solver.LineScans)
 // is the slow path the certificate exists to skip.
 func TestLineSearchStepCertified(t *testing.T) {
-	opt, p, dir, curU := benchOptimizer(t, 64, 1) // lines built at p
-	if _, _, ok := opt.lineSearch(p, dir, curU); !ok {
+	opt, p, dir, curU := benchOptimizer(t, 64) // lines built at p
+	if _, _, ok := searchAt(opt, p, dir, curU); !ok {
 		t.Fatal("line search found no step")
 	}
 	if opt.probes == 0 {

@@ -36,7 +36,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/markov"
 	"repro/internal/mat"
-	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -132,18 +131,6 @@ type Options struct {
 	StallIters int
 	// Tolerance is the relative improvement threshold for stall counting.
 	Tolerance float64
-	// Workers is the number of OS-level workers one iteration may occupy:
-	// the gradient assembly and its O(M³) contractions are row-partitioned
-	// across them; the line search runs its probes one after another on
-	// the calling goroutine. Results, probe counts included, are
-	// bit-for-bit identical for every value — parallelism here changes
-	// scheduling, never arithmetic order. Zero selects GOMAXPROCS; one
-	// forces the exact serial code path (no pool, no extra goroutines).
-	// Below the fork/join crossover (M < 24 PoIs, see NewIterationPool)
-	// every iteration runs on the calling goroutine whatever Workers
-	// says, with identical results; there Workers instead bounds the
-	// restarts a multi-start search runs at once (see NewRestartFan).
-	Workers int
 	// Solver selects the markov linear-algebra backend for every chain
 	// solve the run performs (iterate evaluations, gradients, and all
 	// line-search probes). The zero value, markov.MethodDense, is the
@@ -186,9 +173,6 @@ func (o Options) withDefaults() Options {
 	if o.Tolerance == 0 {
 		o.Tolerance = DefaultTolerance
 	}
-	if o.Workers == 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	return o
 }
 
@@ -205,9 +189,6 @@ func (o Options) validate() error {
 	}
 	if o.MinProb >= 0.5 {
 		return fmt.Errorf("%w: MinProb %v too large", ErrOptions, o.MinProb)
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("%w: negative Workers %d", ErrOptions, o.Workers)
 	}
 	switch o.Solver {
 	case markov.MethodDense, markov.MethodSparse:
@@ -235,8 +216,7 @@ type IterRecord struct {
 	Accepted bool
 	// Probes counts the line-search cost evaluations behind this
 	// iteration's step choice (always 0 for the Basic variant's fixed
-	// step). The search is one serial scan whatever Workers says, so the
-	// count is exact and equal across Workers settings.
+	// step, and for an iteration with no feasible step).
 	Probes int
 }
 
@@ -282,60 +262,20 @@ type Optimizer[S State[E], E any] struct {
 	dir  []*mat.Matrix // projected (negated) descent direction
 	cand []*mat.Matrix // acceptance candidate stack
 
-	// pool fans out the state's gradient; nil when NewIterationPool gives
-	// no pool (Workers <= 1, or M below the fan-out crossover).
-	pool *par.Pool
-
-	// probes counts φ evaluations of the current iteration's line search;
-	// reset on lineSearch entry, reported via IterRecord.Probes.
+	// probes counts φ evaluations of the current iteration's line search
+	// (0 when it has no feasible step), reported via IterRecord.Probes.
 	probes int
 }
 
-// minFanOutOrder is the chain order M from which one optimizer iteration
-// fans its gradient out across a worker pool; the line search always
-// runs on the calling goroutine. Below it the fork/join handshake of
-// every gradient phase costs more than the parallel work saves. It was
-// set where the fan-out first won BenchmarkLineSearchStep (Workers=2
-// against Workers=1, 2-vCPU Xeon VM, Go 1.24). Re-measured with the
-// gradient the only fan-out (median of five runs, DESIGN §8.4), W2 reads
-// +11% time at M = 24, +4% at M = 32, −3% at M = 48 and −30% at M = 64;
-// it won at both 24 and 32 in one of the five runs, so the value stays.
-// With the probes' coverage tables W2 wins at no size up to 128: the
-// gradient's row partials are under 1% of the op there, and the line
-// build and the fundamental stage run serially (DESIGN §8.4).
-// Tests lower it to exercise the pooled gradient on small models.
-var minFanOutOrder = 24
-
-// NewIterationPool returns the pool one optimizer iteration over M-state
-// chains fans out across, or nil when the iteration should stay on the
-// calling goroutine: workers ≤ 1, or m below the measured fork/join
-// crossover. A nil pool changes no results — every fan-out an iteration
-// performs is bit-identical to its serial path.
-func NewIterationPool(workers, m int) *par.Pool {
-	if !iterationFansOut(workers, m) {
-		return nil
-	}
-	return par.New(workers)
-}
-
-// iterationFansOut is NewIterationPool's decision: whether an iteration
-// over M-state chains gets a pool of the given width.
-func iterationFansOut(workers, m int) bool {
-	return workers > 1 && m >= minFanOutOrder
-}
-
 // NewRestartFan returns the scheduler for the n restarts of a
-// multi-start search over M-state chains. It runs min(workers, n)
-// restarts at once when an iteration gets no pool from
-// NewIterationPool, so the workers the iteration leaves idle go to the
-// restarts, and one at a time when the iteration fans out itself.
-// Workers zero means GOMAXPROCS; one keeps the restarts sequential.
-func NewRestartFan(workers, m, n int) *Fan {
+// multi-start search: it runs min(workers, n) restarts at once, each on
+// its own goroutine with its own optimizer. Workers zero means
+// GOMAXPROCS; one keeps the restarts sequential. The restarts are the
+// only parallelism of a search: one iteration is a serial chain of
+// steps and runs on its restart's goroutine.
+func NewRestartFan(workers, n int) *Fan {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if iterationFansOut(workers, m) {
-		return newFan(1)
 	}
 	return newFan(min(workers, n))
 }
@@ -359,9 +299,8 @@ func NewOptimizer[S State[E], E any](obj Objective[S], opts Options) (*Optimizer
 		grad: newStack(k, m),
 		dir:  newStack(k, m),
 		cand: newStack(k, m),
-		pool: NewIterationPool(opts.Workers, m),
 	}
-	o.st = obj.NewState(opts.Solver, o.pool)
+	o.st = obj.NewState(opts.Solver)
 	return o, nil
 }
 
@@ -375,29 +314,10 @@ func newStack(k, m int) []*mat.Matrix {
 }
 
 // keepBest records a new best stack, whose evaluation is the state's
-// last one, in res.
-//
-// Without an iteration pool it copies them into the Result's own
-// buffers, allocated once at the initial point, so an improvement
-// allocates nothing. That is the case the restarts of a best-of search
-// run concurrently in (see NewRestartFan), where allocations made while
-// the collector marks on a fractional worker all count as live.
-//
-// With a pool it keeps fresh clones instead: there a run that
-// allocates nothing starts every collection inside the next model
-// build, and the peak live heap of perfbench's 64-PoI field workload
-// read 5.8 MB in some runs and 10-11.7 MB in others on a 2-vCPU VM
-// (DESIGN.md §8.4); with a clone per improvement it reads 5.8-6.4 MB.
-// The results are identical either way.
+// last one, in res: it copies them into the Result's own buffers,
+// allocated once at the initial point, so an improvement allocates
+// nothing.
 func (o *Optimizer[S, E]) keepBest(res *Result[E], ps []*mat.Matrix) {
-	if o.pool != nil {
-		for s, p := range ps {
-			res.Ps[s] = p.Clone()
-		}
-		res.P = res.Ps[0]
-		res.Eval = o.st.Clone()
-		return
-	}
 	for s, p := range ps {
 		// Every iterate has the objective's shape, so the copy cannot fail.
 		_ = res.Ps[s].CopyFrom(p)
@@ -510,9 +430,6 @@ func (o *Optimizer[S, E]) RunContext(ctx context.Context) (*Result[E], error) {
 	if err := ctx.Err(); err != nil {
 		return nil, cancelErr(err, 0)
 	}
-	// The pool starts lazily on first use; stopping it on exit means idle
-	// optimizers hold no goroutines between runs.
-	defer o.pool.Stop()
 	p := o.initialStack()
 	curU, err := o.st.Evaluate(p)
 	if err != nil {
@@ -529,10 +446,11 @@ func (o *Optimizer[S, E]) RunContext(ctx context.Context) (*Result[E], error) {
 	bestU := curU
 	stall := 0
 	// evAtP tracks whether the state's last evaluation (and its Markov
-	// solutions) is current for p: true after the initial evaluate and
-	// after an accepted candidate (the p/cand swap makes the candidate's
-	// evaluation the iterate's), false once line-search probes or a
-	// rejected candidate have clobbered the state. When true, the gradient
+	// solutions) is current for p: true after the initial evaluate, after
+	// an iteration with no feasible step, and after an accepted candidate
+	// (the p/cand swap makes the candidate's evaluation the iterate's),
+	// false once line-search probes or a rejected candidate have clobbered
+	// the state. When true, the gradient
 	// skips the O(M³) chain re-solves; either way the bits are identical
 	// because re-solving the same p reproduces the same solution.
 	evAtP := true
@@ -547,30 +465,39 @@ func (o *Optimizer[S, E]) RunContext(ctx context.Context) (*Result[E], error) {
 			if _, err := o.st.Evaluate(p); err != nil {
 				return nil, fmt.Errorf("descent: iteration %d: %w", iter, err)
 			}
+			evAtP = true
 		}
 		if err := o.st.Gradient(o.grad); err != nil {
 			return nil, fmt.Errorf("descent: iteration %d: %w", iter, err)
 		}
 		o.direction()
+		bound := maxFeasibleStep(p, o.dir, o.opts.MinProb)
 
 		var step float64
 		if o.opts.Variant == Basic {
 			// Clip the fixed step to the feasibility bound so the iterate
 			// never leaves the polytope interior.
 			step = o.opts.FixedStep
-			if bound := maxFeasibleStep(p, o.dir, o.opts.MinProb); bound < step {
+			if bound < step {
 				step = bound
 			}
 		} else {
-			// The state still holds p's evaluation with its fundamental
-			// matrices formed by the gradient: build the search lines
-			// from it before the first probe overwrites it.
-			if err := o.st.Line(o.dir); err != nil {
-				return nil, fmt.Errorf("descent: iteration %d: search line: %w", iter, err)
+			// With no room to step (an entry at the floor pushed lower)
+			// the search would stop before its first probe: the iteration
+			// builds no line, and the state keeps p's evaluation for the
+			// next gradient.
+			ok := false
+			o.probes = 0
+			if bound > 0 {
+				// The state still holds p's evaluation with its fundamental
+				// matrices formed by the gradient: build the search lines
+				// from it before the first probe overwrites it.
+				if err := o.st.Line(o.dir); err != nil {
+					return nil, fmt.Errorf("descent: iteration %d: search line: %w", iter, err)
+				}
+				step, _, ok = o.lineSearch(bound, curU)
+				evAtP = false // probe evaluations have clobbered the state
 			}
-			var ok bool
-			step, _, ok = o.lineSearch(p, o.dir, curU)
-			evAtP = false // probe evaluations have clobbered the state
 			if !ok || step == 0 {
 				if o.opts.Variant == Adaptive {
 					// Δt* = 0: the paper's criterion for a local optimum.
@@ -579,7 +506,6 @@ func (o *Optimizer[S, E]) RunContext(ctx context.Context) (*Result[E], error) {
 				}
 				// Zero optimal step: take a uniform random step within
 				// bounds (the paper's escape move).
-				bound := maxFeasibleStep(p, o.dir, o.opts.MinProb)
 				if bound <= 0 {
 					stall++
 					if stall >= o.opts.StallIters {
@@ -787,14 +713,16 @@ func maxFeasibleStep(ps, dirs []*mat.Matrix, floor float64) float64 {
 }
 
 // lineSearch implements V3: an approximate minimization of
-// φ(δ) = U(P + δ·dir) over [0, δ_max]. Because the minimizer is routinely
+// φ(δ) = U(P + δ·dir) over [0, bound], where bound is the feasibility
+// bound maxFeasibleStep gives for P and dir. Because the minimizer is routinely
 // orders of magnitude smaller than the feasibility bound (the gradient
 // magnitude sets the natural step scale, not the box constraints), a
 // linear trisection alone cannot resolve it; the search therefore first
 // brackets the minimizer on a geometric (log-scale) grid and then runs the
 // paper's conservative trisection inside that bracket. It returns the
 // chosen step, the cost at that step, and false when no positive step
-// improves on curU (the paper's Δt* = 0 case).
+// improves on curU (the paper's Δt* = 0 case); a zero bound runs no probe
+// and returns false.
 //
 // Every probe evaluates on the state's search lines (State.Probe), which
 // the caller has built through p along dir (State.Line): π along
@@ -802,14 +730,10 @@ func maxFeasibleStep(ps, dirs []*mat.Matrix, floor float64) float64 {
 // per search, and the coverage and energy folds read tables built with
 // it. A probe's U therefore agrees with a direct evaluation of the same
 // stack to rounding only; the caller evaluates the chosen step directly.
-// The search only reads the lines and p, so it is a pure function of its
+// The search only reads the lines, so it is a pure function of its
 // arguments and the lines.
-func (o *Optimizer[S, E]) lineSearch(p, dir []*mat.Matrix, curU float64) (float64, float64, bool) {
+func (o *Optimizer[S, E]) lineSearch(bound, curU float64) (float64, float64, bool) {
 	o.probes = 0
-	bound := maxFeasibleStep(p, dir, o.opts.MinProb)
-	if bound <= 0 {
-		return 0, curU, false
-	}
 
 	// Phase 1: geometric scan δ_k = bound / 4^k. The scan stops once the
 	// incumbent has been left behind by two scales (φ is locally unimodal

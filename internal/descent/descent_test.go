@@ -459,7 +459,7 @@ func TestLineSearchFindsDescent(t *testing.T) {
 	cost.ProjectTo(dir, grad)
 	mat.ScaleInPlace(-1, dir)
 	primeSearch(t, opt, []*mat.Matrix{p}, []*mat.Matrix{dir})
-	step, u, ok := opt.lineSearch([]*mat.Matrix{p}, []*mat.Matrix{dir}, ev.U)
+	step, u, ok := searchAt(opt, []*mat.Matrix{p}, []*mat.Matrix{dir}, ev.U)
 	if !ok {
 		t.Fatal("line search found no descent from the uniform start")
 	}
@@ -502,7 +502,7 @@ func TestLineSearchZeroAtMinimum(t *testing.T) {
 	dir := mat.New(grad.Rows(), grad.Cols())
 	cost.ProjectTo(dir, grad)
 	primeSearch(t, opt, []*mat.Matrix{p}, []*mat.Matrix{dir})
-	if step, _, ok := opt.lineSearch([]*mat.Matrix{p}, []*mat.Matrix{dir}, ev.U); ok && step > 0 {
+	if step, _, ok := searchAt(opt, []*mat.Matrix{p}, []*mat.Matrix{dir}, ev.U); ok && step > 0 {
 		// An ascent direction may still curve downward far away; accept
 		// only a genuinely lower cost.
 		cand := p.Clone()
@@ -533,7 +533,7 @@ func TestItersCountsSkippedIterations(t *testing.T) {
 		t.Fatal(err)
 	}
 	const budget = 50
-	opt, err := newSingle(m, Options{Variant: Perturbed, MaxIters: budget, Seed: 1, Workers: 1, RecordTrace: true})
+	opt, err := newSingle(m, Options{Variant: Perturbed, MaxIters: budget, Seed: 1, RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,24 +8,23 @@ import (
 	"testing"
 )
 
-// TestNewRestartFanWidth pins the restart side of the fan-out crossover:
-// restarts share the workers an iteration leaves idle below
-// minFanOutOrder, and run one at a time when the iteration fans out or
-// Workers is one.
+// TestNewRestartFanWidth pins the restart fan's width: min(workers, n)
+// restarts at once at every chain order, GOMAXPROCS for zero workers,
+// and one at a time for Workers one or below.
 func TestNewRestartFanWidth(t *testing.T) {
-	for _, tc := range []struct{ workers, m, n, width int }{
-		{1, 4, 3, 1},
-		{2, 4, 3, 2},
-		{4, 4, 3, 3},
-		{4, minFanOutOrder - 1, 8, 4},
-		{4, minFanOutOrder, 3, 1},
-		{-1, 4, 3, 1},
+	for _, tc := range []struct{ workers, n, width int }{
+		{1, 3, 1},
+		{2, 3, 2},
+		{4, 3, 3},
+		{4, 8, 4},
+		{2, 1, 1},
+		{-1, 3, 1},
 	} {
-		if got := NewRestartFan(tc.workers, tc.m, tc.n).Width(); got != tc.width {
-			t.Errorf("NewRestartFan(%d, %d, %d) width %d, want %d", tc.workers, tc.m, tc.n, got, tc.width)
+		if got := NewRestartFan(tc.workers, tc.n).Width(); got != tc.width {
+			t.Errorf("NewRestartFan(%d, %d) width %d, want %d", tc.workers, tc.n, got, tc.width)
 		}
 	}
-	if got, want := NewRestartFan(0, 4, 64).Width(), min(runtime.GOMAXPROCS(0), 64); got != want {
+	if got, want := NewRestartFan(0, 64).Width(), min(runtime.GOMAXPROCS(0), 64); got != want {
 		t.Errorf("Workers 0: width %d, want GOMAXPROCS-bound %d", got, want)
 	}
 }
@@ -118,7 +117,7 @@ func TestPerturbedRunAllocsFlat(t *testing.T) {
 	allocs := func(iters int) float64 {
 		return testing.AllocsPerRun(2, func() {
 			opt, err := newSingle(m, Options{
-				Variant: Perturbed, MaxIters: iters, Seed: 5, StallIters: 10 * iters, Workers: 1,
+				Variant: Perturbed, MaxIters: iters, Seed: 5, StallIters: 10 * iters,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -85,25 +85,18 @@ var goldenParallelRuns = []uint64{
 }
 
 // runGolden runs one golden configuration on goldenModel's one-sensor
-// fleet; with Workers > 1 it forces the in-iteration fan-out and checks
-// the run took it.
-func runGolden(t *testing.T, model *cost.Model, opts Options) *singleResult {
+// fleet: workers copies of the run at once (runConcurrently), all sharing
+// the model, so a golden replayed with workers > 1 also pins that
+// concurrent restarts leave each other's arithmetic alone.
+func runGolden(t *testing.T, model *cost.Model, opts Options, workers int) []*singleResult {
 	t.Helper()
-	if opts.Workers > 1 {
-		forceFanOut(t)
-	}
-	opt, err := newSingle(model, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := opt.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.Workers > 1 {
-		requireForked(t, opt)
-	}
-	return res
+	return runConcurrently(t, workers, func(int) (*singleResult, error) {
+		opt, err := newSingle(model, opts)
+		if err != nil {
+			return nil, err
+		}
+		return opt.Run()
+	})
 }
 
 // checkGolden holds a 25-iteration seed-42 result to its variant's pins.
@@ -129,7 +122,7 @@ func TestGoldenTraces(t *testing.T) {
 		t.Run(tc.variant.String(), func(t *testing.T) {
 			res := runGolden(t, model, Options{
 				Variant: tc.variant, MaxIters: 25, Seed: 42, RecordTrace: true,
-			})
+			}, 1)[0]
 			checkGolden(t, res, tc.bestU, tc.phash)
 			for _, rec := range res.Trace {
 				if math.IsNaN(rec.U) {
@@ -140,43 +133,44 @@ func TestGoldenTraces(t *testing.T) {
 	}
 }
 
-// TestGoldenTracesWithWorkers replays the goldens with Workers: 4, which
-// must not change a single bit of the trajectory. The golden model is
-// below the fan-out threshold, so no pool is attached here;
-// TestWorkersDeterminism forces one.
+// TestGoldenTracesWithWorkers replays the goldens as four copies running
+// at once on one shared model: every copy must reproduce the pins bit
+// for bit.
 func TestGoldenTracesWithWorkers(t *testing.T) {
 	model := goldenModel(t)
 	for _, tc := range goldenVariants {
 		t.Run(tc.variant.String(), func(t *testing.T) {
-			res := runGolden(t, model, Options{
-				Variant: tc.variant, MaxIters: 25, Seed: 42, Workers: 4,
-			})
-			checkGolden(t, res, tc.bestU, tc.phash)
+			for _, res := range runGolden(t, model, Options{
+				Variant: tc.variant, MaxIters: 25, Seed: 42,
+			}, 4) {
+				checkGolden(t, res, tc.bestU, tc.phash)
+			}
 		})
 	}
 }
 
 // TestGoldenOneSensorFleet checks that at K = 1 the joint fleet
 // objective is the single-sensor cost term by term: the best evaluation
-// each golden run reports, serially and fanned out, and each split-seed
-// restart's best U must equal what cost.Model computes for the best P,
-// bit for bit.
+// each golden run reports, alone and as one of four concurrent copies,
+// and each split-seed restart's best U must equal what cost.Model
+// computes for the best P, bit for bit.
 func TestGoldenOneSensorFleet(t *testing.T) {
 	model := goldenModel(t)
 	for _, workers := range []int{1, 4} {
 		for _, tc := range goldenVariants {
 			t.Run(fmt.Sprintf("%v/w%d", tc.variant, workers), func(t *testing.T) {
-				res := runGolden(t, model, Options{
-					Variant: tc.variant, MaxIters: 25, Seed: 42, Workers: workers,
-				})
-				checkGolden(t, res, tc.bestU, tc.phash)
-				checkSensorTerms(t, model, res)
+				for _, res := range runGolden(t, model, Options{
+					Variant: tc.variant, MaxIters: 25, Seed: 42,
+				}, workers) {
+					checkGolden(t, res, tc.bestU, tc.phash)
+					checkSensorTerms(t, model, res)
+				}
 			})
 		}
 	}
 	t.Run("parallel-runs", func(t *testing.T) {
 		for i, seed := range splitSeeds(7, len(goldenParallelRuns)) {
-			res := runGolden(t, model, Options{Variant: Perturbed, MaxIters: 15, Seed: seed})
+			res := runGolden(t, model, Options{Variant: Perturbed, MaxIters: 15, Seed: seed}, 1)[0]
 			if got := math.Float64bits(res.Eval.U); got != goldenParallelRuns[i] {
 				t.Errorf("run %d: bestU bits = %#x, want %#x", i, got, goldenParallelRuns[i])
 			}

@@ -1,14 +1,15 @@
 package descent
 
 import (
+	"hash/fnv"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cost"
 	"repro/internal/fleet"
 	"repro/internal/markov"
 	"repro/internal/mat"
-	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/topology"
 )
@@ -30,16 +31,16 @@ func TestProbesMatchEvaluate(t *testing.T) {
 }
 
 func probesMatchEvaluate[S State[E], E any](t *testing.T, obj Objective[S]) {
-	opt, err := NewOptimizer(obj, Options{Variant: Adaptive, Seed: 1, Workers: 1})
+	opt, err := NewOptimizer(obj, Options{Variant: Adaptive, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p, dir, curU := searchInputs(t, opt)
-	step, u, ok := opt.lineSearch(p, dir, curU)
+	step, u, ok := searchAt(opt, p, dir, curU)
 	if !ok || step <= 0 {
 		t.Fatalf("line search found no step (%v, %v)", step, ok)
 	}
-	ref := obj.NewState(markov.MethodDense, nil)
+	ref := obj.NewState(markov.MethodDense)
 	cand := newStack(opt.k, opt.m)
 	check := func(delta, got float64) {
 		t.Helper()
@@ -65,9 +66,9 @@ func probesMatchEvaluate[S State[E], E any](t *testing.T, obj Objective[S]) {
 // and its inputs: searching again after the state holds the first
 // search's last probe returns bit for bit the same step, cost and flag.
 func TestLineSearchRepeats(t *testing.T) {
-	opt, ps, dir, curU := lineSearchFixture(t, 1)
-	s1, u1, ok1 := opt.lineSearch(ps, dir, curU)
-	s2, u2, ok2 := opt.lineSearch(ps, dir, curU)
+	opt, ps, dir, curU := lineSearchFixture(t)
+	s1, u1, ok1 := searchAt(opt, ps, dir, curU)
+	s2, u2, ok2 := searchAt(opt, ps, dir, curU)
 	if math.Float64bits(s1) != math.Float64bits(s2) ||
 		math.Float64bits(u1) != math.Float64bits(u2) || ok1 != ok2 {
 		t.Errorf("first search (%v, %v, %v) != repeated search (%v, %v, %v)", s1, u1, ok1, s2, u2, ok2)
@@ -126,7 +127,7 @@ func fieldModel64(t *testing.T) *cost.Model {
 func runAdaptive[S State[*fleet.Evaluation]](t *testing.T, obj Objective[S]) *Result[*fleet.Evaluation] {
 	t.Helper()
 	const maxIters = 100
-	opt, err := NewOptimizer(obj, Options{Variant: Adaptive, MaxIters: maxIters, Seed: 1, Workers: 1, RecordTrace: true})
+	opt, err := NewOptimizer(obj, Options{Variant: Adaptive, MaxIters: maxIters, Seed: 1, RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +172,8 @@ type lowFirstProbe struct {
 	bias float64
 }
 
-func (o lowFirstProbe) NewState(solver markov.Method, pool *par.Pool) *lowFirstProbeState {
-	return &lowFirstProbeState{State: o.Model.NewState(solver, pool), bias: o.bias}
+func (o lowFirstProbe) NewState(solver markov.Method) *lowFirstProbeState {
+	return &lowFirstProbeState{State: o.Model.NewState(solver), bias: o.bias}
 }
 
 type lowFirstProbeState struct {
@@ -202,4 +203,114 @@ func (s *lowFirstProbeState) Probe(delta float64) (float64, error) {
 	}
 	s.fresh = false
 	return u, err
+}
+
+// countingObjective is the K = 1 objective whose state logs every call
+// the optimizer makes, one letter per call: E evaluate, G gradient,
+// L line, P probe.
+type countingObjective struct {
+	*fleet.Model
+	log []byte
+}
+
+func (o *countingObjective) NewState(solver markov.Method) *countingState {
+	return &countingState{State: o.Model.NewState(solver), log: &o.log}
+}
+
+type countingState struct {
+	*fleet.State
+	log *[]byte
+}
+
+func (s *countingState) Evaluate(ps []*mat.Matrix) (float64, error) {
+	*s.log = append(*s.log, 'E')
+	return s.State.Evaluate(ps)
+}
+
+func (s *countingState) Gradient(dst []*mat.Matrix) error {
+	*s.log = append(*s.log, 'G')
+	return s.State.Gradient(dst)
+}
+
+func (s *countingState) Line(dir []*mat.Matrix) error {
+	*s.log = append(*s.log, 'L')
+	return s.State.Line(dir)
+}
+
+func (s *countingState) Probe(delta float64) (float64, error) {
+	*s.log = append(*s.log, 'P')
+	return s.State.Probe(delta)
+}
+
+// TestStalledIterationSkipsLine runs V4 on a 16-PoI field with β = 1,
+// where 14 of 80 iterations sit on the MinProb face with no feasible
+// step. Such an iteration must build no search line, run no probe and
+// leave the state at the iterate, so the next iteration's gradient
+// needs no re-evaluation: its calls are the gradient alone. A searching
+// iteration builds one line, probes, evaluates its candidate and, when
+// the candidate is rejected, re-evaluates the iterate before the next
+// gradient. The trace and best U are pinned to the bits the run gave
+// when every stalled iteration still built a line and re-evaluated.
+func TestStalledIterationSkipsLine(t *testing.T) {
+	const m = 16
+	top, err := topology.Random(rng.New(m), topology.RandomConfig{M: m, Width: 40 * m, Height: 40 * m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := cost.NewModel(top, cost.Uniform(m, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := &countingObjective{Model: oneSensor(t, model)}
+	opt, err := NewOptimizer(obj, Options{Variant: Perturbed, MaxIters: 80, Seed: 1, RecordTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := opt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write([]byte(traceKey(t, res)))
+	if got, want := h.Sum64(), uint64(0xeaf39e4d170db5ec); got != want {
+		t.Errorf("trace key hash = %#x, want %#x", got, want)
+	}
+	if got, want := math.Float64bits(res.Eval.U), uint64(0x40c415a7886eaa04); got != want {
+		t.Errorf("bestU bits = %#x, want %#x", got, want)
+	}
+
+	log := string(obj.log)
+	if !strings.HasPrefix(log, "EG") {
+		t.Fatalf("log %q does not start with the initial evaluation", log)
+	}
+	// One segment per iteration, from its gradient to the next one.
+	iters := strings.Split(log[1:], "G")[1:]
+	if len(iters) != res.Iters {
+		t.Fatalf("%d gradients for %d iterations", len(iters), res.Iters)
+	}
+	stalled, searched := 0, 0
+	for i, seg := range iters {
+		if seg == "" {
+			stalled++
+			continue
+		}
+		if searched >= len(res.Trace) {
+			t.Fatalf("iteration %d searched (%q) beyond the %d recorded iterations", i+1, seg, len(res.Trace))
+		}
+		rec := res.Trace[searched]
+		searched++
+		if rec.Iter != i+1 {
+			t.Fatalf("iteration %d searched, but the next record is iteration %d", i+1, rec.Iter)
+		}
+		want := "L" + strings.Repeat("P", rec.Probes) + "E"
+		if !rec.Accepted && i+1 < res.Iters {
+			want += "E"
+		}
+		if seg != want {
+			t.Errorf("iteration %d (accepted %v): calls %q, want %q", i+1, rec.Accepted, seg, want)
+		}
+	}
+	if stalled == 0 || searched != len(res.Trace) {
+		t.Fatalf("%d stalled and %d searching iterations for %d records, want some of each", stalled, searched, len(res.Trace))
+	}
 }

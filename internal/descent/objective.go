@@ -3,7 +3,6 @@ package descent
 import (
 	"repro/internal/markov"
 	"repro/internal/mat"
-	"repro/internal/par"
 )
 
 // Objective is a cost over a stack of K row-stochastic M×M matrices, the
@@ -15,9 +14,8 @@ type Objective[S any] interface {
 	// Shape returns the stack size K and the chain order M.
 	Shape() (k, m int)
 	// NewState returns a private evaluation state whose chain solves use
-	// the given backend. A non-nil pool row-partitions its gradient
-	// assembly; the state does not own the pool.
-	NewState(solver markov.Method, pool *par.Pool) S
+	// the given backend.
+	NewState(solver markov.Method) S
 }
 
 // State is one private evaluation workspace of an Objective; E is the

@@ -1,8 +1,10 @@
 package descent
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/cost"
@@ -12,27 +14,30 @@ import (
 	"repro/internal/topology"
 )
 
-// forceFanOut drops the fan-out threshold for the rest of the test, so
-// multi-worker optimizers over the small test models take the pooled
-// gradient path that minFanOutOrder would otherwise skip. Tests in this
-// package do not run in parallel.
-func forceFanOut(t *testing.T) {
+// runConcurrently runs run(0), …, run(n−1) at once on a width-n Fan and
+// returns their results by index. A barrier holds every call until all
+// n are in flight, so with n > 1 the calls really overlap: the restarts
+// of a best-of search share their objective while they iterate.
+func runConcurrently[R any](t *testing.T, n int, run func(r int) (R, error)) []R {
 	t.Helper()
-	prev := minFanOutOrder
-	minFanOutOrder = 0
-	t.Cleanup(func() { minFanOutOrder = prev })
-}
-
-// requireForked fails the test unless opt's pool actually fanned out.
-func requireForked[S State[E], E any](t *testing.T, opt *Optimizer[S, E]) {
-	t.Helper()
-	if opt.pool.Forks() == 0 {
-		t.Fatalf("Workers=%d optimizer never fanned out across its pool", opt.opts.Workers)
+	out := make([]R, n)
+	var ready sync.WaitGroup
+	ready.Add(n)
+	err := newFan(n).Run(context.Background(), n, func(r int) error {
+		ready.Done()
+		ready.Wait()
+		var err error
+		out[r], err = run(r)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return out
 }
 
 // testModel16 builds a 16-PoI model with all four objective families
-// active, for the Workers bit-exactness tests.
+// active, for the concurrent-restart bit-exactness tests.
 func testModel16(t *testing.T) *cost.Model {
 	t.Helper()
 	const m = 16
@@ -70,85 +75,39 @@ func traceKey(t *testing.T, res *singleResult) string {
 	return key
 }
 
-// TestWorkersDeterminism runs every variant with Workers: 1 (the exact
-// serial path, no pool) and Workers: 4 (parallel gradient rows, pooled
-// contractions) and requires byte-identical traces, probe counts and
-// final iterates: parallelism changes scheduling, never arithmetic.
+// TestWorkersDeterminism runs four restarts of every variant one after
+// another (Workers 1) and all at once (Workers 4) over one shared model,
+// and requires byte-identical traces, probe counts and final iterates
+// per restart: each restart owns its optimizer and evaluation state, so
+// running restarts concurrently changes scheduling, never arithmetic.
 func TestWorkersDeterminism(t *testing.T) {
-	forceFanOut(t)
 	model := testModel16(t)
+	seeds := splitSeeds(99, 4)
 	for _, variant := range []Variant{Basic, Adaptive, Perturbed} {
 		t.Run(variant.String(), func(t *testing.T) {
-			keys := make(map[int]string)
-			for _, workers := range []int{1, 4} {
+			run := func(r int) (string, error) {
 				opt, err := newSingle(model, Options{
-					Variant: variant, MaxIters: 12, Seed: 99,
-					Workers: workers, RecordTrace: true,
+					Variant: variant, MaxIters: 12, Seed: seeds[r], RecordTrace: true,
 				})
 				if err != nil {
-					t.Fatalf("newSingle(workers=%d): %v", workers, err)
+					return "", err
 				}
 				res, err := opt.Run()
 				if err != nil {
-					t.Fatalf("Run(workers=%d): %v", workers, err)
+					return "", err
 				}
-				if workers > 1 {
-					requireForked(t, opt)
-				}
-				keys[workers] = traceKey(t, res)
+				return traceKey(t, res), nil
 			}
-			if keys[1] != keys[4] {
-				t.Errorf("Workers:1 and Workers:4 traces differ:\n  1: %s\n  4: %s", keys[1], keys[4])
+			serial := make([]string, len(seeds))
+			for r := range seeds {
+				serial[r] = runConcurrently(t, 1, func(int) (string, error) { return run(r) })[0]
+			}
+			for r, key := range runConcurrently(t, len(seeds), run) {
+				if key != serial[r] {
+					t.Errorf("restart %d: Workers 1 and Workers 4 traces differ:\n  1: %s\n  4: %s", r, serial[r], key)
+				}
 			}
 		})
-	}
-}
-
-// TestFanOutThreshold pins which optimizers get a pool: none with one
-// worker or below minFanOutOrder PoIs, one from the threshold up, sized
-// to Workers.
-func TestFanOutThreshold(t *testing.T) {
-	for _, tc := range []struct {
-		workers, m int
-		pooled     bool
-	}{
-		{1, 64, false},
-		{4, 3, false},
-		{4, minFanOutOrder - 1, false},
-		{4, minFanOutOrder, true},
-		{2, 64, true},
-	} {
-		pool := NewIterationPool(tc.workers, tc.m)
-		if (pool != nil) != tc.pooled {
-			t.Errorf("NewIterationPool(%d, %d) = %v, want pooled %v", tc.workers, tc.m, pool, tc.pooled)
-		}
-		if pool != nil && pool.Workers() != tc.workers {
-			t.Errorf("NewIterationPool(%d, %d) has width %d", tc.workers, tc.m, pool.Workers())
-		}
-	}
-	// The small test model runs serially whatever Workers says.
-	opt, err := newSingle(testModel16(t), Options{Variant: Adaptive, MaxIters: 2, Seed: 1, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opt.pool != nil {
-		t.Fatal("16-PoI optimizer attached a pool below the fan-out threshold")
-	}
-}
-
-// TestOptionsWorkersValidation checks the Workers knob's edges: negative
-// is rejected, zero defaults to GOMAXPROCS (≥ 1).
-func TestOptionsWorkersValidation(t *testing.T) {
-	model := goldenModel(t)
-	if _, err := newSingle(model, Options{Variant: Adaptive, Workers: -1}); err == nil {
-		t.Fatal("Workers: -1 accepted")
-	}
-	opt, err := newSingle(model, Options{Variant: Adaptive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opt.opts.Workers < 1 {
-		t.Fatalf("defaulted Workers = %d, want >= 1", opt.opts.Workers)
 	}
 }
 
@@ -204,16 +163,22 @@ func maxFeasibleStep1(p, dir *mat.Matrix, floor float64) float64 {
 	return maxFeasibleStep([]*mat.Matrix{p}, []*mat.Matrix{dir}, floor)
 }
 
-// lineSearchFixture returns an optimizer with the given worker count
-// over the 16-PoI test model, with the inputs of one line-search step.
-func lineSearchFixture(t *testing.T, workers int) (*singleOptimizer, []*mat.Matrix, []*mat.Matrix, float64) {
+// lineSearchFixture returns an optimizer over the 16-PoI test model,
+// with the inputs of one line-search step.
+func lineSearchFixture(t *testing.T) (*singleOptimizer, []*mat.Matrix, []*mat.Matrix, float64) {
 	t.Helper()
-	opt, err := newSingle(testModel16(t), Options{Variant: Adaptive, Seed: 1, Workers: workers})
+	opt, err := newSingle(testModel16(t), Options{Variant: Adaptive, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p, dir, curU := searchInputs(t, opt)
 	return opt, p, dir, curU
+}
+
+// searchAt runs opt's line search at p along dir, bounded by the
+// feasibility bound the run loop gives it.
+func searchAt[S State[E], E any](opt *Optimizer[S, E], p, dir []*mat.Matrix, curU float64) (float64, float64, bool) {
+	return opt.lineSearch(maxFeasibleStep(p, dir, opt.opts.MinProb), curU)
 }
 
 // searchInputs returns the inputs of one line-search step for opt: a
@@ -258,54 +223,50 @@ func primeSearch[S State[E], E any](tb testing.TB, opt *Optimizer[S, E], p, dir 
 
 // TestSteadyStateAllocs asserts the zero-allocation contract of the hot
 // path: evaluation, gradient assembly, and a full line-search step
-// allocate nothing in steady state — serial and with a warmed pool.
+// allocate nothing in steady state. An optimizer iterates on one worker
+// (restarts, not gradient rows, are what run concurrently), so the one
+// case measured is workers=1.
 func TestSteadyStateAllocs(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			forceFanOut(t)
-			opt, ps, dir, curU := lineSearchFixture(t, workers)
-			st := opt.st
-			t.Cleanup(func() { opt.pool.Stop() })
+	t.Run("workers=1", testSteadyStateAllocs)
+}
 
-			// Warm up: lazily-allocated scratch (gradient buffers, worker
-			// slots, LU batch scratch) and pool goroutines come into
-			// existence here, not inside the measured runs.
-			if _, err := st.Evaluate(ps); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Gradient(opt.grad); err != nil {
-				t.Fatal(err)
-			}
-			opt.lineSearch(ps, dir, curU)
-			if workers > 1 {
-				requireForked(t, opt)
-			}
+func testSteadyStateAllocs(t *testing.T) {
+	opt, ps, dir, curU := lineSearchFixture(t)
+	st := opt.st
 
-			if allocs := testing.AllocsPerRun(10, func() {
-				if _, err := st.Evaluate(ps); err != nil {
-					t.Fatal(err)
-				}
-			}); allocs != 0 {
-				t.Errorf("Evaluate allocates %v per call, want 0", allocs)
-			}
-			if allocs := testing.AllocsPerRun(10, func() {
-				if _, err := st.Evaluate(ps); err != nil {
-					t.Fatal(err)
-				}
-				if err := st.Gradient(opt.grad); err != nil {
-					t.Fatal(err)
-				}
-			}); allocs != 0 {
-				t.Errorf("Evaluate and Gradient allocate %v per call, want 0", allocs)
-			}
-			if allocs := testing.AllocsPerRun(10, func() {
-				if step, _, ok := opt.lineSearch(ps, dir, curU); !ok && step != 0 {
-					t.Fatal("inconsistent line search result")
-				}
-			}); allocs != 0 {
-				t.Errorf("lineSearch allocates %v per call, want 0", allocs)
-			}
-		})
+	// Warm up: lazily-allocated scratch (gradient buffers, LU batch
+	// scratch) comes into existence here, not inside the measured runs.
+	if _, err := st.Evaluate(ps); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Gradient(opt.grad); err != nil {
+		t.Fatal(err)
+	}
+	searchAt(opt, ps, dir, curU)
+
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := st.Evaluate(ps); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Evaluate allocates %v per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := st.Evaluate(ps); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Gradient(opt.grad); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Evaluate and Gradient allocate %v per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if step, _, ok := searchAt(opt, ps, dir, curU); !ok && step != 0 {
+			t.Fatal("inconsistent line search result")
+		}
+	}); allocs != 0 {
+		t.Errorf("lineSearch allocates %v per call, want 0", allocs)
 	}
 }
 

@@ -105,48 +105,3 @@ func TestProbeCounts(t *testing.T) {
 		})
 	}
 }
-
-// TestProbeCountsSerialVsPooled pins the probe counts of a run with no
-// pool (Workers: 1) and a run whose gradient fans out (Workers: 4)
-// equal, iteration by iteration, along with the chosen steps: the line
-// search runs the same serial scan either way. A K = 2 fleet takes the
-// same search as a single sensor.
-func TestProbeCountsSerialVsPooled(t *testing.T) {
-	forceFanOut(t)
-	one, two := searchObjectives(t)
-	t.Run("single", func(t *testing.T) { probeCountsSerialVsPooled(t, one) })
-	t.Run("fleet-k2", func(t *testing.T) { probeCountsSerialVsPooled(t, two) })
-}
-
-func probeCountsSerialVsPooled[S State[E], E any](t *testing.T, obj Objective[S]) {
-	traces := make(map[int][]IterRecord)
-	for _, workers := range []int{1, 4} {
-		opt, err := NewOptimizer(obj, Options{
-			Variant: Adaptive, MaxIters: 8, Seed: 3,
-			Workers: workers, RecordTrace: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := opt.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if workers > 1 {
-			requireForked(t, opt)
-		}
-		traces[workers] = res.Trace
-	}
-	if len(traces[1]) != len(traces[4]) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(traces[1]), len(traces[4]))
-	}
-	for i := range traces[1] {
-		s, w := traces[1][i], traces[4][i]
-		if math.Float64bits(s.Step) != math.Float64bits(w.Step) {
-			t.Errorf("iter %d: steps differ: %v vs %v", s.Iter, s.Step, w.Step)
-		}
-		if s.Probes != w.Probes {
-			t.Errorf("iter %d: probe counts differ: %d serial vs %d pooled", s.Iter, s.Probes, w.Probes)
-		}
-	}
-}

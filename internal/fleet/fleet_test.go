@@ -1,15 +1,15 @@
 package fleet
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/cost"
 	"repro/internal/descent"
-	"repro/internal/markov"
 	"repro/internal/mat"
-	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/topology"
 )
@@ -300,18 +300,37 @@ func run(t *testing.T, obj descent.Objective[*State], opts descent.Options) *des
 	return res
 }
 
-// poolSpy is a fleet objective that remembers the iteration pool the
-// optimizer hands its states, so tests can see whether it fanned out.
-type poolSpy struct {
-	*Model
-	pool *par.Pool
-}
-
-func (s *poolSpy) NewState(solver markov.Method, pool *par.Pool) *State {
-	if pool != nil {
-		s.pool = pool
+// optimizeRestarts runs the joint perturbed descent over a fleet of cm
+// once per seed, up to workers restarts at once on a
+// descent.NewRestartFan, all sharing one model, and returns the results
+// in seed order. With workers > 1 it fails the test unless restarts ran
+// concurrently.
+func optimizeRestarts(t *testing.T, cm *cost.Model, sensors, workers int, opts descent.Options, seeds []uint64) []*descent.Result[*Evaluation] {
+	t.Helper()
+	fm, err := NewModel(cm, sensors, nil)
+	if err != nil {
+		t.Fatalf("NewModel: %v", err)
 	}
-	return s.Model.NewState(solver, pool)
+	res := make([]*descent.Result[*Evaluation], len(seeds))
+	fan := descent.NewRestartFan(workers, len(seeds))
+	err = fan.Run(context.Background(), len(seeds), func(r int) error {
+		o := opts
+		o.Variant = descent.Perturbed
+		o.Seed = seeds[r]
+		opt, err := descent.NewOptimizer(fm, o)
+		if err != nil {
+			return err
+		}
+		res[r], err = opt.Run()
+		return err
+	})
+	if err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	if workers > 1 && fan.Peak() < 2 {
+		t.Fatalf("workers=%d: restarts never ran concurrently", workers)
+	}
+	return res
 }
 
 // sameTrace compares two traces record by record, probe counts
@@ -351,7 +370,6 @@ func TestOptimizeDeterministic(t *testing.T) {
 		MaxIters:    30,
 		StallIters:  1000,
 		RecordTrace: true,
-		Workers:     1,
 	}
 	a, b := optimize(t, cm, 2, opts), optimize(t, cm, 2, opts)
 	sameTrace(t, a.Trace, b.Trace, "repeat run")
@@ -361,55 +379,30 @@ func TestOptimizeDeterministic(t *testing.T) {
 	}
 }
 
-// TestOptimizeWorkersBitIdentical is the fleet golden-trace discipline:
-// the joint descent must produce bit-identical traces and matrices for
-// every Workers count, probe counts included, because parallelism only
-// row-partitions the gradient assembly. The field has 24 PoIs, the
-// smallest M at which descent.NewIterationPool lets an iteration fan
-// out, so the multi-worker runs really take the pooled path.
+// TestOptimizeWorkersBitIdentical is the fleet golden-trace discipline
+// for concurrent restarts: four joint descents on the 24-PoI field must
+// produce bit-identical traces and matrices, probe counts included,
+// whether they run one after another or several at once over the shared
+// model, because each restart owns its optimizer and evaluation state.
 func TestOptimizeWorkersBitIdentical(t *testing.T) {
 	cm := field24(t)
-	base := descent.Options{
-		Seed:        99,
+	opts := descent.Options{
 		MaxIters:    25,
 		StallIters:  1000,
 		RecordTrace: true,
-		Workers:     1,
 	}
-	ref := optimize(t, cm, 3, base)
+	seeds := []uint64{99, 100, 101, 102}
+	ref := optimizeRestarts(t, cm, 3, 1, opts, seeds)
 	for _, w := range []int{2, 3, 8} {
-		opts := base
-		opts.Workers = w
-		fm, err := NewModel(cm, 3, nil)
-		if err != nil {
-			t.Fatalf("NewModel: %v", err)
+		got := optimizeRestarts(t, cm, 3, w, opts, seeds)
+		for r := range seeds {
+			label := fmt.Sprintf("workers=%d restart %d", w, r)
+			sameTrace(t, ref[r].Trace, got[r].Trace, label)
+			sameStack(t, ref[r].Ps, got[r].Ps, label)
+			if ref[r].Eval.U != got[r].Eval.U {
+				t.Fatalf("%s: best U %v vs %v", label, got[r].Eval.U, ref[r].Eval.U)
+			}
 		}
-		spy := &poolSpy{Model: fm}
-		got := run(t, spy, opts)
-		if spy.pool == nil || spy.pool.Forks() == 0 {
-			t.Fatalf("workers=%d: the fleet optimizer never fanned out", w)
-		}
-		label := "workers=" + string(rune('0'+w))
-		sameTrace(t, ref.Trace, got.Trace, label)
-		sameStack(t, ref.Ps, got.Ps, label)
-		if ref.Eval.U != got.Eval.U {
-			t.Fatalf("workers=%d: best U %v vs %v", w, got.Eval.U, ref.Eval.U)
-		}
-	}
-}
-
-// TestOptimizeSmallFleetStaysSerial checks the other side of the fan-out
-// threshold: on a paper-sized topology a multi-worker fleet optimizer
-// attaches no pool.
-func TestOptimizeSmallFleetStaysSerial(t *testing.T) {
-	fm, err := NewModel(newCostModel(t, topology.Topology3()), 3, nil)
-	if err != nil {
-		t.Fatalf("NewModel: %v", err)
-	}
-	spy := &poolSpy{Model: fm}
-	run(t, spy, descent.Options{MaxIters: 2, Workers: 4})
-	if spy.pool != nil {
-		t.Fatal("4-PoI fleet optimizer attached a pool below the fan-out threshold")
 	}
 }
 
@@ -420,7 +413,6 @@ func TestOptimizeImproves(t *testing.T) {
 		Seed:       5,
 		MaxIters:   120,
 		StallIters: 1000,
-		Workers:    2,
 	}
 	// Joint cost at the optimizer's own starting stack.
 	src := rng.New(opts.Seed)
@@ -455,9 +447,9 @@ func TestOptimizeImproves(t *testing.T) {
 
 func TestOptimizeWarmStart(t *testing.T) {
 	cm := newCostModel(t, topology.Topology2())
-	first := optimize(t, cm, 2, descent.Options{Seed: 11, MaxIters: 60, StallIters: 1000, Workers: 1})
+	first := optimize(t, cm, 2, descent.Options{Seed: 11, MaxIters: 60, StallIters: 1000})
 	warm := optimize(t, cm, 2, descent.Options{
-		Seed: 12, MaxIters: 30, StallIters: 1000, Workers: 1,
+		Seed: 12, MaxIters: 30, StallIters: 1000,
 		Initial: first.Ps,
 	})
 	// A warm start from the cold optimum must never end up meaningfully
@@ -507,7 +499,7 @@ func TestWarmIterationAllocatesNothing(t *testing.T) {
 	allocs := func(iters int) float64 {
 		return testing.AllocsPerRun(2, func() {
 			o, err := descent.NewOptimizer(fm, descent.Options{
-				Variant: descent.Perturbed, MaxIters: iters, Seed: 3, StallIters: 10 * iters, Workers: 1,
+				Variant: descent.Perturbed, MaxIters: iters, Seed: 3, StallIters: 10 * iters,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -28,8 +28,7 @@ func goldenCostModel(t *testing.T) *cost.Model {
 	return cm
 }
 
-// field24 is the 24-PoI random field of TestOptimizeWorkersBitIdentical,
-// the smallest M at which an iteration fans out across a pool.
+// field24 is the 24-PoI random field of TestOptimizeWorkersBitIdentical.
 func field24(t *testing.T) *cost.Model {
 	t.Helper()
 	const m = 24
@@ -58,8 +57,9 @@ func stackHash(ps []*mat.Matrix) uint64 {
 
 // TestGoldenFleetTraces pins the exact best-U bits and best-stack hash
 // of the joint perturbed descent for fixed seeds, across versions: the
-// small fleets on Topology3 and the 24-PoI field under both a serial and
-// a pooled iteration. Any mismatch means a floating-point operation of
+// small fleets on Topology3 and the 24-PoI field, run alone (w1) and as
+// four concurrent copies sharing the model (w4), every copy held to the
+// pins. Any mismatch means a floating-point operation of
 // the fleet trajectory was reordered, not merely perturbed.
 func TestGoldenFleetTraces(t *testing.T) {
 	small := goldenCostModel(t)
@@ -78,14 +78,19 @@ func TestGoldenFleetTraces(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res := optimize(t, tc.cm, tc.sensors, descent.Options{
-				Seed: tc.seed, MaxIters: 25, StallIters: tc.stall, Workers: tc.workers,
-			})
-			if got := math.Float64bits(res.Eval.U); got != tc.bestU {
-				t.Errorf("bestU bits = %#x, want %#x (U = %v)", got, tc.bestU, res.Eval.U)
+			seeds := make([]uint64, tc.workers)
+			for r := range seeds {
+				seeds[r] = tc.seed
 			}
-			if got := stackHash(res.Ps); got != tc.hash {
-				t.Errorf("stack hash = %#x, want %#x", got, tc.hash)
+			for _, res := range optimizeRestarts(t, tc.cm, tc.sensors, tc.workers, descent.Options{
+				MaxIters: 25, StallIters: tc.stall,
+			}, seeds) {
+				if got := math.Float64bits(res.Eval.U); got != tc.bestU {
+					t.Errorf("bestU bits = %#x, want %#x (U = %v)", got, tc.bestU, res.Eval.U)
+				}
+				if got := stackHash(res.Ps); got != tc.hash {
+					t.Errorf("stack hash = %#x, want %#x", got, tc.hash)
+				}
 			}
 		})
 	}

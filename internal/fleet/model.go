@@ -38,7 +38,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/markov"
 	"repro/internal/mat"
-	"repro/internal/par"
 )
 
 // ErrModel indicates an invalid fleet model configuration.
@@ -238,9 +237,8 @@ type State struct {
 }
 
 // NewState returns a fresh evaluation state whose chain solves use the
-// given backend. A non-nil pool row-partitions each sensor's gradient
-// assembly; the state does not own the pool.
-func (fm *Model) NewState(solver markov.Method, pool *par.Pool) *State {
+// given backend.
+func (fm *Model) NewState(solver markov.Method) *State {
 	st := &State{
 		fm:        fm,
 		ws:        make([]*cost.Workspace, fm.k),
@@ -252,7 +250,6 @@ func (fm *Model) NewState(solver markov.Method, pool *par.Pool) *State {
 	for s := range st.ws {
 		st.ws[s] = fm.cm.NewWorkspace()
 		st.ws[s].SetSolver(solver)
-		st.ws[s].SetPool(pool)
 	}
 	return st
 }
@@ -435,7 +432,7 @@ func (st *State) combine() {
 // Evaluate computes the joint cost breakdown at the K-matrix stack ps.
 // Each call builds a fresh State; the optimizer reuses its own.
 func (fm *Model) Evaluate(ps []*mat.Matrix) (*Evaluation, error) {
-	st := fm.NewState(markov.MethodDense, nil)
+	st := fm.NewState(markov.MethodDense)
 	if _, err := st.Evaluate(ps); err != nil {
 		return nil, err
 	}
@@ -447,7 +444,7 @@ func (fm *Model) Evaluate(ps []*mat.Matrix) (*Evaluation, error) {
 // objective (see State.Gradient). Like Evaluate, each call allocates;
 // the optimizer reuses buffers.
 func (fm *Model) Gradient(ps []*mat.Matrix) (*Evaluation, []*mat.Matrix, error) {
-	st := fm.NewState(markov.MethodDense, nil)
+	st := fm.NewState(markov.MethodDense)
 	if _, err := st.Evaluate(ps); err != nil {
 		return nil, nil, err
 	}

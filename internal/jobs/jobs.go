@@ -210,12 +210,14 @@ type Config struct {
 	Workers int
 	// QueueDepth bounds the pending-job queue (default 16).
 	QueueDepth int
-	// MaxJobWorkers caps each job's descent parallelism
-	// (Spec.Options.Workers): requests above the cap — and requests of 0,
-	// which would otherwise mean "all of GOMAXPROCS" — are clamped to it
-	// at submission, so Workers concurrent jobs cannot oversubscribe the
-	// machine. 0 leaves requests untouched. Clamping never changes a
-	// job's result: the descent path is bit-identical for every worker
+	// MaxJobWorkers caps each job's Spec.Options.Workers, the restarts
+	// one optimize call runs at once: requests above the cap — and
+	// requests of 0, which would otherwise mean "all of GOMAXPROCS" — are
+	// clamped to it at submission. 0 leaves requests untouched. A shard
+	// runs one restart per optimize call, so the cap currently bounds
+	// nothing; it keeps Workers concurrent jobs from oversubscribing the
+	// machine once shards run their restarts concurrently. Clamping never
+	// changes a job's result: plans are bit-identical for every worker
 	// count.
 	MaxJobWorkers int
 	// Dir is the checkpoint directory; with neither Dir nor Store, jobs

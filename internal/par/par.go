@@ -1,9 +1,10 @@
 // Package par provides a small deterministic fork-join pool for
-// row-partitioned numeric kernels.
+// partitioned numeric work, such as the per-sensor trajectory unrolls of
+// a fleet simulation.
 //
-// The pool exists to make a single descent iteration use all cores while
-// staying bit-for-bit identical to the serial code path. It therefore
-// offers exactly one primitive: Run splits n items into at most Workers
+// The pool spreads such work across cores while staying bit-for-bit
+// identical to the serial code path. It therefore offers exactly one
+// primitive: Run splits n items into at most Workers
 // contiguous spans — a pure function of (n, workers), never of timing —
 // and blocks until every span has been processed. Each span is owned by
 // one logical worker, so a kernel that writes only to slots inside its
@@ -12,8 +13,7 @@
 // regardless of how the spans are scheduled onto OS threads.
 //
 // A Pool with one worker (or a nil *Pool) never starts a goroutine: Run
-// degenerates to a direct call, which is the "Workers: 1 forces the exact
-// serial path" contract the descent options document.
+// degenerates to a direct call, the exact serial code path.
 package par
 
 // Task is a unit of partitionable work. Run processes the half-open span
@@ -34,8 +34,7 @@ type span struct {
 // Pool is a fixed-size set of persistent worker goroutines. Goroutines
 // start lazily on the first parallel Run and are torn down by Stop; a
 // stopped pool restarts transparently on its next Run, so Stop is safe to
-// call between uses (an Optimizer stops its pool when a run finishes so
-// idle optimizers hold no goroutines).
+// call between uses, and an idle pool need hold no goroutines.
 //
 // A Pool is driven by one goroutine at a time: Run and Stop must not be
 // called concurrently with each other.
@@ -44,7 +43,6 @@ type Pool struct {
 	cmds    chan span
 	done    chan any
 	started bool
-	forks   int
 }
 
 // New returns a pool of the given logical width. Widths below one are
@@ -62,15 +60,6 @@ func (p *Pool) Workers() int {
 		return 1
 	}
 	return p.workers
-}
-
-// Forks returns how many Run calls have fanned out across more than one
-// worker since the pool was built. A nil pool reports zero.
-func (p *Pool) Forks() int {
-	if p == nil {
-		return 0
-	}
-	return p.forks
 }
 
 // Run partitions n items into contiguous ascending spans and executes t
@@ -96,7 +85,6 @@ func (p *Pool) Run(n int, t Task) {
 	if !p.started {
 		p.start()
 	}
-	p.forks++
 	base, rem := n/w, n%w
 	end0 := base
 	if rem > 0 {
