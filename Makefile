@@ -34,9 +34,9 @@ bench-compare:
 
 # conformance runs the declarative scenario corpus: schema validation,
 # the confgen drift check, then every corpus case through the public
-# optimizer API under the full solver × workers matrix with every
-# declared invariant checked. CONF_SOLVERS / CONF_WORKERS narrow the
-# matrix (CI runs one cell per matrix job).
+# optimizer API under the corpus's execution matrix with every declared
+# invariant checked. CONF_SOLVERS / CONF_WORKERS narrow the matrix (CI
+# runs one worker count per matrix job).
 conformance:
 	./scripts/conformance.sh
 

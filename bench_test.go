@@ -323,8 +323,8 @@ func BenchmarkGradientAlloc(b *testing.B) {
 
 // largeBenchFixtures caches the city-scale models and matrices: the
 // M=512 topology and its kNN transition matrix are expensive to build,
-// so each size is constructed once per process and shared by the dense
-// and sparse sub-benches (the dense path's lazy cover table likewise
+// so each size is constructed once per process and shared by the
+// gradient and evaluation benches (the model's lazy cover table likewise
 // builds once and stays cached on the model).
 var largeBenchFixtures = map[int]struct {
 	model *cost.Model
@@ -334,8 +334,8 @@ var largeBenchFixtures = map[int]struct {
 // benchLargeFixture builds a random-geometric topology with a kNN
 // support-restricted transition matrix: each row keeps its self-loop,
 // its ring successor, and its 8 nearest neighbors, uniformly weighted,
-// with exact zeros off support — the city-scale sparsity the sparse
-// solver path exists for.
+// with exact zeros off support — the shape of a city-scale neighbour
+// graph.
 func benchLargeFixture(b *testing.B, m int) (*cost.Model, *mat.Matrix) {
 	b.Helper()
 	if f, ok := largeBenchFixtures[m]; ok {
@@ -389,34 +389,26 @@ func benchLargeFixture(b *testing.B, m int) (*cost.Model, *mat.Matrix) {
 	return model, p
 }
 
-// BenchmarkGradientLarge pits the dense and sparse solver paths against
-// each other at city scale (M=256, M=512) on kNN support-restricted
-// chains. DESIGN.md §11 records the measured crossover; the CI bench
-// gate tracks both paths so a regression in either is caught.
+// BenchmarkGradientLarge times the gradient at city scale (M=256,
+// M=512) on kNN support-restricted chains.
 func BenchmarkGradientLarge(b *testing.B) {
 	for _, m := range []int{256, 512} {
-		for _, sv := range []struct {
-			name   string
-			method markov.Method
-		}{{"dense", markov.MethodDense}, {"sparse", markov.MethodSparse}} {
-			b.Run(fmt.Sprintf("M%d/%s", m, sv.name), func(b *testing.B) {
-				model, p := benchLargeFixture(b, m)
-				ws := model.NewWorkspace()
-				ws.SetSolver(sv.method)
-				// Warm-up builds the model's lazy tables outside the
-				// timed region.
+		b.Run(fmt.Sprintf("M%d/dense", m), func(b *testing.B) {
+			model, p := benchLargeFixture(b, m)
+			ws := model.NewWorkspace()
+			// Warm-up builds the model's lazy tables outside the
+			// timed region.
+			if _, _, err := model.GradientIn(ws, p); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if _, _, err := model.GradientIn(ws, p); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := model.GradientIn(ws, p); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -498,9 +490,8 @@ func BenchmarkGradientFiniteDifference(b *testing.B) {
 // already formed),
 // so a search of N probes costs build + N × line. The direction is the
 // projected steepest descent at a floored random iterate, and δ a
-// sixteenth of the feasibility bound. Under "sparse" the direct solve
-// factors with the sparse LU and the line is built from the sparse
-// fundamental stage. The build and line rows must not allocate.
+// sixteenth of the feasibility bound. The build and line rows must not
+// allocate.
 func BenchmarkProbe(b *testing.B) {
 	for _, m := range []int{8, 32, 64} {
 		model, p := benchModelSized(b, m)
@@ -525,56 +516,52 @@ func BenchmarkProbe(b *testing.B) {
 		if err := mat.AddInPlace(cand, delta, dir); err != nil {
 			b.Fatal(err)
 		}
-		for _, method := range []markov.Method{markov.MethodDense, markov.MethodSparse} {
-			// base keeps P's solution, with Z formed by the first Reset,
-			// for the build row; ws is overwritten by every probe.
-			base, ws := model.NewWorkspace(), model.NewWorkspace()
-			base.SetSolver(method)
-			ws.SetSolver(method)
-			ev, err := model.EvaluateIn(base, p)
-			if err != nil {
+		// base keeps P's solution, with Z formed by the first Reset,
+		// for the build row; ws is overwritten by every probe.
+		base, ws := model.NewWorkspace(), model.NewWorkspace()
+		ev, err := model.EvaluateIn(base, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		line := model.NewLine()
+		build := func() {
+			if err := line.Reset(ev.Sol, dir); err != nil {
 				b.Fatal(err)
 			}
-			line := model.NewLine()
-			build := func() {
-				if err := line.Reset(ev.Sol, dir); err != nil {
-					b.Fatal(err)
-				}
-			}
-			probe := func() {
-				if _, err := model.ProbeIn(ws, line, delta); err != nil {
-					b.Fatal(err)
-				}
-			}
-			build()
-			probe()
-			if a := testing.AllocsPerRun(5, build); a != 0 {
-				b.Fatalf("M%d/%v: line build allocates %v times per op", m, method, a)
-			}
-			if a := testing.AllocsPerRun(5, probe); a != 0 {
-				b.Fatalf("M%d/%v: line probe allocates %v times per op", m, method, a)
-			}
-			b.Run(fmt.Sprintf("M%d/%v/build", m, method), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					build()
-				}
-			})
-			b.Run(fmt.Sprintf("M%d/%v/direct", m, method), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := model.EvaluateIn(ws, cand); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run(fmt.Sprintf("M%d/%v/line", m, method), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					probe()
-				}
-			})
 		}
+		probe := func() {
+			if _, err := model.ProbeIn(ws, line, delta); err != nil {
+				b.Fatal(err)
+			}
+		}
+		build()
+		probe()
+		if a := testing.AllocsPerRun(5, build); a != 0 {
+			b.Fatalf("M%d: line build allocates %v times per op", m, a)
+		}
+		if a := testing.AllocsPerRun(5, probe); a != 0 {
+			b.Fatalf("M%d: line probe allocates %v times per op", m, a)
+		}
+		b.Run(fmt.Sprintf("M%d/dense/build", m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				build()
+			}
+		})
+		b.Run(fmt.Sprintf("M%d/dense/direct", m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := model.EvaluateIn(ws, cand); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("M%d/dense/line", m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				probe()
+			}
+		})
 	}
 }
 
@@ -803,36 +790,29 @@ func BenchmarkPublicOptimize(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateLarge pits the dense and sparse evaluation paths
-// against each other at city scale on the same kNN fixture as
-// BenchmarkGradientLarge. The dense row exercises the M³ coverage-table
+// BenchmarkEvaluateLarge times an evaluation at city scale on the same
+// kNN fixture as BenchmarkGradientLarge. It exercises the M³ coverage-table
 // sweep in evaluateInto — the hot loop of every line-search probe — so
 // the bench gate catches dispatch regressions the M≤128 sweep hides in
 // solver time.
 func BenchmarkEvaluateLarge(b *testing.B) {
 	for _, m := range []int{256} {
-		for _, sv := range []struct {
-			name   string
-			method markov.Method
-		}{{"dense", markov.MethodDense}, {"sparse", markov.MethodSparse}} {
-			b.Run(fmt.Sprintf("M%d/%s", m, sv.name), func(b *testing.B) {
-				model, p := benchLargeFixture(b, m)
-				ws := model.NewWorkspace()
-				ws.SetSolver(sv.method)
-				// Warm-up builds the model's lazy tables outside the
-				// timed region.
+		b.Run(fmt.Sprintf("M%d/dense", m), func(b *testing.B) {
+			model, p := benchLargeFixture(b, m)
+			ws := model.NewWorkspace()
+			// Warm-up builds the model's lazy tables outside the
+			// timed region.
+			if _, err := model.EvaluateIn(ws, p); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if _, err := model.EvaluateIn(ws, p); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := model.EvaluateIn(ws, p); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -1,9 +1,8 @@
 // Command conformance runs the declarative scenario conformance suite:
 // it loads a corpus directory (conformance/v1 JSON files), executes every
 // case through the public optimizer API under the corpus's execution
-// matrix (solver backends × worker counts × restart shard splits), checks
-// every declared invariant, and exits nonzero unless every check passes
-// with identical verdicts across solvers.
+// matrix (solver backend × worker counts × restart shard splits), checks
+// every declared invariant, and exits nonzero unless every check passes.
 //
 // Usage:
 //
@@ -30,7 +29,7 @@ import (
 
 func main() {
 	corpusDir := flag.String("corpus", "coverage/testdata/corpus", "corpus directory to run")
-	solvers := flag.String("solvers", "", "comma-separated solver filter (e.g. dense,sparse; empty = corpus matrix)")
+	solvers := flag.String("solvers", "", "comma-separated solver filter (e.g. dense; empty = corpus matrix)")
 	workers := flag.String("workers", "", "comma-separated worker-count filter (e.g. 1,4; empty = corpus matrix)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "concurrently executing cases")
 	validate := flag.Bool("validate", false, "validate corpus files only (schema check), do not execute")
@@ -120,9 +119,6 @@ func printReport(rep *conformance.Report, verbose bool) {
 				fmt.Printf(" — %s", ch.Detail)
 			}
 			fmt.Println()
-		}
-		for _, d := range f.Divergent {
-			fmt.Printf("  [FAIL] solver verdict divergence: %s\n", d)
 		}
 	}
 }

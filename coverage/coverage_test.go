@@ -638,39 +638,3 @@ func TestWarmStartValidation(t *testing.T) {
 		}
 	}
 }
-
-func TestOptimizeSolverKnob(t *testing.T) {
-	scn, err := PaperTopology(2)
-	if err != nil {
-		t.Fatalf("PaperTopology: %v", err)
-	}
-	obj := Objectives{Alpha: 1, Beta: 1}
-	dense, err := Optimize(scn, obj, Options{MaxIters: 60, Seed: 5, Solver: "dense"})
-	if err != nil {
-		t.Fatalf("Optimize dense: %v", err)
-	}
-	// "" is the dense default and must be bit-identical to "dense".
-	def, err := Optimize(scn, obj, Options{MaxIters: 60, Seed: 5})
-	if err != nil {
-		t.Fatalf("Optimize default: %v", err)
-	}
-	if dense.Cost != def.Cost {
-		t.Errorf("default solver diverged from dense: %v vs %v", def.Cost, dense.Cost)
-	}
-	sparse, err := Optimize(scn, obj, Options{MaxIters: 60, Seed: 5, Solver: "sparse"})
-	if err != nil {
-		t.Fatalf("Optimize sparse: %v", err)
-	}
-	// The sparse run follows its own (tolerance-close) trajectory; it only
-	// has to produce a valid, comparable plan.
-	if sparse.Cost <= 0 || math.IsNaN(sparse.Cost) || math.IsInf(sparse.Cost, 0) {
-		t.Errorf("sparse cost = %v", sparse.Cost)
-	}
-	rel := math.Abs(sparse.Cost-dense.Cost) / math.Max(1, math.Abs(dense.Cost))
-	if rel > 0.2 {
-		t.Errorf("sparse cost %v far from dense %v (rel %v)", sparse.Cost, dense.Cost, rel)
-	}
-	if _, err := Optimize(scn, obj, Options{MaxIters: 5, Solver: "cholesky"}); err == nil {
-		t.Error("unknown solver accepted")
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/fleet"
-	"repro/internal/markov"
 	"repro/internal/mat"
 )
 
@@ -132,5 +131,5 @@ func EvaluateFleetMatrices(scn Scenario, obj Objectives, ps [][][]float64, respo
 	if err != nil {
 		return nil, fmt.Errorf("coverage: %w", err)
 	}
-	return planFromResult(fm, markov.MethodDense, &result{Ps: stack, Eval: ev}, true)
+	return planFromResult(fm, &result{Ps: stack, Eval: ev}, true)
 }

@@ -261,43 +261,41 @@ func TestOptimizeFleetDeterministic(t *testing.T) {
 // TestOptimizeMatchesOneSensorFleet: a single-sensor search is the K = 1
 // case of the joint objective, so Optimize and OptimizeFleet with one
 // sensor return the same matrix, cost and iteration count bit for bit on
-// every paper topology and both solvers. Only the envelope differs: the
+// every paper topology. Only the envelope differs: the
 // single-sensor plan carries no Fleet block.
 func TestOptimizeMatchesOneSensorFleet(t *testing.T) {
 	for topo := 1; topo <= 4; topo++ {
-		for _, solver := range []string{"dense", "sparse"} {
-			t.Run(fmt.Sprintf("topology%d/%s", topo, solver), func(t *testing.T) {
-				scn, err := PaperTopology(topo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opts := Options{MaxIters: 150, Seed: 11, Solver: solver}
-				single, err := Optimize(scn, fleetObjectives(), opts)
-				if err != nil {
-					t.Fatalf("Optimize: %v", err)
-				}
-				one, err := OptimizeFleet(scn, fleetObjectives(), opts, 1, nil)
-				if err != nil {
-					t.Fatalf("OptimizeFleet: %v", err)
-				}
-				if single.Fleet != nil || one.Fleet == nil || one.Fleet.Sensors != 1 {
-					t.Fatalf("envelopes: single fleet block %v, one-sensor fleet block %v", single.Fleet, one.Fleet)
-				}
-				if math.Float64bits(single.Cost) != math.Float64bits(one.Cost) {
-					t.Errorf("cost %v, one-sensor fleet %v", single.Cost, one.Cost)
-				}
-				if single.Iterations != one.Iterations {
-					t.Errorf("iterations %d, one-sensor fleet %d", single.Iterations, one.Iterations)
-				}
-				for i, row := range single.TransitionMatrix {
-					for j, v := range row {
-						if w := one.TransitionMatrix[i][j]; math.Float64bits(v) != math.Float64bits(w) {
-							t.Fatalf("p[%d][%d] = %v, one-sensor fleet %v", i, j, v, w)
-						}
+		t.Run(fmt.Sprintf("topology%d/dense", topo), func(t *testing.T) {
+			scn, err := PaperTopology(topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{MaxIters: 150, Seed: 11}
+			single, err := Optimize(scn, fleetObjectives(), opts)
+			if err != nil {
+				t.Fatalf("Optimize: %v", err)
+			}
+			one, err := OptimizeFleet(scn, fleetObjectives(), opts, 1, nil)
+			if err != nil {
+				t.Fatalf("OptimizeFleet: %v", err)
+			}
+			if single.Fleet != nil || one.Fleet == nil || one.Fleet.Sensors != 1 {
+				t.Fatalf("envelopes: single fleet block %v, one-sensor fleet block %v", single.Fleet, one.Fleet)
+			}
+			if math.Float64bits(single.Cost) != math.Float64bits(one.Cost) {
+				t.Errorf("cost %v, one-sensor fleet %v", single.Cost, one.Cost)
+			}
+			if single.Iterations != one.Iterations {
+				t.Errorf("iterations %d, one-sensor fleet %d", single.Iterations, one.Iterations)
+			}
+			for i, row := range single.TransitionMatrix {
+				for j, v := range row {
+					if w := one.TransitionMatrix[i][j]; math.Float64bits(v) != math.Float64bits(w) {
+						t.Fatalf("p[%d][%d] = %v, one-sensor fleet %v", i, j, v, w)
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

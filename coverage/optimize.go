@@ -152,11 +152,12 @@ type Options struct {
 	// GOMAXPROCS; one runs the restarts one after another. A single-restart
 	// search ignores it.
 	Workers int `json:"workers,omitempty"`
-	// Solver selects the linear-algebra backend: "" or "dense" for the
-	// bit-exact dense reference, "sparse" for the factor-fill path that
-	// makes city-scale PoI sets (M ≥ ~256) tractable. Sparse results
-	// agree with dense to the documented tolerance (DESIGN.md §11) and
-	// fall back to dense automatically on near-singular systems.
+	// Solver names the linear-algebra backend. There is one, the dense
+	// LU: "", "dense" and "sparse" all select it, and any other value is
+	// an error. "sparse" is an alias kept so that job specs, checkpoints,
+	// plan-library records and corpus files written when a sparse
+	// backend existed still decode; it runs the same arithmetic as
+	// "dense", bit for bit (DESIGN.md §11).
 	Solver string `json:"solver,omitempty"`
 }
 
@@ -284,12 +285,8 @@ func (o Options) descentOptions(initial [][][]float64) (descent.Options, error) 
 	if o.Workers < 0 {
 		return descent.Options{}, fmt.Errorf("coverage: negative workers %d", o.Workers)
 	}
-	var solver markov.Method
 	switch o.Solver {
-	case "", "dense":
-		solver = markov.MethodDense
-	case "sparse":
-		solver = markov.MethodSparse
+	case "", "dense", "sparse":
 	default:
 		return descent.Options{}, fmt.Errorf("coverage: unknown solver %q (want \"dense\" or \"sparse\")", o.Solver)
 	}
@@ -300,7 +297,6 @@ func (o Options) descentOptions(initial [][][]float64) (descent.Options, error) 
 		NoiseStdDev: o.NoiseStdDev,
 		RecordTrace: o.RecordTrace,
 		Initial:     stack,
-		Solver:      solver,
 	}, nil
 }
 
@@ -400,7 +396,7 @@ func optimize(ctx context.Context, scn Scenario, obj Objectives, opts Options, f
 	if res == nil {
 		return nil, err
 	}
-	plan, perr := planFromResult(fm, dopts.Solver, res, fs != nil)
+	plan, perr := planFromResult(fm, res, fs != nil)
 	if perr != nil {
 		if err != nil {
 			return nil, err
@@ -418,12 +414,12 @@ type result = descent.Result[*fleet.Evaluation]
 // K = 1 they are the sensor's own. The single-sensor-shaped fields
 // describe sensor 0, so the executor, the simulators and plan
 // persistence work on a fleet plan's lead sensor. Each sensor is
-// re-evaluated with the run's solver for what the joint evaluation does
-// not carry: the stationary distribution, C̄ and the energy and entropy
-// rate, which a fleet plan averages over its sensors. withFleet adds the
+// re-evaluated for what the joint evaluation does not carry: the
+// stationary distribution, C̄ and the energy and entropy rate, which a
+// fleet plan averages over its sensors. withFleet adds the
 // Fleet block and makes CoverageShare the union share; without it (the
 // single-sensor entry points) CoverageShare is sensor 0's C̄.
-func planFromResult(fm *fleet.Model, solver markov.Method, res *result, withFleet bool) (*Plan, error) {
+func planFromResult(fm *fleet.Model, res *result, withFleet bool) (*Plan, error) {
 	k, n := len(res.Ps), res.Ps[0].Rows()
 	cm := fm.Cost()
 	rows := make([][][]float64, k)
@@ -431,9 +427,7 @@ func planFromResult(fm *fleet.Model, solver markov.Method, res *result, withFlee
 	var lead *cost.Evaluation
 	var energy, entropy float64
 	for s, p := range res.Ps {
-		ws := cm.NewWorkspace()
-		ws.SetSolver(solver)
-		ev, err := cm.EvaluateIn(ws, p)
+		ev, err := cm.EvaluateIn(cm.NewWorkspace(), p)
 		if err != nil {
 			return nil, fmt.Errorf("coverage: plan sensor %d: %w", s, err)
 		}

@@ -4,7 +4,7 @@
 //
 // A corpus file is a versioned JSON document holding a family of related
 // scenario cases (single-sensor or fleet), the objective weights and run
-// budget for each, the execution matrix to exercise (solver backends,
+// budget for each, the execution matrix to exercise (solver backend,
 // worker counts, restart shard splits), and the family's expected
 // invariants: cost orderings between named cases, monotone trends along a
 // swept parameter, coverage/exposure crossover shapes, metric bounds, and
@@ -17,7 +17,7 @@
 // The checked-in corpus lives in coverage/testdata/corpus and is emitted
 // by cmd/confgen (deterministic, seeded PCG; regeneration is
 // reproducible bit-for-bit). cmd/conformance runs it standalone; the CI
-// `conformance` job gates on it across the solver × workers matrix.
+// `conformance` job gates on it with one matrix cell per worker count.
 package conformance
 
 import (
@@ -138,7 +138,8 @@ type Generator struct {
 // solver and worker count; Shards lists the restart shard splits the
 // bitexact-over-shards invariants compare against the monolithic run.
 type Matrix struct {
-	// Solvers lists linear-algebra backends ("dense", "sparse").
+	// Solvers lists linear-algebra backends. There is one, "dense";
+	// "sparse" is accepted as an alias that runs it (coverage.Options).
 	Solvers []string `json:"solvers"`
 	// Workers lists worker counts (≥ 1 each): how many restarts of a
 	// best-of case run at once.

@@ -84,20 +84,13 @@ type FileReport struct {
 	Family string  `json:"family"`
 	Cases  int     `json:"cases"`
 	Checks []Check `json:"checks"`
-	// Divergent lists invariant IDs whose verdicts differ between
-	// solvers — a conformance failure in itself: the sparse path must
-	// reach the same qualitative conclusions as the dense reference.
-	Divergent []string `json:"divergent,omitempty"`
 	// Results holds every executed case's metrics keyed
 	// "solver/w<N>/case" (verbose diagnostics).
 	Results map[string]Metrics `json:"results,omitempty"`
 }
 
-// Pass reports whether every check passed and no solver diverged.
+// Pass reports whether every check passed.
 func (f *FileReport) Pass() bool {
-	if len(f.Divergent) > 0 {
-		return false
-	}
 	for _, c := range f.Checks {
 		if !c.Pass {
 			return false
@@ -161,7 +154,6 @@ func Run(ctx context.Context, corpora []*Corpus, cfg Config) (*Report, error) {
 				rep.Failures++
 			}
 		}
-		rep.Failures += len(fr.Divergent)
 	}
 	return rep, nil
 }
@@ -264,46 +256,21 @@ func runCorpus(ctx context.Context, c *Corpus, cfg Config) (*FileReport, error) 
 	}
 
 	// Per-cell invariants, then cross-cell bit-exactness groups.
-	verdicts := make(map[string]map[string]bool) // solver → invariant ID → pass
 	for _, sv := range solvers {
-		verdicts[sv] = make(map[string]bool)
 		for _, iv := range c.Invariants {
 			if iv.Type == InvBitExact {
 				continue
 			}
 			for _, w := range workers {
-				ch := r.check(c, iv, sv, w)
-				fr.Checks = append(fr.Checks, ch)
-				pass, seen := verdicts[sv][iv.ID()]
-				if !seen {
-					pass = true
-				}
-				verdicts[sv][iv.ID()] = pass && ch.Pass
+				fr.Checks = append(fr.Checks, r.check(c, iv, sv, w))
 			}
 		}
 		for _, iv := range c.Invariants {
 			if iv.Type != InvBitExact {
 				continue
 			}
-			ch := r.checkBitExact(c, iv, sv, workers)
-			fr.Checks = append(fr.Checks, ch)
-			verdicts[sv][iv.ID()] = ch.Pass
+			fr.Checks = append(fr.Checks, r.checkBitExact(c, iv, sv, workers))
 		}
-	}
-
-	// Every solver must reach the same verdict on every invariant.
-	if len(solvers) > 1 {
-		ref := solvers[0]
-		for _, iv := range c.Invariants {
-			id := iv.ID()
-			for _, sv := range solvers[1:] {
-				if verdicts[sv][id] != verdicts[ref][id] {
-					fr.Divergent = append(fr.Divergent, fmt.Sprintf(
-						"%s: %s=%v, %s=%v", id, ref, verdicts[ref][id], sv, verdicts[sv][id]))
-				}
-			}
-		}
-		sort.Strings(fr.Divergent)
 	}
 	sortChecks(fr.Checks)
 	return fr, nil

@@ -13,17 +13,55 @@ import (
 )
 
 // oracleCase is one fixture of the reformulation oracles: a model and a
-// transition matrix, solved on one backend.
+// transition matrix.
 type oracleCase struct {
-	name   string
-	model  *Model
-	p      *mat.Matrix
-	method markov.Method
+	name  string
+	model *Model
+	p     *mat.Matrix
+}
+
+// knnSupportP builds a support-restricted stochastic matrix over the
+// topology: each row keeps its self-loop, its ring successor, and its K
+// nearest neighbors, uniformly weighted, with exact zeros off support —
+// the shape of a city-scale neighbour graph.
+func knnSupportP(top *topology.Topology, k int) *mat.Matrix {
+	n := top.M()
+	p := mat.New(n, n)
+	pd := p.Data()
+	for i := 0; i < n; i++ {
+		row := pd[i*n : (i+1)*n]
+		row[i] = 1
+		row[(i+1)%n] = 1
+		drow := top.DistanceRow(i)
+		for s := 0; s < k; s++ {
+			best, bestD := -1, math.Inf(1)
+			for j := 0; j < n; j++ {
+				if j == i || row[j] != 0 {
+					continue
+				}
+				if drow[j] < bestD {
+					best, bestD = j, drow[j]
+				}
+			}
+			if best < 0 {
+				break
+			}
+			row[best] = 1
+		}
+		var cnt float64
+		for _, v := range row {
+			cnt += v
+		}
+		for j := range row {
+			row[j] /= cnt
+		}
+	}
+	return p
 }
 
 // oracleCases returns random, Metropolis and kNN-support matrices at
-// orders 3 to 97 on random geometric fields with skewed targets, on both
-// solver backends. The kNN chains' exact zeros exercise the w == 0 skip.
+// orders 3 to 97 on random geometric fields with skewed targets. The kNN
+// chains' exact zeros exercise the w == 0 skip.
 func oracleCases(t *testing.T) []oracleCase {
 	t.Helper()
 	var out []oracleCase
@@ -56,23 +94,19 @@ func oracleCases(t *testing.T) []oracleCase {
 			{"knn", knnSupportP(top, min(6, size-2))},
 		}
 		for _, mc := range matrices {
-			for _, method := range []markov.Method{markov.MethodDense, markov.MethodSparse} {
-				out = append(out, oracleCase{
-					name:  fmt.Sprintf("M=%d/%s/%v", size, mc.name, method),
-					model: model, p: mc.p, method: method,
-				})
-			}
+			out = append(out, oracleCase{
+				name:  fmt.Sprintf("M=%d/%s", size, mc.name),
+				model: model, p: mc.p,
+			})
 		}
 	}
 	return out
 }
 
-// fullSolve runs both stages of a chain solve on the given backend.
-func fullSolve(t *testing.T, p *mat.Matrix, method markov.Method) *markov.Solution {
+// fullSolve runs both stages of a chain solve.
+func fullSolve(t *testing.T, p *mat.Matrix) *markov.Solution {
 	t.Helper()
-	s := markov.NewSolver(p.Rows())
-	s.SetMethod(method)
-	sol, err := s.Solve(p)
+	sol, err := markov.NewSolver(p.Rows()).Solve(p)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -137,19 +171,14 @@ func TestEvaluateMatchesRBasedOracle(t *testing.T) {
 	const tol = 1e-12
 	var worstG, worstE float64
 	for _, tc := range oracleCases(t) {
-		ws := tc.model.NewWorkspace()
-		ws.SetSolver(tc.method)
-		ev, err := tc.model.EvaluateIn(ws, tc.p)
+		ev, err := tc.model.EvaluateIn(tc.model.NewWorkspace(), tc.p)
 		if err != nil {
 			t.Fatalf("%s: EvaluateIn: %v", tc.name, err)
-		}
-		if ev.Sol.Method() != tc.method {
-			t.Fatalf("%s: solved with %v", tc.name, ev.Sol.Method())
 		}
 		if ev.Sol.Z != nil || ev.Sol.R != nil || ev.Sol.W != nil {
 			t.Fatalf("%s: EvaluateIn formed the fundamental stage", tc.name)
 		}
-		wantG, wantE := referenceGE(tc.model, fullSolve(t, tc.p, tc.method))
+		wantG, wantE := referenceGE(tc.model, fullSolve(t, tc.p))
 		for i := range wantE {
 			if d := math.Abs(ev.EBarI[i]-wantE[i]) / wantE[i]; d > tol {
 				t.Errorf("%s: Ē_%d = %v, R-based %v (rel %.2g)", tc.name, i, ev.EBarI[i], wantE[i], d)
@@ -298,13 +327,11 @@ func TestGradientMatchesRBasedOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws := model.NewWorkspace()
-		ws.SetSolver(tc.method)
-		ev, got, err := model.GradientIn(ws, tc.p)
+		ev, got, err := model.GradientIn(model.NewWorkspace(), tc.p)
 		if err != nil {
 			t.Fatalf("%s: GradientIn: %v", tc.name, err)
 		}
-		full := fullSolve(t, tc.p, tc.method)
+		full := fullSolve(t, tc.p)
 		g, ebar := referenceGE(model, full)
 		n := len(g)
 		c := make([]float64, n)
@@ -342,61 +369,58 @@ func TestFleetGradientMatchesRBasedOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, method := range []markov.Method{markov.MethodDense, markov.MethodSparse} {
-			name := fmt.Sprintf("M=%d/K=2/%v", size, method)
-			ps := []*mat.Matrix{randomErgodicP(rng.New(uint64(size)+1), size), knnSupportP(top, min(6, size-2))}
-			const rho = 0.5
-			wss := make([]*Workspace, 2)
-			evs := make([]*Evaluation, 2)
-			fulls := make([]*markov.Solution, 2)
-			refG := make([][]float64, 2)
-			refE := make([][]float64, 2)
-			for s, p := range ps {
-				wss[s] = model.NewWorkspace()
-				wss[s].SetSolver(method)
-				if evs[s], err = model.EvaluateIn(wss[s], p); err != nil {
-					t.Fatal(err)
-				}
-				fulls[s] = fullSolve(t, p, method)
-				refG[s], refE[s] = referenceGE(model, fulls[s])
+		name := fmt.Sprintf("M=%d/K=2", size)
+		ps := []*mat.Matrix{randomErgodicP(rng.New(uint64(size)+1), size), knnSupportP(top, min(6, size-2))}
+		const rho = 0.5
+		wss := make([]*Workspace, 2)
+		evs := make([]*Evaluation, 2)
+		fulls := make([]*markov.Solution, 2)
+		refG := make([][]float64, 2)
+		refE := make([][]float64, 2)
+		for s, p := range ps {
+			wss[s] = model.NewWorkspace()
+			if evs[s], err = model.EvaluateIn(wss[s], p); err != nil {
+				t.Fatal(err)
 			}
-			// The fleet couplings, from the reference quantities: G^fleet
-			// sums the per-sensor discrepancies against ρΦ, and each PoI's
-			// exposure belongs to the sensor with the smaller Ē.
-			c := make([]float64, size)
-			owner := make([]int, size)
-			for i := range c {
-				var gi float64
-				for s := range ps {
-					gi += evs[s].CoverTime[i] - rho*top.TargetAt(i)*evs[s].TotalTime
-				}
-				c[i] = w.Alpha[i] * gi
-				if refE[1][i] < refE[0][i] {
-					owner[i] = 1
-				}
-			}
-			var masked int
+			fulls[s] = fullSolve(t, p)
+			refG[s], refE[s] = referenceGE(model, fulls[s])
+		}
+		// The fleet couplings, from the reference quantities: G^fleet
+		// sums the per-sensor discrepancies against ρΦ, and each PoI's
+		// exposure belongs to the sensor with the smaller Ē.
+		c := make([]float64, size)
+		owner := make([]int, size)
+		for i := range c {
+			var gi float64
 			for s := range ps {
-				beta := make([]float64, size)
-				var cphi float64
-				for i := range beta {
-					if owner[i] == s {
-						beta[i] = w.Beta[i]
-					} else {
-						masked++
-					}
-					cphi += c[i] * rho * top.TargetAt(i)
-				}
-				got, err := model.GradientWeightedSolvedIn(wss[s], evs[s], c, cphi, beta)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := referenceGradient(model, fulls[s], refE[s], c, cphi, beta)
-				checkRawGradient(t, fmt.Sprintf("%s/sensor %d", name, s), got, want, tol)
+				gi += evs[s].CoverTime[i] - rho*top.TargetAt(i)*evs[s].TotalTime
 			}
-			if masked == 0 {
-				t.Fatalf("%s: fixture never masks β", name)
+			c[i] = w.Alpha[i] * gi
+			if refE[1][i] < refE[0][i] {
+				owner[i] = 1
 			}
+		}
+		var masked int
+		for s := range ps {
+			beta := make([]float64, size)
+			var cphi float64
+			for i := range beta {
+				if owner[i] == s {
+					beta[i] = w.Beta[i]
+				} else {
+					masked++
+				}
+				cphi += c[i] * rho * top.TargetAt(i)
+			}
+			got, err := model.GradientWeightedSolvedIn(wss[s], evs[s], c, cphi, beta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceGradient(model, fulls[s], refE[s], c, cphi, beta)
+			checkRawGradient(t, fmt.Sprintf("%s/sensor %d", name, s), got, want, tol)
+		}
+		if masked == 0 {
+			t.Fatalf("%s: fixture never masks β", name)
 		}
 	}
 }

@@ -265,69 +265,64 @@ func probeDeltas(bound float64) []float64 {
 // energy from its affine tables) matches a direct evaluation of the same
 // matrix: π within the fixture's bound, U within lineProbeUTol, the
 // barrier bit for bit (the probe scans only the line's edge entries),
-// and the two paths fail on exactly the same probes. The line is built from both
-// the dense and the sparse fundamental stage.
+// and the two paths fail on exactly the same probes.
 func TestLineProbeMatchesDirectSolve(t *testing.T) {
 	for _, fx := range lineFixtures(t) {
-		for _, method := range []markov.Method{markov.MethodDense, markov.MethodSparse} {
-			t.Run(fmt.Sprintf("%s/%v", fx.name, method), func(t *testing.T) {
-				n := fx.p.Rows()
-				dir, bound := searchDirection(t, fx.model, fx.p)
-				base := markov.NewSolver(n)
-				base.SetMethod(method)
-				sol, err := base.SolveStationary(fx.p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				line := fx.model.NewLine()
-				if err := line.Reset(sol, dir); err != nil {
-					t.Fatal(err)
-				}
+		t.Run(fx.name+"/dense", func(t *testing.T) {
+			n := fx.p.Rows()
+			dir, bound := searchDirection(t, fx.model, fx.p)
+			sol, err := markov.NewSolver(n).SolveStationary(fx.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			line := fx.model.NewLine()
+			if err := line.Reset(sol, dir); err != nil {
+				t.Fatal(err)
+			}
 
-				wsDirect, wsProbe := fx.model.NewWorkspace(), fx.model.NewWorkspace()
-				cand := mat.New(n, n)
-				var worstPi, worstU float64
-				failures, barriers := 0, 0
-				for _, delta := range probeDeltas(bound) {
-					if err := cand.CopyFrom(fx.p); err != nil {
-						t.Fatal(err)
-					}
-					if err := mat.AddInPlace(cand, delta, dir); err != nil {
-						t.Fatal(err)
-					}
-					evD, errD := fx.model.EvaluateIn(wsDirect, cand)
-					evL, errL := fx.model.ProbeIn(wsProbe, line, delta)
-					if (errD == nil) != (errL == nil) {
-						t.Fatalf("δ=%g: direct err %v, line err %v", delta, errD, errL)
-					}
-					if errD != nil {
-						failures++
-						continue
-					}
-					for i, w := range evD.Sol.Pi {
-						worstPi = max(worstPi, math.Abs(evL.Sol.Pi[i]-w)/w)
-					}
-					worstU = max(worstU, math.Abs(evL.U-evD.U)/math.Abs(evD.U))
-					if math.Float64bits(evL.Penalty) != math.Float64bits(evD.Penalty) {
-						t.Errorf("δ=%g: probe barrier %v, direct %v", delta, evL.Penalty, evD.Penalty)
-					}
-					if evD.Penalty != 0 {
-						barriers++
-					}
+			wsDirect, wsProbe := fx.model.NewWorkspace(), fx.model.NewWorkspace()
+			cand := mat.New(n, n)
+			var worstPi, worstU float64
+			failures, barriers := 0, 0
+			for _, delta := range probeDeltas(bound) {
+				if err := cand.CopyFrom(fx.p); err != nil {
+					t.Fatal(err)
 				}
-				if failures == 0 {
-					t.Fatal("no probe past the bound failed")
+				if err := mat.AddInPlace(cand, delta, dir); err != nil {
+					t.Fatal(err)
 				}
-				t.Logf("%d probes with a nonzero barrier", barriers)
-				if worstPi > fx.piTol {
-					t.Errorf("max relative π error %.3g, want ≤ %.0e", worstPi, fx.piTol)
+				evD, errD := fx.model.EvaluateIn(wsDirect, cand)
+				evL, errL := fx.model.ProbeIn(wsProbe, line, delta)
+				if (errD == nil) != (errL == nil) {
+					t.Fatalf("δ=%g: direct err %v, line err %v", delta, errD, errL)
 				}
-				if worstU > lineProbeUTol {
-					t.Errorf("max relative U error %.3g, want ≤ %.0e", worstU, lineProbeUTol)
+				if errD != nil {
+					failures++
+					continue
 				}
-				t.Logf("max relative error: π %.2g, U %.2g", worstPi, worstU)
-			})
-		}
+				for i, w := range evD.Sol.Pi {
+					worstPi = max(worstPi, math.Abs(evL.Sol.Pi[i]-w)/w)
+				}
+				worstU = max(worstU, math.Abs(evL.U-evD.U)/math.Abs(evD.U))
+				if math.Float64bits(evL.Penalty) != math.Float64bits(evD.Penalty) {
+					t.Errorf("δ=%g: probe barrier %v, direct %v", delta, evL.Penalty, evD.Penalty)
+				}
+				if evD.Penalty != 0 {
+					barriers++
+				}
+			}
+			if failures == 0 {
+				t.Fatal("no probe past the bound failed")
+			}
+			t.Logf("%d probes with a nonzero barrier", barriers)
+			if worstPi > fx.piTol {
+				t.Errorf("max relative π error %.3g, want ≤ %.0e", worstPi, fx.piTol)
+			}
+			if worstU > lineProbeUTol {
+				t.Errorf("max relative U error %.3g, want ≤ %.0e", worstU, lineProbeUTol)
+			}
+			t.Logf("max relative error: π %.2g, U %.2g", worstPi, worstU)
+		})
 	}
 }
 
@@ -335,78 +330,76 @@ func TestLineProbeMatchesDirectSolve(t *testing.T) {
 // corpus family's scenario as a K = 2 fleet, at every probe of the line
 // search's grid along the joint steepest-descent direction, State.Probe
 // matches State.Evaluate of the same stack within lineProbeUTol, and the
-// two fail on exactly the same probes, dense and sparse.
+// two fail on exactly the same probes.
 func TestFleetProbeMatchesEvaluate(t *testing.T) {
 	for i, c := range corpusFixtures(t) {
-		for _, method := range []markov.Method{markov.MethodDense, markov.MethodSparse} {
-			t.Run(fmt.Sprintf("%s/%v", c.name, method), func(t *testing.T) {
-				fm, err := fleet.NewModel(c.model, 2, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m := c.model.Topology().M()
-				src := rng.New(uint64(200 + i))
-				ps := []*mat.Matrix{
-					descent.RandomInit(src, m, descent.DefaultMinProb),
-					descent.RandomInit(src, m, descent.DefaultMinProb),
-				}
-				st, direct := fm.NewState(method), fm.NewState(method)
-				if _, err := st.Evaluate(ps); err != nil {
-					t.Fatal(err)
-				}
-				grads := []*mat.Matrix{mat.New(m, m), mat.New(m, m)}
-				if err := st.Gradient(grads); err != nil {
-					t.Fatal(err)
-				}
-				bound := math.Inf(1)
-				for s, g := range grads {
-					cost.ProjectTo(g, g)
-					mat.ScaleInPlace(-1, g)
-					pd := ps[s].Data()
-					for k, v := range g.Data() {
-						switch {
-						case v > 0:
-							bound = min(bound, (1-descent.DefaultMinProb-pd[k])/v)
-						case v < 0:
-							bound = min(bound, (descent.DefaultMinProb-pd[k])/v)
-						}
+		t.Run(c.name+"/dense", func(t *testing.T) {
+			fm, err := fleet.NewModel(c.model, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := c.model.Topology().M()
+			src := rng.New(uint64(200 + i))
+			ps := []*mat.Matrix{
+				descent.RandomInit(src, m, descent.DefaultMinProb),
+				descent.RandomInit(src, m, descent.DefaultMinProb),
+			}
+			st, direct := fm.NewState(), fm.NewState()
+			if _, err := st.Evaluate(ps); err != nil {
+				t.Fatal(err)
+			}
+			grads := []*mat.Matrix{mat.New(m, m), mat.New(m, m)}
+			if err := st.Gradient(grads); err != nil {
+				t.Fatal(err)
+			}
+			bound := math.Inf(1)
+			for s, g := range grads {
+				cost.ProjectTo(g, g)
+				mat.ScaleInPlace(-1, g)
+				pd := ps[s].Data()
+				for k, v := range g.Data() {
+					switch {
+					case v > 0:
+						bound = min(bound, (1-descent.DefaultMinProb-pd[k])/v)
+					case v < 0:
+						bound = min(bound, (descent.DefaultMinProb-pd[k])/v)
 					}
 				}
-				if err := st.Line(grads); err != nil {
-					t.Fatal(err)
-				}
-				cand := []*mat.Matrix{mat.New(m, m), mat.New(m, m)}
-				var worstU float64
-				failures := 0
-				for _, delta := range probeDeltas(bound) {
-					for s := range cand {
-						if err := cand[s].CopyFrom(ps[s]); err != nil {
-							t.Fatal(err)
-						}
-						if err := mat.AddInPlace(cand[s], delta, grads[s]); err != nil {
-							t.Fatal(err)
-						}
+			}
+			if err := st.Line(grads); err != nil {
+				t.Fatal(err)
+			}
+			cand := []*mat.Matrix{mat.New(m, m), mat.New(m, m)}
+			var worstU float64
+			failures := 0
+			for _, delta := range probeDeltas(bound) {
+				for s := range cand {
+					if err := cand[s].CopyFrom(ps[s]); err != nil {
+						t.Fatal(err)
 					}
-					uD, errD := direct.Evaluate(cand)
-					uL, errL := st.Probe(delta)
-					if (errD == nil) != (errL == nil) {
-						t.Fatalf("δ=%g: direct err %v, probe err %v", delta, errD, errL)
+					if err := mat.AddInPlace(cand[s], delta, grads[s]); err != nil {
+						t.Fatal(err)
 					}
-					if errD != nil {
-						failures++
-						continue
-					}
-					worstU = max(worstU, math.Abs(uL-uD)/math.Abs(uD))
 				}
-				if failures == 0 {
-					t.Fatal("no probe past the bound failed")
+				uD, errD := direct.Evaluate(cand)
+				uL, errL := st.Probe(delta)
+				if (errD == nil) != (errL == nil) {
+					t.Fatalf("δ=%g: direct err %v, probe err %v", delta, errD, errL)
 				}
-				if worstU > lineProbeUTol {
-					t.Errorf("max relative U error %.3g, want ≤ %.0e", worstU, lineProbeUTol)
+				if errD != nil {
+					failures++
+					continue
 				}
-				t.Logf("max relative U error %.2g", worstU)
-			})
-		}
+				worstU = max(worstU, math.Abs(uL-uD)/math.Abs(uD))
+			}
+			if failures == 0 {
+				t.Fatal("no probe past the bound failed")
+			}
+			if worstU > lineProbeUTol {
+				t.Errorf("max relative U error %.3g, want ≤ %.0e", worstU, lineProbeUTol)
+			}
+			t.Logf("max relative U error %.2g", worstU)
+		})
 	}
 }
 
@@ -417,46 +410,44 @@ type keptState struct {
 	st *fleet.State
 }
 
-func (o *keptState) NewState(method markov.Method) *fleet.State {
-	o.st = o.Model.NewState(method)
+func (o *keptState) NewState() *fleet.State {
+	o.st = o.Model.NewState()
 	return o.st
 }
 
 // TestCorpusSearchCertified runs one V3 iteration — a full line search
 // from a floored random start — for every corpus family's scenario,
-// dense and sparse, as a one-sensor and a two-sensor fleet, and
+// as a one-sensor and a two-sensor fleet, and
 // requires every probe to lie in its line's certified range: none may
 // scan its matrix again (markov.Solver.LineScans).
 func TestCorpusSearchCertified(t *testing.T) {
 	for i, c := range corpusFixtures(t) {
 		for _, k := range []int{1, 2} {
-			for _, method := range []markov.Method{markov.MethodDense, markov.MethodSparse} {
-				t.Run(fmt.Sprintf("%s/K%d/%v", c.name, k, method), func(t *testing.T) {
-					fm, err := fleet.NewModel(c.model, k, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					obj := &keptState{Model: fm}
-					opt, err := descent.NewOptimizer(obj, descent.Options{
-						Variant: descent.Adaptive, MaxIters: 1, Seed: uint64(300 + i),
-						Solver: method, RecordTrace: true,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := opt.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					probes := res.Trace[0].Probes
-					if probes == 0 {
-						t.Fatal("the iteration ran no probe")
-					}
-					if n := obj.st.LineScans(); n != 0 {
-						t.Errorf("%d of %d probes scanned their matrix, want 0", n, probes)
-					}
+			t.Run(fmt.Sprintf("%s/K%d/dense", c.name, k), func(t *testing.T) {
+				fm, err := fleet.NewModel(c.model, k, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				obj := &keptState{Model: fm}
+				opt, err := descent.NewOptimizer(obj, descent.Options{
+					Variant: descent.Adaptive, MaxIters: 1, Seed: uint64(300 + i),
+					RecordTrace: true,
 				})
-			}
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := opt.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				probes := res.Trace[0].Probes
+				if probes == 0 {
+					t.Fatal("the iteration ran no probe")
+				}
+				if n := obj.st.LineScans(); n != 0 {
+					t.Errorf("%d of %d probes scanned their matrix, want 0", n, probes)
+				}
+			})
 		}
 	}
 }

@@ -54,15 +54,6 @@ func (m *Model) NewWorkspace() *Workspace {
 	}
 }
 
-// SetSolver selects the markov backend for the workspace's chain solves.
-// markov.MethodDense (the default) is the bit-exact reference;
-// markov.MethodSparse trades bit-identity for factor-fill scaling at
-// city-size M, agreeing with the dense results to markov.SparseTol (and
-// transparently falling back to dense on near-singular systems).
-func (ws *Workspace) SetSolver(method markov.Method) {
-	ws.solver.SetMethod(method)
-}
-
 // LineScans returns the number of the workspace's probes whose matrix
 // fell outside its line's certified range and was scanned
 // (markov.Solver.LineScans).

@@ -34,7 +34,6 @@ import (
 	"runtime"
 
 	"repro/internal/cost"
-	"repro/internal/markov"
 	"repro/internal/mat"
 	"repro/internal/rng"
 )
@@ -131,14 +130,6 @@ type Options struct {
 	StallIters int
 	// Tolerance is the relative improvement threshold for stall counting.
 	Tolerance float64
-	// Solver selects the markov linear-algebra backend for every chain
-	// solve the run performs (iterate evaluations, gradients, and all
-	// line-search probes). The zero value, markov.MethodDense, is the
-	// bit-exact reference the golden traces pin; markov.MethodSparse
-	// scales with the factor fill instead of M³ and agrees with dense to
-	// markov.SparseTol (see DESIGN.md §11), falling back to the dense
-	// path automatically on near-singular systems.
-	Solver markov.Method
 	// RecordTrace captures one IterRecord per iteration in the result.
 	RecordTrace bool
 	// OnIteration, when non-nil, is invoked after every iteration with the
@@ -189,11 +180,6 @@ func (o Options) validate() error {
 	}
 	if o.MinProb >= 0.5 {
 		return fmt.Errorf("%w: MinProb %v too large", ErrOptions, o.MinProb)
-	}
-	switch o.Solver {
-	case markov.MethodDense, markov.MethodSparse:
-	default:
-		return fmt.Errorf("%w: unknown solver method %d", ErrOptions, int(o.Solver))
 	}
 	return nil
 }
@@ -300,7 +286,7 @@ func NewOptimizer[S State[E], E any](obj Objective[S], opts Options) (*Optimizer
 		dir:  newStack(k, m),
 		cand: newStack(k, m),
 	}
-	o.st = obj.NewState(opts.Solver)
+	o.st = obj.NewState()
 	return o, nil
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/fleet"
-	"repro/internal/markov"
 	"repro/internal/mat"
 	"repro/internal/rng"
 	"repro/internal/topology"
@@ -40,7 +39,7 @@ func probesMatchEvaluate[S State[E], E any](t *testing.T, obj Objective[S]) {
 	if !ok || step <= 0 {
 		t.Fatalf("line search found no step (%v, %v)", step, ok)
 	}
-	ref := obj.NewState(markov.MethodDense)
+	ref := obj.NewState()
 	cand := newStack(opt.k, opt.m)
 	check := func(delta, got float64) {
 		t.Helper()
@@ -172,8 +171,8 @@ type lowFirstProbe struct {
 	bias float64
 }
 
-func (o lowFirstProbe) NewState(solver markov.Method) *lowFirstProbeState {
-	return &lowFirstProbeState{State: o.Model.NewState(solver), bias: o.bias}
+func (o lowFirstProbe) NewState() *lowFirstProbeState {
+	return &lowFirstProbeState{State: o.Model.NewState(), bias: o.bias}
 }
 
 type lowFirstProbeState struct {
@@ -213,8 +212,8 @@ type countingObjective struct {
 	log []byte
 }
 
-func (o *countingObjective) NewState(solver markov.Method) *countingState {
-	return &countingState{State: o.Model.NewState(solver), log: &o.log}
+func (o *countingObjective) NewState() *countingState {
+	return &countingState{State: o.Model.NewState(), log: &o.log}
 }
 
 type countingState struct {

@@ -1,7 +1,6 @@
 package descent
 
 import (
-	"repro/internal/markov"
 	"repro/internal/mat"
 )
 
@@ -13,9 +12,8 @@ import (
 type Objective[S any] interface {
 	// Shape returns the stack size K and the chain order M.
 	Shape() (k, m int)
-	// NewState returns a private evaluation state whose chain solves use
-	// the given backend.
-	NewState(solver markov.Method) S
+	// NewState returns a private evaluation state.
+	NewState() S
 }
 
 // State is one private evaluation workspace of an Objective; E is the

@@ -36,7 +36,6 @@ import (
 	"math"
 
 	"repro/internal/cost"
-	"repro/internal/markov"
 	"repro/internal/mat"
 )
 
@@ -236,9 +235,8 @@ type State struct {
 	lines []*cost.Line
 }
 
-// NewState returns a fresh evaluation state whose chain solves use the
-// given backend.
-func (fm *Model) NewState(solver markov.Method) *State {
+// NewState returns a fresh evaluation state.
+func (fm *Model) NewState() *State {
 	st := &State{
 		fm:        fm,
 		ws:        make([]*cost.Workspace, fm.k),
@@ -249,7 +247,6 @@ func (fm *Model) NewState(solver markov.Method) *State {
 	}
 	for s := range st.ws {
 		st.ws[s] = fm.cm.NewWorkspace()
-		st.ws[s].SetSolver(solver)
 	}
 	return st
 }
@@ -432,7 +429,7 @@ func (st *State) combine() {
 // Evaluate computes the joint cost breakdown at the K-matrix stack ps.
 // Each call builds a fresh State; the optimizer reuses its own.
 func (fm *Model) Evaluate(ps []*mat.Matrix) (*Evaluation, error) {
-	st := fm.NewState(markov.MethodDense)
+	st := fm.NewState()
 	if _, err := st.Evaluate(ps); err != nil {
 		return nil, err
 	}
@@ -444,7 +441,7 @@ func (fm *Model) Evaluate(ps []*mat.Matrix) (*Evaluation, error) {
 // objective (see State.Gradient). Like Evaluate, each call allocates;
 // the optimizer reuses buffers.
 func (fm *Model) Gradient(ps []*mat.Matrix) (*Evaluation, []*mat.Matrix, error) {
-	st := fm.NewState(markov.MethodDense)
+	st := fm.NewState()
 	if _, err := st.Evaluate(ps); err != nil {
 		return nil, nil, err
 	}

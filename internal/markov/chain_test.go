@@ -198,16 +198,13 @@ func TestSolverNonErgodicDiagnostics(t *testing.T) {
 		{"2-cycle-and-self-loop", [][]float64{{0, 1, 0}, {1, 0, 0}, {0, 0, 1}}, "irreducible=false period=2"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, method := range []Method{MethodDense, MethodSparse} {
-				s, p := graph(t, tc.rows)
-				s.SetMethod(method)
-				_, err := s.Solve(p)
-				if !errors.Is(err, ErrNotErgodic) {
-					t.Fatalf("%v: err = %v, want ErrNotErgodic", method, err)
-				}
-				if want := ErrNotErgodic.Error() + ": " + tc.detail; err.Error() != want {
-					t.Errorf("%v: err = %q, want %q", method, err, want)
-				}
+			s, p := graph(t, tc.rows)
+			_, err := s.Solve(p)
+			if !errors.Is(err, ErrNotErgodic) {
+				t.Fatalf("err = %v, want ErrNotErgodic", err)
+			}
+			if want := ErrNotErgodic.Error() + ": " + tc.detail; err.Error() != want {
+				t.Errorf("err = %q, want %q", err, want)
 			}
 		})
 	}
@@ -566,5 +563,25 @@ func TestStepDistribution(t *testing.T) {
 	}
 	if math.Abs(out[0]-0.5) > 1e-12 || math.Abs(out[1]-0.5) > 1e-12 {
 		t.Errorf("Step = %v, want [0.5 0.5]", out)
+	}
+}
+
+// TestChainSolveFormsZ2 checks that the allocating Chain.Solve returns Z²
+// already formed, matching Z·Z bit for bit.
+func TestChainSolveFormsZ2(t *testing.T) {
+	c, err := New(sparseRingP(rng.New(47), 10, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := c.Solve()
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	if sol.z2 == nil {
+		t.Fatal("Chain.Solve left Z² unformed")
+	}
+	zz := mul(t, sol.Z, sol.Z)
+	if d := maxRelDiff(sol.Z2(), zz); d != 0 {
+		t.Fatalf("Z2 differs from Z*Z by %g", d)
 	}
 }

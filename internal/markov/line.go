@@ -210,9 +210,8 @@ func (l *Line) stationaryAt(pi []float64, delta float64, ws *mat.ShiftedScratch)
 // singular reports ErrNotErgodic the way a singular stationary system
 // does, and π is the point's only up to rounding (DESIGN §8.2).
 //
-// The returned Solution reports MethodDense: its Fundamental forms W, Z
-// and R from P through the dense branch whatever the Solver's backend.
-// No allocations occur on the success path after the first call.
+// The returned Solution's Fundamental forms W, Z and R from P. No
+// allocations occur on the success path after the first call.
 func (s *Solver) SolveLine(l *Line, delta float64) (*Solution, error) {
 	if l.n != s.n {
 		return nil, fmt.Errorf("%w: line of order %d for a %d-state solver", ErrDirection, l.n, s.n)
@@ -228,7 +227,6 @@ func (s *Solver) SolveLine(l *Line, delta float64) (*Solution, error) {
 	if s.lineWs == nil {
 		s.lineWs = mat.NewShiftedScratch(s.n)
 	}
-	s.sol.method = MethodDense
 	if err := l.stationaryAt(s.sol.Pi, delta, s.lineWs); err != nil {
 		if errors.Is(err, mat.ErrSingular) {
 			return nil, fmt.Errorf("%w: stationary system singular on the search line", ErrNotErgodic)

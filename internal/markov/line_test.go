@@ -12,17 +12,15 @@ import (
 
 // lineFixture returns a random ergodic chain, a zero-row-sum direction
 // scaled so P + δD stays positive for |δ| ≤ 1, and the line through the
-// chain's solution along it, built with the given backend.
-func lineFixture(t *testing.T, n int, method Method) (*mat.Matrix, *mat.Matrix, *Line) {
+// chain's solution along it.
+func lineFixture(t *testing.T, n int) (*mat.Matrix, *mat.Matrix, *Line) {
 	t.Helper()
 	src := rng.New(uint64(40 + n))
 	p := randomErgodic(src, n).p
 	d := zeroRowSumDirection(src, n)
 	scale := mat.MaxAbs(d) / (0.05 / float64(n))
 	mat.ScaleInPlace(1/scale, d)
-	s := NewSolver(n)
-	s.SetMethod(method)
-	sol, err := s.SolveStationary(p)
+	sol, err := NewSolver(n).SolveStationary(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,45 +32,40 @@ func lineFixture(t *testing.T, n int, method Method) (*mat.Matrix, *mat.Matrix, 
 }
 
 // TestLineSolutionFormsZ checks that a line-probe solution is a working
-// stationary stage: it reports the dense backend and no sparse handle
-// whatever the solver's, and its Fundamental forms the Z, W and R of the
-// probed matrix — the ones Solve computes for it.
+// stationary stage: its Z is not formed yet, and its Fundamental forms
+// the Z, W and R of the probed matrix — the ones Solve computes for it.
 func TestLineSolutionFormsZ(t *testing.T) {
 	const n = 12
-	for _, method := range []Method{MethodDense, MethodSparse} {
-		p, d, l := lineFixture(t, n, method)
-		q := p.Clone()
-		const delta = 0.7
-		if err := mat.AddInPlace(q, delta, d); err != nil {
-			t.Fatal(err)
-		}
-		want, err := NewSolver(n).Solve(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := NewSolver(n)
-		s.SetMethod(method)
-		// A full solve of another chain first, so stale matrices exist.
-		if _, err := s.Solve(p); err != nil {
-			t.Fatal(err)
-		}
-		got, err := s.SolveLine(l, delta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Method() != MethodDense || got.Z != nil {
-			t.Fatalf("%v: line solution reports %v, Z formed %v",
-				method, got.Method(), got.Z != nil)
-		}
-		if err := got.Fundamental(); err != nil {
-			t.Fatal(err)
-		}
-		for name, pair := range map[string][2]*mat.Matrix{
-			"Z": {got.Z, want.Z}, "W": {got.W, want.W}, "R": {got.R, want.R},
-		} {
-			if d := mat.MaxAbsDiff(pair[0], pair[1]); d > 1e-12*mat.MaxAbs(pair[1]) {
-				t.Errorf("%v: %s differs from Solve's by %.3g", method, name, d)
-			}
+	p, d, l := lineFixture(t, n)
+	q := p.Clone()
+	const delta = 0.7
+	if err := mat.AddInPlace(q, delta, d); err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewSolver(n).Solve(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSolver(n)
+	// A full solve of another chain first, so stale matrices exist.
+	if _, err := s.Solve(p); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.SolveLine(l, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Z != nil {
+		t.Fatal("line solution has Z formed")
+	}
+	if err := got.Fundamental(); err != nil {
+		t.Fatal(err)
+	}
+	for name, pair := range map[string][2]*mat.Matrix{
+		"Z": {got.Z, want.Z}, "W": {got.W, want.W}, "R": {got.R, want.R},
+	} {
+		if d := mat.MaxAbsDiff(pair[0], pair[1]); d > 1e-12*mat.MaxAbs(pair[1]) {
+			t.Errorf("%s differs from Solve's by %.3g", name, d)
 		}
 	}
 }
@@ -84,7 +77,7 @@ func TestLineSolutionFormsZ(t *testing.T) {
 // probe off δ = 0.
 func TestLineRejects(t *testing.T) {
 	const n = 6
-	p, d, l := lineFixture(t, n, MethodDense)
+	p, d, l := lineFixture(t, n)
 	sol, err := NewSolver(n).SolveStationary(p)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +106,7 @@ func TestLineRejects(t *testing.T) {
 // line build and of a probe's stationary stage.
 func TestSolveLineZeroAllocs(t *testing.T) {
 	const n = 16
-	p, d, l := lineFixture(t, n, MethodDense)
+	p, d, l := lineFixture(t, n)
 	base := NewSolver(n)
 	sol, err := base.Solve(p)
 	if err != nil {

@@ -32,9 +32,6 @@ type Solution struct {
 	// reading of R = (I - Z + J Z_dg) D; see DESIGN.md errata).
 	R *mat.Matrix
 
-	// method is the backend that produced the solution; see Method.
-	method Method
-
 	// w, z and r are the storage W, Z and R point at once formed. A
 	// Solver keeps them across solves, and so does a CopyTo destination.
 	w, z, r *mat.Matrix
@@ -54,12 +51,6 @@ type Solution struct {
 // source never formed its fundamental stage: the copy has no solver to
 // form W, Z and R from.
 var ErrNoFundamental = errors.New("markov: fundamental stage not formed before the solution was copied")
-
-// Method reports the backend that computed the stationary stage:
-// MethodSparse only when the sparse stationary solve succeeded (a sparse
-// Solver's dense fallback reports MethodDense). Clone keeps it, so
-// consumers that branch on the backend treat a clone like its original.
-func (s *Solution) Method() Method { return s.method }
 
 // Fundamental forms the fundamental stage — W, Z and R — on its first
 // call after the stationary stage, from the Solver that produced the

@@ -25,16 +25,13 @@ import (
 // for concurrent use; give each goroutine its own (the descent package
 // allocates one per optimizer).
 type Solver struct {
-	n      int
-	sol    Solution
-	method Method
+	n   int
+	sol Solution
 
 	lu  *mat.LU
 	zin *mat.Matrix // holds the stationary system (I-P)^T, then I - P + W
 	b   []float64   // right-hand side of the stationary system
 
-	// Sparse-path assembly scratch, allocated on first sparse solve.
-	sp *sparseScratch
 	// Shifted-solve scratch of SolveLine, allocated on its first call.
 	lineWs *mat.ShiftedScratch
 	// lineScans counts the SolveLine probes outside their line's
@@ -96,21 +93,8 @@ func (s *Solver) SolveStationary(p *mat.Matrix) (*Solution, error) {
 	if err := s.begin(p); err != nil {
 		return nil, err
 	}
-	s.sol.method = MethodDense
-	if s.method == MethodSparse {
-		err := s.stationarySparse(p)
-		if err == nil {
-			s.sol.method = MethodSparse
-		} else if !errors.Is(err, mat.ErrSingular) {
-			return nil, err
-		}
-		// Near-singular pivot in the no-pivoting sparse factorization:
-		// fall back to the pivoted dense reference for this solve.
-	}
-	if s.sol.method == MethodDense {
-		if err := s.stationary(p); err != nil {
-			return nil, err
-		}
+	if err := s.stationary(p); err != nil {
+		return nil, err
 	}
 	if err := s.sol.P.CopyFrom(p); err != nil {
 		return nil, err
@@ -150,10 +134,8 @@ func (s *Solver) notErgodic(p *mat.Matrix) error {
 }
 
 // fundamental is the fundamental stage of the Solver's current solution:
-// W, Z and R from its P and π. A sparse stationary stage hands its
-// factorization on to a rank-2 Woodbury update (see fundamentalSparse);
-// when that rejects a near-singular system, or the stationary stage was
-// dense, Z comes from the pivoted dense LU of I − P + W.
+// W, Z and R from its P and π, with Z from the pivoted dense LU of
+// I − P + W.
 func (s *Solver) fundamental() error {
 	sol := &s.sol
 	n := s.n
@@ -161,17 +143,6 @@ func (s *Solver) fundamental() error {
 	for i := 0; i < n; i++ {
 		copy(wd[i*n:(i+1)*n], sol.Pi)
 	}
-	if sol.method == MethodSparse {
-		err := s.fundamentalSparse()
-		if err == nil {
-			s.formR()
-			return nil
-		}
-		if !errors.Is(err, mat.ErrSingular) {
-			return err
-		}
-	}
-
 	// Z = (I - P + W)^{-1}: build the operand, factor, invert into Z.
 	// The entry order (I - P) + W matches the original two-step SubM/AddM
 	// construction bit for bit.
@@ -350,10 +321,10 @@ func checkPositive(pi []float64) error {
 
 // Clone returns a deep copy of the Solution, detaching it from whatever
 // Solver buffers back it. Use it to retain a Solution past the next solve
-// on the owning Solver. The backend marker is kept; Z² is not copied or
-// formed, the clone's Z2 forms it on request. W, Z and R are copied when
-// the fundamental stage was formed; otherwise the clone has no solver to
-// form them from, and its Fundamental reports ErrNoFundamental.
+// on the owning Solver. Z² is not copied or formed, the clone's Z2 forms
+// it on request. W, Z and R are copied when the fundamental stage was
+// formed; otherwise the clone has no solver to form them from, and its
+// Fundamental reports ErrNoFundamental.
 func (s *Solution) Clone() *Solution {
 	out := &Solution{}
 	s.CopyTo(out)
@@ -368,7 +339,6 @@ func (s *Solution) Clone() *Solution {
 func (s *Solution) CopyTo(dst *Solution) {
 	dst.P = copyMatrix(dst.P, s.P)
 	dst.Pi = append(dst.Pi[:0], s.Pi...)
-	dst.method = s.method
 	dst.unform()
 	dst.solver = nil
 	if s.Z == nil {

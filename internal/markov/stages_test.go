@@ -13,54 +13,45 @@ import (
 func sameBits(a, b *mat.Matrix) bool { return sameFloats(a.Data(), b.Data()) }
 
 // TestStagesComposeToSolve checks that the stationary stage followed by
-// the fundamental stage yields exactly the bits of Solve, on both
-// backends, and that a stationary stage never exposes the fundamental
+// the fundamental stage yields exactly the bits of Solve, and that a stationary stage never exposes the fundamental
 // matrices of the solver's previous chain.
 func TestStagesComposeToSolve(t *testing.T) {
-	for _, method := range []Method{MethodDense, MethodSparse} {
-		for _, p := range []*mat.Matrix{
-			randomErgodic(rng.New(21), 9).p,
-			sparseRingP(rng.New(22), 48, 3),
-		} {
-			n := p.Rows()
-			ref := NewSolver(n)
-			ref.SetMethod(method)
-			want, err := ref.Solve(p)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, p := range []*mat.Matrix{
+		randomErgodic(rng.New(21), 9).p,
+		sparseRingP(rng.New(22), 48, 3),
+	} {
+		n := p.Rows()
+		want, err := NewSolver(n).Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			s := NewSolver(n)
-			s.SetMethod(method)
-			// A full solve of another chain first, so stale buffers exist.
-			if _, err := s.Solve(randomErgodic(rng.New(23), n).p); err != nil {
-				t.Fatal(err)
+		s := NewSolver(n)
+		// A full solve of another chain first, so stale buffers exist.
+		if _, err := s.Solve(randomErgodic(rng.New(23), n).p); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.SolveStationary(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.W != nil || got.Z != nil || got.R != nil {
+			t.Fatalf("M=%d: the stationary stage exposes fundamental-stage state", n)
+		}
+		for i := range want.Pi {
+			if math.Float64bits(got.Pi[i]) != math.Float64bits(want.Pi[i]) {
+				t.Fatalf("M=%d: π_%d differs from Solve", n, i)
 			}
-			got, err := s.SolveStationary(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.W != nil || got.Z != nil || got.R != nil {
-				t.Fatalf("%v M=%d: the stationary stage exposes fundamental-stage state", method, n)
-			}
-			if got.Method() != want.Method() {
-				t.Fatalf("%v M=%d: method %v, Solve reports %v", method, n, got.Method(), want.Method())
-			}
-			for i := range want.Pi {
-				if math.Float64bits(got.Pi[i]) != math.Float64bits(want.Pi[i]) {
-					t.Fatalf("%v M=%d: π_%d differs from Solve", method, n, i)
-				}
-			}
-			if err := got.Fundamental(); err != nil {
-				t.Fatal(err)
-			}
-			for _, m := range []struct {
-				name      string
-				got, want *mat.Matrix
-			}{{"W", got.W, want.W}, {"Z", got.Z, want.Z}, {"R", got.R, want.R}} {
-				if !sameBits(m.got, m.want) {
-					t.Errorf("%v M=%d: %s differs from Solve", method, n, m.name)
-				}
+		}
+		if err := got.Fundamental(); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []struct {
+			name      string
+			got, want *mat.Matrix
+		}{{"W", got.W, want.W}, {"Z", got.Z, want.Z}, {"R", got.R, want.R}} {
+			if !sameBits(m.got, m.want) {
+				t.Errorf("M=%d: %s differs from Solve", n, m.name)
 			}
 		}
 	}

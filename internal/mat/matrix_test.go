@@ -229,16 +229,6 @@ func TestMulVecVecMul(t *testing.T) {
 }
 
 func TestDotAndNorms(t *testing.T) {
-	d, err := Dot([]float64{1, 2, 3}, []float64{4, 5, 6})
-	if err != nil {
-		t.Fatalf("Dot: %v", err)
-	}
-	if d != 32 {
-		t.Errorf("Dot = %v, want 32", d)
-	}
-	if _, err := Dot([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrDimension) {
-		t.Errorf("Dot err = %v, want ErrDimension", err)
-	}
 	a, _ := NewFromRows([][]float64{{3, 4}})
 	if n := MaxAbs(a); n != 4 {
 		t.Errorf("MaxAbs = %v, want 4", n)

@@ -185,18 +185,6 @@ func VecMul(x []float64, a *Matrix) ([]float64, error) {
 	return out, nil
 }
 
-// Dot returns the inner product of two equal-length vectors.
-func Dot(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("%w: dot vectors of %d and %d", ErrDimension, len(x), len(y))
-	}
-	var s float64
-	for i := range x {
-		s += x[i] * y[i]
-	}
-	return s, nil
-}
-
 // FrobeniusInner returns the Frobenius inner product <a, b> = sum a_ij*b_ij.
 func FrobeniusInner(a, b *Matrix) (float64, error) {
 	if a.rows != b.rows || a.cols != b.cols {

@@ -74,7 +74,10 @@ type Provenance struct {
 	Restarts int `json:"restarts,omitempty"`
 	// Iterations is the winning restart's optimizer iteration count.
 	Iterations int `json:"iterations,omitempty"`
-	// Solver is the linear-algebra backend ("dense" or "sparse").
+	// Solver is the linear-algebra backend that produced the plan. A job
+	// records "dense", the one backend there is, also when its spec asked
+	// for the "sparse" alias; records written while a separate sparse
+	// backend existed may still read "sparse".
 	Solver string `json:"solver,omitempty"`
 	// Created is the publication time (UTC).
 	Created time.Time `json:"created"`

@@ -297,17 +297,13 @@ func (s *Service) spawn(ctx context.Context, q Query, res Result, neighbor *Entr
 // Manager.SetDoneListener so every completed optimization — queries,
 // direct submissions, deploy re-optimizations — lands in the cache.
 func (s *Service) OnJobDone(jobID string, spec jobs.Spec, plan *coverage.Plan) {
-	solver := spec.Options.Solver
-	if solver == "" {
-		solver = "dense"
-	}
 	fp, err := s.lib.Publish(spec.Scenario, spec.Objectives, plan, Provenance{
 		JobID:      jobID,
 		Source:     "job",
 		Seed:       spec.Options.Seed,
 		Restarts:   spec.Restarts,
 		Iterations: plan.Iterations,
-		Solver:     solver,
+		Solver:     "dense", // every Options.Solver value runs the dense LU
 	})
 	if err != nil {
 		s.log.Error("publish of finished job failed",

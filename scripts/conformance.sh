@@ -8,9 +8,8 @@
 #      corpus files fail before any optimizer time is spent;
 #   2. generator drift check (confgen -check): the checked-in files
 #      must match a fresh deterministic regeneration byte for byte;
-#   3. the full run: every case under every requested solver backend
-#      and worker count, every invariant checked, verdicts required to
-#      agree across solvers.
+#   3. the full run: every case under every requested worker count,
+#      every invariant checked.
 #
 # Environment:
 #   CONF_SOLVERS   comma-separated solver filter (default: corpus matrix)
