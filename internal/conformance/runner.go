@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"hash"
 	"math"
@@ -64,6 +65,95 @@ func (m Metrics) metric(name string) float64 {
 		return float64(m.Iterations)
 	}
 	return math.NaN()
+}
+
+// jsonFloat is a float64 that encodes as a JSON number when finite and
+// as the string "+Inf", "-Inf" or "NaN" otherwise, values encoding/json
+// refuses to write as numbers. A Metropolis baseline cell, for one,
+// reports an infinite cost.
+type jsonFloat float64
+
+func (f jsonFloat) MarshalJSON() ([]byte, error) {
+	switch x := float64(f); {
+	case math.IsNaN(x):
+		return []byte(`"NaN"`), nil
+	case math.IsInf(x, 1):
+		return []byte(`"+Inf"`), nil
+	case math.IsInf(x, -1):
+		return []byte(`"-Inf"`), nil
+	default:
+		return json.Marshal(x)
+	}
+}
+
+func (f *jsonFloat) UnmarshalJSON(b []byte) error {
+	switch string(b) {
+	case `"NaN"`:
+		*f = jsonFloat(math.NaN())
+	case `"+Inf"`:
+		*f = jsonFloat(math.Inf(1))
+	case `"-Inf"`:
+		*f = jsonFloat(math.Inf(-1))
+	default:
+		return json.Unmarshal(b, (*float64)(f))
+	}
+	return nil
+}
+
+// metricsJSON is Metrics' wire form: its float fields as jsonFloat, which
+// shadow the embedded fields of the same JSON name.
+type metricsJSON struct {
+	Cost      jsonFloat   `json:"cost"`
+	DeltaC    jsonFloat   `json:"deltaC"`
+	EBar      jsonFloat   `json:"eBar"`
+	Energy    jsonFloat   `json:"energy"`
+	EnergyGap jsonFloat   `json:"energyGap"`
+	Entropy   jsonFloat   `json:"entropy"`
+	Shares    []jsonFloat `json:"shares"`
+	plainMetrics
+}
+
+// plainMetrics is Metrics without its JSON methods.
+type plainMetrics Metrics
+
+// MarshalJSON encodes m with non-finite floats as the strings "+Inf",
+// "-Inf" and "NaN".
+func (m Metrics) MarshalJSON() ([]byte, error) {
+	w := metricsJSON{
+		plainMetrics: plainMetrics(m),
+		Cost:         jsonFloat(m.Cost),
+		DeltaC:       jsonFloat(m.DeltaC),
+		EBar:         jsonFloat(m.EBar),
+		Energy:       jsonFloat(m.Energy),
+		EnergyGap:    jsonFloat(m.EnergyGap),
+		Entropy:      jsonFloat(m.Entropy),
+	}
+	if m.Shares != nil {
+		w.Shares = make([]jsonFloat, len(m.Shares))
+		for i, v := range m.Shares {
+			w.Shares[i] = jsonFloat(v)
+		}
+	}
+	return json.Marshal(w)
+}
+
+// UnmarshalJSON decodes what MarshalJSON encodes.
+func (m *Metrics) UnmarshalJSON(b []byte) error {
+	var w metricsJSON
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*m = Metrics(w.plainMetrics)
+	m.Cost, m.DeltaC, m.EBar = float64(w.Cost), float64(w.DeltaC), float64(w.EBar)
+	m.Energy, m.EnergyGap, m.Entropy = float64(w.Energy), float64(w.EnergyGap), float64(w.Entropy)
+	m.Shares = nil
+	if w.Shares != nil {
+		m.Shares = make([]float64, len(w.Shares))
+		for i, v := range w.Shares {
+			m.Shares[i] = float64(v)
+		}
+	}
+	return nil
 }
 
 // Check is one invariant verdict under one matrix cell.

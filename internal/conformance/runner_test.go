@@ -2,6 +2,9 @@ package conformance
 
 import (
 	"context"
+	"encoding/json"
+	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -201,5 +204,69 @@ func TestRunnerHonorsCancellation(t *testing.T) {
 	cancel()
 	if _, err := Run(ctx, []*Corpus{c}, Config{}); err == nil {
 		t.Fatal("cancelled run returned nil error")
+	}
+}
+
+// TestReportJSONRoundTrip encodes the report of the checked-in paper
+// topologies, whose Metropolis cells cost +Inf, and decodes it back:
+// non-finite metrics travel as the strings "+Inf", "-Inf" and "NaN".
+func TestReportJSONRoundTrip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus run skipped in -short")
+	}
+	c, err := LoadFile(filepath.Join("..", "..", "coverage", "testdata", "corpus", "paper-topologies.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(context.Background(), []*Corpus{c}, Config{Workers: []int{1}, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if !strings.Contains(string(raw), `"cost":"+Inf"`) {
+		t.Fatal(`no metropolis cell encoded "cost":"+Inf"; the fixture must carry a non-finite metric`)
+	}
+	var back Report
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	// Float64bits equality also matches NaN with NaN.
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for f, file := range rep.Files {
+		for key, want := range file.Results {
+			got, ok := back.Files[f].Results[key]
+			if !ok {
+				t.Fatalf("%s: missing after the round trip", key)
+			}
+			floats := [][2]float64{{got.Cost, want.Cost}, {got.DeltaC, want.DeltaC}, {got.EBar, want.EBar},
+				{got.Energy, want.Energy}, {got.EnergyGap, want.EnergyGap}, {got.Entropy, want.Entropy}}
+			if len(got.Shares) != len(want.Shares) {
+				t.Fatalf("%s: %d shares back, want %d", key, len(got.Shares), len(want.Shares))
+			}
+			for i := range want.Shares {
+				floats = append(floats, [2]float64{got.Shares[i], want.Shares[i]})
+			}
+			for _, p := range floats {
+				if !same(p[0], p[1]) {
+					t.Fatalf("%s: %v back, want %v", key, p[0], p[1])
+				}
+			}
+			if got.Iterations != want.Iterations || got.Converged != want.Converged || got.Digest != want.Digest {
+				t.Fatalf("%s: %+v back, want %+v", key, got, want)
+			}
+		}
+	}
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0.5} {
+		raw, err := json.Marshal(Metrics{Cost: v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m Metrics
+		if err := json.Unmarshal(raw, &m); err != nil || !same(m.Cost, v) {
+			t.Fatalf("cost %v: %s decodes to %v (%v)", v, raw, m.Cost, err)
+		}
 	}
 }

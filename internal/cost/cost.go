@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/markov"
 	"repro/internal/mat"
@@ -98,24 +97,16 @@ func (w *Weights) validate(m int) error {
 }
 
 // Model evaluates U_ε and its gradient for a fixed topology and weights.
+// Every evaluation, search line and gradient reads the coverage times
+// T_{jk,i} from the topology's per-transition cover lists
+// (topology.CoverLists), which hold a small multiple of M² entries on a
+// geometric field. The topology builds them once and never changes them,
+// so concurrent restarts share a Model without synchronization.
 type Model struct {
 	top *topology.Topology
 	w   Weights
 	// travel[j*m+k] = T_jk for the denominator of C̄.
 	travel []float64
-
-	// Sparse coverage lists: for transition slot j*m+k, the PoIs with
-	// nonzero cover time live in covIdx/covVal[covPtr[j*m+k]:covPtr[j*m+k+1]].
-	// Geometric topologies cover only the PoIs near the j→k path, so these
-	// lists hold a small multiple of M² entries where a dense table of
-	// the coverage coefficients would hold M³. Built lazily on first use
-	// (see coverLists): every evaluation builds its CoverTime numerator
-	// from them, every search line its coverage tables, and every
-	// gradient folds its coverage partials over them.
-	covPtr  []int
-	covIdx  []int32
-	covVal  []float64
-	covOnce sync.Once
 }
 
 // NewModel validates the weights and precomputes the travel-time table
@@ -144,30 +135,6 @@ func NewModel(top *topology.Topology, w Weights) (*Model, error) {
 		}
 	}
 	return mod, nil
-}
-
-// coverLists returns the sparse per-transition cover lists, scanning the
-// topology's cover table once on first use.
-func (m *Model) coverLists() ([]int, []int32, []float64) {
-	m.covOnce.Do(func() {
-		n := m.top.M()
-		ptr := make([]int, n*n+1)
-		var idx []int32
-		var val []float64
-		for j := 0; j < n; j++ {
-			for k := 0; k < n; k++ {
-				for i, v := range m.top.CoverRow(j, k) {
-					if v != 0 {
-						idx = append(idx, int32(i))
-						val = append(val, v)
-					}
-				}
-				ptr[j*n+k+1] = len(val)
-			}
-		}
-		m.covPtr, m.covIdx, m.covVal = ptr, idx, val
-	})
-	return m.covPtr, m.covIdx, m.covVal
 }
 
 // Topology returns the model's topology.
@@ -261,7 +228,7 @@ func (m *Model) evaluateInto(ev *Evaluation, sol *markov.Solution) error {
 	// a PoI a transition does not cover would add w·(+0) to a sum that
 	// only ever holds non-negative values, so skipping it changes no bits
 	// (DESIGN §8.2).
-	covPtr, covIdx, covVal := m.coverLists()
+	covPtr, covIdx, covVal := m.top.CoverLists()
 	var totalTime float64
 	pd := sol.P.Data()
 	for j := 0; j < n; j++ {

@@ -119,7 +119,7 @@ func (m *Model) gradientRows(ws *Workspace, ev *Evaluation, lo, hi int) {
 	// and the dUdPi fold is Σ_k p_jk S_jk. The per-(j,k) dot runs over
 	// the nonzero cover list instead of all M PoIs.
 	if ws.anyCover {
-		covPtr, covIdx, covVal := m.coverLists()
+		covPtr, covIdx, covVal := m.top.CoverLists()
 		cphi := ws.cphi
 		for j := lo; j < hi; j++ {
 			pij := sol.Pi[j]

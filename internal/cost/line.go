@@ -75,7 +75,7 @@ func (l *Line) Reset(sol *markov.Solution, d *mat.Matrix) error {
 	}
 	n := l.n
 	top := l.m.top
-	covPtr, covIdx, covVal := l.m.coverLists()
+	covPtr, covIdx, covVal := top.CoverLists()
 	travel := l.m.travel
 	pd, dd := sol.P.Data(), d.Data()
 	clear(l.cover0)

@@ -188,10 +188,12 @@ func Run(cfg Config) (*Metrics, error) {
 		}
 
 		// Physical coverage bookkeeping uses the exact T tables in every
-		// time model.
+		// time model. A PoI off the transition's cover list would add +0
+		// to a non-negative sum, so walking the list changes no bits.
 		met.TotalTime += top.TravelTime(cur, next)
-		for i := 0; i < n; i++ {
-			met.CoverageTime[i] += top.CoverTime(cur, next, i)
+		idx, val := top.CoverList(cur, next)
+		for q, i := range idx {
+			met.CoverageTime[i] += val[q]
 		}
 
 		advanceExposure(top, trackers, cur, next, model)

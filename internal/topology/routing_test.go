@@ -132,22 +132,6 @@ func TestRoutedUnreachablePoIFailsConstruction(t *testing.T) {
 	}
 }
 
-func TestWithTargetPreservesRouting(t *testing.T) {
-	cfg, _ := wallConfig(t)
-	top, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	re, err := top.WithTarget([]float64{0.2, 0.4, 0.4})
-	if err != nil {
-		t.Fatalf("WithTarget: %v", err)
-	}
-	if math.Abs(re.Distance(0, 1)-top.Distance(0, 1)) > 1e-12 {
-		t.Errorf("WithTarget lost the routed distance: %v vs %v",
-			re.Distance(0, 1), top.Distance(0, 1))
-	}
-}
-
 func TestPathAccessorStraightLine(t *testing.T) {
 	top := Topology2()
 	p := top.Path(0, 2)

@@ -219,26 +219,6 @@ func TestTargetIsCopied(t *testing.T) {
 	}
 }
 
-func TestWithTarget(t *testing.T) {
-	top, err := New(validConfig())
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	top2, err := top.WithTarget([]float64{0.2, 0.3, 0.5})
-	if err != nil {
-		t.Fatalf("WithTarget: %v", err)
-	}
-	if top2.TargetAt(2) != 0.5 {
-		t.Errorf("new target = %v", top2.Target())
-	}
-	if top.TargetAt(2) != 0.25 {
-		t.Error("WithTarget mutated the original")
-	}
-	if _, err := top.WithTarget([]float64{1, 1, 1}); !errors.Is(err, ErrInvalid) {
-		t.Errorf("invalid target err = %v", err)
-	}
-}
-
 func TestDistanceSymmetry(t *testing.T) {
 	top := Topology4()
 	m := top.M()

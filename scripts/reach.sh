@@ -8,7 +8,8 @@
 #
 #   the six examples; cmd/experiments -scale quick; coverage-opt (with
 #   -analyze), simulate and tradeoff; deploydemo; scripts/conformance.sh
-#   (schema validation, confgen -check, the full corpus run);
+#   (schema validation, confgen -check, the full corpus run) and the
+#   corpus run's -json report;
 #   fleetsmoke, shardsmoke and loadtest; and the perfbench corpus and
 #   field workloads, traced. perfbench is a module of its own: it is
 #   built from its directory into a temporary path, so no file under
@@ -68,6 +69,7 @@ step simulate go run ./cmd/simulate -plan "$work/plan.json" -topology 3 \
 step tradeoff go run ./cmd/tradeoff -topology 3 -iters 200
 step deploydemo go run ./cmd/deploydemo
 step conformance ./scripts/conformance.sh
+step conformance-json go run ./cmd/conformance -corpus coverage/testdata/corpus -json
 step fleetsmoke ./scripts/fleetsmoke.sh
 step shardsmoke ./scripts/shardsmoke.sh
 step loadtest ./scripts/loadtest.sh
